@@ -5,7 +5,8 @@ codebook from a sample), stats (score a codebook against a target
 file), bench (timed sweeps comparing the two real-weight strategies).
 
 Exit codes: 0 on success, 2 for any input problem, 3 when an internal
-cross-check fails (which means a bug, not bad input).
+check fails on input that was already validated (which means a bug,
+not bad input).
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import json
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .coding import (
     CodeBook,
@@ -26,9 +26,21 @@ from .coding import (
     empirical_distribution,
     evaluate,
 )
-from .core import ParseError, alpha_int_fast, depths_to_tree, parse_weights
+from .core import (
+    DepthProfileError,
+    ParseError,
+    alpha_int_fast,
+    depths_to_tree,
+    parse_weights,
+)
 from .leveltree import LevelTree, LevelTreeError
-from .realweight import WeightSeq, alpha_real, alpha_real_new, alpha_real_sorted
+from .realweight import (
+    WeightSeq,
+    _zero_counters,
+    alpha_real,
+    alpha_real_new,
+    alpha_real_sorted,
+)
 
 
 class CliError(Exception):
@@ -83,14 +95,7 @@ def cmd_tree(args) -> int:
         offset = 0
         d = len(set(ints))
         strategy = "int"
-        instrumentation = {
-            "sets": 0,
-            "undos": 0,
-            "finds": 0,
-            "unions": 0,
-            "deunions": 0,
-            "partition_items": 0,
-        }
+        instrumentation = _zero_counters()
         adjusted = ints
     else:
         seq = WeightSeq(ws)
@@ -288,13 +293,7 @@ def cmd_bench(args) -> int:
     ]
     if not jobs:
         raise CliError("no feasible (n, d) combinations")
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            batches = list(
-                pool.map(lambda j: _bench_job(args.seed, *j, algos), jobs)
-            )
-    else:
-        batches = [_bench_job(args.seed, n, d, t, algos) for n, d, t in jobs]
+    batches = [_bench_job(args.seed, n, d, t, algos) for n, d, t in jobs]
     cols = ["n", "d", "trial", "algo"]
     if not args.omit_timing:
         cols.append("wall_ns")
@@ -348,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--trials", type=int, default=3)
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--algos", default="new,sorted")
-    b.add_argument("--workers", type=int, default=1)
     b.add_argument("--omit-timing", action="store_true",
                    help="drop the wall_ns column for reproducible output")
     b.add_argument("--out", default=None, help="write the CSV here instead of stdout")
@@ -360,15 +358,16 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except (CliError, ParseError, CodingError, UnicodeDecodeError, OSError) as e:
+        print("error: %s" % e, file=sys.stderr)
+        return 2
     except InternalCheckError as e:
         print("internal check failed: %s" % e, file=sys.stderr)
         return 3
-    except AssertionError as e:
+    except (AssertionError, LevelTreeError, DepthProfileError) as e:
+        # raised past input validation, so the library itself is wrong
         print("internal invariant violated: %s" % e, file=sys.stderr)
         return 3
-    except (CliError, ParseError, CodingError, LevelTreeError, ValueError, OSError) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -48,7 +48,10 @@ class Distribution:
 
     def __init__(self, labels, probs):
         labels = list(labels)
-        probs = [float(p) for p in probs]
+        try:
+            probs = [float(p) for p in probs]
+        except (TypeError, ValueError):
+            raise CodingError("probabilities must be a list of numbers") from None
         if not labels:
             raise CodingError("distribution needs at least one symbol")
         if len(labels) != len(probs):
@@ -355,11 +358,3 @@ def evaluate(p: Distribution, code: CodeBook, q: Distribution, bound=None) -> Co
     if bound is None:
         bound = redundancy_bound(q)
     return CodeReport(avg, h, d, avg - h - d, bound)
-
-
-def encode(text, code: CodeBook) -> str:
-    return code.encode(text)
-
-
-def decode(bits: str, code: CodeBook) -> str:
-    return code.decode(bits)

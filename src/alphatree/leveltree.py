@@ -355,9 +355,17 @@ class LevelTree:
     # the set(i) surgery
     #
     # v's parent keeps all children at one level y; v moves to y-1, so
-    # the two pieces adjacent to v merge with it one level down.  The
-    # case split is on which neighbours are internal and whether their
-    # child level is already y-1 (absorb) or lower (re-level / wrap).
+    # the two pieces adjacent to v merge with it one level down.  Leaf
+    # neighbours stay put as level-y points.  The case depends on how
+    # many internal neighbours already have their children at y-1:
+    #   two   _merge joins them around v with one union
+    #   one   _absorb puts v under that host, followed by the internal
+    #         neighbour on v's other side, if any, re-levelled to y-1
+    #   none  _wrap makes a fresh level-y node over v and its internal
+    #         neighbours, re-levelled to y-1
+    # A side of v is given by toward, the sibling link stepping toward v
+    # (rsib on the left, lsib on the right), away, the opposite link, and
+    # end, the child pointer facing v (lch on the left, fch on the right).
 
     def _lower_leaf(self, v: int) -> None:
         lv = self.level
@@ -373,103 +381,63 @@ class LevelTree:
             self._refresh_up(p)
             return
 
-        left_int = ul != NIL and self.kind[ul] == INTERNAL
-        right_int = ur != NIL and self.kind[ur] == INTERNAL
-        cl_l = lv[self._r(self.fch[ul])] if left_int else None
-        cl_r = lv[self._r(self.fch[ur])] if right_int else None
+        # from here on ul and ur name internal neighbours only
+        ul = ul if ul != NIL and self.kind[ul] == INTERNAL else NIL
+        ur = ur if ur != NIL and self.kind[ur] == INTERNAL else NIL
+        cl_l = lv[self._r(self.fch[ul])] if ul != NIL else None
+        cl_r = lv[self._r(self.fch[ur])] if ur != NIL else None
 
-        if left_int and right_int:
-            if cl_l == ny and cl_r == ny:
-                outer_l = self._r(self.lsib[ul])
-                outer_r = self._r(self.rsib[ur])
-                if outer_l == NIL and outer_r == NIL:
-                    self._merge_into_parent(v, ul, ur, p, y, ny)
-                else:
-                    self._merge_siblings(v, ul, ur, p, y, ny, outer_l, outer_r)
-            elif cl_l == ny:
-                self._absorb_left_take_right(v, ul, ur, p, y, ny, cl_r)
-            elif cl_r == ny:
-                self._absorb_right_take_left(v, ul, ur, p, y, ny, cl_l)
-            else:
-                self._wrap(v, ul, ur, p, y, ny, cl_l, cl_r)
-        elif left_int:
-            if cl_l == ny:
-                self._absorb_left(v, ul, ur, p, y, ny)
-            else:
-                self._wrap(v, ul, NIL, p, y, ny, cl_l, None)
-        elif right_int:
-            if cl_r == ny:
-                self._absorb_right(v, ul, ur, p, y, ny)
-            else:
-                self._wrap(v, NIL, ur, p, y, ny, None, cl_r)
+        if cl_l == ny and cl_r == ny:
+            self._merge(v, ul, ur, p, y, ny)
+        elif cl_l == ny:
+            self._absorb(v, ul, ur, p, ny, cl_r, self.rsib, self.lsib, self.lch)
+        elif cl_r == ny:
+            self._absorb(v, ur, ul, p, ny, cl_l, self.lsib, self.rsib, self.fch)
         else:
-            # both neighbours are leaves (still level-y points): v alone
-            # becomes a one-child piece at level y
-            self._wrap(v, NIL, NIL, p, y, ny, None, None)
+            # with no internal neighbour this is the degenerate
+            # one-child piece over v alone
+            self._wrap(v, ul, ur, p, y, ny, cl_l, cl_r)
 
-    def _merge_siblings(self, v, ul, ur, p, y, ny, outer_l, outer_r):
-        # Both pieces already sit one level down: combine ul and ur into
-        # one node by a single union and splice v between their child
-        # lists.  v had at least one sibling besides ul and ur, so the
-        # merged node stays a child of p.
-        ld, cs = self.load, self.csum
-        lov, lo1, lo2 = ld[v], ld[ul], ld[ur]
-        l1 = self._r(self.lch[ul])
-        f2 = self._r(self.fch[ur])
-        f1 = self._r(self.fch[ul])
-        l2 = self._r(self.lch[ur])
-        cs1, cs2 = cs[ul], cs[ur]
-
-        r = self._union(ul, ur)
-        self._set(self.lsib, r, outer_l)
-        self._set(self.rsib, r, outer_r)
-        self._set(self.parent, r, p)
-        self._set(self.level, r, y)
-        self._set(self.fch, r, f1)
-        self._set(self.lch, r, l2)
-        self._set(cs, r, cs1 + cs2 + lov)
-        # outer_l's rsib (or p's fch) still names ul and resolves to r;
-        # same on the right, so no sibling rewrites are needed there.
-        self._set(self.rsib, l1, v)
-        self._set(self.lsib, v, l1)
-        self._set(self.rsib, v, f2)
-        self._set(self.lsib, f2, v)
-        self._set(self.parent, v, r)
-        self._set(self.level, v, ny)
-        nlo = self._node_load(r, ny)
-        self._set(ld, r, nlo)
-        self._set(cs, p, cs[p] - lo1 - lo2 - lov + nlo)
-        self._refresh_up(p)
-
-    def _merge_into_parent(self, v, ul, ur, p, y, ny):
-        # v's only siblings were ul and ur: no new node; the former
-        # parent is reused.  Two unions fold ul, ur and p into one class
-        # that keeps p's identity, level and outside links, and whose
-        # children are ul's children, v, then ur's children.
+    def _merge(self, v, ul, ur, p, y, ny):
+        # Both pieces already sit one level down: one union combines ul
+        # and ur, and v is spliced between their child lists.  The link
+        # into ul from its left (a sibling's rsib or p's fch) still names
+        # ul and resolves to the merged class; same on the right, so no
+        # sibling rewrites are needed there.
         ld, cs = self.load, self.csum
         lov = ld[v]
         l1 = self._r(self.lch[ul])
         f2 = self._r(self.fch[ur])
         f1 = self._r(self.fch[ul])
         l2 = self._r(self.lch[ur])
-        cs1, cs2 = cs[ul], cs[ur]
-        pk = self.kind[p]
-        plvl = self.level[p]
-        pA = self._r(self.lsib[p])
-        pB = self._r(self.rsib[p])
-        lo_p = ld[p]
-        pp = self.uf.find(self.parent[p]) if pk != ROOT else NIL
-
-        r = self._union(ul, ur)
-        r = self._union(r, p)
-        self._set(self.kind, r, pk)
-        self._set(self.level, r, plvl)
-        self._set(self.parent, r, self.parent[p])
-        self._set(self.lsib, r, pA)
-        self._set(self.rsib, r, pB)
+        A = self._r(self.lsib[ul])
+        B = self._r(self.rsib[ur])
+        csum = cs[ul] + cs[ur] + lov
+        if A != NIL or B != NIL:
+            # v had at least one sibling besides ul and ur, so the
+            # merged node stays a child of p
+            kind, level, parent, top = INTERNAL, y, p, p
+            removed = ld[ul] + ld[ur] + lov
+            r = self._union(ul, ur)
+        else:
+            # v's only siblings were ul and ur: no new node; the former
+            # parent is reused.  A second union folds p in too, and the
+            # class keeps p's identity, level and outside links, and
+            # its children are ul's children, v, then ur's children.
+            kind, level, parent = self.kind[p], self.level[p], self.parent[p]
+            A = self._r(self.lsib[p])
+            B = self._r(self.rsib[p])
+            top = self.uf.find(parent) if kind != ROOT else NIL
+            removed = ld[p]
+            r = self._union(self._union(ul, ur), p)
+        self._set(self.kind, r, kind)
+        self._set(self.level, r, level)
+        self._set(self.parent, r, parent)
+        self._set(self.lsib, r, A)
+        self._set(self.rsib, r, B)
         self._set(self.fch, r, f1)
         self._set(self.lch, r, l2)
-        self._set(cs, r, cs1 + cs2 + lov)
+        self._set(cs, r, csum)
         self._set(self.rsib, l1, v)
         self._set(self.lsib, v, l1)
         self._set(self.rsib, v, f2)
@@ -478,174 +446,84 @@ class LevelTree:
         self._set(self.level, v, ny)
         nlo = self._node_load(r, ny)
         self._set(ld, r, nlo)
-        if pp != NIL:
-            self._set(cs, pp, cs[pp] - lo_p + nlo)
-            self._refresh_up(pp)
+        if top != NIL:
+            self._set(cs, top, cs[top] - removed + nlo)
+            self._refresh_up(top)
 
-    def _absorb_left_take_right(self, v, ul, ur, p, y, ny, cl_r):
-        # ul's children are already at y-1: append v to ul, drop ur to
-        # level y-1 and hang it after v as ul's new last child.
+    def _absorb(self, v, host, nb, p, ny, cl_nb, toward, away, end):
+        # host's children are already at y-1: v joins them at host's end
+        # facing v.  nb is the internal neighbour on v's far side, or
+        # NIL; it drops to level y-1 and hangs after v as host's new end
+        # child.  Whatever lay beyond becomes host's sibling.
         ld, cs = self.load, self.csum
-        lov, lo1, lo2 = ld[v], ld[ul], ld[ur]
-        B = self._r(self.rsib[ur])
-        l1 = self._r(self.lch[ul])
+        lov = ld[v]
+        last = nb if nb != NIL else v
+        removed = lov + ld[host] + (ld[nb] if nb != NIL else 0)
+        beyond = self._r(toward[last])
+        e = self._r(end[host])
 
-        self._set(self.rsib, ul, B)
-        if B != NIL:
-            self._set(self.lsib, B, ul)
+        self._set(toward, host, beyond)
+        if beyond != NIL:
+            self._set(away, beyond, host)
         else:
-            self._set(self.lch, p, ul)
-        self._set(self.rsib, l1, v)
-        self._set(self.lsib, v, l1)
-        self._set(self.rsib, v, ur)
-        self._set(self.lsib, ur, v)
-        self._set(self.rsib, ur, NIL)
-        self._set(self.lch, ul, ur)
-        self._set(self.parent, v, ul)
-        self._set(self.parent, ur, ul)
+            self._set(end, p, host)
+        self._set(toward, e, v)
+        self._set(away, v, e)
+        self._set(toward, v, nb)
+        csum = cs[host] + lov
+        if nb != NIL:
+            csum += self._hang(nb, host, v, ny, cl_nb, away, toward)
+        self._set(end, host, last)
+        self._set(self.parent, v, host)
         self._set(self.level, v, ny)
-        self._set(self.level, ur, ny)
-        nlo2 = self._node_load(ur, cl_r)
-        self._set(ld, ur, nlo2)
-        self._set(cs, ul, cs[ul] + lov + nlo2)
-        nlo1 = self._node_load(ul, ny)
-        self._set(ld, ul, nlo1)
-        self._set(cs, p, cs[p] - lo1 - lov - lo2 + nlo1)
-        self._refresh_up(p)
-
-    def _absorb_right_take_left(self, v, ul, ur, p, y, ny, cl_l):
-        # mirror image: prepend ul (dropped to y-1) and v to ur
-        ld, cs = self.load, self.csum
-        lov, lo1, lo2 = ld[v], ld[ul], ld[ur]
-        A = self._r(self.lsib[ul])
-        f2 = self._r(self.fch[ur])
-
-        self._set(self.lsib, ur, A)
-        if A != NIL:
-            self._set(self.rsib, A, ur)
-        else:
-            self._set(self.fch, p, ur)
-        self._set(self.lsib, f2, v)
-        self._set(self.rsib, v, f2)
-        self._set(self.lsib, v, ul)
-        self._set(self.rsib, ul, v)
-        self._set(self.lsib, ul, NIL)
-        self._set(self.fch, ur, ul)
-        self._set(self.parent, v, ur)
-        self._set(self.parent, ul, ur)
-        self._set(self.level, v, ny)
-        self._set(self.level, ul, ny)
-        nlo1 = self._node_load(ul, cl_l)
-        self._set(ld, ul, nlo1)
-        self._set(cs, ur, cs[ur] + lov + nlo1)
-        nlo2 = self._node_load(ur, ny)
-        self._set(ld, ur, nlo2)
-        self._set(cs, p, cs[p] - lo1 - lov - lo2 + nlo2)
-        self._refresh_up(p)
-
-    def _absorb_left(self, v, ul, ur, p, y, ny):
-        # right neighbour is a leaf or absent: v just joins ul
-        ld, cs = self.load, self.csum
-        lov, lo1 = ld[v], ld[ul]
-        l1 = self._r(self.lch[ul])
-
-        self._set(self.rsib, ul, ur)
-        if ur != NIL:
-            self._set(self.lsib, ur, ul)
-        else:
-            self._set(self.lch, p, ul)
-        self._set(self.rsib, l1, v)
-        self._set(self.lsib, v, l1)
-        self._set(self.rsib, v, NIL)
-        self._set(self.lch, ul, v)
-        self._set(self.parent, v, ul)
-        self._set(self.level, v, ny)
-        self._set(cs, ul, cs[ul] + lov)
-        nlo1 = self._node_load(ul, ny)
-        self._set(ld, ul, nlo1)
-        self._set(cs, p, cs[p] - lo1 - lov + nlo1)
-        self._refresh_up(p)
-
-    def _absorb_right(self, v, ul, ur, p, y, ny):
-        ld, cs = self.load, self.csum
-        lov, lo2 = ld[v], ld[ur]
-        f2 = self._r(self.fch[ur])
-
-        self._set(self.lsib, ur, ul)
-        if ul != NIL:
-            self._set(self.rsib, ul, ur)
-        else:
-            self._set(self.fch, p, ur)
-        self._set(self.lsib, f2, v)
-        self._set(self.rsib, v, f2)
-        self._set(self.lsib, v, NIL)
-        self._set(self.fch, ur, v)
-        self._set(self.parent, v, ur)
-        self._set(self.level, v, ny)
-        self._set(cs, ur, cs[ur] + lov)
-        nlo2 = self._node_load(ur, ny)
-        self._set(ld, ur, nlo2)
-        self._set(cs, p, cs[p] - lo2 - lov + nlo2)
+        self._set(cs, host, csum)
+        nlo = self._node_load(host, ny)
+        self._set(ld, host, nlo)
+        self._set(cs, p, cs[p] - removed + nlo)
         self._refresh_up(p)
 
     def _wrap(self, v, ul, ur, p, y, ny, cl_l, cl_r):
         # No piece can take v at level y-1 directly: make a fresh node
         # at level y over [ul?, v, ur?], re-levelling the taken
-        # neighbours to y-1.  With no internal neighbours this is the
-        # degenerate one-child piece over v alone.
+        # neighbours to y-1.
         ld, cs = self.load, self.csum
-        lov = ld[v]
-        first = ul if ul != NIL else v
-        last = ur if ur != NIL else v
-        A = self._r(self.lsib[first])
-        B = self._r(self.rsib[last])
-        removed = lov + (ld[ul] if ul != NIL else 0) + (ld[ur] if ur != NIL else 0)
-
         u = self._create(y)
         self.parent[u] = p
-        self.lsib[u] = A
-        self.rsib[u] = B
-        self.fch[u] = first
-        self.lch[u] = last
-        if A != NIL:
-            self._set(self.rsib, A, u)
-        else:
-            self._set(self.fch, p, u)
-        if B != NIL:
-            self._set(self.lsib, B, u)
-        else:
-            self._set(self.lch, p, u)
-
-        csu = 0
-        if ul != NIL:
-            self._set(self.lsib, ul, NIL)
-            self._set(self.rsib, ul, v)
-            self._set(self.lsib, v, ul)
-            self._set(self.parent, ul, u)
-            self._set(self.level, ul, ny)
-            nlo1 = self._node_load(ul, cl_l)
-            self._set(ld, ul, nlo1)
-            csu += nlo1
-        else:
-            self._set(self.lsib, v, NIL)
-        if ur != NIL:
-            self._set(self.rsib, ur, NIL)
-            self._set(self.lsib, ur, v)
-            self._set(self.rsib, v, ur)
-            self._set(self.parent, ur, u)
-            self._set(self.level, ur, ny)
-            nlo2 = self._node_load(ur, cl_r)
-            self._set(ld, ur, nlo2)
-            csu += nlo2
-        else:
-            self._set(self.rsib, v, NIL)
+        removed = csu = ld[v]
+        for nb, cl, toward, away, end in (
+            (ul, cl_l, self.rsib, self.lsib, self.fch),
+            (ur, cl_r, self.lsib, self.rsib, self.lch),
+        ):
+            edge = nb if nb != NIL else v
+            outer = self._r(away[edge])
+            away[u] = outer
+            end[u] = edge
+            if outer != NIL:
+                self._set(toward, outer, u)
+            else:
+                self._set(end, p, u)
+            self._set(away, v, nb)
+            if nb != NIL:
+                removed += ld[nb]
+                csu += self._hang(nb, u, v, ny, cl, toward, away)
         self._set(self.parent, v, u)
         self._set(self.level, v, ny)
-        csu += lov
         self.csum[u] = csu
         self.load[u] = self._node_load(u, ny)
         self._set(cs, p, cs[p] - removed + self.load[u])
         self._refresh_up(p)
+
+    def _hang(self, nb, parent, v, ny, cl, toward, away):
+        # internal neighbour nb (children at level cl) drops to y-1 as
+        # v's outer sibling under parent; toward is nb's link to v, and
+        # the caller links v back.  Returns nb's new load.
+        self._set(away, nb, NIL)
+        self._set(toward, nb, v)
+        self._set(self.parent, nb, parent)
+        self._set(self.level, nb, ny)
+        lo = self._node_load(nb, cl)
+        self._set(self.load, nb, lo)
+        return lo
 
     # ------------------------------------------------------------------
     # inspection

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from alphatree.cli import main
+from alphatree.leveltree import LevelTree, LevelTreeError
 
 
 def run(capsys, *argv):
@@ -80,6 +81,21 @@ def test_tree_input_errors(tmp_path, capsys):
     assert rc == 2
     rc, _, err = run(capsys, "tree", str(tmp_path / "missing.txt"))
     assert rc == 2
+    f.write_bytes(b"1.5 \xff\xfe\n")
+    rc, _, err = run(capsys, "tree", str(f))
+    assert rc == 2 and "utf-8" in err
+
+
+def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
+    # a level-tree failure on validated input is a bug, not bad input
+    def broken_set(self, i):
+        raise LevelTreeError("surgery left a malformed tree")
+
+    monkeypatch.setattr(LevelTree, "set", broken_set)
+    f = tmp_path / "w.txt"
+    f.write_text("1.2 0.3 2.7\n")
+    rc, _, err = run(capsys, "tree", str(f), "--algo", "new")
+    assert rc == 3 and "malformed" in err
 
 
 def test_code_and_stats_flow(tmp_path, capsys):
@@ -162,6 +178,12 @@ def test_stats_errors(tmp_path, capsys):
     rc, _, err = run(capsys, "stats", str(target), "--code", str(holed))
     assert rc == 2 and "undefined" in err.lower()
 
+    # a non-number in "q" is bad input too
+    doc["q"] = ["half", 0.5]
+    holed.write_text(json.dumps(doc))
+    rc, _, err = run(capsys, "stats", str(target), "--code", str(holed))
+    assert rc == 2 and "numbers" in err
+
 
 def test_bench_deterministic_without_timing(tmp_path, capsys):
     args = ("bench", "--n", "32,64", "--d", "1,2", "--trials", "2",
@@ -174,16 +196,6 @@ def test_bench_deterministic_without_timing(tmp_path, capsys):
     assert header == "n,d,trial,algo,sets,undos,finds,unions"
     # 2 sizes x 2 d x 2 trials x 2 algos
     assert len(out1.strip().splitlines()) == 1 + 16
-
-
-def test_bench_workers_merge_deterministically(capsys):
-    base = ("bench", "--n", "16,32", "--d", "2", "--trials", "3",
-            "--seed", "3", "--omit-timing")
-    rc, seq_out, _ = run(capsys, *base, "--workers", "1")
-    assert rc == 0
-    rc, par_out, _ = run(capsys, *base, "--workers", "4")
-    assert rc == 0
-    assert seq_out == par_out
 
 
 def test_bench_timing_column(capsys):

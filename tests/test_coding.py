@@ -12,9 +12,7 @@ from alphatree import (
     UndefinedDivergenceError,
     build_code,
     codewords_from_depths,
-    decode,
     empirical_distribution,
-    encode,
     entropy,
     evaluate,
     redundancy_bound,
@@ -196,6 +194,10 @@ def test_codebook_json_errors():
         CodeBook.from_json("{not json")
     with pytest.raises(CodingError):
         CodeBook.from_json(json.dumps({"code": [{"label": "a"}]}))
+    code = [{"label": "a", "codeword": "0"}, {"label": "b", "codeword": "1"}]
+    for q in (["half", 0.5], [None, 1.0], 1.0):
+        with pytest.raises(CodingError):
+            CodeBook.from_json(json.dumps({"code": code, "q": q}))
 
 
 # ----------------------------------------------------------------------
@@ -204,11 +206,11 @@ def test_codebook_json_errors():
 
 def test_encode_decode_roundtrip():
     book = build_code(Distribution("abc", [0.5, 0.25, 0.25]))
-    bits = encode("abacab", book)
+    bits = book.encode("abacab")
     assert bits == "010011010"
-    assert decode(bits, book) == "abacab"
-    assert encode("", book) == ""
-    assert decode("", book) == ""
+    assert book.decode(bits) == "abacab"
+    assert book.encode("") == ""
+    assert book.decode("") == ""
 
 
 def test_encode_decode_random():

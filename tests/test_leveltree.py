@@ -4,6 +4,7 @@ import random
 import pytest
 
 from alphatree import LevelTree, LevelTreeError, alpha_int_fast, tree_cost
+from alphatree.leveltree import NIL
 from helpers import CachedIntOracle, random_real_weights
 
 
@@ -169,6 +170,79 @@ def test_deep_set_chains():
         for _ in range(n):
             t.undo()
         assert t.serialize() == base
+
+
+SURGERY_CASES = {
+    "merge_siblings": "merge_siblings",
+    "merge_into_parent": "merge_into_parent",
+    "absorb_left": "absorb_right",
+    "absorb_right": "absorb_left",
+    "absorb_left_take": "absorb_right_take",
+    "absorb_right_take": "absorb_left_take",
+    "wrap_0": "wrap_0",
+    "wrap_1": "wrap_1",
+    "wrap_2": "wrap_2",
+}
+
+
+def spy_surgery(tree):
+    """Log the case of every surgery routine call on one tree."""
+    log = []
+    merge, absorb, wrap = tree._merge, tree._absorb, tree._wrap
+
+    def spy_merge(v, ul, ur, *rest):
+        alone = tree._r(tree.lsib[ul]) == NIL and tree._r(tree.rsib[ur]) == NIL
+        log.append("merge_into_parent" if alone else "merge_siblings")
+        merge(v, ul, ur, *rest)
+
+    def spy_absorb(v, host, nb, p, ny, cl_nb, toward, away, end):
+        case = "absorb_left" if toward is tree.rsib else "absorb_right"
+        log.append(case + "_take" if nb != NIL else case)
+        absorb(v, host, nb, p, ny, cl_nb, toward, away, end)
+
+    def spy_wrap(v, ul, ur, *rest):
+        log.append("wrap_%d" % ((ul != NIL) + (ur != NIL)))
+        wrap(v, ul, ur, *rest)
+
+    tree._merge, tree._absorb, tree._wrap = spy_merge, spy_absorb, spy_wrap
+    return log
+
+
+def test_surgery_is_mirror_symmetric():
+    # set(i) on W and set(n-1-i) on reversed W are mirror images: each
+    # step must take the mirrored surgery case and reach the same cost.
+    # This guards the direction arguments of the surgery routines, and
+    # the spy makes sure every case was reached.
+    rng = random.Random(1985)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(2, 12)
+        ws = random_real_weights(rng, n, lo=-2, hi=3, integral_rate=0.15)
+        a, b = LevelTree(ws), LevelTree(ws[::-1])
+        log_a, log_b = spy_surgery(a), spy_surgery(b)
+        base_a, base_b = a.serialize(), b.serialize()
+        for _ in range(rng.randint(1, 2 * n)):
+            todo = settable(a)
+            if a.segments and (not todo or rng.random() < 0.3):
+                a.undo()
+                b.undo()
+            elif todo:
+                i = rng.choice(todo)
+                a.set(i)
+                b.set(n - 1 - i)
+            else:
+                break
+            assert a.cost() == b.cost()
+            assert log_b == [SURGERY_CASES[c] for c in log_a]
+            a.audit()
+            b.audit()
+        while a.segments:
+            a.undo()
+            b.undo()
+        assert a.serialize() == base_a
+        assert b.serialize() == base_b
+        seen.update(log_a)
+    assert seen == set(SURGERY_CASES)
 
 
 def test_witness_tracks_dynamic_state():
