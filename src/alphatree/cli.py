@@ -233,6 +233,9 @@ def _trial_seed(seed: int, n: int, d: int, trial: int) -> int:
 
 _ALGO_RUNNERS = {"new": alpha_real_new, "sorted": alpha_real_sorted}
 
+# bench prints every instrumentation counter, in _zero_counters() order
+_COUNTER_COLS = list(_zero_counters())
+
 
 def _parse_int_list(text: str, what: str) -> list[int]:
     try:
@@ -255,7 +258,7 @@ def _bench_job(seed: int, n: int, d: int, trial: int, algos: list[str]) -> list[
         wall = time.perf_counter_ns() - t0
         results.append(res)
         row = {"n": n, "d": d, "trial": trial, "algo": algo, "wall_ns": wall}
-        for key in ("sets", "undos", "finds", "unions"):
+        for key in _COUNTER_COLS:
             row[key] = res.instrumentation[key]
         rows.append(row)
     first = results[0]
@@ -297,7 +300,7 @@ def cmd_bench(args) -> int:
     cols = ["n", "d", "trial", "algo"]
     if not args.omit_timing:
         cols.append("wall_ns")
-    cols += ["sets", "undos", "finds", "unions"]
+    cols += _COUNTER_COLS
     lines = [",".join(cols)]
     for batch in batches:
         for row in batch:

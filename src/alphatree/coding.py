@@ -281,8 +281,13 @@ class CodeBook:
         for e in entries:
             if not isinstance(e, dict) or "label" not in e or "codeword" not in e:
                 raise CodingError("each code entry needs label and codeword")
-            labels.append(e["label"])
+            lab = e["label"]
+            if isinstance(lab, bool) or not isinstance(lab, (str, int)):
+                raise CodingError("label %r is not a string or an integer" % (lab,))
+            labels.append(lab)
             codewords.append(e["codeword"])
+        if len({type(lab) for lab in labels}) > 1:
+            raise CodingError("labels mix strings and integers")
         book = cls(labels, codewords)
         q = None
         if "q" in doc:

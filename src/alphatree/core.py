@@ -3,15 +3,15 @@
 An ordered strictly-binary tree over leaves 1..n in fixed order is
 scored by max_i (w_i + depth_i); the minimum over all such trees is the
 minimax cost of the weight sequence.  alpha_int_fast computes it in
-O(n) through the level tree; minimax_cost_by_dp is the small-n interval
-dynamic program the fast path is tested against.
+O(n) with one stack pass over the levels; minimax_cost_by_dp is the
+small-n interval dynamic program the fast path is tested against.
 """
 
 from __future__ import annotations
 
 import math
 
-from .leveltree import LevelTree, ceil_log2
+from .leveltree import static_witness
 
 
 class ParseError(ValueError):
@@ -92,16 +92,16 @@ def alpha_int_fast(y) -> tuple[int, list[int]]:
     """Minimax cost of an integer sequence in O(n), with a witness.
 
     Returns (cost, depths) where depths realizes the cost:
-    max(y_i + depths_i) == cost and depths is a valid profile.
+    max(y_i + depths_i) == cost and depths is a valid profile.  One
+    stack pass over y (leveltree.static_witness) finds both, with the
+    same grouping as a LevelTree build and the same depths as its
+    depth_profile(); an empty y raises LevelTreeError.
     """
     y = list(y)
     for v in y:
         if v != int(v):
             raise ValueError("alpha_int_fast got non-integer %r" % (v,))
-    tree = LevelTree([int(v) for v in y])
-    cost = tree.cost()
-    depths = tree.depth_profile()
-    return cost, depths
+    return static_witness([int(v) for v in y])
 
 
 def tree_cost(depths, weights):

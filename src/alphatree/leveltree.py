@@ -20,6 +20,10 @@ where csum(u) is the sum of the children's loads and cap = ceil(log2 n).
 Parent pointers of internal nodes are resolved through a union-find with
 deunion: merging two adjacent siblings is a single union instead of
 re-parenting their children, and undo can reverse it exactly.
+
+A static integer instance needs none of that machinery: static_cost and
+static_witness group the levels exactly as the tree's build does, in one
+left-to-right stack pass with no arena, no union-find and no journal.
 """
 
 from __future__ import annotations
@@ -130,6 +134,120 @@ class UnionFindDeunion:
         if bumped:
             self.rank[ra] -= 1
         self.deunions += 1
+
+
+# ----------------------------------------------------------------------
+# static integer instances
+#
+# One left-to-right pass over the levels with the grouping rule of
+# LevelTree._build: each maximal equal-level run becomes one node at
+# min(level below it, next level), with load ceil(csum / 2^min(cap, gap)).
+# The stack keeps one entry per run, levels strictly decreasing upward
+# from a bottom entry above every level, so a node lifted to the level
+# of the entry below it joins that run at once, and a node lifted to the
+# incoming level y goes in front of leaf y.
+
+
+def static_cost(levels) -> int:
+    """Minimax cost of a non-empty integer level sequence.
+
+    Equals LevelTree(levels).cost(); the stack entries are (level, csum
+    of the run).
+    """
+    n = len(levels)
+    if n == 0:
+        raise LevelTreeError("need at least one level")
+    cap = ceil_log2(n)
+    lv = [max(levels) + 1]
+    cs = [0]
+    for y in levels:
+        b = lv[-1]
+        add = 1
+        while b < y:
+            x = b
+            lv.pop()
+            c = cs.pop()
+            b = lv[-1]
+            if b < y:
+                cs[-1] += _ceil_shift(c, min(cap, b - x))
+            else:
+                add += _ceil_shift(c, min(cap, y - x))
+        if b == y:
+            cs[-1] += add
+        else:
+            lv.append(y)
+            cs.append(add)
+    while len(lv) > 2:
+        x = lv.pop()
+        c = cs.pop()
+        cs[-1] += _ceil_shift(c, min(cap, lv[-1] - x))
+    return lv[1] + ceil_log2(cs[1])
+
+
+def static_witness(levels) -> tuple[int, list[int]]:
+    """Cost and witness depths of a non-empty integer level sequence.
+
+    Equals (LevelTree(levels).cost(), LevelTree(levels).depth_profile()):
+    the stack entries are (level, fragment list), and a run's fragments
+    are paired once per level step as depth_profile pairs a node's.
+    """
+    n = len(levels)
+    if n == 0:
+        raise LevelTreeError("need at least one level")
+    lv = [max(levels) + 1]
+    fr: list[list] = [[]]
+    for i, y in enumerate(levels):
+        b = lv[-1]
+        run = [i]
+        while b < y:
+            x = b
+            lv.pop()
+            fl = fr.pop()
+            b = lv[-1]
+            if b < y:
+                fr[-1].extend(_pair(fl, b - x))
+            else:
+                run = _pair(fl, y - x)
+                run.append(i)
+        if b == y:
+            fr[-1].extend(run)
+        else:
+            lv.append(y)
+            fr.append(run)
+    while len(lv) > 2:
+        x = lv.pop()
+        fl = fr.pop()
+        fr[-1].extend(_pair(fl, lv[-1] - x))
+    rounds = ceil_log2(len(fr[1]))
+    return lv[1] + rounds, _fragment_depths(_pair(fr[1], rounds)[0], n)
+
+
+def _pair(fl: list, rounds: int) -> list:
+    # pair adjacent fragments from the left, the odd one last kept
+    # unpaired, up to rounds times, stopping at a single fragment
+    while rounds > 0 and len(fl) > 1:
+        out = list(zip(fl[0::2], fl[1::2]))
+        if len(fl) % 2:
+            out.append(fl[-1])
+        fl = out
+        rounds -= 1
+    return fl
+
+
+def _fragment_depths(top, n: int) -> list[int]:
+    # depth of each leaf in the fragment tree top; a fragment is a leaf
+    # index or a pair of fragments
+    depths = [0] * n
+    walk = [(top, 0)]
+    while walk:
+        f, d = walk.pop()
+        if type(f) is int:
+            depths[f] = d
+        else:
+            a, b = f
+            walk.append((a, d + 1))
+            walk.append((b, d + 1))
+    return depths
 
 
 class LevelTree:
@@ -700,38 +818,12 @@ class LevelTree:
                 else:
                     fl.extend(frags.pop(c))
             if self.kind[u] == ROOT:
-                while len(fl) > 1:
-                    fl = self._pair(fl)
+                fl = _pair(fl, ceil_log2(len(fl)))
             else:
-                cl = self.level[kids[u][0]]
-                for _ in range(self.level[u] - cl):
-                    if len(fl) == 1:
-                        break
-                    fl = self._pair(fl)
+                fl = _pair(fl, self.level[u] - self.level[kids[u][0]])
                 if len(fl) != self.load[u]:
                     raise AssertionError(
                         "fragment count %d != load %d at node %d" % (len(fl), self.load[u], u)
                     )
             frags[u] = fl
-        top = frags[r][0]
-        depths = [0] * self.n
-        walk = [(top, 0)]
-        while walk:
-            f, d = walk.pop()
-            if type(f) is int:
-                depths[f] = d
-            else:
-                a, b = f
-                walk.append((a, d + 1))
-                walk.append((b, d + 1))
-        return depths
-
-    @staticmethod
-    def _pair(fl: list) -> list:
-        out = []
-        m = len(fl)
-        for i in range(0, m - 1, 2):
-            out.append((fl[i], fl[i + 1]))
-        if m % 2:
-            out.append(fl[-1])
-        return out
+        return _fragment_depths(frags[r][0], self.n)

@@ -10,11 +10,16 @@ cost equals the cost at the largest one.
 Two search strategies share that skeleton:
 
 * alpha_real_sorted sorts the fractional parts and binary-searches,
-  building a fresh O(n) level tree per probe: O(n log n) always.
+  solving each probe with one O(n) stack pass over the adjusted
+  levels: O(n log n) always.
 * alpha_real_new never sorts.  It keeps one level tree alive, walks a
   median-of-medians partition of the fractional parts, and moves
   between probe offsets by set/undo on the tree, touching each
   position O(1) times overall.
+
+Both take the target cost at the largest fractional part and the
+witness at the final offset from a stack pass too; only the live tree
+of alpha_real_new is a LevelTree.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from __future__ import annotations
 import math
 import random
 
-from .leveltree import LevelTree, ceil_log2
+from .leveltree import LevelTree, ceil_log2, static_cost, static_witness
 from .core import minimax_cost_by_dp
 
 
@@ -61,7 +66,9 @@ def as_weight_seq(w) -> WeightSeq:
 
 class RealCostResult:
     """Outcome of a real-weight run: alpha = int_cost + b, plus the
-    witness depth profile and the structure-operation counters."""
+    witness depth profile and the structure-operation counters: the
+    live tree's sets, undos, finds, unions and deunions, the items the
+    median search partitioned, and probes, the number of static passes."""
 
     def __init__(self, alpha, b, int_cost, depths, strategy, instrumentation):
         self.alpha = alpha
@@ -130,12 +137,14 @@ def _zero_counters() -> dict:
         "unions": 0,
         "deunions": 0,
         "partition_items": 0,
+        "probes": 0,
     }
 
 
-def _accumulate(acc: dict, tree: LevelTree) -> None:
-    for key, val in tree.counters().items():
-        acc[key] += val
+def _probe(seq, b, acc) -> int:
+    # integer cost at offset b, by one static pass
+    acc["probes"] += 1
+    return static_cost(seq.adjusted(b))
 
 
 def alpha_real_sorted(w) -> RealCostResult:
@@ -143,24 +152,17 @@ def alpha_real_sorted(w) -> RealCostResult:
     seq = as_weight_seq(w)
     acc = _zero_counters()
     order = sorted(seq.fracs)
-    bmax = order[-1]
-    ttree = LevelTree(seq.adjusted(bmax))
-    target = ttree.cost()
-    _accumulate(acc, ttree)
+    target = _probe(seq, order[-1], acc)
     # cost as a function of the offset is nonincreasing and reaches
-    # target at bmax: binary search the first sorted frac that does
+    # target at the largest frac: binary search the first that does
     lo, hi = 0, seq.n - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        probe = LevelTree(seq.adjusted(order[mid]))
-        hit = probe.cost() == target
-        _accumulate(acc, probe)
-        if hit:
+        if _probe(seq, order[mid], acc) == target:
             hi = mid
         else:
             lo = mid + 1
-    b = order[lo]
-    return _finish(seq, b, target, "sorted", acc)
+    return _finish(seq, order[lo], target, "sorted", acc)
 
 
 def alpha_real_new(w, randomized_select: bool = False, rng=None) -> RealCostResult:
@@ -173,20 +175,16 @@ def alpha_real_new(w, randomized_select: bool = False, rng=None) -> RealCostResu
     acc = _zero_counters()
     fracs = seq.fracs
     bmax = max(fracs)
-    ttree = LevelTree(seq.adjusted(bmax))
-    target = ttree.cost()
-    _accumulate(acc, ttree)
+    target = _probe(seq, bmax, acc)
 
     tree = LevelTree(seq.weights)  # all bits clear: the state at offset 0
     if tree.cost() == target:
         # already optimal with no ceiling adjusted; some frac must be
         # zero (otherwise bmax would have improved the cost), so 0 is a
         # legal offset
-        _accumulate(acc, tree)
-        return _finish(seq, 0.0, target, "new", acc)
-
-    items = list(range(seq.n))
-    candidate = bmax
+        items, candidate = [], 0.0
+    else:
+        items, candidate = list(range(seq.n)), bmax
     while items:
         acc["partition_items"] += len(items)
         m = select_kth(
@@ -220,17 +218,16 @@ def alpha_real_new(w, randomized_select: bool = False, rng=None) -> RealCostResu
             # infeasible: the sets stay (every later probe includes
             # them) and the search moves strictly above m
             items = above
-    _accumulate(acc, tree)
+    acc.update(tree.counters())
     return _finish(seq, candidate, target, "new", acc)
 
 
 def _finish(seq, b, target, strategy, acc) -> RealCostResult:
-    # witness depths come from a fresh integer run at the final offset
-    wtree = LevelTree(seq.adjusted(b))
-    if wtree.cost() != target:
+    # witness depths come from a static pass at the final offset
+    acc["probes"] += 1
+    cost, depths = static_witness(seq.adjusted(b))
+    if cost != target:
         raise AssertionError("offset %r does not reproduce the integer cost" % (b,))
-    depths = wtree.depth_profile()
-    _accumulate(acc, wtree)
     return RealCostResult(target + b, b, target, depths, strategy, acc)
 
 

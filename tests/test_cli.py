@@ -25,6 +25,7 @@ def test_tree_real_weights(tmp_path, capsys):
     assert doc["strategy"] in ("new", "sorted")
     assert set(doc["instrumentation"]) == {
         "sets", "undos", "finds", "unions", "deunions", "partition_items",
+        "probes",
     }
 
 
@@ -184,6 +185,16 @@ def test_stats_errors(tmp_path, capsys):
     rc, _, err = run(capsys, "stats", str(target), "--code", str(holed))
     assert rc == 2 and "numbers" in err
 
+    # labels that mix strings and integers, or that are lists, are bad
+    # input, not a crash
+    doc["q"] = [0.5, 0.5]
+    for labels, msg in ((["a", 1], "mix"), ([["a"], ["b"]], "string or an integer")):
+        for entry, lab in zip(doc["code"], labels):
+            entry["label"] = lab
+        holed.write_text(json.dumps(doc))
+        rc, _, err = run(capsys, "stats", str(target), "--code", str(holed))
+        assert rc == 2 and msg in err
+
 
 def test_bench_deterministic_without_timing(tmp_path, capsys):
     args = ("bench", "--n", "32,64", "--d", "1,2", "--trials", "2",
@@ -193,7 +204,9 @@ def test_bench_deterministic_without_timing(tmp_path, capsys):
     rc, out2, _ = run(capsys, *args)
     assert out1 == out2
     header = out1.splitlines()[0]
-    assert header == "n,d,trial,algo,sets,undos,finds,unions"
+    assert header == (
+        "n,d,trial,algo,sets,undos,finds,unions,deunions,partition_items,probes"
+    )
     # 2 sizes x 2 d x 2 trials x 2 algos
     assert len(out1.strip().splitlines()) == 1 + 16
 
@@ -202,7 +215,9 @@ def test_bench_timing_column(capsys):
     rc, out, _ = run(capsys, "bench", "--n", "16", "--trials", "1")
     assert rc == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "n,d,trial,algo,wall_ns,sets,undos,finds,unions"
+    assert lines[0] == (
+        "n,d,trial,algo,wall_ns,sets,undos,finds,unions,deunions,partition_items,probes"
+    )
     assert int(lines[1].split(",")[4]) > 0
 
 

@@ -198,6 +198,14 @@ def test_codebook_json_errors():
     for q in (["half", 0.5], [None, 1.0], 1.0):
         with pytest.raises(CodingError):
             CodeBook.from_json(json.dumps({"code": code, "q": q}))
+    # labels must be all strings or all integers
+    for labels in (["a", 1], [["a"], ["b"]], [None, "b"], [True, 2], [0.5, 1]):
+        bad = [dict(e, label=lab) for e, lab in zip(code, labels)]
+        with pytest.raises(CodingError):
+            CodeBook.from_json(json.dumps({"code": bad, "q": [0.5, 0.5]}))
+    ints = [dict(e, label=k) for k, e in enumerate(code)]
+    book, _ = CodeBook.from_json(json.dumps({"code": ints}))
+    assert book.labels == (0, 1)
 
 
 # ----------------------------------------------------------------------

@@ -2,9 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from alphatree import LevelTree, LevelTreeError, alpha_int_fast, tree_cost
-from alphatree.leveltree import NIL
+from alphatree import LevelTree, LevelTreeError, alpha_int_fast, alpha_int_oracle, tree_cost
+from alphatree.leveltree import NIL, static_cost, static_witness
 from helpers import CachedIntOracle, random_real_weights
 
 
@@ -286,3 +287,33 @@ def test_large_dynamic_matches_fresh_build():
     while t.segments:
         t.undo()
     assert t.cost() == LevelTree(ws).cost()
+
+
+# integer level lists: general ones with negatives, long all-equal
+# runs, and few levels far apart (gaps much wider than 2^cap)
+level_lists = st.one_of(
+    st.lists(st.integers(-12, 12), min_size=1, max_size=40),
+    st.builds(lambda v, n: [v] * n, st.integers(-5, 5), st.integers(1, 40)),
+    st.lists(st.sampled_from([-1000, -3, 0, 64, 10**6]), min_size=1, max_size=12),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(level_lists)
+def test_static_pass_matches_level_tree(levels):
+    tree = LevelTree(levels)
+    cost = tree.cost()
+    assert static_cost(levels) == cost
+    assert static_witness(levels) == (cost, tree.depth_profile())
+    if len(levels) <= 10:
+        assert cost == alpha_int_oracle(levels)
+
+
+def test_static_pass_edge_cases():
+    assert static_cost([7]) == 7
+    assert static_witness([-3]) == (-3, [0])
+    for solve in (static_cost, static_witness):
+        with pytest.raises(LevelTreeError):
+            solve([])
+    with pytest.raises(LevelTreeError):
+        alpha_int_fast([])
