@@ -17,6 +17,7 @@ import json
 import random
 import sys
 import time
+from collections import Counter
 
 from .coding import (
     CodeBook,
@@ -159,11 +160,7 @@ def _counts_from_csv(text: str) -> dict:
 def _counts_from_bytes(data: bytes) -> dict:
     if not data:
         raise CliError("sample file is empty")
-    counts: dict = {}
-    for byte in data:
-        sym = chr(byte)
-        counts[sym] = counts.get(sym, 0) + 1
-    return counts
+    return {chr(byte): c for byte, c in Counter(data).items()}
 
 
 def cmd_code(args) -> int:
@@ -192,14 +189,13 @@ def cmd_stats(args) -> int:
     data = _read_bytes(args.target)
     if not data:
         raise CliError("target file is empty")
-    counts = dict.fromkeys(book.labels, 0)
-    for byte in data:
-        sym = chr(byte)
-        if sym not in counts:
+    counts = _counts_from_bytes(data)
+    known = set(book.labels)
+    for sym in counts:  # in order of first occurrence
+        if sym not in known:
             raise CliError("target symbol %r is not in the code" % sym)
-        counts[sym] += 1
     total = len(data)
-    p = Distribution(book.labels, [counts[lab] / total for lab in book.labels])
+    p = Distribution(book.labels, [counts.get(lab, 0) / total for lab in book.labels])
     report = evaluate(p, book, q)
     print(report.to_json())
     return 0

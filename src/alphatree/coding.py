@@ -42,6 +42,10 @@ class DecodeError(CodingError):
 
 _SUM_TOL = 1e-9
 
+# decode looks up this many bits at a time (fewer when every codeword is
+# shorter); a codeword longer than this is found by probing its length
+_WINDOW_BITS = 8
+
 
 class Distribution:
     """Probability vector over a strictly increasing label sequence."""
@@ -209,6 +213,7 @@ class CodeBook:
         self._by_label = dict(zip(self.labels, self.codewords))
         self._by_word = dict(zip(self.codewords, self.labels))
         self.max_len = maxlen
+        self._table = None  # decode's window table, built on first use
 
     def __len__(self):
         return len(self.labels)
@@ -223,30 +228,83 @@ class CodeBook:
             raise CodingError("symbol %r not in code" % (label,)) from None
 
     def encode(self, symbols) -> str:
-        return "".join(self.codeword_for(s) for s in symbols)
+        try:
+            return "".join(map(self._by_label.__getitem__, symbols))
+        except KeyError as e:
+            raise CodingError("symbol %r not in code" % (e.args[0],)) from None
+
+    def _window_table(self) -> dict:
+        """Map every k-bit string, k = min(max_len, _WINDOW_BITS), to the
+        (label, length) of the codeword of at most k bits it starts with.
+
+        The code is complete and its codewords are in increasing order,
+        so a codeword cw of length l <= k owns the 2^(k-l) windows from
+        int(cw) << (k-l) on; the windows no codeword owns are the
+        prefixes of codewords longer than k, and stay out of the table.
+        """
+        if not all(isinstance(lab, str) for lab in self.labels):
+            raise CodingError("decode needs string labels")
+        k = min(self.max_len, _WINDOW_BITS)
+        if k == 0:
+            return {}
+        windows = [format(w, "0%db" % k) for w in range(1 << k)]
+        table: dict = {}
+        for lab, cw in zip(self.labels, self.codewords):
+            pad = k - len(cw)
+            if pad >= 0:
+                lo = int(cw, 2) << pad
+                table.update(dict.fromkeys(windows[lo : lo + (1 << pad)], (lab, len(cw))))
+        return table
 
     def decode(self, bits: str) -> str:
+        """The labels that bits encodes, joined into one string, so
+        decode(encode(s)) == "".join(s).  The labels must be strings.
+
+        Each symbol costs one lookup of the next k bits (see
+        _window_table; the bits are padded with k zeros at the end) and,
+        only for a codeword longer than k, a probe of the lengths above
+        k.  Since no codeword is a prefix of another, a window that hits
+        names the one codeword that can start at this offset.  Raises
+        DecodeError at the offset of a codeword the bits end inside.
+        """
         if bits.strip("01") != "":
             raise CodingError("bit string contains non-binary characters")
+        if self._table is None:
+            self._table = self._window_table()
         if self.max_len == 0:
             # single symbol, empty codeword: only the empty string decodes
             if bits:
                 raise DecodeError(0, "no bits are decodable with an empty-codeword code")
             return ""
+        k = min(self.max_len, _WINDOW_BITS)
+        get = self._table.get
+        by_word = self._by_word
         out = []
-        i = 0
+        append = out.append
         n = len(bits)
+        padded = bits + "0" * k
+        i = 0
         while i < n:
-            for j in range(i + 1, min(i + self.max_len, n) + 1):
-                lab = self._by_word.get(bits[i:j])
+            hit = get(padded[i : i + k])
+            if hit is not None:
+                lab, length = hit
+                if i + length > n:
+                    break
+                append(lab)
+                i += length
+                continue
+            for j in range(i + k + 1, min(i + self.max_len, n) + 1):
+                lab = by_word.get(bits[i:j])
                 if lab is not None:
-                    out.append(lab)
+                    append(lab)
                     i = j
                     break
             else:
-                # the code is complete, so enough bits always match: we
-                # must have run off the end of the string
-                raise DecodeError(i, "bit string ends inside a codeword")
+                break
+        if i < n:
+            # the code is complete, so enough bits always match: we
+            # ran off the end of the string
+            raise DecodeError(i, "bit string ends inside a codeword")
         return "".join(out)
 
     def to_json(self, q=None) -> str:

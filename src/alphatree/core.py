@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .leveltree import static_witness
+from .leveltree import LevelTreeError, static_witness
 
 
 class ParseError(ValueError):
@@ -95,10 +95,13 @@ def alpha_int_fast(y) -> tuple[int, list[int]]:
     max(y_i + depths_i) == cost and depths is a valid profile.  One
     stack pass over y (leveltree.static_witness) finds both, with the
     same grouping as a LevelTree build and the same depths as its
-    depth_profile(); an empty y raises LevelTreeError.
+    depth_profile(); an empty y or an infinite or NaN value raises
+    LevelTreeError.
     """
     y = list(y)
     for v in y:
+        if v != v or v in (math.inf, -math.inf):
+            raise LevelTreeError("weights must be finite, got %r" % (v,))
         if v != int(v):
             raise ValueError("alpha_int_fast got non-integer %r" % (v,))
     return static_witness([int(v) for v in y])

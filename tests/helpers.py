@@ -2,7 +2,7 @@
 
 from functools import lru_cache
 
-from alphatree import alpha_int_oracle
+from alphatree import CodingError, DecodeError, alpha_int_oracle
 
 
 @lru_cache(maxsize=None)
@@ -78,3 +78,28 @@ def random_tree_profile(rng, n):
     left = random_tree_profile(rng, k)
     right = random_tree_profile(rng, n - k)
     return [d + 1 for d in left] + [d + 1 for d in right]
+
+
+def probe_decode(book, bits):
+    """Reference decoder: at each offset, try every codeword length from
+    1 up with a slice and a dictionary lookup."""
+    if bits.strip("01") != "":
+        raise CodingError("bit string contains non-binary characters")
+    if book.max_len == 0:
+        if bits:
+            raise DecodeError(0, "no bits are decodable with an empty-codeword code")
+        return ""
+    by_word = dict(zip(book.codewords, book.labels))
+    out = []
+    i = 0
+    n = len(bits)
+    while i < n:
+        for j in range(i + 1, min(i + book.max_len, n) + 1):
+            lab = by_word.get(bits[i:j])
+            if lab is not None:
+                out.append(lab)
+                i = j
+                break
+        else:
+            raise DecodeError(i, "bit string ends inside a codeword")
+    return "".join(out)

@@ -136,6 +136,21 @@ def test_code_csv_and_smoothing(tmp_path, capsys):
     assert doc["q"] == [4 / 7, 2 / 7, 1 / 7]
 
 
+def test_code_counts_bytes_above_ascii(tmp_path, capsys):
+    data = bytes([0x41, 0xE9, 0xE9, 0xFF, 0x80, 0x41, 0xE9, 0x0A])
+    sample = tmp_path / "sample.bin"
+    sample.write_bytes(data)
+    rc, out, _ = run(capsys, "code", str(sample))
+    assert rc == 0
+    counts = {}
+    for byte in data:
+        counts[chr(byte)] = counts.get(chr(byte), 0) + 1
+    labels = sorted(counts)
+    doc = json.loads(out)
+    assert [e["label"] for e in doc["code"]] == labels
+    assert doc["q"] == [counts[lab] / len(data) for lab in labels]
+
+
 def test_code_errors(tmp_path, capsys):
     sample = tmp_path / "counts.csv"
     sample.write_text("a,notanumber\n")
@@ -194,6 +209,18 @@ def test_stats_errors(tmp_path, capsys):
         holed.write_text(json.dumps(doc))
         rc, _, err = run(capsys, "stats", str(target), "--code", str(holed))
         assert rc == 2 and msg in err
+
+
+def test_stats_names_first_unknown_symbol(tmp_path, capsys):
+    sample = tmp_path / "sample.txt"
+    sample.write_bytes(b"aabb")
+    book_path = tmp_path / "book.json"
+    assert run(capsys, "code", str(sample), "--out", str(book_path))[0] == 0
+    target = tmp_path / "target.txt"
+    target.write_bytes(b"abzy")
+    rc, _, err = run(capsys, "stats", str(target), "--code", str(book_path))
+    assert rc == 2
+    assert "'z'" in err and "'y'" not in err
 
 
 def test_bench_deterministic_without_timing(tmp_path, capsys):

@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from alphatree import (
     CodeBook,
@@ -18,7 +19,8 @@ from alphatree import (
     redundancy_bound,
     relative_entropy,
 )
-from helpers import random_tree_profile
+from alphatree.coding import _WINDOW_BITS
+from helpers import probe_decode, random_tree_profile
 
 
 def dyadic_from_profile(profile):
@@ -250,6 +252,69 @@ def test_decode_errors():
     assert solo.decode("") == ""
     with pytest.raises(DecodeError):
         solo.decode("0")
+
+
+def test_decode_needs_string_labels():
+    book = CodeBook([1, 2, 3], ["0", "10", "11"])
+    assert book.encode([1, 3]) == "011"
+    with pytest.raises(CodingError, match="string labels"):
+        book.decode("01110")
+
+
+@st.composite
+def skewed_codes(draw):
+    """build_code on 1..40 symbols with geometric probabilities in a
+    random rank order; a steep ratio gives codewords far longer than
+    the decode window."""
+    m = draw(st.integers(1, 40))
+    ratio = draw(st.floats(0.2, 1.0))
+    ranks = draw(st.permutations(range(m)))
+    weights = [ratio**r for r in ranks]
+    total = math.fsum(weights)
+    labels = [chr(ord("A") + i) for i in range(m)]
+    return build_code(Distribution(labels, [w / total for w in weights]))
+
+
+def decode_outcome(decode, bits):
+    """decode(bits), or the exception class and DecodeError offset."""
+    try:
+        return decode(bits)
+    except DecodeError as e:
+        return (DecodeError, e.bit_offset)
+    except CodingError as e:
+        return (type(e), None)
+
+
+def test_decode_matches_probe_decoder():
+    max_lens = []
+    long_decoded = []
+
+    @settings(max_examples=300, deadline=None)
+    @given(skewed_codes(), st.data())
+    def check(book, data):
+        max_lens.append(book.max_len)
+        msg = data.draw(st.lists(st.sampled_from(book.labels), max_size=60))
+        kind = data.draw(st.sampled_from(["message", "truncated", "random"]))
+        bits = book.encode(msg)
+        if kind == "truncated":
+            bits = bits[: data.draw(st.integers(0, len(bits)))]
+        elif kind == "random":
+            bits = data.draw(st.text("01", max_size=120))
+        foreign = data.draw(st.integers(0, 9)) == 0
+        if foreign:
+            at = data.draw(st.integers(0, len(bits)))
+            bits = bits[:at] + data.draw(st.sampled_from("2x \n")) + bits[at:]
+        got = decode_outcome(book.decode, bits)
+        assert got == decode_outcome(lambda b: probe_decode(book, b), bits)
+        if foreign:
+            assert got == (CodingError, None)
+        elif kind == "message" and book.max_len:
+            assert got == "".join(msg)
+            long_decoded.extend(s for s in msg if len(book.codeword_for(s)) > _WINDOW_BITS)
+
+    check()
+    assert max(max_lens) > _WINDOW_BITS
+    assert long_decoded  # the probe past the window ran
 
 
 # ----------------------------------------------------------------------
