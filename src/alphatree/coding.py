@@ -213,7 +213,6 @@ class CodeBook:
         self._by_label = dict(zip(self.labels, self.codewords))
         self._by_word = dict(zip(self.codewords, self.labels))
         self.max_len = maxlen
-        self._table = None  # decode's window table, built on first use
 
     def __len__(self):
         return len(self.labels)
@@ -233,20 +232,17 @@ class CodeBook:
         except KeyError as e:
             raise CodingError("symbol %r not in code" % (e.args[0],)) from None
 
-    def _window_table(self) -> dict:
-        """Map every k-bit string, k = min(max_len, _WINDOW_BITS), to the
-        (label, length) of the codeword of at most k bits it starts with.
+    def _window_table(self):
+        """(k, table): k = min(max_len, _WINDOW_BITS), and table maps every
+        k-bit string to the (label, length) of the codeword of at most k
+        bits it starts with.
 
         The code is complete and its codewords are in increasing order,
         so a codeword cw of length l <= k owns the 2^(k-l) windows from
         int(cw) << (k-l) on; the windows no codeword owns are the
         prefixes of codewords longer than k, and stay out of the table.
         """
-        if not all(isinstance(lab, str) for lab in self.labels):
-            raise CodingError("decode needs string labels")
         k = min(self.max_len, _WINDOW_BITS)
-        if k == 0:
-            return {}
         windows = [format(w, "0%db" % k) for w in range(1 << k)]
         table: dict = {}
         for lab, cw in zip(self.labels, self.codewords):
@@ -254,11 +250,13 @@ class CodeBook:
             if pad >= 0:
                 lo = int(cw, 2) << pad
                 table.update(dict.fromkeys(windows[lo : lo + (1 << pad)], (lab, len(cw))))
-        return table
+        return k, table
 
     def decode(self, bits: str) -> str:
         """The labels that bits encodes, joined into one string, so
-        decode(encode(s)) == "".join(s).  The labels must be strings.
+        decode(encode(s)) == "".join(s).  The labels must be strings: a
+        book with integer labels raises CodingError on every decode, the
+        empty one included.
 
         Each symbol costs one lookup of the next k bits (see
         _window_table; the bits are padded with k zeros at the end) and,
@@ -269,15 +267,15 @@ class CodeBook:
         """
         if bits.strip("01") != "":
             raise CodingError("bit string contains non-binary characters")
-        if self._table is None:
-            self._table = self._window_table()
+        if not all(isinstance(lab, str) for lab in self.labels):
+            raise CodingError("decode needs string labels")
         if self.max_len == 0:
             # single symbol, empty codeword: only the empty string decodes
             if bits:
                 raise DecodeError(0, "no bits are decodable with an empty-codeword code")
             return ""
-        k = min(self.max_len, _WINDOW_BITS)
-        get = self._table.get
+        k, table = self._window_table()
+        get = table.get
         by_word = self._by_word
         out = []
         append = out.append

@@ -1,11 +1,8 @@
 """Test-wide settings."""
 
-try:
-    from hypothesis import settings
-except ImportError:  # only the property tests need hypothesis
-    pass
-else:
-    # every property test draws the same examples on every run and
-    # writes no example database
-    settings.register_profile("reproducible", derandomize=True, database=None)
-    settings.load_profile("reproducible")
+from hypothesis import settings
+
+# every property test draws the same examples on every run and writes no
+# example database
+settings.register_profile("reproducible", derandomize=True, database=None)
+settings.load_profile("reproducible")

@@ -259,6 +259,11 @@ def test_decode_needs_string_labels():
     assert book.encode([1, 3]) == "011"
     with pytest.raises(CodingError, match="string labels"):
         book.decode("01110")
+    # the check does not wait for a label to be emitted
+    with pytest.raises(CodingError, match="string labels"):
+        book.decode("")
+    with pytest.raises(CodingError, match="string labels"):
+        CodeBook([7], [""]).decode("")
 
 
 @st.composite
