@@ -36,6 +36,7 @@ from .core import (
 )
 from .leveltree import LevelTree, LevelTreeError
 from .realweight import (
+    InexactCostError,
     WeightSeq,
     _zero_counters,
     alpha_real,
@@ -357,7 +358,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ParseError, CodingError, UnicodeDecodeError, OSError) as e:
+    except (
+        CliError, ParseError, CodingError, InexactCostError, UnicodeDecodeError, OSError
+    ) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
     except InternalCheckError as e:

@@ -24,12 +24,15 @@ re-parenting their children, and undo can reverse it exactly.
 A static integer instance needs none of that machinery: static_cost and
 static_witness group the levels exactly as the tree's build does, in one
 left-to-right stack pass with no arena, no union-find and no journal.
+static_squeeze shortens a run of weighted levels to an equivalent one,
+so that repeated passes over mostly fixed levels stay short.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import accumulate, repeat
 
 NIL = -1
 
@@ -141,73 +144,107 @@ class UnionFindDeunion:
 #
 # One left-to-right pass over the levels with the grouping rule of
 # LevelTree._build: each maximal equal-level run becomes one node at
-# min(level below it, next level), with load ceil(csum / 2^min(cap, gap)).
-# The stack keeps one entry per run, levels strictly decreasing upward
-# from a bottom entry above every level, so a node lifted to the level
-# of the entry below it joins that run at once, and a node lifted to the
-# incoming level y goes in front of leaf y.
+# min(level below it, next level), with load ceil(csum / 2^gap).  The
+# tree's cap on the shift changes no load, since no load exceeds
+# n <= 2^cap, so the passes shift by the whole gap.  The stack keeps one
+# entry per run, levels strictly decreasing upward from a bottom
+# sentinel at +inf, so a node lifted to the level of the entry below it
+# joins that run at once, and a node lifted to the incoming level y
+# goes in front of leaf y.
+#
+# The cost passes take weighted items: an item (y, a) acts exactly like
+# a leaves at level y, which is what a lifted node of load a landing at
+# y is.  Since ceil(ceil(c / 2^p) / 2^q) = ceil(c / 2^(p + q)), a run of
+# items R can be replaced by its squeeze, the items of its own pass with
+# the bottom entry never lifted: each time that entry is popped it is
+# emitted as an item instead (only it can merge with entries from before
+# R), and the entries left at the end follow, bottom to top.  Then
+# cost(P + squeeze(R) + S) = cost(P + R + S) for any P and S.  Emitted
+# bottoms rise and the residual entries fall, so a squeeze has at most
+# twice as many items as R has distinct levels.
+
+_TOP = math.inf
 
 
-def static_cost(levels) -> int:
-    """Minimax cost of a non-empty integer level sequence.
-
-    Equals LevelTree(levels).cost(); the stack entries are (level, csum
-    of the run).
-    """
-    n = len(levels)
-    if n == 0:
-        raise LevelTreeError("need at least one level")
-    cap = ceil_log2(n)
-    lv = [max(levels) + 1]
-    cs = [0]
-    for y in levels:
+def _fold(items, lv: list, cs: list, spill) -> None:
+    # push the (level, count) items onto the run stack lv/cs; with spill
+    # a pair of lists, the entry just above the sentinel is emitted into
+    # them when popped rather than lifted into the incoming item
+    for y, add in items:
         b = lv[-1]
-        add = 1
         while b < y:
-            x = b
-            lv.pop()
+            x = lv.pop()
             c = cs.pop()
             b = lv[-1]
             if b < y:
-                cs[-1] += _ceil_shift(c, min(cap, b - x))
+                cs[-1] += -((-c) >> (b - x))
+            elif spill is None or b != _TOP:
+                add += -((-c) >> (y - x))
             else:
-                add += _ceil_shift(c, min(cap, y - x))
+                spill[0].append(x)
+                spill[1].append(c)
         if b == y:
             cs[-1] += add
         else:
             lv.append(y)
             cs.append(add)
+
+
+def static_cost(levels, counts=None) -> int:
+    """Minimax cost of a non-empty sequence of integer levels, each
+    standing for counts[i] leaves (one each by default).
+
+    Equals LevelTree(levels).cost() for unit counts; the stack entries
+    are (level, csum of the run).
+    """
+    if not levels:
+        raise LevelTreeError("need at least one level")
+    lv = [_TOP]
+    cs = [0]
+    _fold(zip(levels, repeat(1) if counts is None else counts), lv, cs, None)
     while len(lv) > 2:
         x = lv.pop()
         c = cs.pop()
-        cs[-1] += _ceil_shift(c, min(cap, lv[-1] - x))
+        cs[-1] += -((-c) >> (lv[-1] - x))
     return lv[1] + ceil_log2(cs[1])
+
+
+def static_squeeze(levels, counts, out) -> None:
+    """Append the squeeze of a run of weighted items to the lists
+    out = (levels, counts): an item list that gives every enclosing
+    sequence the same static_cost as the run does."""
+    lv = [_TOP]
+    cs = [0]
+    _fold(zip(levels, counts), lv, cs, out)
+    out[0].extend(lv[1:])
+    out[1].extend(cs[1:])
 
 
 def static_witness(levels) -> tuple[int, list[int]]:
     """Cost and witness depths of a non-empty integer level sequence.
 
     Equals (LevelTree(levels).cost(), LevelTree(levels).depth_profile()):
-    the stack entries are (level, fragment list), and a run's fragments
-    are paired once per level step as depth_profile pairs a node's.
+    the stack entries are (level, fragment starts), and a run's
+    fragments are paired once per level step as depth_profile pairs a
+    node's.
     """
     n = len(levels)
     if n == 0:
         raise LevelTreeError("need at least one level")
-    lv = [max(levels) + 1]
+    diff = [0] * (n + 1)
+    lv = [_TOP]
     fr: list[list] = [[]]
     for i, y in enumerate(levels):
         b = lv[-1]
         run = [i]
         while b < y:
-            x = b
-            lv.pop()
+            x = lv.pop()
             fl = fr.pop()
             b = lv[-1]
             if b < y:
-                fr[-1].extend(_pair(fl, b - x))
+                fr[-1].extend(_pair(fl, b - x, i, diff))
             else:
-                run = _pair(fl, y - x)
+                run = _pair(fl, y - x, i, diff)
                 run.append(i)
         if b == y:
             fr[-1].extend(run)
@@ -217,37 +254,26 @@ def static_witness(levels) -> tuple[int, list[int]]:
     while len(lv) > 2:
         x = lv.pop()
         fl = fr.pop()
-        fr[-1].extend(_pair(fl, lv[-1] - x))
+        fr[-1].extend(_pair(fl, lv[-1] - x, n, diff))
     rounds = ceil_log2(len(fr[1]))
-    return lv[1] + rounds, _fragment_depths(_pair(fr[1], rounds)[0], n)
+    _pair(fr[1], rounds, n, diff)
+    return lv[1] + rounds, list(accumulate(diff[:n]))
 
 
-def _pair(fl: list, rounds: int) -> list:
-    # pair adjacent fragments from the left, the odd one last kept
-    # unpaired, up to rounds times, stopping at a single fragment
+def _pair(fl: list, rounds: int, end: int, diff: list) -> list:
+    # fl holds the start leaves of adjacent fragments that together cover
+    # leaves fl[0]..end-1.  Pair them from the left, the odd one last kept
+    # unpaired, up to rounds times, stopping at a single fragment; a pair
+    # starts where its left fragment does.  The pairs of one round cover
+    # fl[0] up to the unpaired fragment (or end) without a gap, so the
+    # round deepens exactly that range: one +1/-1 in the difference array
+    # diff, whose running sum is the depth of each leaf.
     while rounds > 0 and len(fl) > 1:
-        out = list(zip(fl[0::2], fl[1::2]))
-        if len(fl) % 2:
-            out.append(fl[-1])
-        fl = out
+        diff[fl[0]] += 1
+        diff[fl[-1] if len(fl) % 2 else end] -= 1
+        fl = fl[0::2]
         rounds -= 1
     return fl
-
-
-def _fragment_depths(top, n: int) -> list[int]:
-    # depth of each leaf in the fragment tree top; a fragment is a leaf
-    # index or a pair of fragments
-    depths = [0] * n
-    walk = [(top, 0)]
-    while walk:
-        f, d = walk.pop()
-        if type(f) is int:
-            depths[f] = d
-        else:
-            a, b = f
-            walk.append((a, d + 1))
-            walk.append((b, d + 1))
-    return depths
 
 
 class LevelTree:
@@ -809,21 +835,25 @@ class LevelTree:
             for c in ch:
                 if self.kind[c] != LEAF:
                     stack.append(c)
-        frags: dict[int, list] = {}
+        # per node: its fragments' start leaves and the end of its leaves
+        frags: dict[int, tuple[list, int]] = {}
+        diff = [0] * (self.n + 1)
         for u in reversed(order):
             fl = []
             for c in kids[u]:
                 if self.kind[c] == LEAF:
                     fl.append(c)
+                    end = c + 1
                 else:
-                    fl.extend(frags.pop(c))
+                    sub, end = frags.pop(c)
+                    fl.extend(sub)
             if self.kind[u] == ROOT:
-                fl = _pair(fl, ceil_log2(len(fl)))
+                fl = _pair(fl, ceil_log2(len(fl)), end, diff)
             else:
-                fl = _pair(fl, self.level[u] - self.level[kids[u][0]])
+                fl = _pair(fl, self.level[u] - self.level[kids[u][0]], end, diff)
                 if len(fl) != self.load[u]:
                     raise AssertionError(
                         "fragment count %d != load %d at node %d" % (len(fl), self.load[u], u)
                     )
-            frags[u] = fl
-        return _fragment_depths(frags[r][0], self.n)
+            frags[u] = (fl, end)
+        return list(accumulate(diff[: self.n]))

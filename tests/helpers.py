@@ -2,7 +2,8 @@
 
 from functools import lru_cache
 
-from alphatree import CodingError, DecodeError, alpha_int_oracle
+from alphatree import CodingError, DecodeError, WeightSeq, alpha_int_oracle
+from alphatree.leveltree import static_cost, static_witness
 
 
 @lru_cache(maxsize=None)
@@ -103,3 +104,24 @@ def probe_decode(book, bits):
         else:
             raise DecodeError(i, "bit string ends inside a codeword")
     return "".join(out)
+
+
+def unsqueezed_sorted(w):
+    """Reference sorted search: the same binary search over the sorted
+    fractional parts, with every probe a full stack pass over all n
+    adjusted levels.  Returns (b, int_cost, depths, probes)."""
+    seq = WeightSeq(w)
+    order = sorted(seq.fracs)
+    target = static_cost(seq.adjusted(order[-1]))
+    probes = 1
+    lo, hi = 0, seq.n - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        probes += 1
+        if static_cost(seq.adjusted(order[mid])) == target:
+            hi = mid
+        else:
+            lo = mid + 1
+    cost, depths = static_witness(seq.adjusted(order[lo]))
+    assert cost == target
+    return order[lo], target, depths, probes + 1

@@ -25,7 +25,7 @@ def test_tree_real_weights(tmp_path, capsys):
     assert doc["strategy"] in ("new", "sorted")
     assert set(doc["instrumentation"]) == {
         "sets", "undos", "finds", "unions", "deunions", "partition_items",
-        "probes",
+        "probes", "probe_items",
     }
 
 
@@ -85,6 +85,18 @@ def test_tree_input_errors(tmp_path, capsys):
     f.write_bytes(b"1.5 \xff\xfe\n")
     rc, _, err = run(capsys, "tree", str(f))
     assert rc == 2 and "utf-8" in err
+
+
+def test_tree_inexact_cost_exits_2(tmp_path, capsys):
+    # exact costs 2^53 + 1 and 2^52 + 1.5 have no float
+    f = tmp_path / "w.txt"
+    big = "4503599627370495.5" + " 4503599627370494.5" * 3
+    for text in ("9007199254740992 0.5\n", big):
+        f.write_text(text)
+        for algo in ("auto", "new", "sorted"):
+            rc, out, err = run(capsys, "tree", str(f), "--algo", algo)
+            assert rc == 2 and out == ""
+            assert "no exact float answer" in err and "Traceback" not in err
 
 
 def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
@@ -232,7 +244,8 @@ def test_bench_deterministic_without_timing(tmp_path, capsys):
     assert out1 == out2
     header = out1.splitlines()[0]
     assert header == (
-        "n,d,trial,algo,sets,undos,finds,unions,deunions,partition_items,probes"
+        "n,d,trial,algo,sets,undos,finds,unions,deunions,partition_items,"
+        "probes,probe_items"
     )
     # 2 sizes x 2 d x 2 trials x 2 algos
     assert len(out1.strip().splitlines()) == 1 + 16
@@ -243,7 +256,8 @@ def test_bench_timing_column(capsys):
     assert rc == 0
     lines = out.strip().splitlines()
     assert lines[0] == (
-        "n,d,trial,algo,wall_ns,sets,undos,finds,unions,deunions,partition_items,probes"
+        "n,d,trial,algo,wall_ns,sets,undos,finds,unions,deunions,partition_items,"
+        "probes,probe_items"
     )
     assert int(lines[1].split(",")[4]) > 0
 

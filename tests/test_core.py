@@ -1,10 +1,12 @@
 import itertools
+import math
 import random
 
 import pytest
 
 from alphatree import (
     DepthProfileError,
+    LevelTreeError,
     ParseError,
     alpha_int_fast,
     alpha_int_oracle,
@@ -111,6 +113,15 @@ def test_dp_rejects_large_and_empty():
         minimax_cost_by_dp([])
     with pytest.raises(ValueError):
         alpha_int_oracle([1.5])
+
+
+def test_integer_paths_reject_non_finite():
+    # both integer paths share one check, so neither lets int() raise
+    # OverflowError or a bare ValueError on inf or NaN
+    for solve in (alpha_int_oracle, alpha_int_fast):
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(LevelTreeError, match="must be finite"):
+                solve([2, bad])
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from alphatree import LevelTree, LevelTreeError, alpha_int_fast, alpha_int_oracle, tree_cost
-from alphatree.leveltree import NIL, static_cost, static_witness
+from alphatree.leveltree import NIL, static_cost, static_squeeze, static_witness
 from helpers import CachedIntOracle, random_real_weights
 
 
@@ -318,3 +318,44 @@ def test_static_pass_edge_cases():
     for bad in ([], [float("inf")], [float("nan")]):
         with pytest.raises(LevelTreeError):
             alpha_int_fast(bad)
+
+
+# weighted items (level, count): levels mostly close, sometimes far apart
+items_lists = st.lists(
+    st.tuples(
+        st.one_of(st.integers(-6, 6), st.sampled_from([-1000, 40, 10**6])),
+        st.integers(1, 6),
+    ),
+    max_size=25,
+)
+
+
+def _cost(items):
+    return static_cost([y for y, _ in items], [a for _, a in items])
+
+
+@settings(max_examples=200, deadline=None)
+@given(items_lists)
+def test_weighted_item_acts_as_its_leaves(items):
+    # an item (y, a) is a leaves at level y
+    if items:
+        leaves = [y for y, a in items for _ in range(a)]
+        assert _cost(items) == static_cost(leaves)
+        if len(leaves) <= 40:
+            assert _cost(items) == LevelTree(leaves).cost()
+
+
+@settings(max_examples=400, deadline=None)
+@given(items_lists, items_lists, items_lists)
+def test_squeeze_keeps_every_enclosing_cost(p, r, s):
+    out = ([], [])
+    static_squeeze([y for y, _ in r], [a for _, a in r], out)
+    squeezed = list(zip(*out))
+    # emitted bottoms rise and the residual stack falls
+    assert len(squeezed) <= min(len(r), 2 * len({y for y, _ in r}))
+    if p or r or s:
+        assert _cost(p + squeezed + s) == _cost(p + r + s)
+    # a squeeze of a squeeze changes nothing
+    again = ([], [])
+    static_squeeze(*out, again)
+    assert again == out

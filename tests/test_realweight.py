@@ -2,8 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from alphatree import (
+    InexactCostError,
     WeightSeq,
     alpha_real,
     alpha_real_new,
@@ -14,7 +16,7 @@ from alphatree import (
     strategy_for,
 )
 from alphatree.cli import generate_weights
-from helpers import random_real_weights
+from helpers import random_real_weights, unsqueezed_sorted
 
 
 def test_select_kth_examples():
@@ -193,3 +195,78 @@ def test_dispatch_results_are_identical():
         assert auto.alpha == direct.alpha
         assert auto.b == direct.b
         assert auto.depths == direct.depths
+
+
+def test_inexact_cost_is_rejected():
+    # the exact costs are 2^53 + 1 and 2^52 + 1.5; a float sum would give
+    # 2^53 and 2^52 + 2
+    for ws in ([2**53, 0.5], [2**52 - 0.5] + [2**52 - 1.5] * 3):
+        for fn in (alpha_real, alpha_real_new, alpha_real_sorted):
+            with pytest.raises(InexactCostError, match="no exact float answer"):
+                fn(ws)
+    assert issubclass(InexactCostError, ValueError)
+    # exact large costs pass, and below 2^52 the sum is the nearest float
+    assert alpha_real([2.0**60]).alpha == 2.0**60
+    assert alpha_real([2.0**52, 2.0**52]).alpha == 2.0**52 + 1
+    res = alpha_real([7.923899270158659, 7.1])
+    assert res.alpha == 8.0 + res.b == 8.923899270158659
+
+
+# fractional parts: zero, near-integer from either side, repeated, any
+fractions = st.one_of(
+    st.just(0.0),
+    st.sampled_from([1e-12, 1 - 1e-12, 1 - 1e-15, 0.5, 0.25]),
+    st.floats(0.0, 1.0, exclude_max=True),
+)
+weights = st.builds(
+    lambda c, f: c - 1 + f if f else float(c), st.integers(-6, 6), fractions
+)
+weight_lists = st.one_of(
+    st.lists(weights, min_size=1, max_size=40),
+    st.lists(weights, min_size=1, max_size=4).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=40)
+    ),
+    st.lists(st.integers(-6, 6).map(float), min_size=1, max_size=20),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(weight_lists)
+def test_squeezed_search_matches_unsqueezed(ws):
+    b, target, depths, probes = unsqueezed_sorted(ws)
+    res = alpha_real_sorted(ws)
+    assert (res.b, res.int_cost, res.depths) == (b, target, depths)
+    assert res.alpha == target + b
+    assert res.instrumentation["probes"] == probes
+    other = alpha_real_new(ws)
+    assert (other.alpha, other.b, other.depths) == (res.alpha, b, depths)
+    if len(ws) <= 12:
+        assert abs(res.alpha - alpha_real_oracle(ws)) <= 1e-9
+
+
+def test_squeezed_search_matches_unsqueezed_long():
+    # long enough for the search to squeeze, with few distinct fractional
+    # parts so that ties sit at both ends of the range it squeezes
+    rng = random.Random(22)
+    for _ in range(150):
+        n = rng.randint(64, 600)
+        pool = [rng.choice([0.0, 1e-12, 1 - 1e-12, 1 - 1e-15, rng.random()])
+                for _ in range(rng.randint(1, 12))]
+        lo = -rng.choice([1, 2, 8, 64])
+        ws = [c - 1 + f if f else float(c)
+              for c, f in ((rng.randint(lo, 4), rng.choice(pool)) for _ in range(n))]
+        b, target, depths, probes = unsqueezed_sorted(ws)
+        res = alpha_real_sorted(ws)
+        assert (res.b, res.int_cost, res.depths) == (b, target, depths), ws
+        assert res.instrumentation["probes"] == probes
+
+
+def test_sorted_probe_item_budget():
+    # 14 full passes (target, 12 probes, witness) would walk 14n items;
+    # with the squeeze they walk about 7n
+    n = 2**12
+    for seed in range(3):
+        ws = generate_weights(random.Random(seed), n, 64)
+        res = alpha_real_sorted(ws)
+        assert res.instrumentation["probe_items"] <= 8 * n
+        assert res.instrumentation["probes"] == unsqueezed_sorted(ws)[3]
