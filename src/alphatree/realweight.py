@@ -76,7 +76,8 @@ class InexactCostError(ValueError):
 
 
 class RealCostResult:
-    """Outcome of a real-weight run: alpha = int_cost + b, plus the
+    """Outcome of a real-weight run: alpha = int_cost + b (rounded once,
+    from the weight whose fractional part b is), plus the
     witness depth profile and the structure-operation counters: the
     live tree's sets, undos, finds, unions and deunions, the items the
     median search partitioned, and probes, the number of static passes."""
@@ -289,17 +290,24 @@ def _finish(seq, b, target, strategy, acc) -> RealCostResult:
     cost, depths = static_witness(seq.adjusted(b))
     if cost != target:
         raise AssertionError("offset %r does not reproduce the integer cost" % (b,))
-    alpha = target + b
+    # The cost is target + frac(w_j) at the first j whose fractional part
+    # is b (or target, with w = 0.0, when b is 0).  w + k, with the integer
+    # k = target - floor(w), is that sum exactly before its one rounding;
+    # target + b would round twice, since w - floor(w) rounds for weights
+    # just below 0 (-0.3, or -1e-20, whose fractional part rounds to 1.0).
+    w = seq.weights[seq.fracs.index(b)] if b > 0.0 else 0.0
+    k = target - math.floor(w)
+    alpha = w + k
     # Floats from 2^52 up are a unit or more apart, so there the sum can
-    # lose b or move the integer part (2^53 for [2**53, 0.5], whose cost
-    # is 2^53 + 1).  Below, it is the cost to half a unit in its last
-    # place like any float result; insisting on exactness there would
-    # reject every input whose cost lands in a higher binade than the
-    # weight it comes from and needs that weight's last bits.
+    # lose the fraction or move the integer part (2^53 for [2**53, 0.5],
+    # whose cost is 2^53 + 1).  Below, it is the cost to half a unit in
+    # its last place like any float result; insisting on exactness there
+    # would reject every input whose cost lands in a higher binade than
+    # the weight it comes from and needs that weight's last bits.
     if abs(alpha) >= 2.0**52:
         p, q = alpha.as_integer_ratio()
-        num, den = b.as_integer_ratio()
-        if p * den != (target * den + num) * q:
+        num, den = w.as_integer_ratio()
+        if p * den != (num + k * den) * q:
             raise InexactCostError(
                 "the cost %d + %r rounds to %r: floats from 2^52 up are a unit "
                 "or more apart, so this input has no exact float answer"

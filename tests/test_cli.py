@@ -87,6 +87,16 @@ def test_tree_input_errors(tmp_path, capsys):
     assert rc == 2 and "utf-8" in err
 
 
+def test_tree_alpha_rounds_once_from_the_weight(tmp_path, capsys):
+    f = tmp_path / "w.txt"
+    for text, alpha in (("-0.3\n", -0.3), ("-1e-20\n", -1e-20)):
+        f.write_text(text)
+        for algo in ("auto", "new", "sorted"):
+            rc, out, _ = run(capsys, "tree", str(f), "--algo", algo)
+            assert rc == 0
+            assert json.loads(out)["alpha"] == alpha
+
+
 def test_tree_inexact_cost_exits_2(tmp_path, capsys):
     # exact costs 2^53 + 1 and 2^52 + 1.5 have no float
     f = tmp_path / "w.txt"

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 
@@ -121,6 +122,24 @@ def test_counters_track_operations():
     c1 = t.counters()
     assert c1["sets"] == 1 and c1["undos"] == 1
     assert c1["unions"] == c1["deunions"]
+
+
+def test_journal_holds_no_tracked_objects():
+    # the journals hold ints and the tree's own lists, so a live search
+    # gives the cycle collector nothing new to track
+    rng = random.Random(31)
+    t = LevelTree(random_real_weights(rng, 300))
+    own = [id(a) for a in t._arena] + [id(t.bits)]
+    for _ in range(600):
+        free = settable(t)
+        if t.segments and (not free or rng.random() < 0.3):
+            t.undo()
+        else:
+            t.set(rng.choice(free))
+    assert t.segments and t.uf.trail
+    for e in t.journal:
+        assert not gc.is_tracked(e) or id(e) in own
+    assert not any(gc.is_tracked(e) for e in t.uf.trail)
 
 
 def test_randomized_against_oracle():

@@ -96,6 +96,15 @@ def test_small_examples_both_strategies():
         assert ints.b == 0.0 and ints.alpha == 4.0
 
 
+def test_alpha_rounds_once_from_the_weight():
+    # w - floor(w) rounds for weights just below 0: frac(-0.3) is 0.7 to
+    # the nearest float, and frac(-1e-20) rounds to 1.0, so target + b
+    # would give -0.30000000000000004 and 0.0
+    for fn in (alpha_real, alpha_real_new, alpha_real_sorted):
+        assert fn([-0.3]).alpha == -0.3
+        assert fn([-1e-20]).alpha == -1e-20
+
+
 def test_real_oracle_examples():
     assert alpha_real_oracle([0.5]) == 0.5
     assert abs(alpha_real_oracle([0.9, 0.1, 0.9]) - 2.9) < 1e-12
@@ -270,3 +279,15 @@ def test_sorted_probe_item_budget():
         res = alpha_real_sorted(ws)
         assert res.instrumentation["probe_items"] <= 8 * n
         assert res.instrumentation["probes"] == unsqueezed_sorted(ws)[3]
+
+
+@pytest.mark.parametrize("d", [1, 2, 8, 64])
+@pytest.mark.parametrize("n", [2**8, 2**10, 2**12])
+def test_counter_budgets(n, d):
+    # partition_items <= 2n is the halving bound of the median search;
+    # sets stay near n and probe_items near 7n on these instances
+    ws = generate_weights(random.Random(n + d), n, d)
+    new = alpha_real_new(ws).instrumentation
+    assert new["sets"] <= n
+    assert new["partition_items"] <= 2 * n
+    assert alpha_real_sorted(ws).instrumentation["probe_items"] <= 8 * n
