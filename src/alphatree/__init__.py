@@ -6,24 +6,18 @@ from .core import (
     MinimaxTree,
     ParseError,
     alpha_int_fast,
-    alpha_int_oracle,
     depths_to_tree,
-    minimax_cost_by_dp,
     parse_weights,
     tree_cost,
 )
-from .leveltree import LevelTree, LevelTreeError, UnionFindDeunion, ceil_log2
+from .leveltree import LevelTree, LevelTreeError
 from .realweight import (
     InexactCostError,
     RealCostResult,
     WeightSeq,
     alpha_real,
     alpha_real_new,
-    alpha_real_oracle,
     alpha_real_sorted,
-    choose_strategy,
-    select_kth,
-    strategy_for,
 )
 from .coding import (
     CodeBook,
@@ -57,27 +51,19 @@ __all__ = [
     "ParseError",
     "RealCostResult",
     "UndefinedDivergenceError",
-    "UnionFindDeunion",
     "WeightSeq",
     "alpha_int_fast",
-    "alpha_int_oracle",
     "alpha_real",
     "alpha_real_new",
-    "alpha_real_oracle",
     "alpha_real_sorted",
     "build_code",
-    "ceil_log2",
-    "choose_strategy",
     "codewords_from_depths",
     "depths_to_tree",
     "empirical_distribution",
     "entropy",
     "evaluate",
-    "minimax_cost_by_dp",
     "parse_weights",
     "redundancy_bound",
     "relative_entropy",
-    "select_kth",
-    "strategy_for",
     "tree_cost",
 ]

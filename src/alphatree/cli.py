@@ -101,12 +101,7 @@ def cmd_tree(args) -> int:
         adjusted = ints
     else:
         seq = WeightSeq(ws)
-        if args.algo == "new":
-            res = alpha_real_new(seq)
-        elif args.algo == "sorted":
-            res = alpha_real_sorted(seq)
-        else:
-            res = alpha_real(seq)
+        res = _ALGO_RUNNERS.get(args.algo, alpha_real)(seq)  # auto: alpha_real
         alpha = res.alpha
         offset = res.b
         depths = res.depths
@@ -325,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--dump-level-tree", action="store_true",
                    help="embed the level-tree snapshot in the output")
     t.add_argument("--pretty", action="store_true", help="indent the JSON output")
-    t.set_defaults(func=cmd_tree)
 
     c = sub.add_parser("code", help="build a codebook from a sample")
     c.add_argument("sample", help="sample file: raw bytes, or label,count lines with --csv")
@@ -334,12 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--alphabet", default=None,
                    help="declared alphabet as one string of symbols")
     c.add_argument("--out", default=None, help="write the codebook here instead of stdout")
-    c.set_defaults(func=cmd_code)
 
     s = sub.add_parser("stats", help="score a codebook against a target file")
     s.add_argument("target", help="target file (raw bytes)")
     s.add_argument("--code", required=True, help="codebook JSON from the code subcommand")
-    s.set_defaults(func=cmd_stats)
 
     b = sub.add_parser("bench", help="compare the real-weight strategies")
     b.add_argument("--n", required=True, help="comma-separated instance sizes")
@@ -350,14 +342,15 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--omit-timing", action="store_true",
                    help="drop the wall_ns column for reproducible output")
     b.add_argument("--out", default=None, help="write the CSV here instead of stdout")
-    b.set_defaults(func=cmd_bench)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # looked up by name on each call, so a rebound cmd_* is the one run
+    cmd = globals()["cmd_" + args.command]
     try:
-        return args.func(args)
+        return cmd(args)
     except (
         CliError, ParseError, CodingError, InexactCostError, UnicodeDecodeError, OSError
     ) as e:

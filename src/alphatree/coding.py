@@ -73,16 +73,9 @@ class Distribution:
             raise CodingError("probabilities sum to %r, not 1" % total)
         self.labels = tuple(labels)
         self.probs = tuple(probs)
-        self._index = {lab: k for k, lab in enumerate(labels)}
 
     def __len__(self):
         return len(self.labels)
-
-    def prob(self, label) -> float:
-        try:
-            return self.probs[self._index[label]]
-        except KeyError:
-            raise CodingError("symbol %r not in distribution" % (label,)) from None
 
 
 def empirical_distribution(counts, smoothing: str = "none", alphabet=None) -> Distribution:
@@ -101,7 +94,11 @@ def empirical_distribution(counts, smoothing: str = "none", alphabet=None) -> Di
     for lab, c in pairs:
         if lab in cmap:
             raise CodingError("duplicate count for symbol %r" % (lab,))
-        if c != int(c) or c < 0:
+        try:
+            ok = c == int(c) and c >= 0
+        except (TypeError, ValueError, OverflowError):
+            ok = False  # inf, nan, or not a number at all
+        if not ok:
             raise CodingError("bad count %r for symbol %r" % (c, lab))
         cmap[lab] = int(c)
     if alphabet is None:
@@ -306,6 +303,8 @@ class CodeBook:
         return "".join(out)
 
     def to_json(self, q=None) -> str:
+        """The code as JSON, with the probabilities of q, a Distribution
+        over the same labels, when given."""
         payload: dict = {
             "code": [
                 {"label": lab, "codeword": cw}
@@ -313,12 +312,9 @@ class CodeBook:
             ]
         }
         if q is not None:
-            if isinstance(q, Distribution):
-                if q.labels != self.labels:
-                    raise CodingError("sample distribution alphabet differs from the code")
-                payload["q"] = list(q.probs)
-            else:
-                payload["q"] = [float(x) for x in q]
+            if q.labels != self.labels:
+                raise CodingError("sample distribution alphabet differs from the code")
+            payload["q"] = list(q.probs)
         return json.dumps(payload, indent=2, sort_keys=True)
 
     @classmethod

@@ -14,12 +14,17 @@ interval.  Every internal node keeps its children at a single common
 level strictly below its own, so the load of a node u with child level c
 is
 
-    load(u) = ceil(csum(u) / 2^min(cap, level(u) - c))
+    load(u) = ceil(csum(u) / 2^(level(u) - c))
 
-where csum(u) is the sum of the children's loads and cap = ceil(log2 n).
+where csum(u) is the sum of the children's loads, at most n.
 Parent pointers of internal nodes are resolved through a union-find with
 deunion: merging two adjacent siblings is a single union instead of
 re-parenting their children, and undo can reverse it exactly.
+
+audit() checks leaf order by spans: leaf i covers [i, i + 1), each
+internal node's children cover consecutive spans, left to right, whose
+union is the node's span, and the root covers [0, n).  So every leaf is
+reached exactly once, in weight order.
 
 A static integer instance needs none of that machinery: static_cost and
 static_witness group the levels exactly as the tree's build does, in one
@@ -162,12 +167,10 @@ class UnionFindDeunion:
 # One left-to-right pass over the levels with the grouping rule of
 # LevelTree._build: each maximal equal-level run becomes one node at
 # min(level below it, next level), with load ceil(csum / 2^gap).  The
-# tree's cap on the shift changes no load, since no load exceeds
-# n <= 2^cap, so the passes shift by the whole gap.  The stack keeps one
-# entry per run, levels strictly decreasing upward from a bottom
-# sentinel at +inf, so a node lifted to the level of the entry below it
-# joins that run at once, and a node lifted to the incoming level y
-# goes in front of leaf y.
+# stack keeps one entry per run, levels strictly decreasing upward from
+# a bottom sentinel at +inf, so a node lifted to the level of the entry
+# below it joins that run at once, and a node lifted to the incoming
+# level y goes in front of leaf y.
 #
 # The cost passes take weighted items: an item (y, a) acts exactly like
 # a leaves at level y, which is what a lifted node of load a landing at
@@ -369,8 +372,7 @@ class LevelTree:
         for c in group:
             cs += self.load[c]
         self.csum[u] = cs
-        gap = self.level[u] - self.level[group[0]]
-        self.load[u] = _ceil_shift(cs, min(self.cap, gap))
+        self.load[u] = _ceil_shift(cs, self.level[u] - self.level[group[0]])
 
     def _build(self) -> int:
         # one left-to-right pass with a stack of subtree roots whose
@@ -429,8 +431,7 @@ class LevelTree:
         return self.uf.find(x)
 
     def _node_load(self, u: int, child_level: int) -> int:
-        gap = self.level[u] - child_level
-        return _ceil_shift(self.csum[u], min(self.cap, gap))
+        return _ceil_shift(self.csum[u], self.level[u] - child_level)
 
     def _refresh_up(self, u: int) -> None:
         # recompute load(u) and propagate the delta while it changes
@@ -685,20 +686,27 @@ class LevelTree:
             c = self._r(self.rsib[c])
         return out
 
-    def serialize(self) -> str:
-        """Deterministic JSON snapshot of the live structure.
-
-        Lists every reachable node in preorder with its resolved links,
-        plus the bit vector and the journal depth.  Two states behave
-        identically iff their serializations are byte-identical, which
-        is how the undo contract is tested.
-        """
-        r = self._r(self.root)
-        nodes = []
-        stack = [(r, NIL)]
+    def _walk(self):
+        # the internal nodes in preorder, each as (node, parent, its
+        # resolved children); the root's parent is NIL
+        stack = [(self._r(self.root), NIL)]
         while stack:
             u, pu = stack.pop()
             ch = self._children(u)
+            yield u, pu, ch
+            stack.extend((c, u) for c in reversed(ch) if self.kind[c] != LEAF)
+
+    def serialize(self) -> str:
+        """Deterministic JSON snapshot of the live structure.
+
+        Lists every reachable internal node in preorder with its resolved
+        links, each followed by its leaf children, plus the bit vector
+        and the journal depth.  Two states behave identically iff their
+        serializations are byte-identical, which is how the undo
+        contract is tested.
+        """
+        nodes = []
+        for u, pu, ch in self._walk():
             nodes.append(
                 {
                     "id": u,
@@ -723,9 +731,6 @@ class LevelTree:
                             "parent": u,
                         }
                     )
-            for c in reversed(ch):
-                if self.kind[c] != LEAF:
-                    stack.append((c, u))
         payload = {
             "nodes": nodes,
             "bits": "".join(str(b) for b in self.bits),
@@ -745,25 +750,24 @@ class LevelTree:
     def audit(self) -> None:
         """Check every structural invariant; raises AssertionError.
 
+        Leaf order is checked by the span rule in the module docstring.
         Test/debug only: walks the whole tree, so it is O(n) plus finds.
         """
-        r = self._r(self.root)
+        nodes = list(self._walk())
+        r = nodes[0][0]
         if self.kind[r] != ROOT:
             raise AssertionError("root class lost its root kind")
         if self.level[r] != self.sentinel:
             raise AssertionError("root level is not the sentinel")
-        seen_leaves = []
-        live = 0
-        stack = [r]
-        while stack:
-            u = stack.pop()
-            live += 1
-            ch = self._children(u)
+        span: dict[int, tuple[int, int]] = {}
+        # children before parents, so each child's span is known
+        for u, _, ch in reversed(nodes):
             if not ch:
                 raise AssertionError("internal node %d has no children" % u)
             cl = self.level[ch[0]]
             prev = NIL
             cs = 0
+            spans = []
             for c in ch:
                 if self.level[c] != cl:
                     raise AssertionError("children of %d at mixed levels" % u)
@@ -771,8 +775,19 @@ class LevelTree:
                     raise AssertionError("bad lsib under %d" % u)
                 if self.uf.find(self.parent[c]) != u:
                     raise AssertionError("child %d does not resolve to parent %d" % (c, u))
+                if self.kind[c] == LEAF:
+                    if self.load[c] != 1:
+                        raise AssertionError("leaf %d has load != 1" % c)
+                    if self.level[c] != self.ceils[c] - self.bits[c]:
+                        raise AssertionError("leaf %d level out of sync with bits" % c)
+                    spans.append((c, c + 1))
+                else:
+                    spans.append(span[c])
                 cs += self.load[c]
                 prev = c
+            if any(a[1] != b[0] for a, b in zip(spans, spans[1:])):
+                raise AssertionError("leaf order not preserved under %d" % u)
+            span[u] = (spans[0][0], spans[-1][1])
             if self._r(self.lch[u]) != ch[-1]:
                 raise AssertionError("bad lch on %d" % u)
             if cl >= self.level[u]:
@@ -781,38 +796,13 @@ class LevelTree:
                 raise AssertionError("csum mismatch on %d" % u)
             if self.load[u] != self._node_load(u, cl):
                 raise AssertionError("load recurrence violated on %d" % u)
-            for c in ch:
-                if self.kind[c] == LEAF:
-                    if self.load[c] != 1:
-                        raise AssertionError("leaf %d has load != 1" % c)
-                    if self.level[c] != self.ceils[c] - self.bits[c]:
-                        raise AssertionError("leaf %d level out of sync with bits" % c)
-                    seen_leaves.append(c)
-                else:
-                    stack.append(c)
-        if sorted(seen_leaves) != list(range(self.n)):
-            raise AssertionError("leaf set mangled")
-        order = []
-        self._collect_leaves_inorder(r, order)
-        if order != list(range(self.n)):
-            raise AssertionError("leaf order not preserved")
+        if span[r] != (0, self.n):
+            raise AssertionError("leaves do not cover 0..n-1 in order")
         live_internal = sum(
             1 for x in range(self.n, len(self.kind)) if self.uf.find(x) == x
         )
-        if live != live_internal:
+        if len(nodes) != live_internal:
             raise AssertionError("unreachable live internal nodes exist")
-
-    def _collect_leaves_inorder(self, r: int, order: list[int]) -> None:
-        stack = [iter(self._children(r))]
-        while stack:
-            it = stack[-1]
-            c = next(it, None)
-            if c is None:
-                stack.pop()
-            elif self.kind[c] == LEAF:
-                order.append(c)
-            else:
-                stack.append(iter(self._children(c)))
 
     # ------------------------------------------------------------------
     # witness extraction
@@ -827,25 +817,13 @@ class LevelTree:
         the node's load.  The root keeps pairing until one fragment is
         left, whose shape is the witness tree.
         """
-        r = self._r(self.root)
-        # preorder; reversed gives children before parents
-        order = []
-        kids: dict[int, list[int]] = {}
-        stack = [r]
-        while stack:
-            u = stack.pop()
-            order.append(u)
-            ch = self._children(u)
-            kids[u] = ch
-            for c in ch:
-                if self.kind[c] != LEAF:
-                    stack.append(c)
         # per node: its fragments' start leaves and the end of its leaves
         frags: dict[int, tuple[list, int]] = {}
         diff = [0] * (self.n + 1)
-        for u in reversed(order):
+        # children before parents: the walk's preorder, reversed
+        for u, _, ch in reversed(list(self._walk())):
             fl = []
-            for c in kids[u]:
+            for c in ch:
                 if self.kind[c] == LEAF:
                     fl.append(c)
                     end = c + 1
@@ -855,7 +833,7 @@ class LevelTree:
             if self.kind[u] == ROOT:
                 fl = _pair(fl, ceil_log2(len(fl)), end, diff)
             else:
-                fl = _pair(fl, self.level[u] - self.level[kids[u][0]], end, diff)
+                fl = _pair(fl, self.level[u] - self.level[ch[0]], end, diff)
                 if len(fl) != self.load[u]:
                     raise AssertionError(
                         "fragment count %d != load %d at node %d" % (len(fl), self.load[u], u)

@@ -28,7 +28,6 @@ that no float holds exactly raises InexactCostError.
 from __future__ import annotations
 
 import math
-import random
 
 from .leveltree import LevelTree, ceil_log2, static_cost, static_squeeze, static_witness
 from .core import minimax_cost_by_dp
@@ -98,32 +97,23 @@ class RealCostResult:
         )
 
 
-def select_kth(values, k: int, randomized: bool = False, rng=None):
-    """k-th smallest value (1-based), worst-case linear time.
-
-    Deterministic median-of-medians by default; randomized=True swaps
-    in random pivots (expected linear, simpler constants), drawing from
-    rng or a fresh Random().
-    """
+def select_kth(values, k: int):
+    """k-th smallest value (1-based), worst-case linear time by
+    median-of-medians."""
     vals = list(values)
     n = len(vals)
     if n == 0:
         raise ValueError("select_kth on an empty sequence")
     if not 1 <= k <= n:
         raise ValueError("k=%d out of range for %d values" % (k, n))
-    if randomized and rng is None:
-        rng = random.Random()
     while True:
         if len(vals) <= 25:
             return sorted(vals)[k - 1]
-        if randomized:
-            pivot = vals[rng.randrange(len(vals))]
-        else:
-            meds = [
-                sorted(vals[i : i + 5])[(min(5, len(vals) - i) - 1) // 2]
-                for i in range(0, len(vals), 5)
-            ]
-            pivot = select_kth(meds, (len(meds) + 1) // 2)
+        meds = [
+            sorted(vals[i : i + 5])[(min(5, len(vals) - i) - 1) // 2]
+            for i in range(0, len(vals), 5)
+        ]
+        pivot = select_kth(meds, (len(meds) + 1) // 2)
         lo = [v for v in vals if v < pivot]
         if k <= len(lo):
             vals = lo
@@ -226,7 +216,7 @@ def alpha_real_sorted(w) -> RealCostResult:
     return _finish(seq, order[lo], target, "sorted", acc)
 
 
-def alpha_real_new(w, randomized_select: bool = False, rng=None) -> RealCostResult:
+def alpha_real_new(w) -> RealCostResult:
     """Median-search strategy: one live tree, set/undo between probes.
 
     Runs in O(n log log n + n log d) tree operations; preferable to the
@@ -248,12 +238,7 @@ def alpha_real_new(w, randomized_select: bool = False, rng=None) -> RealCostResu
         items, candidate = list(range(seq.n)), bmax
     while items:
         acc["partition_items"] += len(items)
-        m = select_kth(
-            [fracs[i] for i in items],
-            (len(items) + 1) // 2,
-            randomized=randomized_select,
-            rng=rng,
-        )
+        m = select_kth([fracs[i] for i in items], (len(items) + 1) // 2)
         below, at, above = [], [], []
         for i in items:
             f = fracs[i]
@@ -327,14 +312,9 @@ def strategy_for(n: int, d: int) -> str:
     return "sorted"
 
 
-def choose_strategy(w) -> str:
-    seq = as_weight_seq(w)
-    return strategy_for(seq.n, seq.d)
-
-
-def alpha_real(w, randomized_select: bool = False, rng=None) -> RealCostResult:
-    """Run whichever strategy choose_strategy picks for this input."""
+def alpha_real(w) -> RealCostResult:
+    """Run whichever strategy strategy_for picks for this input's shape."""
     seq = as_weight_seq(w)
     if strategy_for(seq.n, seq.d) == "new":
-        return alpha_real_new(seq, randomized_select=randomized_select, rng=rng)
+        return alpha_real_new(seq)
     return alpha_real_sorted(seq)

@@ -2,7 +2,8 @@
 
 from functools import lru_cache
 
-from alphatree import CodingError, DecodeError, WeightSeq, alpha_int_oracle
+from alphatree import CodingError, DecodeError, WeightSeq
+from alphatree.core import alpha_int_oracle
 from alphatree.leveltree import static_cost, static_witness
 
 

@@ -18,16 +18,16 @@ from alphatree import (
     Distribution,
     LevelTree,
     LevelTreeError,
-    UnionFindDeunion,
     alpha_int_fast,
-    alpha_int_oracle,
     alpha_real_new,
-    alpha_real_oracle,
     alpha_real_sorted,
     build_code,
     evaluate,
     redundancy_bound,
 )
+from alphatree.core import alpha_int_oracle
+from alphatree.leveltree import UnionFindDeunion
+from alphatree.realweight import alpha_real_oracle
 from alphatree.cli import generate_weights
 from helpers import CachedIntOracle, random_real_weights, random_tree_profile
 

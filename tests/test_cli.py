@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import alphatree.cli
 from alphatree.cli import main
 from alphatree.leveltree import LevelTree, LevelTreeError
 
@@ -119,6 +120,15 @@ def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
     f.write_text("1.2 0.3 2.7\n")
     rc, _, err = run(capsys, "tree", str(f), "--algo", "new")
     assert rc == 3 and "malformed" in err
+
+
+def test_main_looks_commands_up_by_name(monkeypatch):
+    # main finds cmd_<command> when it is called, so a rebound command
+    # (a tracer's wrapper, say) is the one that runs
+    seen = []
+    monkeypatch.setattr(alphatree.cli, "cmd_stats", lambda args: seen.append(args.target) or 7)
+    assert main(["stats", "t.txt", "--code", "c.json"]) == 7
+    assert seen == ["t.txt"]
 
 
 def test_code_and_stats_flow(tmp_path, capsys):

@@ -76,6 +76,9 @@ def test_empirical_errors():
         empirical_distribution({"a": 1}, smoothing="jeffreys")
     with pytest.raises(CodingError):
         empirical_distribution([("a", 1), ("a", 2)])
+    for bad in (2.5, -1, float("inf"), float("nan"), "x", None):
+        with pytest.raises(CodingError, match="bad count"):
+            empirical_distribution({"a": 1, "b": bad})
 
 
 # ----------------------------------------------------------------------

@@ -9,13 +9,12 @@ from alphatree import (
     LevelTreeError,
     ParseError,
     alpha_int_fast,
-    alpha_int_oracle,
-    ceil_log2,
     depths_to_tree,
-    minimax_cost_by_dp,
     parse_weights,
     tree_cost,
 )
+from alphatree.core import alpha_int_oracle, minimax_cost_by_dp
+from alphatree.leveltree import ceil_log2
 from helpers import CachedIntOracle, minimax_by_enumeration
 
 

@@ -5,7 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from alphatree import LevelTree, LevelTreeError, alpha_int_fast, alpha_int_oracle, tree_cost
+from alphatree import LevelTree, LevelTreeError, alpha_int_fast, tree_cost
+from alphatree.core import alpha_int_oracle
 from alphatree.leveltree import NIL, static_cost, static_squeeze, static_witness
 from helpers import CachedIntOracle, random_real_weights
 
@@ -140,6 +141,29 @@ def test_journal_holds_no_tracked_objects():
     for e in t.journal:
         assert not gc.is_tracked(e) or id(e) in own
     assert not any(gc.is_tracked(e) for e in t.uf.trail)
+
+
+def test_audit_catches_corruption():
+    def tree():
+        t = LevelTree([0.5] * 4 + [2.5, 1.5, 0.5, 0.5])
+        t.set(6)
+        t.audit()
+        return t
+
+    bad = [tree() for _ in range(5)]
+    t = bad[0]
+    t.csum[t.uf.find(t.parent[0])] += 1  # the node over leaves 0..3
+    bad[1].level[6] -= 1  # an only child, so no level mix gives it away
+    bad[2].load[5] = 2
+    t = bad[3]
+    # leaves 1 and 2 relinked as 2, 1 with consistent links: only the
+    # leaf order is wrong
+    t.rsib[0], t.lsib[2], t.rsib[2] = 2, 0, 1
+    t.lsib[1], t.rsib[1], t.lsib[3] = 2, 3, 1
+    bad[4].bits[6] = 0
+    for t in bad:
+        with pytest.raises(AssertionError):
+            t.audit()
 
 
 def test_randomized_against_oracle():

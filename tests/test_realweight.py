@@ -9,12 +9,9 @@ from alphatree import (
     WeightSeq,
     alpha_real,
     alpha_real_new,
-    alpha_real_oracle,
     alpha_real_sorted,
-    choose_strategy,
-    select_kth,
-    strategy_for,
 )
+from alphatree.realweight import alpha_real_oracle, select_kth, strategy_for
 from alphatree.cli import generate_weights
 from helpers import random_real_weights, unsqueezed_sorted
 
@@ -34,13 +31,6 @@ def test_select_kth_random_vs_sorted():
         vals = [rng.randint(0, 30) for _ in range(n)]  # heavy duplication
         k = rng.randint(1, n)
         assert select_kth(vals, k) == sorted(vals)[k - 1]
-
-
-def test_select_kth_randomized_pivots():
-    rng = random.Random(13)
-    vals = [rng.random() for _ in range(500)]
-    for k in (1, 9, 250, 500):
-        assert select_kth(vals, k, randomized=True, rng=random.Random(k)) == sorted(vals)[k - 1]
 
 
 def test_select_kth_rejects():
@@ -185,13 +175,11 @@ def test_strategy_rule():
         strategy_for(4, 5)
 
 
-def test_choose_strategy_uses_the_shape():
-    assert choose_strategy([0.5] * 64) == "new"  # d = 1
-    spread = [float(i) + 0.5 for i in range(64)]
-    assert choose_strategy(spread) == "sorted"  # d = n
+def test_alpha_real_dispatches_on_the_shape():
+    spread = [float(i) + 0.5 for i in range(64)]  # d = n
     res = alpha_real(spread)
     assert res.strategy == "sorted"
-    res = alpha_real([0.5] * 64)
+    res = alpha_real([0.5] * 64)  # d = 1
     assert res.strategy == "new"
 
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from alphatree import LevelTreeError, UnionFindDeunion
+from alphatree.leveltree import LevelTreeError, UnionFindDeunion
 
 
 def test_basic_lifecycle():
