@@ -12,6 +12,7 @@ not bad input).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import random
@@ -39,7 +40,6 @@ from .realweight import (
     InexactCostError,
     WeightSeq,
     _zero_counters,
-    alpha_real,
     alpha_real_new,
     alpha_real_sorted,
 )
@@ -101,7 +101,7 @@ def cmd_tree(args) -> int:
         adjusted = ints
     else:
         seq = WeightSeq(ws)
-        res = _ALGO_RUNNERS.get(args.algo, alpha_real)(seq)  # auto: alpha_real
+        res = _ALGO_RUNNERS[args.algo](seq)
         alpha = res.alpha
         offset = res.b
         depths = res.depths
@@ -304,6 +304,7 @@ def cmd_bench(args) -> int:
 # ----------------------------------------------------------------------
 
 
+@functools.cache  # parse_args leaves the parser as it found it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="alphatree",
@@ -315,8 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("weights", help="weights file (numbers split by lines/commas), or - for stdin")
     t.add_argument("--int", dest="int_weights", action="store_true",
                    help="require integer weights and use the integer fast path")
-    t.add_argument("--algo", choices=("auto", "new", "sorted"), default="auto",
-                   help="real-weight strategy (default auto)")
+    t.add_argument("--algo", choices=tuple(_ALGO_RUNNERS), default="sorted",
+                   help="real-weight strategy (default sorted)")
     t.add_argument("--dump-level-tree", action="store_true",
                    help="embed the level-tree snapshot in the output")
     t.add_argument("--pretty", action="store_true", help="indent the JSON output")

@@ -109,20 +109,23 @@ def probe_decode(book, bits):
 
 def unsqueezed_sorted(w):
     """Reference sorted search: the same binary search over the sorted
-    fractional parts, with every probe a full stack pass over all n
-    adjusted levels.  Returns (b, int_cost, depths, probes)."""
+    fractional parts, dropping a probed value's whole run of copies,
+    with every probe a full stack pass over all n adjusted levels.
+    Returns (b, int_cost, depths, probes)."""
     seq = WeightSeq(w)
     order = sorted(seq.fracs)
     target = static_cost(seq.adjusted(order[-1]))
     probes = 1
-    lo, hi = 0, seq.n - 1
+    lo, hi = 0, order.index(order[-1])
     while lo < hi:
         mid = (lo + hi) // 2
         probes += 1
         if static_cost(seq.adjusted(order[mid])) == target:
-            hi = mid
+            hi = order.index(order[mid])
         else:
             lo = mid + 1
+            while order[lo] == order[mid]:
+                lo += 1
     cost, depths = static_witness(seq.adjusted(order[lo]))
     assert cost == target
     return order[lo], target, depths, probes + 1

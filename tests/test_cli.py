@@ -23,7 +23,7 @@ def test_tree_real_weights(tmp_path, capsys):
     assert doc["depths"] == [1, 1]
     assert doc["parent_array"] == [2, 2, -1]
     assert doc["n"] == 2 and doc["d"] == 2
-    assert doc["strategy"] in ("new", "sorted")
+    assert doc["strategy"] == "sorted"
     assert set(doc["instrumentation"]) == {
         "sets", "undos", "finds", "unions", "deunions", "partition_items",
         "probes", "probe_items",
@@ -51,13 +51,20 @@ def test_tree_algo_flags_agree(tmp_path, capsys):
     f = tmp_path / "w.txt"
     f.write_text("0.7 3.2 1.9 0.7 2.2 2.2\n")
     docs = []
-    for algo in ("auto", "new", "sorted"):
+    for algo in ("new", "sorted"):
         rc, out, _ = run(capsys, "tree", str(f), "--algo", algo)
         assert rc == 0
         docs.append(json.loads(out))
-    assert docs[1]["alpha"] == docs[2]["alpha"]
-    assert docs[1]["offset_b"] == docs[2]["offset_b"]
-    assert docs[0]["depths"] == docs[1]["depths"] == docs[2]["depths"]
+    assert docs[0]["alpha"] == docs[1]["alpha"]
+    assert docs[0]["offset_b"] == docs[1]["offset_b"]
+    assert docs[0]["depths"] == docs[1]["depths"]
+    assert [doc["strategy"] for doc in docs] == ["new", "sorted"]
+    rc, out, _ = run(capsys, "tree", str(f))
+    assert rc == 0 and json.loads(out) == docs[1]  # sorted is the default
+    with pytest.raises(SystemExit) as exc:
+        main(["tree", str(f), "--algo", "auto"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'auto'" in capsys.readouterr().err
 
 
 def test_tree_dump_and_pretty(tmp_path, capsys):
@@ -92,7 +99,7 @@ def test_tree_alpha_rounds_once_from_the_weight(tmp_path, capsys):
     f = tmp_path / "w.txt"
     for text, alpha in (("-0.3\n", -0.3), ("-1e-20\n", -1e-20)):
         f.write_text(text)
-        for algo in ("auto", "new", "sorted"):
+        for algo in ("new", "sorted"):
             rc, out, _ = run(capsys, "tree", str(f), "--algo", algo)
             assert rc == 0
             assert json.loads(out)["alpha"] == alpha
@@ -104,7 +111,7 @@ def test_tree_inexact_cost_exits_2(tmp_path, capsys):
     big = "4503599627370495.5" + " 4503599627370494.5" * 3
     for text in ("9007199254740992 0.5\n", big):
         f.write_text(text)
-        for algo in ("auto", "new", "sorted"):
+        for algo in ("new", "sorted"):
             rc, out, err = run(capsys, "tree", str(f), "--algo", algo)
             assert rc == 2 and out == ""
             assert "no exact float answer" in err and "Traceback" not in err
@@ -129,6 +136,26 @@ def test_main_looks_commands_up_by_name(monkeypatch):
     monkeypatch.setattr(alphatree.cli, "cmd_stats", lambda args: seen.append(args.target) or 7)
     assert main(["stats", "t.txt", "--code", "c.json"]) == 7
     assert seen == ["t.txt"]
+
+
+def test_main_parses_each_call_afresh(monkeypatch):
+    # the parser is built once; each call still gets only its own
+    # subcommand's arguments and defaults
+    seen = []
+    for name in ("cmd_tree", "cmd_code"):
+        monkeypatch.setattr(alphatree.cli, name, lambda args: seen.append(vars(args)) or 0)
+    assert main(["tree", "w.txt", "--algo", "new", "--pretty"]) == 0
+    assert main(["code", "s.txt", "--csv", "--smoothing", "add_one"]) == 0
+    assert main(["tree", "v.txt"]) == 0
+    assert seen == [
+        {"command": "tree", "weights": "w.txt", "int_weights": False, "algo": "new",
+         "dump_level_tree": False, "pretty": True},
+        {"command": "code", "sample": "s.txt", "csv": True, "smoothing": "add_one",
+         "alphabet": None, "out": None},
+        {"command": "tree", "weights": "v.txt", "int_weights": False, "algo": "sorted",
+         "dump_level_tree": False, "pretty": False},
+    ]
+    assert alphatree.cli.build_parser() is alphatree.cli.build_parser()
 
 
 def test_code_and_stats_flow(tmp_path, capsys):

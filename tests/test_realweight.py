@@ -11,7 +11,7 @@ from alphatree import (
     alpha_real_new,
     alpha_real_sorted,
 )
-from alphatree.realweight import alpha_real_oracle, select_kth, strategy_for
+from alphatree.realweight import alpha_real_oracle, select_kth
 from alphatree.cli import generate_weights
 from helpers import random_real_weights, unsqueezed_sorted
 
@@ -164,34 +164,55 @@ def test_operation_budgets():
         assert res.instrumentation["partition_items"] <= 2 * n
 
 
-def test_strategy_rule():
-    assert strategy_for(1, 1) == "new"
-    assert strategy_for(16, 16) == "sorted"
-    assert strategy_for(2**20, 1) == "new"
-    assert strategy_for(2**20, 2**19) == "sorted"
-    with pytest.raises(ValueError):
-        strategy_for(0, 1)
-    with pytest.raises(ValueError):
-        strategy_for(4, 5)
-
-
-def test_alpha_real_dispatches_on_the_shape():
-    spread = [float(i) + 0.5 for i in range(64)]  # d = n
-    res = alpha_real(spread)
-    assert res.strategy == "sorted"
-    res = alpha_real([0.5] * 64)  # d = 1
-    assert res.strategy == "new"
-
-
-def test_dispatch_results_are_identical():
+def test_alpha_real_is_the_sorted_search():
+    # d = 1 and d = 2 at n up to 2^10: the inputs a shape rule once sent
+    # to the live tree
     rng = random.Random(21)
-    for _ in range(50):
-        seq = WeightSeq(random_real_weights(rng, rng.randint(1, 30)))
-        auto = alpha_real(seq)
-        direct = (alpha_real_new if auto.strategy == "new" else alpha_real_sorted)(seq)
-        assert auto.alpha == direct.alpha
-        assert auto.b == direct.b
-        assert auto.depths == direct.depths
+    for _ in range(200):
+        n = rng.choice([1, 2, 3, rng.randint(4, 2**10), 2**rng.randint(2, 10)])
+        d = min(rng.choice([1, 2]), n)
+        seq = WeightSeq(generate_weights(rng, n, d))
+        res = alpha_real(seq)
+        assert res.strategy == "sorted"
+        new = alpha_real_new(seq)
+        assert (res.alpha, res.b, res.depths) == (new.alpha, new.b, new.depths), (n, d)
+    assert alpha_real_sorted is alpha_real
+
+
+def test_alpha_real_reports_every_counter():
+    res = alpha_real([0.5, 1.25, 0.75, 2.0])
+    assert set(res.instrumentation) == {
+        "sets", "undos", "finds", "unions", "deunions", "partition_items",
+        "probes", "probe_items",
+    }
+
+
+def test_repeated_offsets_are_probed_once():
+    # one distinct fraction: no search, only the target and witness passes
+    res = alpha_real([3.0] * 1024)
+    assert res.instrumentation["probes"] == 2
+    assert res.instrumentation["probe_items"] == 2 * 1024
+    assert (res.alpha, res.b) == (13.0, 0.0)
+
+
+def test_repeated_fractions_match_new():
+    # all-integral input and a few shared fractions, as add-one
+    # smoothing gives equal q values
+    rng = random.Random(23)
+    for _ in range(150):
+        n = rng.randint(1, 300)
+        pool = [rng.choice([0.0, 0.5, 1e-12, 1 - 1e-12, rng.random()])
+                for _ in range(rng.randint(1, 4))]
+        lo = -rng.choice([1, 2, 8])
+        ws = [c - 1 + f if f else float(c)
+              for c, f in ((rng.randint(lo, 4), rng.choice(pool)) for _ in range(n))]
+        res, new = alpha_real(ws), alpha_real_new(ws)
+        assert (res.alpha, res.b, res.depths) == (new.alpha, new.b, new.depths), ws
+        # each search probe halves the range and drops at least one of
+        # the distinct offsets below the largest
+        offsets = len(set(WeightSeq(ws).fracs))
+        probes = res.instrumentation["probes"] - 2
+        assert probes <= min(offsets - 1, (n - 1).bit_length())
 
 
 def test_inexact_cost_is_rejected():
