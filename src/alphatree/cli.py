@@ -95,24 +95,22 @@ def cmd_tree(args) -> int:
         cost, depths = alpha_int_fast(ints)
         alpha: float | int = cost
         offset = 0
-        d = len(set(ints))
+        ceils = ints
         strategy = "int"
         instrumentation = _zero_counters()
-        adjusted = ints
     else:
         seq = WeightSeq(ws)
         res = _ALGO_RUNNERS[args.algo](seq)
         alpha = res.alpha
         offset = res.b
         depths = res.depths
-        d = seq.d
+        ceils = seq.ceils
         strategy = res.strategy
         instrumentation = res.instrumentation
-        adjusted = seq.adjusted(res.b)
     tree = depths_to_tree(depths)
     out = {
         "n": len(ws),
-        "d": d,
+        "d": len(set(ceils)),
         "alpha": alpha,
         "offset_b": offset,
         "depths": depths,
@@ -121,7 +119,8 @@ def cmd_tree(args) -> int:
         "instrumentation": instrumentation,
     }
     if args.dump_level_tree:
-        out["level_tree"] = json.loads(LevelTree(adjusted).serialize())
+        levels = ints if args.int_weights else seq.adjusted(offset)
+        out["level_tree"] = json.loads(LevelTree(levels).serialize())
     if args.pretty:
         print(json.dumps(out, sort_keys=True, indent=2))
     else:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 
-from .realweight import WeightSeq, alpha_real
+from .realweight import alpha_real
 
 
 class CodingError(ValueError):
@@ -127,8 +127,9 @@ def empirical_distribution(counts, smoothing: str = "none", alphabet=None) -> Di
 
 
 def entropy(p: Distribution) -> float:
-    """Shannon entropy in bits; zero-probability terms contribute 0."""
-    return -math.fsum(pi * math.log2(pi) for pi in p.probs if pi > 0.0)
+    """Shannon entropy in bits, zero-probability terms skipped; a point
+    mass gives +0.0 (0.0 - fsum, where -fsum would give -0.0)."""
+    return 0.0 - math.fsum(pi * math.log2(pi) for pi in p.probs if pi > 0.0)
 
 
 def relative_entropy(p: Distribution, q: Distribution) -> float:
@@ -347,29 +348,31 @@ class CodeBook:
         return book, q
 
 
-def build_code(q: Distribution) -> CodeBook:
-    """Order-preserving prefix code for sample distribution Q.
-
-    Every q_i must be positive (a zero would demand an infinite
-    codeword).  Codeword lengths are the witness depths of the minimax
-    run on weights log2(q_i).
-    """
+def _log2_weights(q: Distribution) -> list[float]:
+    """log2 q_i for every symbol; each q_i must be positive, since a zero
+    would demand an infinite codeword."""
     for lab, qi in zip(q.labels, q.probs):
         if qi <= 0.0:
             raise CodingError(
-                "cannot build a code: q(%r) = 0 (smoothing would fix this)" % (lab,)
+                "q(%r) = 0 has no finite codeword (smoothing would fix this)" % (lab,)
             )
-    result = alpha_real(WeightSeq([math.log2(qi) for qi in q.probs]))
+    return [math.log2(qi) for qi in q.probs]
+
+
+def build_code(q: Distribution) -> CodeBook:
+    """Order-preserving prefix code for sample distribution Q.
+
+    Every q_i must be positive.  Codeword lengths are the witness
+    depths of the minimax run on weights log2(q_i).
+    """
+    result = alpha_real(_log2_weights(q))
     return CodeBook(q.labels, codewords_from_depths(result.depths))
 
 
 def redundancy_bound(q: Distribution) -> float:
-    """max_i (len_i + log2 q_i) for the code build_code returns; bounds
-    the excess avg_len - H - D for every source distribution."""
-    for lab, qi in zip(q.labels, q.probs):
-        if qi <= 0.0:
-            raise CodingError("redundancy bound needs q(%r) > 0" % (lab,))
-    return alpha_real(WeightSeq([math.log2(qi) for qi in q.probs])).alpha
+    """min over alphabetic codes of max_i (len_i + log2 q_i), attained by
+    build_code(q); bounds its excess avg_len - H - D for every source."""
+    return alpha_real(_log2_weights(q)).alpha
 
 
 class CodeReport:
@@ -396,13 +399,13 @@ class CodeReport:
         )
 
 
-def evaluate(p: Distribution, code: CodeBook, q: Distribution, bound=None) -> CodeReport:
+def evaluate(p: Distribution, code: CodeBook, q: Distribution) -> CodeReport:
     """Report avg length, entropy, divergence, and the excess
 
         avg_len(P) - H(P) - D(P || Q)
 
-    which redundancy_bound(q) caps.  Pass bound to skip recomputing it
-    when evaluating many sources against one code.
+    with the bound max_i (len_i + log2 q_i) of the code, which caps it.
+    For the code build_code(q) returns, the bound is redundancy_bound(q).
     """
     if p.labels != code.labels:
         raise CodingError("source alphabet differs from the code")
@@ -412,6 +415,5 @@ def evaluate(p: Distribution, code: CodeBook, q: Distribution, bound=None) -> Co
     avg = math.fsum(pi * li for pi, li in zip(p.probs, lens))
     h = entropy(p)
     d = relative_entropy(p, q)
-    if bound is None:
-        bound = redundancy_bound(q)
+    bound = max(li + wi for li, wi in zip(lens, _log2_weights(q)))
     return CodeReport(avg, h, d, avg - h - d, bound)

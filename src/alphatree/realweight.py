@@ -37,8 +37,7 @@ from .core import minimax_cost_by_dp
 
 
 class WeightSeq:
-    """Real weight sequence with cached ceilings, fractional parts, and
-    the distinct-ceiling count d."""
+    """Real weight sequence with cached ceilings and fractional parts."""
 
     def __init__(self, weights):
         ws = [float(w) for w in weights]
@@ -51,7 +50,6 @@ class WeightSeq:
         self.n = len(ws)
         self.ceils = [math.ceil(w) for w in ws]
         self.fracs = [w - math.floor(w) for w in ws]
-        self.d = len(set(self.ceils))
 
     def adjusted(self, b: float) -> list[int]:
         """ceil(w_i - b) for b in [0, 1): the ceiling drops by one

@@ -225,12 +225,12 @@ def test_criterion_7_excess_within_bound():
         # point mass on the worst symbol: excess attains the bound
         probs = [0.0] * len(qv)
         probs[int(np.argmax(slack))] = 1.0
-        rep = evaluate(Distribution(q.labels, probs), book, q, bound=bound)
+        rep = evaluate(Distribution(q.labels, probs), book, q)
         assert abs(rep.excess - bound) <= 1e-9
         if qi % 100 == 0:
             # spot-check the identity through the full report path
             pv = [float(x) for x in pm[0]]
-            rep = evaluate(Distribution(q.labels, pv), book, q, bound=bound)
+            rep = evaluate(Distribution(q.labels, pv), book, q)
             direct = rep.avg_len - rep.entropy - rep.relative_entropy
             assert abs(direct - rep.excess) <= 1e-9
             assert rep.excess <= bound + 1e-9

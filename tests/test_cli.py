@@ -1,8 +1,10 @@
 import json
+import math
 
 import pytest
 
 import alphatree.cli
+import alphatree.coding
 from alphatree.cli import main
 from alphatree.leveltree import LevelTree, LevelTreeError
 
@@ -177,6 +179,47 @@ def test_code_and_stats_flow(tmp_path, capsys):
     assert rep["excess"] <= rep["bound"] + 1e-9
 
 
+def test_stats_runs_no_optimizer(tmp_path, capsys, monkeypatch):
+    # the bound comes from the codebook's own lengths, so stats gives the
+    # same JSON with the optimizer out of reach
+    sample = tmp_path / "sample.txt"
+    sample.write_bytes(b"the quick brown fox jumps over the lazy dog")
+    book_path = tmp_path / "book.json"
+    assert run(capsys, "code", str(sample), "--out", str(book_path))[0] == 0
+    target = tmp_path / "target.txt"
+    target.write_bytes(b"a lazy fox")
+    rc, before, _ = run(capsys, "stats", str(target), "--code", str(book_path))
+    assert rc == 0
+
+    def no_optimizer(w):
+        raise AssertionError("stats ran the optimizer")
+
+    monkeypatch.setattr(alphatree.coding, "alpha_real", no_optimizer)
+    rc, after, _ = run(capsys, "stats", str(target), "--code", str(book_path))
+    assert rc == 0 and after == before
+
+
+def test_stats_bound_of_a_hand_written_codebook(tmp_path, capsys):
+    # a code not built for its q: the bound is still max(len_i + log2 q_i)
+    # of this code, so the excess stays within it
+    q = [0.1, 0.1, 0.8]
+    book_path = tmp_path / "book.json"
+    book_path.write_text(json.dumps({
+        "code": [{"label": lab, "codeword": cw}
+                 for lab, cw in (("a", "0"), ("b", "10"), ("c", "11"))],
+        "q": q,
+    }))
+    target = tmp_path / "target.txt"
+    target.write_bytes(b"c" * 10)
+    rc, out, _ = run(capsys, "stats", str(target), "--code", str(book_path))
+    assert rc == 0
+    rep = json.loads(out)
+    assert rep["bound"] == max(l + math.log2(qi) for l, qi in zip((1, 2, 2), q))
+    assert abs(rep["bound"] - 1.678) < 1e-3
+    assert rep["excess"] <= rep["bound"] + 1e-12
+    assert math.copysign(1.0, rep["entropy"]) == 1.0  # +0.0, not -0.0
+
+
 def test_code_csv_and_smoothing(tmp_path, capsys):
     sample = tmp_path / "counts.csv"
     sample.write_text("a,3\nb,1\n")
@@ -218,7 +261,7 @@ def test_code_errors(tmp_path, capsys):
     raw = tmp_path / "raw.txt"
     raw.write_bytes(b"ab")
     rc, _, err = run(capsys, "code", str(raw), "--alphabet", "abz")
-    assert rc == 2 and "smoothing" in err  # q('z') would be zero
+    assert rc == 2 and "q('z') = 0" in err and "smoothing" in err
     empty = tmp_path / "empty.txt"
     empty.write_bytes(b"")
     rc, _, err = run(capsys, "code", str(empty))
@@ -252,6 +295,12 @@ def test_stats_errors(tmp_path, capsys):
     holed.write_text(json.dumps(doc))
     rc, _, err = run(capsys, "stats", str(target), "--code", str(holed))
     assert rc == 2 and "undefined" in err.lower()
+
+    # a zero q for a symbol the target never uses: no finite bound
+    target.write_bytes(b"aa")
+    rc, out, err = run(capsys, "stats", str(target), "--code", str(holed))
+    assert rc == 2 and out == "" and "q('b') = 0" in err
+    target.write_bytes(b"ab")
 
     # a non-number in "q" is bad input too
     doc["q"] = ["half", 0.5]

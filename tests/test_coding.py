@@ -87,7 +87,10 @@ def test_empirical_errors():
 
 def test_entropy_examples():
     assert entropy(Distribution("abcd", [0.25] * 4)) == 2.0
-    assert entropy(Distribution("ab", [1.0, 0.0])) == 0.0
+    # a point mass gives +0.0; -0.0 == 0.0 too, so check the sign
+    for probs in ([1.0], [1.0, 0.0], [0.0, 0.0, 1.0]):
+        h = entropy(Distribution("abc"[: len(probs)], probs))
+        assert h == 0.0 and math.copysign(1.0, h) == 1.0
     h = entropy(Distribution("ab", [0.5, 0.5]))
     assert abs(h - 1.0) < 1e-12
 
@@ -355,6 +358,7 @@ def test_bound_is_nonnegative_and_tight():
         worst = max(l + math.log2(qi) for l, qi in zip(book.lengths(), q.probs))
         assert bound >= -1e-12
         assert abs(worst - bound) <= 1e-9
+        assert evaluate(q, book, q).bound == bound
 
 
 def test_evaluate_report():
@@ -382,7 +386,7 @@ def test_evaluate_excess_below_bound():
             pp = [rng.random() for _ in range(n)]
             pt = sum(pp)
             p = Distribution(labels, [x / pt for x in pp])
-            rep = evaluate(p, book, q, bound=bound)
+            rep = evaluate(p, book, q)
             assert rep.excess <= bound + 1e-9
 
 

@@ -49,7 +49,6 @@ def test_weightseq_fields():
     assert seq.fracs[1] == 0.3
     assert seq.fracs[2] == 0.0
     assert seq.fracs[3] == 0.25
-    assert seq.d == 3
     with pytest.raises(ValueError):
         WeightSeq([])
     with pytest.raises(ValueError):
