@@ -3,7 +3,6 @@ level tree with exact undo, and order-preserving prefix-code tooling."""
 
 from .core import (
     DepthProfileError,
-    MinimaxTree,
     ParseError,
     alpha_int_fast,
     depths_to_tree,
@@ -47,7 +46,6 @@ __all__ = [
     "InexactCostError",
     "LevelTree",
     "LevelTreeError",
-    "MinimaxTree",
     "ParseError",
     "RealCostResult",
     "UndefinedDivergenceError",

@@ -107,14 +107,13 @@ def cmd_tree(args) -> int:
         ceils = seq.ceils
         strategy = res.strategy
         instrumentation = res.instrumentation
-    tree = depths_to_tree(depths)
     out = {
         "n": len(ws),
         "d": len(set(ceils)),
         "alpha": alpha,
         "offset_b": offset,
         "depths": depths,
-        "parent_array": tree.parent_array(),
+        "parent_array": depths_to_tree(depths),
         "strategy": strategy,
         "instrumentation": instrumentation,
     }

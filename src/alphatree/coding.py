@@ -337,6 +337,8 @@ class CodeBook:
             lab = e["label"]
             if isinstance(lab, bool) or not isinstance(lab, (str, int)):
                 raise CodingError("label %r is not a string or an integer" % (lab,))
+            if not isinstance(e["codeword"], str):
+                raise CodingError("codeword %r is not a string" % (e["codeword"],))
             labels.append(lab)
             codewords.append(e["codeword"])
         if len({type(lab) for lab in labels}) > 1:

@@ -123,60 +123,22 @@ def tree_cost(depths, weights):
     return max(w + d for w, d in zip(weights, depths))
 
 
-class MinimaxTree:
-    """Ordered strictly-binary tree reconstructed from a depth profile.
+def depths_to_tree(depths) -> list[int]:
+    """Validate a depth profile and return the parent array of the tree
+    realizing it.
 
     Leaves are nodes 0..n-1; internal nodes n..2n-2 follow in creation
-    order (bottom-up, left to right), so the root is the last node.
-    """
-
-    def __init__(self, depths: list[int], parents: list[int], child_pairs: list[tuple[int, int]]):
-        self.depths = depths
-        self.parents = parents
-        self.child_pairs = child_pairs  # children of node n+k, left first
-        self.n = len(depths)
-
-    def parent_array(self) -> list[int]:
-        """Parent index per node; the root holds -1."""
-        return list(self.parents)
-
-    def to_parens(self) -> str:
-        """Nested-parenthesis form: a leaf is '*', an internal node is
-        '(' + left + right + ')'."""
-        n = self.n
-        root = len(self.parents) - 1 if n > 1 else 0
-        out: list[str] = []
-        stack: list = [root]
-        while stack:
-            item = stack.pop()
-            if isinstance(item, str):
-                out.append(item)
-            elif item < n:
-                out.append("*")
-            else:
-                left, right = self.child_pairs[item - n]
-                stack.append(")")
-                stack.append(right)
-                stack.append(left)
-                stack.append("(")
-        return "".join(out)
-
-
-def depths_to_tree(depths) -> MinimaxTree:
-    """Validate a depth profile and build the tree realizing it.
-
-    The profile is consumed left to right with a stack of pending
-    subtrees; two adjacent subtrees at equal depth merge into one a
-    level up.  A valid profile finishes with exactly one subtree at
-    depth 0.
+    order (bottom-up, left to right), so the root is the last node and
+    holds parent -1.  The profile is consumed left to right with a stack
+    of pending subtrees; two adjacent subtrees at equal depth merge into
+    one a level up.  A valid profile finishes with exactly one subtree
+    at depth 0.
     """
     depths = list(depths)
     n = len(depths)
     if n == 0:
         raise DepthProfileError(0, "empty profile")
     parents = [-1] * n
-    child_pairs: list[tuple[int, int]] = []
-    next_id = n
     stack: list[tuple[int, int]] = []  # (node id, depth)
     for i, d in enumerate(depths):
         if d != int(d) or d < 0:
@@ -190,12 +152,10 @@ def depths_to_tree(depths) -> MinimaxTree:
         while len(stack) >= 2 and stack[-1][1] == stack[-2][1]:
             (b, db) = stack.pop()
             (a, _) = stack.pop()
+            u = len(parents)
+            parents[a] = parents[b] = u
             parents.append(-1)
-            parents[a] = next_id
-            parents[b] = next_id
-            child_pairs.append((a, b))
-            stack.append((next_id, db - 1))
-            next_id += 1
+            stack.append((u, db - 1))
     if len(stack) != 1 or stack[0][1] != 0:
         raise DepthProfileError(n, "profile ended before the tree was complete")
-    return MinimaxTree(depths, parents, child_pairs)
+    return parents

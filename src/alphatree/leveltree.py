@@ -52,12 +52,6 @@ from itertools import accumulate, repeat
 
 NIL = -1
 
-LEAF = 0
-INTERNAL = 1
-ROOT = 2
-
-_KIND_NAMES = {LEAF: "leaf", INTERNAL: "internal", ROOT: "root"}
-
 # journal markers: plain ints, told apart from a write by its top entry,
 # which is always one of the tree's lists
 _SEG = 0
@@ -301,9 +295,12 @@ class LevelTree:
 
     Nodes live in parallel arrays indexed by an append-only arena id.
     Ids 0..n-1 are the leaves in weight order; internal nodes follow in
-    creation order.  A pointer to an internal node may be stale after a
-    union; every such read goes through _r(), which resolves it with a
-    find.  Leaf ids are never unioned and always valid.
+    creation order.  So a node is a leaf iff its id is below n, and the
+    root is the one live node at the sentinel level: the build makes
+    exactly one node there, and a merge that folds the root in keeps its
+    level.  A pointer to an internal node may be stale after a union;
+    every such read goes through _r(), which resolves it with a find.
+    Leaf ids are never unioned and always valid.
     """
 
     def __init__(self, weights):
@@ -317,16 +314,15 @@ class LevelTree:
         self.n = n = len(weights)
         self.ceils = [math.ceil(w) for w in weights]
         self.bits = [0] * n
-        self.cap = ceil_log2(n)
         # strictly above every finite level the tree can reach
-        self.sentinel = max(self.ceils) + self.cap + 2
+        self.sentinel = max(self.ceils) + ceil_log2(n) + 2
 
         # arena (parallel arrays), built with the n leaves in it: ids
         # 0..n-1 at their ceilings, load 1, csum 0 and no links
         self._arena = (
-            self.kind, self.level, self.load, self.csum,
+            self.level, self.load, self.csum,
             self.parent, self.lsib, self.rsib, self.fch, self.lch,
-        ) = ([LEAF] * n, list(self.ceils), [1] * n, [0] * n, *([NIL] * n for _ in range(5)))
+        ) = (list(self.ceils), [1] * n, [0] * n, *([NIL] * n for _ in range(5)))
 
         self.uf = UnionFindDeunion(n)
         self.journal: list = []
@@ -339,11 +335,10 @@ class LevelTree:
     # ------------------------------------------------------------------
     # construction
 
-    def _append_node(self, kind: int, level: int) -> int:
+    def _append_node(self, level: int) -> int:
         # named appends: a loop over _arena costs about 1 us more per
         # node, which made the n = 2^14, d = 2 search 3% slower
-        u = len(self.kind)
-        self.kind.append(kind)
+        u = len(self.level)
         self.level.append(level)
         self.load.append(1)
         self.csum.append(0)
@@ -385,7 +380,7 @@ class LevelTree:
             stack.append(i)
         self._reduce(stack, self.sentinel)
         root = stack[0]
-        if len(stack) != 1 or self.kind[root] != ROOT:
+        if len(stack) != 1 or self.level[root] != self.sentinel:
             raise AssertionError("level-tree build left a malformed stack")
         return root
 
@@ -402,8 +397,7 @@ class LevelTree:
                 new_level = min(level[stack[-1]], y)
             else:
                 new_level = y
-            kind = ROOT if new_level == self.sentinel else INTERNAL
-            u = self._append_node(kind, new_level)
+            u = self._append_node(new_level)
             self._adopt(u, group)
             stack.append(u)
 
@@ -418,15 +412,16 @@ class LevelTree:
 
     def _create(self, level: int) -> int:
         self.journal.append(_CREATE)
-        return self._append_node(INTERNAL, level)
+        return self._append_node(level)
 
     def _union(self, a: int, b: int) -> int:
         self.journal.append(_UNION)
         return self.uf.union(a, b)
 
     def _r(self, x: int) -> int:
-        # resolve a possibly-stale node pointer; leaf ids never go stale
-        if x < 0 or self.kind[x] == LEAF:
+        # resolve a possibly-stale node pointer; leaf ids (and NIL) never
+        # go stale
+        if x < self.n:
             return x
         return self.uf.find(x)
 
@@ -442,7 +437,7 @@ class LevelTree:
             if new == old:
                 break
             self._set(self.load, u, new)
-            if self.kind[u] == ROOT:
+            if self.level[u] == self.sentinel:
                 break
             pu = self.uf.find(self.parent[u])
             self._set(self.csum, pu, self.csum[pu] - old + new)
@@ -532,8 +527,8 @@ class LevelTree:
             return
 
         # from here on ul and ur name internal neighbours only
-        ul = ul if ul != NIL and self.kind[ul] == INTERNAL else NIL
-        ur = ur if ur != NIL and self.kind[ur] == INTERNAL else NIL
+        ul = ul if ul >= self.n else NIL
+        ur = ur if ur >= self.n else NIL
         cl_l = lv[self._r(self.fch[ul])] if ul != NIL else None
         cl_r = lv[self._r(self.fch[ur])] if ur != NIL else None
 
@@ -566,7 +561,7 @@ class LevelTree:
         if A != NIL or B != NIL:
             # v had at least one sibling besides ul and ur, so the
             # merged node stays a child of p
-            kind, level, parent, top = INTERNAL, y, p, p
+            level, parent, top = y, p, p
             removed = ld[ul] + ld[ur] + lov
             r = self._union(ul, ur)
         else:
@@ -574,13 +569,12 @@ class LevelTree:
             # parent is reused.  A second union folds p in too, and the
             # class keeps p's identity, level and outside links, and
             # its children are ul's children, v, then ur's children.
-            kind, level, parent = self.kind[p], self.level[p], self.parent[p]
+            level, parent = self.level[p], self.parent[p]
             A = self._r(self.lsib[p])
             B = self._r(self.rsib[p])
-            top = self.uf.find(parent) if kind != ROOT else NIL
+            top = self.uf.find(parent) if level != self.sentinel else NIL
             removed = ld[p]
             r = self._union(self._union(ul, ur), p)
-        self._set(self.kind, r, kind)
         self._set(self.level, r, level)
         self._set(self.parent, r, parent)
         self._set(self.lsib, r, A)
@@ -694,7 +688,7 @@ class LevelTree:
             u, pu = stack.pop()
             ch = self._children(u)
             yield u, pu, ch
-            stack.extend((c, u) for c in reversed(ch) if self.kind[c] != LEAF)
+            stack.extend((c, u) for c in reversed(ch) if c >= self.n)
 
     def serialize(self) -> str:
         """Deterministic JSON snapshot of the live structure.
@@ -710,7 +704,7 @@ class LevelTree:
             nodes.append(
                 {
                     "id": u,
-                    "kind": _KIND_NAMES[self.kind[u]],
+                    "kind": "root" if self.level[u] == self.sentinel else "internal",
                     "level": self.level[u],
                     "load": self.load[u],
                     "csum": self.csum[u],
@@ -719,7 +713,7 @@ class LevelTree:
                 }
             )
             for c in ch:
-                if self.kind[c] == LEAF:
+                if c < self.n:
                     nodes.append(
                         {
                             "id": c,
@@ -755,8 +749,6 @@ class LevelTree:
         """
         nodes = list(self._walk())
         r = nodes[0][0]
-        if self.kind[r] != ROOT:
-            raise AssertionError("root class lost its root kind")
         if self.level[r] != self.sentinel:
             raise AssertionError("root level is not the sentinel")
         span: dict[int, tuple[int, int]] = {}
@@ -775,7 +767,7 @@ class LevelTree:
                     raise AssertionError("bad lsib under %d" % u)
                 if self.uf.find(self.parent[c]) != u:
                     raise AssertionError("child %d does not resolve to parent %d" % (c, u))
-                if self.kind[c] == LEAF:
+                if c < self.n:
                     if self.load[c] != 1:
                         raise AssertionError("leaf %d has load != 1" % c)
                     if self.level[c] != self.ceils[c] - self.bits[c]:
@@ -799,7 +791,7 @@ class LevelTree:
         if span[r] != (0, self.n):
             raise AssertionError("leaves do not cover 0..n-1 in order")
         live_internal = sum(
-            1 for x in range(self.n, len(self.kind)) if self.uf.find(x) == x
+            1 for x in range(self.n, len(self.level)) if self.uf.find(x) == x
         )
         if len(nodes) != live_internal:
             raise AssertionError("unreachable live internal nodes exist")
@@ -824,13 +816,13 @@ class LevelTree:
         for u, _, ch in reversed(list(self._walk())):
             fl = []
             for c in ch:
-                if self.kind[c] == LEAF:
+                if c < self.n:
                     fl.append(c)
                     end = c + 1
                 else:
                     sub, end = frags.pop(c)
                     fl.extend(sub)
-            if self.kind[u] == ROOT:
+            if self.level[u] == self.sentinel:
                 fl = _pair(fl, ceil_log2(len(fl)), end, diff)
             else:
                 fl = _pair(fl, self.level[u] - self.level[ch[0]], end, diff)

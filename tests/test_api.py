@@ -14,7 +14,6 @@ def test_public_names():
         "InexactCostError",
         "LevelTree",
         "LevelTreeError",
-        "MinimaxTree",
         "ParseError",
         "RealCostResult",
         "UndefinedDivergenceError",

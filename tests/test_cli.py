@@ -5,6 +5,7 @@ import pytest
 
 import alphatree.cli
 import alphatree.coding
+import alphatree.core
 from alphatree.cli import main
 from alphatree.leveltree import LevelTree, LevelTreeError
 
@@ -138,6 +139,18 @@ def test_main_looks_commands_up_by_name(monkeypatch):
     monkeypatch.setattr(alphatree.cli, "cmd_stats", lambda args: seen.append(args.target) or 7)
     assert main(["stats", "t.txt", "--code", "c.json"]) == 7
     assert seen == ["t.txt"]
+
+
+def test_build_code_looks_depths_to_tree_up_by_name(monkeypatch):
+    # codewords_from_depths imports depths_to_tree when it is called, so
+    # a rebound core.depths_to_tree (a tracer's wrapper, say) is the one
+    # that runs
+    seen = []
+    real = alphatree.core.depths_to_tree
+    monkeypatch.setattr(alphatree.core, "depths_to_tree", lambda d: seen.append(d) or real(d))
+    book = alphatree.coding.build_code(alphatree.coding.Distribution("abc", [0.5, 0.25, 0.25]))
+    assert book.codewords == ("0", "10", "11")
+    assert seen == [[1, 2, 2]]
 
 
 def test_main_parses_each_call_afresh(monkeypatch):

@@ -211,6 +211,11 @@ def test_codebook_json_errors():
         bad = [dict(e, label=lab) for e, lab in zip(code, labels)]
         with pytest.raises(CodingError):
             CodeBook.from_json(json.dumps({"code": bad, "q": [0.5, 0.5]}))
+    # a codeword must be a JSON string, not a number that reads as bits
+    for codewords in ([0, 1], ["0", 1], [10, 11], [None, "1"], [["0"], "1"]):
+        bad = [dict(e, codeword=cw) for e, cw in zip(code, codewords)]
+        with pytest.raises(CodingError, match="not a string"):
+            CodeBook.from_json(json.dumps({"code": bad}))
     ints = [dict(e, label=k) for k, e in enumerate(code)]
     book, _ = CodeBook.from_json(json.dumps({"code": ints}))
     assert book.labels == (0, 1)

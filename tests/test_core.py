@@ -150,13 +150,11 @@ def test_parse_weights_errors():
 
 
 def test_depths_to_tree_examples():
-    t = depths_to_tree([1, 2, 2])
-    assert t.parent_array() == [4, 3, 3, 4, -1]
-    assert t.to_parens() == "(*(**))"
-    t = depths_to_tree([2, 2, 1])
-    assert t.to_parens() == "((**)*)"
-    assert depths_to_tree([0]).to_parens() == "*"
-    assert depths_to_tree([0]).parent_array() == [-1]
+    # leaves first, then internal nodes bottom-up and left to right
+    assert depths_to_tree([1, 2, 2]) == [4, 3, 3, 4, -1]
+    assert depths_to_tree([2, 2, 1]) == [3, 3, 4, 4, -1]
+    assert depths_to_tree([2, 2, 2, 2]) == [4, 4, 5, 5, 6, 6, -1]
+    assert depths_to_tree([0]) == [-1]
 
 
 def test_depths_to_tree_random_roundtrip():
@@ -165,12 +163,13 @@ def test_depths_to_tree_random_roundtrip():
         n = rng.randint(1, 12)
         ws = [rng.randint(-4, 4) for _ in range(n)]
         _, depths = alpha_int_fast(ws)
-        t = depths_to_tree(depths)
-        parens = t.to_parens()
-        assert parens.count("*") == n
-        assert parens.count("(") == max(n - 1, 0)
+        pa = depths_to_tree(depths)
+        assert len(pa) == 2 * n - 1
+        assert pa[-1] == -1 and -1 not in pa[:-1]
+        # every internal node has exactly two children, created after them
+        assert sorted(pa[:-1]) == sorted(list(range(n, 2 * n - 1)) * 2)
+        assert all(p > c for c, p in enumerate(pa[:-1]))
         # leaf depths recoverable from the parent array
-        pa = t.parent_array()
         for i, d in enumerate(depths):
             hops, node = 0, i
             while pa[node] != -1:

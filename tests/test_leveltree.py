@@ -4,6 +4,13 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from alphatree import LevelTree, LevelTreeError, alpha_int_fast, tree_cost
 from alphatree.core import alpha_int_oracle
@@ -333,7 +340,7 @@ def test_large_dynamic_matches_fresh_build():
 
 
 # integer level lists: general ones with negatives, long all-equal
-# runs, and few levels far apart (gaps much wider than 2^cap)
+# runs, and few levels far apart (gaps much wider than log2 n)
 level_lists = st.one_of(
     st.lists(st.integers(-12, 12), min_size=1, max_size=40),
     st.builds(lambda v, n: [v] * n, st.integers(-5, 5), st.integers(1, 40)),
@@ -402,3 +409,44 @@ def test_squeeze_keeps_every_enclosing_cost(p, r, s):
     again = ([], [])
     static_squeeze(*out, again)
     assert again == out
+
+
+class SetUndoMachine(RuleBasedStateMachine):
+    """Random set/undo sequences on one live tree.  After every step the
+    tree passes audit() and its cost is the static pass's over its
+    current levels; every undo restores serialize() byte for byte.  The
+    node kinds in serialize() and the root test in audit() are derived
+    from ids and levels, so this also checks that derivation."""
+
+    # at least one weight is not an integer, so a first set is possible
+    @initialize(ws=st.lists(
+        st.builds(lambda c, f: c - f, st.integers(-4, 4), st.sampled_from([0.0, 0.25, 0.5, 0.9])),
+        min_size=1, max_size=24,
+    ).filter(lambda ws: any(w != math.floor(w) for w in ws)))
+    def build(self, ws):
+        self.tree = LevelTree(ws)
+        self.before: list[str] = []  # serialize() before each open set
+
+    @precondition(lambda self: settable(self.tree))
+    @rule(data=st.data())
+    def set(self, data):
+        i = data.draw(st.sampled_from(settable(self.tree)))
+        self.before.append(self.tree.serialize())
+        self.tree.set(i)
+
+    @precondition(lambda self: self.before)
+    @rule()
+    def undo(self):
+        self.tree.undo()
+        assert self.tree.serialize() == self.before.pop()
+
+    @invariant()
+    def consistent(self):
+        self.tree.audit()
+        assert self.tree.cost() == static_cost(self.tree.current_levels())
+
+
+SetUndoMachine.TestCase.settings = settings(
+    max_examples=100, stateful_step_count=40, deadline=None
+)
+test_set_undo_machine = SetUndoMachine.TestCase

@@ -1,8 +1,9 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from alphatree import (
     InexactCostError,
@@ -11,6 +12,7 @@ from alphatree import (
     alpha_real_new,
     alpha_real_sorted,
 )
+from alphatree.core import minimax_cost_by_dp
 from alphatree.realweight import alpha_real_oracle, select_kth
 from alphatree.cli import generate_weights
 from helpers import random_real_weights, unsqueezed_sorted
@@ -299,3 +301,45 @@ def test_counter_budgets(n, d):
     assert new["sets"] <= n
     assert new["partition_items"] <= 2 * n
     assert alpha_real_sorted(ws).instrumentation["probe_items"] <= 8 * n
+
+
+# wide weights: the ones above, magnitudes in every binade from 2^-60 up
+# to just under 2^52, and tiny negatives, whose fractional parts round
+wide_weights = st.one_of(
+    weights,
+    st.builds(math.ldexp, st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+              st.integers(-59, 52)),
+    st.builds(lambda m, e: -math.ldexp(m, e), st.floats(0.5, 1.0), st.integers(-60, -1)),
+)
+wide_weight_lists = st.one_of(
+    st.lists(wide_weights, min_size=1, max_size=12),
+    st.lists(wide_weights, min_size=1, max_size=3).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=12)
+    ),
+    st.lists(wide_weights, min_size=13, max_size=40),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(wide_weight_lists)
+@example([-1024.1518456037575, -0.003957823579500495, -114620969.72231531])
+@example([2**52 - 0.5] + [2**52 - 1.5] * 3)
+def test_wide_weights_match_new_and_the_rational_dp(ws):
+    # both strategies give the same answer or both reject it; for small
+    # n that answer is the exact DP value rounded once (a float DP would
+    # round at every +1)
+    try:
+        res = alpha_real(ws)
+    except InexactCostError:
+        with pytest.raises(InexactCostError):
+            alpha_real_new(ws)
+        res = None
+    else:
+        new = alpha_real_new(ws)
+        assert (res.alpha, res.b, res.depths) == (new.alpha, new.b, new.depths)
+    if len(ws) <= 12:
+        exact = minimax_cost_by_dp([Fraction(w) for w in ws])
+        if res is None:
+            assert abs(exact) >= 2**52 and Fraction(float(exact)) != exact
+        else:
+            assert res.alpha == float(exact)
