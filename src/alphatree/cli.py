@@ -253,7 +253,7 @@ def _bench_job(seed: int, n: int, d: int, trial: int, algos: list[str]) -> list[
         rows.append(row)
     first = results[0]
     for res in results[1:]:
-        if abs(res.alpha - first.alpha) > 1e-9 or res.b != first.b:
+        if (res.alpha, res.b) != (first.alpha, first.b):
             raise InternalCheckError(
                 "strategies disagree (seed=%d n=%d d=%d trial=%d): "
                 "%s gave alpha=%r b=%r, %s gave alpha=%r b=%r"

@@ -186,13 +186,15 @@ class CodeBook:
 
     def __init__(self, labels, codewords):
         labels = list(labels)
-        codewords = [str(c) for c in codewords]
+        codewords = list(codewords)
         if not labels or len(labels) != len(codewords):
             raise CodingError("label/codeword lists empty or mismatched")
         for a, b in zip(labels, labels[1:]):
             if not a < b:
                 raise CodingError("labels must be strictly increasing (%r >= %r)" % (a, b))
         for cw in codewords:
+            if not isinstance(cw, str):
+                raise CodingError("codeword %r is not a string" % (cw,))
             if cw.strip("01") != "":
                 raise CodingError("codeword %r is not binary" % (cw,))
             if cw == "" and len(codewords) > 1:
@@ -337,8 +339,6 @@ class CodeBook:
             lab = e["label"]
             if isinstance(lab, bool) or not isinstance(lab, (str, int)):
                 raise CodingError("label %r is not a string or an integer" % (lab,))
-            if not isinstance(e["codeword"], str):
-                raise CodingError("codeword %r is not a string" % (e["codeword"],))
             labels.append(lab)
             codewords.append(e["codeword"])
         if len({type(lab) for lab in labels}) > 1:

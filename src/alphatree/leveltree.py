@@ -49,6 +49,7 @@ from __future__ import annotations
 import json
 import math
 from itertools import accumulate, repeat
+from operator import setitem
 
 NIL = -1
 
@@ -108,10 +109,12 @@ class UnionFindDeunion:
         whenever unions issued after its creation have been deunioned
         (the level tree's journal guarantees this order).
         """
-        x = self.parent.pop()
-        self.rank.pop()
-        if x != len(self.parent):
+        x = len(self.parent) - 1
+        # a root with children has rank >= 1 under union by rank
+        if self.parent[x] != x or self.rank[x] != 0:
             raise LevelTreeError("union-find pop on a non-singleton element")
+        self.parent.pop()
+        self.rank.pop()
 
     def find(self, x: int) -> int:
         self.finds += 1
@@ -297,10 +300,10 @@ class LevelTree:
     Ids 0..n-1 are the leaves in weight order; internal nodes follow in
     creation order.  So a node is a leaf iff its id is below n, and the
     root is the one live node at the sentinel level: the build makes
-    exactly one node there, and a merge that folds the root in keeps its
-    level.  A pointer to an internal node may be stale after a union;
-    every such read goes through _r(), which resolves it with a find.
-    Leaf ids are never unioned and always valid.
+    exactly one node there, and a set that folds the root into a union
+    keeps its level.  A pointer to an internal node may be stale after a
+    union; every such read goes through _r(), which resolves it with a
+    find.  Leaf ids are never unioned and always valid.
     """
 
     def __init__(self, weights):
@@ -425,14 +428,11 @@ class LevelTree:
             return x
         return self.uf.find(x)
 
-    def _node_load(self, u: int, child_level: int) -> int:
-        return _ceil_shift(self.csum[u], self.level[u] - child_level)
-
     def _refresh_up(self, u: int) -> None:
         # recompute load(u) and propagate the delta while it changes
         while u != NIL:
             fr = self._r(self.fch[u])
-            new = self._node_load(u, self.level[fr])
+            new = _ceil_shift(self.csum[u], self.level[u] - self.level[fr])
             old = self.load[u]
             if new == old:
                 break
@@ -499,174 +499,123 @@ class LevelTree:
     # ------------------------------------------------------------------
     # the set(i) surgery
     #
-    # v's parent keeps all children at one level y; v moves to y-1, so
-    # the two pieces adjacent to v merge with it one level down.  Leaf
-    # neighbours stay put as level-y points.  The case depends on how
-    # many internal neighbours already have their children at y-1:
-    #   two   _merge joins them around v with one union
-    #   one   _absorb puts v under that host, followed by the internal
-    #         neighbour on v's other side, if any, re-levelled to y-1
-    #   none  _wrap makes a fresh level-y node over v and its internal
-    #         neighbours, re-levelled to y-1
-    # A side of v is given by toward, the sibling link stepping toward v
-    # (rsib on the left, lsib on the right), away, the opposite link, and
-    # end, the child pointer facing v (lch on the left, fch on the right).
+    # v's parent p keeps all children at one level y, and v moves to y-1.
+    # Then v and its internal neighbours are children, at y-1, of one
+    # level-y node r, while leaf neighbours stay at y.  A side of v holds
+    # a host (an internal neighbour whose children sit at y-1 already),
+    # another internal neighbour, which drops to y-1 under r, or none (a
+    # leaf or nothing).  r is the union of two hosts, with p folded in
+    # when v had no other sibling; else the one host; else a fresh node.
+    # _join links each side to r through its (inward, outward, far)
+    # links: rsib, lsib, fch on the left and lsib, rsib, lch on the right.
+    # All reads precede the first write, since the left side's far write
+    # onto a right host replaces that host's child facing v.  Only two
+    # hosts need a host's far child and outer sibling: r may be either.
 
     def _lower_leaf(self, v: int) -> None:
         lv = self.level
         y = lv[v]
         ny = y - 1
-        p = self.uf.find(self.parent[v])
-        ul = self._r(self.lsib[v])
-        ur = self._r(self.rsib[v])
-
+        ul = self.lsib[v]
+        ur = self.rsib[v]
         if ul == NIL and ur == NIL:
             # only child: the parent's child level simply drops
             self._set(lv, v, ny)
-            self._refresh_up(p)
+            self._refresh_up(self.uf.find(self.parent[v]))
             return
+        ld, cs, n, find = self.load, self.csum, self.n, self.uf.find
+        p = find(self.parent[v])
 
-        # from here on ul and ur name internal neighbours only
-        ul = ul if ul >= self.n else NIL
-        ur = ur if ur >= self.n else NIL
-        cl_l = lv[self._r(self.fch[ul])] if ul != NIL else None
-        cl_r = lv[self._r(self.fch[ur])] if ur != NIL else None
+        # el and er: the hosts' children facing v, NIL on other sides
+        removed = csum = ld[v]
+        el = er = cl_l = cl_r = NIL
+        if ul >= n:
+            ul = find(ul)
+            cl_l = lv[self._r(self.fch[ul])]
+            removed += ld[ul]
+            if cl_l == ny:
+                el = self._r(self.lch[ul])
+                csum += cs[ul]
+        if ur >= n:
+            ur = find(ur)
+            cl_r = lv[self._r(self.fch[ur])]
+            removed += ld[ur]
+            if cl_r == ny:
+                er = self._r(self.fch[ur])
+                csum += cs[ur]
 
-        if cl_l == ny and cl_r == ny:
-            self._merge(v, ul, ur, p, y, ny)
-        elif cl_l == ny:
-            self._absorb(v, ul, ur, p, ny, cl_r, self.rsib, self.lsib, self.lch)
-        elif cl_r == ny:
-            self._absorb(v, ur, ul, p, ny, cl_l, self.lsib, self.rsib, self.fch)
-        else:
-            # with no internal neighbour this is the degenerate
-            # one-child piece over v alone
-            self._wrap(v, ul, ur, p, y, ny, cl_l, cl_r)
-
-    def _merge(self, v, ul, ur, p, y, ny):
-        # Both pieces already sit one level down: one union combines ul
-        # and ur, and v is spliced between their child lists.  The link
-        # into ul from its left (a sibling's rsib or p's fch) still names
-        # ul and resolves to the merged class; same on the right, so no
-        # sibling rewrites are needed there.
-        ld, cs = self.load, self.csum
-        lov = ld[v]
-        l1 = self._r(self.lch[ul])
-        f2 = self._r(self.fch[ur])
-        f1 = self._r(self.fch[ul])
-        l2 = self._r(self.lch[ur])
-        A = self._r(self.lsib[ul])
-        B = self._r(self.rsib[ur])
-        csum = cs[ul] + cs[ur] + lov
-        if A != NIL or B != NIL:
-            # v had at least one sibling besides ul and ur, so the
-            # merged node stays a child of p
-            level, parent, top = y, p, p
-            removed = ld[ul] + ld[ur] + lov
-            r = self._union(ul, ur)
-        else:
-            # v's only siblings were ul and ur: no new node; the former
-            # parent is reused.  A second union folds p in too, and the
-            # class keeps p's identity, level and outside links, and
-            # its children are ul's children, v, then ur's children.
-            level, parent = self.level[p], self.parent[p]
-            A = self._r(self.lsib[p])
-            B = self._r(self.rsib[p])
-            top = self.uf.find(parent) if level != self.sentinel else NIL
-            removed = ld[p]
-            r = self._union(self._union(ul, ur), p)
-        self._set(self.level, r, level)
-        self._set(self.parent, r, parent)
-        self._set(self.lsib, r, A)
-        self._set(self.rsib, r, B)
-        self._set(self.fch, r, f1)
-        self._set(self.lch, r, l2)
-        self._set(cs, r, csum)
-        self._set(self.rsib, l1, v)
-        self._set(self.lsib, v, l1)
-        self._set(self.rsib, v, f2)
-        self._set(self.lsib, f2, v)
-        self._set(self.parent, v, r)
-        self._set(self.level, v, ny)
-        nlo = self._node_load(r, ny)
-        self._set(ld, r, nlo)
-        if top != NIL:
-            self._set(cs, top, cs[top] - removed + nlo)
-            self._refresh_up(top)
-
-    def _absorb(self, v, host, nb, p, ny, cl_nb, toward, away, end):
-        # host's children are already at y-1: v joins them at host's end
-        # facing v.  nb is the internal neighbour on v's far side, or
-        # NIL; it drops to level y-1 and hangs after v as host's new end
-        # child.  Whatever lay beyond becomes host's sibling.
-        ld, cs = self.load, self.csum
-        lov = ld[v]
-        last = nb if nb != NIL else v
-        removed = lov + ld[host] + (ld[nb] if nb != NIL else 0)
-        beyond = self._r(toward[last])
-        e = self._r(end[host])
-
-        self._set(toward, host, beyond)
-        if beyond != NIL:
-            self._set(away, beyond, host)
-        else:
-            self._set(end, p, host)
-        self._set(toward, e, v)
-        self._set(away, v, e)
-        self._set(toward, v, nb)
-        csum = cs[host] + lov
-        if nb != NIL:
-            csum += self._hang(nb, host, v, ny, cl_nb, away, toward)
-        self._set(end, host, last)
-        self._set(self.parent, v, host)
-        self._set(self.level, v, ny)
-        self._set(cs, host, csum)
-        nlo = self._node_load(host, ny)
-        self._set(ld, host, nlo)
-        self._set(cs, p, cs[p] - removed + nlo)
-        self._refresh_up(p)
-
-    def _wrap(self, v, ul, ur, p, y, ny, cl_l, cl_r):
-        # No piece can take v at level y-1 directly: make a fresh node
-        # at level y over [ul?, v, ur?], re-levelling the taken
-        # neighbours to y-1.
-        ld, cs = self.load, self.csum
-        u = self._create(y)
-        self.parent[u] = p
-        removed = csu = ld[v]
-        for nb, cl, toward, away, end in (
-            (ul, cl_l, self.rsib, self.lsib, self.fch),
-            (ur, cl_r, self.lsib, self.rsib, self.lch),
-        ):
-            edge = nb if nb != NIL else v
-            outer = self._r(away[edge])
-            away[u] = outer
-            end[u] = edge
-            if outer != NIL:
-                self._set(toward, outer, u)
+        st = put = self._set  # put writes r's own fields
+        if el != NIL and er != NIL:
+            fl = self._r(self.fch[ul])
+            lr = self._r(self.lch[ur])
+            a = self._r(self.lsib[ul])
+            b = self._r(self.rsib[ur])
+            if a == NIL and b == NIL:
+                # r takes p's place, level and links, under p's parent
+                level, parent = lv[p], self.parent[p]
+                a = self._r(self.lsib[p])
+                b = self._r(self.rsib[p])
+                removed = ld[p]
+                r = self._union(self._union(ul, ur), p)
+                p = find(parent) if level != self.sentinel else NIL
+                put(lv, r, level)
+                put(self.parent, r, parent)
             else:
-                self._set(end, p, u)
-            self._set(away, v, nb)
-            if nb != NIL:
-                removed += ld[nb]
-                csu += self._hang(nb, u, v, ny, cl, toward, away)
-        self._set(self.parent, v, u)
-        self._set(self.level, v, ny)
-        self.csum[u] = csu
-        self.load[u] = self._node_load(u, ny)
-        self._set(cs, p, cs[p] - removed + self.load[u])
-        self._refresh_up(p)
+                r = self._union(ul, ur)
+            put(self.lsib, r, a)
+            put(self.rsib, r, b)
+            put(self.fch, r, fl)
+            put(self.lch, r, lr)
+        elif el != NIL or er != NIL:
+            r = ul if el != NIL else ur
+        else:
+            # undo drops this node whole: writes to it need no journal
+            r = self._create(y)
+            self.parent[r] = p
+            put = setitem
 
-    def _hang(self, nb, parent, v, ny, cl, toward, away):
-        # internal neighbour nb (children at level cl) drops to y-1 as
-        # v's outer sibling under parent; toward is nb's link to v, and
-        # the caller links v back.  Returns nb's new load.
-        self._set(away, nb, NIL)
-        self._set(toward, nb, v)
-        self._set(self.parent, nb, parent)
-        self._set(self.level, nb, ny)
-        lo = self._node_load(nb, cl)
-        self._set(self.load, nb, lo)
+        st(self.parent, v, r)
+        st(lv, v, ny)
+        csum += self._join(put, r, v, ul, el, cl_l, p, self.rsib, self.lsib, self.fch)
+        csum += self._join(put, r, v, ur, er, cl_r, p, self.lsib, self.rsib, self.lch)
+        put(cs, r, csum)
+        lo = _ceil_shift(csum, lv[r] - ny)
+        put(ld, r, lo)
+        if p != NIL:
+            st(cs, p, cs[p] - removed + lo)
+            self._refresh_up(p)
+
+    def _join(self, put, r, v, u, e, cl, p, inward, outward, far) -> int:
+        # link one side of v to r, given v's neighbour u there (or NIL),
+        # a host's child e facing v (else NIL) and u's child level cl;
+        # returns what the side adds to csum(r) besides the hosts' csums
+        if e != NIL:
+            self._set(inward, e, v)
+            self._set(outward, v, e)
+            return 0
+        st = self._set
+        if u < self.n:
+            # a leaf neighbour stays outside r, as r's outer sibling
+            edge, outer = v, u
+            if u != NIL:
+                st(outward, v, NIL)
+        else:
+            edge, outer = u, self._r(outward[u])
+        put(outward, r, outer)
+        put(far, r, edge)
+        if outer == NIL:
+            st(far, p, r)
+        else:
+            st(inward, outer, r)
+        if edge == v:
+            return 0
+        # u drops to v's new level beside v; the links between them stand
+        ny = self.level[v]
+        st(outward, u, NIL)
+        st(self.parent, u, r)
+        st(self.level, u, ny)
+        lo = _ceil_shift(self.csum[u], ny - cl)
+        st(self.load, u, lo)
         return lo
 
     # ------------------------------------------------------------------
@@ -786,7 +735,7 @@ class LevelTree:
                 raise AssertionError("child level not below node %d" % u)
             if cs != self.csum[u]:
                 raise AssertionError("csum mismatch on %d" % u)
-            if self.load[u] != self._node_load(u, cl):
+            if self.load[u] != _ceil_shift(self.csum[u], self.level[u] - cl):
                 raise AssertionError("load recurrence violated on %d" % u)
         if span[r] != (0, self.n):
             raise AssertionError("leaves do not cover 0..n-1 in order")

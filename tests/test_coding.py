@@ -180,6 +180,8 @@ def test_codebook_invariants_enforced():
         CodeBook(["a", "b"], ["0", "1x"])
     with pytest.raises(CodingError):
         CodeBook([], [])
+    with pytest.raises(CodingError, match="not a string"):
+        CodeBook(["a", "b", "c"], [0, 10, 11])  # integers, not bit strings
 
 
 def test_codebook_json_roundtrip():

@@ -1,4 +1,6 @@
 import gc
+import hashlib
+import json
 import math
 import random
 
@@ -223,6 +225,33 @@ def test_deep_set_chains():
         assert t.serialize() == base
 
 
+SET_UNDO_TRACE_SHA256 = "3f424ff4b5469993d99447fb0081e461b87c8855f6127fa08b5f2a28a16ee0ba"
+
+
+def test_set_undo_trace_is_pinned():
+    # serialize() after every set and undo of a seeded trace, and each
+    # tree's final counters(), hash to a recorded digest: a rewrite of
+    # the surgery must leave the structure, the node ids and the find
+    # count byte-identical
+    rng = random.Random(1989)
+    h = hashlib.sha256()
+    for _ in range(100):
+        n = rng.randint(1, 24)
+        t = LevelTree(random_real_weights(rng, n))
+        h.update(t.serialize().encode())
+        for _ in range(rng.randint(1, 3 * n)):
+            todo = settable(t)
+            if t.segments and (not todo or rng.random() < 0.35):
+                t.undo()
+            elif todo:
+                t.set(rng.choice(todo))
+            else:
+                break
+            h.update(t.serialize().encode())
+        h.update(json.dumps(t.counters(), sort_keys=True).encode())
+    assert h.hexdigest() == SET_UNDO_TRACE_SHA256
+
+
 SURGERY_CASES = {
     "merge_siblings": "merge_siblings",
     "merge_into_parent": "merge_into_parent",
@@ -236,41 +265,40 @@ SURGERY_CASES = {
 }
 
 
-def spy_surgery(tree):
-    """Log the case of every surgery routine call on one tree."""
-    log = []
-    merge, absorb, wrap = tree._merge, tree._absorb, tree._wrap
-
-    def spy_merge(v, ul, ur, *rest):
+def surgery_case(tree, i):
+    """The case that set(i) takes, named from the tree's state before
+    the call, or None for an only child.  A host is an internal
+    neighbour of leaf i whose children already sit one level below i."""
+    ny = tree.level[i] - 1
+    ul = tree._r(tree.lsib[i])
+    ur = tree._r(tree.rsib[i])
+    if ul == NIL and ur == NIL:
+        return None
+    inner_l, inner_r = ul >= tree.n, ur >= tree.n
+    host_l = inner_l and tree.level[tree._r(tree.fch[ul])] == ny
+    host_r = inner_r and tree.level[tree._r(tree.fch[ur])] == ny
+    if host_l and host_r:
         alone = tree._r(tree.lsib[ul]) == NIL and tree._r(tree.rsib[ur]) == NIL
-        log.append("merge_into_parent" if alone else "merge_siblings")
-        merge(v, ul, ur, *rest)
-
-    def spy_absorb(v, host, nb, p, ny, cl_nb, toward, away, end):
-        case = "absorb_left" if toward is tree.rsib else "absorb_right"
-        log.append(case + "_take" if nb != NIL else case)
-        absorb(v, host, nb, p, ny, cl_nb, toward, away, end)
-
-    def spy_wrap(v, ul, ur, *rest):
-        log.append("wrap_%d" % ((ul != NIL) + (ur != NIL)))
-        wrap(v, ul, ur, *rest)
-
-    tree._merge, tree._absorb, tree._wrap = spy_merge, spy_absorb, spy_wrap
-    return log
+        return "merge_into_parent" if alone else "merge_siblings"
+    if host_l:
+        return "absorb_left_take" if inner_r else "absorb_left"
+    if host_r:
+        return "absorb_right_take" if inner_l else "absorb_right"
+    return "wrap_%d" % (inner_l + inner_r)
 
 
 def test_surgery_is_mirror_symmetric():
     # set(i) on W and set(n-1-i) on reversed W are mirror images: each
     # step must take the mirrored surgery case and reach the same cost.
-    # This guards the direction arguments of the surgery routines, and
-    # the spy makes sure every case was reached.
+    # This guards the link directions of the surgery, and every case
+    # must be reached.
     rng = random.Random(1985)
     seen = set()
     for _ in range(300):
         n = rng.randint(2, 12)
         ws = random_real_weights(rng, n, lo=-2, hi=3, integral_rate=0.15)
         a, b = LevelTree(ws), LevelTree(ws[::-1])
-        log_a, log_b = spy_surgery(a), spy_surgery(b)
+        log_a, log_b = [], []
         base_a, base_b = a.serialize(), b.serialize()
         for _ in range(rng.randint(1, 2 * n)):
             todo = settable(a)
@@ -279,6 +307,10 @@ def test_surgery_is_mirror_symmetric():
                 b.undo()
             elif todo:
                 i = rng.choice(todo)
+                case = surgery_case(a, i)
+                if case is not None:
+                    log_a.append(case)
+                    log_b.append(surgery_case(b, n - 1 - i))
                 a.set(i)
                 b.set(n - 1 - i)
             else:

@@ -31,6 +31,22 @@ def test_deunion_without_union_rejected():
         uf.deunion()
 
 
+def test_pop_rejects_a_joined_element_and_changes_nothing():
+    # the newest element is a child after union(0, 1) and a root with a
+    # child after union(1, 0); pop must refuse both before any change
+    for a, b in ((0, 1), (1, 0)):
+        uf = UnionFindDeunion(2)
+        uf.union(a, b)
+        before = (list(uf.parent), list(uf.rank), list(uf.trail))
+        with pytest.raises(LevelTreeError):
+            uf.pop()
+        assert (list(uf.parent), list(uf.rank), list(uf.trail)) == before
+        assert uf.find(0) == uf.find(1)
+        uf.deunion()
+        uf.pop()
+        assert (uf.parent, uf.rank) == ([0], [0])
+
+
 def test_find_never_mutates():
     # deunion depends on find leaving the forest untouched
     uf = UnionFindDeunion()
