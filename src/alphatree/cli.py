@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import random
 import sys
@@ -216,11 +215,6 @@ def generate_weights(rng: random.Random, n: int, d: int) -> list[float]:
     return out
 
 
-def _trial_seed(seed: int, n: int, d: int, trial: int) -> int:
-    digest = hashlib.sha256(("%d:%d:%d:%d" % (seed, n, d, trial)).encode()).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
 _ALGO_RUNNERS = {"new": alpha_real_new, "sorted": alpha_real_sorted}
 
 # bench prints every instrumentation counter, in _zero_counters() order
@@ -238,7 +232,8 @@ def _parse_int_list(text: str, what: str) -> list[int]:
 
 
 def _bench_job(seed: int, n: int, d: int, trial: int, algos: list[str]) -> list[dict]:
-    rng = random.Random(_trial_seed(seed, n, d, trial))
+    # random hashes a str seed with SHA-512, independent of PYTHONHASHSEED
+    rng = random.Random("%d:%d:%d:%d" % (seed, n, d, trial))
     seq = WeightSeq(generate_weights(rng, n, d))
     rows = []
     results = []

@@ -79,24 +79,6 @@ def minimax_cost_by_dp(values, max_n: int = 16):
     return best[0][n - 1]
 
 
-def _int_values(y, who: str) -> list[int]:
-    # y as ints: an infinite or NaN value raises LevelTreeError, any
-    # other non-integer a ValueError naming the caller
-    y = list(y)
-    for v in y:
-        if v != v or v in (math.inf, -math.inf):
-            raise LevelTreeError("weights must be finite, got %r" % (v,))
-        if v != int(v):
-            raise ValueError("%s got non-integer %r" % (who, v))
-    return [int(v) for v in y]
-
-
-def alpha_int_oracle(y, max_n: int = 16) -> int:
-    """Minimax cost of an integer sequence by the interval DP; an
-    infinite or NaN value raises LevelTreeError."""
-    return minimax_cost_by_dp(_int_values(y, "integer oracle"), max_n=max_n)
-
-
 def alpha_int_fast(y) -> tuple[int, list[int]]:
     """Minimax cost of an integer sequence in O(n), with a witness.
 
@@ -105,9 +87,15 @@ def alpha_int_fast(y) -> tuple[int, list[int]]:
     stack pass over y (leveltree.static_witness) finds both, with the
     same grouping as a LevelTree build and the same depths as its
     depth_profile(); an empty y or an infinite or NaN value raises
-    LevelTreeError.
+    LevelTreeError, and any other non-integer value ValueError.
     """
-    return static_witness(_int_values(y, "alpha_int_fast"))
+    y = list(y)
+    for v in y:
+        if v != v or v in (math.inf, -math.inf):
+            raise LevelTreeError("weights must be finite, got %r" % (v,))
+        if v != int(v):
+            raise ValueError("alpha_int_fast got non-integer %r" % (v,))
+    return static_witness([int(v) for v in y])
 
 
 def tree_cost(depths, weights):

@@ -26,8 +26,10 @@ internal node's children cover consecutive spans, left to right, whose
 union is the node's span, and the root covers [0, n).  So every leaf is
 reached exactly once, in weight order.
 
-A static integer instance needs none of that machinery: static_cost and
-static_witness group the levels exactly as the tree's build does, in one
+The build is static_witness's run stack over node ids: each maximal
+equal-level run becomes the child list of one new node.  A static
+integer instance needs none of the dynamic machinery: static_cost and
+static_witness group the levels exactly as the build does, in the same
 left-to-right stack pass with no arena, no union-find and no journal.
 static_squeeze shortens a run of weighted levels to an equivalent one,
 so that repeated passes over mostly fixed levels stay short.
@@ -353,56 +355,52 @@ class LevelTree:
         self.uf.add()
         return u
 
-    def _adopt(self, u: int, group: list[int]) -> None:
-        # link group (left to right) as the children of u; direct writes,
-        # only used at build time before any journaling
-        prev = NIL
-        for c in group:
-            self.parent[c] = u
-            self.lsib[c] = prev
-            if prev != NIL:
-                self.rsib[prev] = c
-            prev = c
-        self.rsib[prev] = NIL
-        self.fch[u] = group[0]
-        self.lch[u] = group[-1]
-        cs = 0
-        for c in group:
-            cs += self.load[c]
-        self.csum[u] = cs
-        self.load[u] = _ceil_shift(cs, self.level[u] - self.level[group[0]])
-
     def _build(self) -> int:
-        # one left-to-right pass with a stack of subtree roots whose
-        # levels are non-increasing from bottom to top; each maximal
-        # equal-level run becomes the child list of one new node
-        level = self.level
-        stack: list[int] = []
-        for i in range(self.n):
-            self._reduce(stack, level[i])
-            stack.append(i)
-        self._reduce(stack, self.sentinel)
-        root = stack[0]
-        if len(stack) != 1 or self.level[root] != self.sentinel:
-            raise AssertionError("level-tree build left a malformed stack")
-        return root
-
-    def _reduce(self, stack: list[int], y: int) -> None:
-        level = self.level
-        while stack and level[stack[-1]] < y:
-            run_level = level[stack[-1]]
-            j = len(stack) - 1
-            while j > 0 and level[stack[j - 1]] == run_level:
-                j -= 1
-            group = stack[j:]
-            del stack[j:]
-            if stack:
-                new_level = min(level[stack[-1]], y)
+        # static_witness's run stack over node ids: a run popped below the
+        # incoming level y becomes the children of one new node at
+        # min(level under it, y).  The bottom entry sits at the sentinel
+        # level, which comes last (as i = n, no leaf) and lifts the
+        # bottom run into the root.
+        level, load, csum = self.level, self.load, self.csum
+        parent, lsib, rsib, fch, lch = self.parent, self.lsib, self.rsib, self.fch, self.lch
+        new_node = self._append_node
+        n = self.n
+        top = self.sentinel
+        lv = [top]
+        runs: list[list] = [[]]
+        for i in range(n + 1):
+            y = level[i] if i < n else top
+            b = lv[-1]
+            run = [i]
+            while b < y:
+                x = lv.pop()
+                ch = runs.pop()
+                b = lv[-1]
+                z = b if b < y else y
+                u = new_node(z)
+                prev = NIL
+                cs = 0
+                for c in ch:
+                    parent[c] = u
+                    lsib[c] = prev
+                    if prev != NIL:
+                        rsib[prev] = c
+                    cs += load[c]
+                    prev = c
+                fch[u] = ch[0]
+                lch[u] = prev
+                csum[u] = cs
+                load[u] = _ceil_shift(cs, z - x)
+                if b < y:
+                    runs[-1].append(u)
+                else:
+                    run = [u, i]
+            if b == y:
+                runs[-1].extend(run)
             else:
-                new_level = y
-            u = self._append_node(new_level)
-            self._adopt(u, group)
-            stack.append(u)
+                lv.append(y)
+                runs.append(run)
+        return runs[0][0]
 
     # ------------------------------------------------------------------
     # journaled primitives
@@ -428,19 +426,21 @@ class LevelTree:
             return x
         return self.uf.find(x)
 
-    def _refresh_up(self, u: int) -> None:
-        # recompute load(u) and propagate the delta while it changes
-        while u != NIL:
-            fr = self._r(self.fch[u])
-            new = _ceil_shift(self.csum[u], self.level[u] - self.level[fr])
-            old = self.load[u]
+    def _refresh_up(self, u: int, cl: int) -> None:
+        # recompute load(u), whose children sit at level cl, and carry the
+        # change up; each parent's child level is the level of u itself
+        lv, ld, cs = self.level, self.load, self.csum
+        while True:
+            new = _ceil_shift(cs[u], lv[u] - cl)
+            old = ld[u]
             if new == old:
                 break
-            self._set(self.load, u, new)
-            if self.level[u] == self.sentinel:
+            self._set(ld, u, new)
+            cl = lv[u]
+            if cl == self.sentinel:
                 break
             pu = self.uf.find(self.parent[u])
-            self._set(self.csum, pu, self.csum[pu] - old + new)
+            self._set(cs, pu, cs[pu] - old + new)
             u = pu
 
     # ------------------------------------------------------------------
@@ -508,9 +508,13 @@ class LevelTree:
     # when v had no other sibling; else the one host; else a fresh node.
     # _join links each side to r through its (inward, outward, far)
     # links: rsib, lsib, fch on the left and lsib, rsib, lch on the right.
-    # All reads precede the first write, since the left side's far write
-    # onto a right host replaces that host's child facing v.  Only two
-    # hosts need a host's far child and outer sibling: r may be either.
+    # Each internal neighbour's child facing v (lch on the left, fch on
+    # the right) is resolved once and gives both its child level and,
+    # for a host, the child e that v links to.  Two hosts also read the
+    # far children and outer siblings, since r may be either host.  All
+    # reads precede the first write, as the left side's far write onto a
+    # right host replaces that host's child facing v.  _refresh_up then
+    # climbs from p with r's level and resolves no child pointer.
 
     def _lower_leaf(self, v: int) -> None:
         lv = self.level
@@ -521,27 +525,30 @@ class LevelTree:
         if ul == NIL and ur == NIL:
             # only child: the parent's child level simply drops
             self._set(lv, v, ny)
-            self._refresh_up(self.uf.find(self.parent[v]))
+            self._refresh_up(self.uf.find(self.parent[v]), ny)
             return
         ld, cs, n, find = self.load, self.csum, self.n, self.uf.find
         p = find(self.parent[v])
 
-        # el and er: the hosts' children facing v, NIL on other sides
+        # el and er: the hosts' children facing v, NIL on other sides; cl_l
+        # and cl_r: internal neighbours' child levels (else NIL, unread)
         removed = csum = ld[v]
         el = er = cl_l = cl_r = NIL
         if ul >= n:
             ul = find(ul)
-            cl_l = lv[self._r(self.fch[ul])]
+            e = self._r(self.lch[ul])
+            cl_l = lv[e]
             removed += ld[ul]
             if cl_l == ny:
-                el = self._r(self.lch[ul])
+                el = e
                 csum += cs[ul]
         if ur >= n:
             ur = find(ur)
-            cl_r = lv[self._r(self.fch[ur])]
+            e = self._r(self.fch[ur])
+            cl_r = lv[e]
             removed += ld[ur]
             if cl_r == ny:
-                er = self._r(self.fch[ur])
+                er = e
                 csum += cs[ur]
 
         st = put = self._set  # put writes r's own fields
@@ -583,7 +590,7 @@ class LevelTree:
         put(ld, r, lo)
         if p != NIL:
             st(cs, p, cs[p] - removed + lo)
-            self._refresh_up(p)
+            self._refresh_up(p, lv[r])
 
     def _join(self, put, r, v, u, e, cl, p, inward, outward, far) -> int:
         # link one side of v to r, given v's neighbour u there (or NIL),
@@ -648,32 +655,16 @@ class LevelTree:
         serializations are byte-identical, which is how the undo
         contract is tested.
         """
+        n, lv = self.n, self.level
         nodes = []
         for u, pu, ch in self._walk():
-            nodes.append(
-                {
-                    "id": u,
-                    "kind": "root" if self.level[u] == self.sentinel else "internal",
-                    "level": self.level[u],
-                    "load": self.load[u],
-                    "csum": self.csum[u],
-                    "children": ch,
-                    "parent": pu,
-                }
-            )
-            for c in ch:
-                if c < self.n:
-                    nodes.append(
-                        {
-                            "id": c,
-                            "kind": "leaf",
-                            "level": self.level[c],
-                            "load": self.load[c],
-                            "csum": 0,
-                            "children": [],
-                            "parent": u,
-                        }
-                    )
+            # a leaf's csum stays 0 from the build on
+            for x, px, cx in [(u, pu, ch)] + [(c, u, []) for c in ch if c < n]:
+                kind = "leaf" if x < n else "root" if lv[x] == self.sentinel else "internal"
+                nodes.append(
+                    dict(id=x, kind=kind, level=lv[x], load=self.load[x],
+                         csum=self.csum[x], children=cx, parent=px)
+                )
         payload = {
             "nodes": nodes,
             "bits": "".join(str(b) for b in self.bits),

@@ -127,9 +127,13 @@ def select_kth(values, k: int):
 
 
 def alpha_real_oracle(w, max_n: int = 16) -> float:
-    """Reference value straight from the interval DP over the reals."""
+    """Reference value from the interval DP over the exact rationals,
+    rounded once to a float (a float DP would round at every +1)."""
+    # imported here: fractions costs some 3 ms at package import
+    from fractions import Fraction
+
     seq = as_weight_seq(w)
-    return minimax_cost_by_dp(seq.weights, max_n=max_n)
+    return float(minimax_cost_by_dp([Fraction(x) for x in seq.weights], max_n=max_n))
 
 
 def _zero_counters() -> dict:

@@ -3,7 +3,7 @@
 from functools import lru_cache
 
 from alphatree import CodingError, DecodeError, WeightSeq
-from alphatree.core import alpha_int_oracle
+from alphatree.core import minimax_cost_by_dp
 from alphatree.leveltree import static_cost, static_witness
 
 
@@ -51,7 +51,7 @@ class CachedIntOracle:
         key = tuple(levels)
         got = self._cache.get(key)
         if got is None:
-            got = alpha_int_oracle(key, max_n=self.max_n)
+            got = minimax_cost_by_dp(key, max_n=self.max_n)
             self._cache[key] = got
         return got
 

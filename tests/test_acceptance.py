@@ -25,7 +25,7 @@ from alphatree import (
     evaluate,
     redundancy_bound,
 )
-from alphatree.core import alpha_int_oracle
+from alphatree.core import minimax_cost_by_dp
 from alphatree.leveltree import UnionFindDeunion
 from alphatree.realweight import alpha_real_oracle
 from alphatree.cli import generate_weights
@@ -44,14 +44,14 @@ def test_criterion_1_fast_matches_oracle():
     for n in range(1, 7):
         for ws in itertools.product(range(4), repeat=n):
             cost, _ = alpha_int_fast(ws)
-            assert cost == alpha_int_oracle(ws), ws
+            assert cost == minimax_cost_by_dp(ws), ws
             checked += 1
     rng = random.Random(0xACCE01)
     for _ in range(10_000):
         n = rng.randint(1, 12)
         ws = [rng.randint(-4, 4) for _ in range(n)]
         cost, _ = alpha_int_fast(ws)
-        assert cost == alpha_int_oracle(ws), ws
+        assert cost == minimax_cost_by_dp(ws), ws
         checked += 1
     report(1, "fast == DP oracle on %d sequences (exhaustive + random)" % checked)
 
@@ -60,7 +60,7 @@ def test_criterion_2_reference_instance():
     """The ten-leaf reference weights evaluate to the frozen value 8 on
     the oracle, the fast path, and the level tree."""
     ws = [4, 5, 2, 2, 2, 1, 2, 3, 6, 4]
-    assert alpha_int_oracle(ws) == 8
+    assert minimax_cost_by_dp(ws) == 8
     cost, depths = alpha_int_fast(ws)
     assert cost == 8
     assert max(w + d for w, d in zip(ws, depths)) == 8
@@ -78,12 +78,12 @@ def test_criterion_3_uniform_half_weight_ladder():
         tree = LevelTree([k - 0.5] * n)
         base = tree.serialize()
         assert tree.cost() == 2 * k + 1
-        assert alpha_int_oracle(tree.current_levels(), max_n=70) == 2 * k + 1
+        assert minimax_cost_by_dp(tree.current_levels(), max_n=70) == 2 * k + 1
         for pair in ((0, 1), (n - 2, n - 1)):
             for i in pair:
                 tree.set(i)
             assert tree.cost() == 2 * k
-            assert alpha_int_oracle(tree.current_levels(), max_n=70) == 2 * k
+            assert minimax_cost_by_dp(tree.current_levels(), max_n=70) == 2 * k
             tree.undo()
             tree.undo()
             assert tree.cost() == 2 * k + 1

@@ -39,7 +39,7 @@ def test_public_names():
 
 def test_helpers_and_oracles_import_from_their_modules():
     for module, names in (
-        ("alphatree.core", ("alpha_int_oracle", "minimax_cost_by_dp")),
+        ("alphatree.core", ("minimax_cost_by_dp",)),
         ("alphatree.leveltree", ("UnionFindDeunion", "ceil_log2")),
         ("alphatree.realweight", ("alpha_real_oracle", "select_kth")),
     ):

@@ -13,7 +13,7 @@ from alphatree import (
     parse_weights,
     tree_cost,
 )
-from alphatree.core import alpha_int_oracle, minimax_cost_by_dp
+from alphatree.core import minimax_cost_by_dp
 from alphatree.leveltree import ceil_log2
 from helpers import CachedIntOracle, minimax_by_enumeration
 
@@ -24,23 +24,23 @@ def test_oracle_matches_shape_enumeration():
     for _ in range(300):
         n = rng.randint(1, 6)
         ws = [rng.randint(-4, 4) for _ in range(n)]
-        assert alpha_int_oracle(ws) == minimax_by_enumeration(ws)
+        assert minimax_cost_by_dp(ws) == minimax_by_enumeration(ws)
 
 
 def test_known_costs():
-    assert alpha_int_oracle([5]) == 5
-    assert alpha_int_oracle([0, 0]) == 1
-    assert alpha_int_oracle([0, 1, 0]) == 3
-    assert alpha_int_oracle([3, 3, 3, 3]) == 5
-    assert alpha_int_oracle([1, 1, 2, 2, 2]) == 4
-    assert alpha_int_oracle([4, 5, 2, 2, 2, 1, 2, 3, 6, 4]) == 8
+    assert minimax_cost_by_dp([5]) == 5
+    assert minimax_cost_by_dp([0, 0]) == 1
+    assert minimax_cost_by_dp([0, 1, 0]) == 3
+    assert minimax_cost_by_dp([3, 3, 3, 3]) == 5
+    assert minimax_cost_by_dp([1, 1, 2, 2, 2]) == 4
+    assert minimax_cost_by_dp([4, 5, 2, 2, 2, 1, 2, 3, 6, 4]) == 8
 
 
 def test_fast_equals_oracle_exhaustive_tiny():
     for n in range(1, 5):
         for ws in itertools.product(range(3), repeat=n):
             cost, depths = alpha_int_fast(ws)
-            assert cost == alpha_int_oracle(ws), ws
+            assert cost == minimax_cost_by_dp(ws), ws
             assert tree_cost(depths, ws) == cost
 
 
@@ -101,7 +101,7 @@ def test_negative_weights():
         n = rng.randint(1, 10)
         ws = [rng.randint(-9, -1) for _ in range(n)]
         cost, _ = alpha_int_fast(ws)
-        assert cost == alpha_int_oracle(ws)
+        assert cost == minimax_cost_by_dp(ws)
 
 
 def test_dp_rejects_large_and_empty():
@@ -110,17 +110,17 @@ def test_dp_rejects_large_and_empty():
     assert minimax_cost_by_dp(list(range(20)), max_n=32) >= 19
     with pytest.raises(ValueError):
         minimax_cost_by_dp([])
-    with pytest.raises(ValueError):
-        alpha_int_oracle([1.5])
 
 
 def test_integer_paths_reject_non_finite():
-    # both integer paths share one check, so neither lets int() raise
-    # OverflowError or a bare ValueError on inf or NaN
-    for solve in (alpha_int_oracle, alpha_int_fast):
-        for bad in (math.inf, -math.inf, math.nan):
-            with pytest.raises(LevelTreeError, match="must be finite"):
-                solve([2, bad])
+    # the integer solver checks finiteness first, so int() never raises
+    # OverflowError or a bare ValueError on inf or NaN; a finite
+    # non-integer is a plain ValueError
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(LevelTreeError, match="must be finite"):
+            alpha_int_fast([2, bad])
+    with pytest.raises(ValueError, match="non-integer 1.5"):
+        alpha_int_fast([2, 1.5])
 
 
 # ----------------------------------------------------------------------
