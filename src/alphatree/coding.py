@@ -54,7 +54,7 @@ class Distribution:
         labels = list(labels)
         try:
             probs = [float(p) for p in probs]
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise CodingError("probabilities must be a list of numbers") from None
         if not labels:
             raise CodingError("distribution needs at least one symbol")
@@ -325,7 +325,8 @@ class CodeBook:
         """Parse to_json output; returns (codebook, q distribution or None)."""
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as e:
+        # a JSONDecodeError, an int too long to read, or nesting too deep
+        except (ValueError, RecursionError) as e:
             raise CodingError("codebook is not valid JSON: %s" % e) from None
         if not isinstance(doc, dict) or "code" not in doc:
             raise CodingError('codebook JSON must be an object with a "code" list')

@@ -1,13 +1,11 @@
 """Dynamic level tree over a real-weight sequence.
 
-Stores weights w_1..w_n plus a bit vector x_1..x_n and maintains the
-alphabetic minimax cost of the integer sequence
-
-    Y = ceil(w_1) - x_1, ..., ceil(w_n) - x_n
-
-under three operations: set(i) (flip x_i from 0 to 1, allowed only when
-w_i is not an integer), undo() (exact rollback of the last set), and
-cost() (O(1) plus one find).
+Keeps the levels Y = ceil(w_1) - x_1, ..., ceil(w_n) - x_n in its leaves
+(the bit x_i is ceil(w_i) minus leaf i's level; WeightSeq gives the
+ceilings) and maintains their alphabetic minimax cost under three
+operations: set(i) (flip x_i from 0 to 1, allowed only when w_i is not
+an integer), undo() (exact rollback of the last set), and cost() (O(1)
+plus one find).
 
 The tree has one leaf per weight and one internal node per level
 interval.  Every internal node keeps its children at a single common
@@ -30,28 +28,30 @@ The build is static_witness's run stack over node ids: each maximal
 equal-level run becomes the child list of one new node.  A static
 integer instance needs none of the dynamic machinery: static_cost and
 static_witness group the levels exactly as the build does, in the same
-left-to-right stack pass with no arena, no union-find and no journal.
+left-to-right stack pass with no arena, no union-find and no journal,
+and the live tree's witness is static_witness of its leaf levels.
 static_squeeze shortens a run of weighted levels to an equivalent one,
 so that repeated passes over mostly fixed levels stay short.
 
 The undo journal is one flat list.  A write is pushed as three entries:
-the old value, the index, then the list written to (an arena array or
-the bit vector).  The markers between writes are the plain ints _SEG (a
-set begins), _CREATE (a node was appended) and _UNION (a union was
-made).  undo pops the top entry: a list means a write, whose index and
-old value come next, and an int is a marker.  The union-find's trail is
-flat in the same way.  So a set pushes only ints and the tree's own
-lists, none of them a new object that the cycle collector tracks, and a
-search with some 10^5 writes journaled at once triggers no collection;
-with a tuple per write it ran about 200.
+the old value, the index, then the arena array written to.  The markers
+between writes are the plain ints _SEG (a set begins), _CREATE (a node
+was appended) and _UNION (a union was made).  undo pops the top entry:
+a list means a write, whose index and old value come next, and an int
+is a marker.  The union-find's trail is flat in the same way.  So a set
+pushes only ints and the tree's own lists, none of them a new object
+that the cycle collector tracks, and a search with some 10^5 writes
+journaled at once triggers no collection; with a tuple per write it ran
+about 200.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from itertools import accumulate, repeat
-from operator import setitem
+from operator import setitem, sub
 
 NIL = -1
 
@@ -242,10 +242,9 @@ def static_squeeze(levels, counts, out) -> None:
 def static_witness(levels) -> tuple[int, list[int]]:
     """Cost and witness depths of a non-empty integer level sequence.
 
-    Equals (LevelTree(levels).cost(), LevelTree(levels).depth_profile()):
-    the stack entries are (level, fragment starts), and a run's
-    fragments are paired once per level step as depth_profile pairs a
-    node's.
+    Equals LevelTree(levels).cost() and the depths of the tree it
+    builds: the stack entries are (level, fragment starts), and a run's
+    fragments are paired once per level step up to its node's level.
     """
     n = len(levels)
     if n == 0:
@@ -295,9 +294,50 @@ def _pair(fl: list, rounds: int, end: int, diff: list) -> list:
     return fl
 
 
+class WeightSeq:
+    """Real weight sequence with cached ceilings and fractional parts.
+
+    A weight must be a finite float or equal one exactly (an int up to
+    2^53, a dyadic Fraction): no answer for a rounded weight is exact.
+    """
+
+    def __init__(self, weights):
+        weights = list(weights)
+        if not weights:
+            raise LevelTreeError("need at least one weight")
+        try:
+            ws = list(map(float, weights))
+            self.ceils = list(map(math.ceil, ws))
+        except (OverflowError, ValueError):  # an int past the float range, inf, nan
+            ws = None
+        if ws != weights:
+            # the first weight that no float holds exactly
+            bad = next(w for w in weights if not abs(w) <= sys.float_info.max or float(w) != w)
+            raise LevelTreeError("weights must be finite and exact as floats, got %r" % (bad,))
+        self.weights = ws
+        self.n = len(ws)
+        self.fracs = list(map(sub, ws, map(math.floor, ws)))
+
+    def adjusted(self, b: float) -> list[int]:
+        """ceil(w_i - b) for b in [0, 1): the ceiling drops by one
+        exactly when 0 < frac(w_i) <= b."""
+        return _adjust(self.ceils, self.fracs, b)
+
+
+def _adjust(ceils, fracs, b) -> list[int]:
+    # each ceiling lowered by one where 0 < frac <= b
+    return [c - 1 if 0.0 < f <= b else c for c, f in zip(ceils, fracs)]
+
+
+def as_weight_seq(w) -> WeightSeq:
+    return w if isinstance(w, WeightSeq) else WeightSeq(w)
+
+
 class LevelTree:
     """Level tree with set/undo/cost over Y = ceil(w_i) - x_i.
 
+    Takes weights or a WeightSeq and keeps its weights and ceils by
+    reference; the only per-leaf state is the level, ceil(w_i) - x_i.
     Nodes live in parallel arrays indexed by an append-only arena id.
     Ids 0..n-1 are the leaves in weight order; internal nodes follow in
     creation order.  So a node is a leaf iff its id is below n, and the
@@ -309,16 +349,10 @@ class LevelTree:
     """
 
     def __init__(self, weights):
-        weights = list(weights)
-        if not weights:
-            raise LevelTreeError("need at least one weight")
-        for w in weights:
-            if not math.isfinite(w):
-                raise LevelTreeError("weights must be finite, got %r" % (w,))
-        self.weights = weights
-        self.n = n = len(weights)
-        self.ceils = [math.ceil(w) for w in weights]
-        self.bits = [0] * n
+        seq = as_weight_seq(weights)
+        self.weights = seq.weights
+        self.ceils = seq.ceils
+        self.n = n = seq.n
         # strictly above every finite level the tree can reach
         self.sentinel = max(self.ceils) + ceil_log2(n) + 2
 
@@ -454,15 +488,14 @@ class LevelTree:
         """
         if not 0 <= i < self.n:
             raise IndexError("leaf index %d out of range" % i)
-        w = self.weights[i]
-        if w == math.floor(w):
+        w, c = self.weights[i], self.ceils[i]
+        if w == c:
             raise LevelTreeError("set(%d): weight %r is an integer" % (i, w))
-        if self.bits[i]:
+        if self.level[i] != c:
             raise LevelTreeError("set(%d): bit is already 1" % i)
         self.journal.append(_SEG)
         self.segments += 1
         self.sets += 1
-        self._set(self.bits, i, 1)
         self._lower_leaf(i)
 
     def undo(self) -> None:
@@ -494,7 +527,7 @@ class LevelTree:
 
     def current_levels(self) -> list[int]:
         """Y as a list: ceil(w_i) - x_i per leaf."""
-        return [self.ceils[i] - self.bits[i] for i in range(self.n)]
+        return self.level[: self.n]
 
     # ------------------------------------------------------------------
     # the set(i) surgery
@@ -651,9 +684,9 @@ class LevelTree:
 
         Lists every reachable internal node in preorder with its resolved
         links, each followed by its leaf children, plus the bit vector
-        and the journal depth.  Two states behave identically iff their
-        serializations are byte-identical, which is how the undo
-        contract is tested.
+        (each leaf's ceiling minus its level) and the journal depth.
+        Two states behave identically iff their serializations are
+        byte-identical, which is how the undo contract is tested.
         """
         n, lv = self.n, self.level
         nodes = []
@@ -667,7 +700,7 @@ class LevelTree:
                 )
         payload = {
             "nodes": nodes,
-            "bits": "".join(str(b) for b in self.bits),
+            "bits": "".join(str(c - y) for c, y in zip(self.ceils, lv)),
             "journal_depth": self.segments,
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -710,8 +743,10 @@ class LevelTree:
                 if c < self.n:
                     if self.load[c] != 1:
                         raise AssertionError("leaf %d has load != 1" % c)
-                    if self.level[c] != self.ceils[c] - self.bits[c]:
-                        raise AssertionError("leaf %d level out of sync with bits" % c)
+                    # a leaf sits at its ceiling, or one below if settable
+                    bit = self.ceils[c] - self.level[c]
+                    if not 0 <= bit <= (self.weights[c] != self.ceils[c]):
+                        raise AssertionError("leaf %d is not at its ceiling or one below" % c)
                     spans.append((c, c + 1))
                 else:
                     spans.append(span[c])
@@ -740,35 +775,8 @@ class LevelTree:
     # witness extraction
 
     def depth_profile(self) -> list[int]:
-        """Leaf depths of one optimal tree realizing cost().
-
-        Per node, the children's tree fragments are concatenated in
-        sibling order and paired from the left (odd fragment last, kept
-        unpaired) once per level step up to the node's level, stopping
-        early at a single fragment; the fragment count must then equal
-        the node's load.  The root keeps pairing until one fragment is
-        left, whose shape is the witness tree.
-        """
-        # per node: its fragments' start leaves and the end of its leaves
-        frags: dict[int, tuple[list, int]] = {}
-        diff = [0] * (self.n + 1)
-        # children before parents: the walk's preorder, reversed
-        for u, _, ch in reversed(list(self._walk())):
-            fl = []
-            for c in ch:
-                if c < self.n:
-                    fl.append(c)
-                    end = c + 1
-                else:
-                    sub, end = frags.pop(c)
-                    fl.extend(sub)
-            if self.level[u] == self.sentinel:
-                fl = _pair(fl, ceil_log2(len(fl)), end, diff)
-            else:
-                fl = _pair(fl, self.level[u] - self.level[ch[0]], end, diff)
-                if len(fl) != self.load[u]:
-                    raise AssertionError(
-                        "fragment count %d != load %d at node %d" % (len(fl), self.load[u], u)
-                    )
-            frags[u] = (fl, end)
-        return list(accumulate(diff[: self.n]))
+        """Leaf depths of one optimal tree realizing cost(): the static
+        witness of the leaf levels, since the live tree differs from a
+        fresh build only by single-child chains, along which pairing for
+        a rounds and then b rounds is pairing for a + b rounds."""
+        return static_witness(self.level[: self.n])[1]

@@ -32,41 +32,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 
-from .leveltree import LevelTree, static_cost, static_squeeze, static_witness
+from .leveltree import LevelTree, WeightSeq, _adjust, as_weight_seq
+from .leveltree import static_cost, static_squeeze, static_witness
 from .core import minimax_cost_by_dp
-
-
-class WeightSeq:
-    """Real weight sequence with cached ceilings and fractional parts."""
-
-    def __init__(self, weights):
-        ws = [float(w) for w in weights]
-        if not ws:
-            raise ValueError("need at least one weight")
-        for w in ws:
-            if not math.isfinite(w):
-                raise ValueError("weights must be finite, got %r" % (w,))
-        self.weights = ws
-        self.n = len(ws)
-        self.ceils = [math.ceil(w) for w in ws]
-        self.fracs = [w - math.floor(w) for w in ws]
-
-    def adjusted(self, b: float) -> list[int]:
-        """ceil(w_i - b) for b in [0, 1): the ceiling drops by one
-        exactly when 0 < frac(w_i) <= b."""
-        return _adjust(self.ceils, self.fracs, b)
-
-    def __len__(self):
-        return self.n
-
-
-def _adjust(ceils, fracs, b) -> list[int]:
-    # each ceiling lowered by one where 0 < frac <= b
-    return [c - 1 if 0.0 < f <= b else c for c, f in zip(ceils, fracs)]
-
-
-def as_weight_seq(w) -> WeightSeq:
-    return w if isinstance(w, WeightSeq) else WeightSeq(w)
 
 
 class InexactCostError(ValueError):
@@ -243,7 +211,7 @@ def alpha_real_new(w) -> RealCostResult:
     bmax = max(fracs)
     target = _probe(seq.ceils, seq.fracs, None, bmax, acc)
 
-    tree = LevelTree(seq.weights)  # all bits clear: the state at offset 0
+    tree = LevelTree(seq)  # all bits clear: the state at offset 0
     if tree.cost() == target:
         # already optimal with no ceiling adjusted; some frac must be
         # zero (otherwise bmax would have improved the cost), so 0 is a

@@ -1,10 +1,11 @@
 """Shared test utilities: independent oracles and instance generators."""
 
 from functools import lru_cache
+from itertools import accumulate
 
 from alphatree import CodingError, DecodeError, WeightSeq
 from alphatree.core import minimax_cost_by_dp
-from alphatree.leveltree import static_cost, static_witness
+from alphatree.leveltree import _pair, ceil_log2, static_cost, static_witness
 
 
 @lru_cache(maxsize=None)
@@ -129,3 +130,39 @@ def unsqueezed_sorted(w):
     cost, depths = static_witness(seq.adjusted(order[lo]))
     assert cost == target
     return order[lo], target, depths, probes + 1
+
+
+def walk_depth_profile(tree):
+    """Reference witness of a LevelTree, by a walk of its nodes.
+
+    Per node, the children's tree fragments are concatenated in sibling
+    order and paired from the left (odd fragment last, kept unpaired)
+    once per level step up to the node's level, stopping early at a
+    single fragment; the fragment count must then equal the node's
+    load.  The root keeps pairing until one fragment is left, whose
+    shape is the witness tree.  static_witness and the live tree's
+    depth_profile() must both give these depths.
+    """
+    n, level = tree.n, tree.level
+    # per node: its fragments' start leaves and the end of its leaves
+    frags = {}
+    diff = [0] * (n + 1)
+    # children before parents: the walk's preorder, reversed
+    for u, _, ch in reversed(list(tree._walk())):
+        fl = []
+        for c in ch:
+            if c < n:
+                fl.append(c)
+                end = c + 1
+            else:
+                sub, end = frags.pop(c)
+                fl.extend(sub)
+        if level[u] == tree.sentinel:
+            fl = _pair(fl, ceil_log2(len(fl)), end, diff)
+        else:
+            fl = _pair(fl, level[u] - level[ch[0]], end, diff)
+            assert len(fl) == tree.load[u], (
+                "fragment count %d != load %d at node %d" % (len(fl), tree.load[u], u)
+            )
+        frags[u] = (fl, end)
+    return list(accumulate(diff[:n]))

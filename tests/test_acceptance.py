@@ -108,7 +108,7 @@ def test_criterion_4_dynamic_against_oracle():
             todo = [
                 i
                 for i in range(n)
-                if ws[i] != int(ws[i]) and not tree.bits[i]
+                if ws[i] != int(ws[i]) and tree.level[i] == tree.ceils[i]
             ]
             if tree.segments and (not todo or rng.random() < 0.45):
                 tree.undo()

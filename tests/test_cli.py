@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
 import math
+import os
+import shlex
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import alphatree.cli
 import alphatree.coding
@@ -315,11 +321,16 @@ def test_stats_errors(tmp_path, capsys):
     assert rc == 2 and out == "" and "q('b') = 0" in err
     target.write_bytes(b"ab")
 
-    # a non-number in "q" is bad input too
-    doc["q"] = ["half", 0.5]
-    holed.write_text(json.dumps(doc))
+    # a non-number or a number past the float range in "q" is bad input
+    # too, and so is JSON nested deeper than the parser recurses
+    for text in (json.dumps(dict(doc, q=["half", 0.5])),
+                 json.dumps(doc).replace('"q": [1.0', '"q": [1' + "0" * 400)):
+        holed.write_text(text)
+        rc, _, err = run(capsys, "stats", str(target), "--code", str(holed))
+        assert rc == 2 and "numbers" in err
+    holed.write_text("[" * 100_000)
     rc, _, err = run(capsys, "stats", str(target), "--code", str(holed))
-    assert rc == 2 and "numbers" in err
+    assert rc == 2 and "not valid JSON" in err
 
     # labels that mix strings and integers, or that are lists, are bad
     # input, not a crash
@@ -380,3 +391,125 @@ def test_bench_bad_inputs(capsys):
     assert rc == 2
     rc, _, err = run(capsys, "bench", "--n", "16", "--trials", "0")
     assert rc == 2
+
+
+# number tokens at the edges of what a float holds: huge, tiny,
+# negative, beyond the float range, not finite, and not a number
+_NUMBERS = st.one_of(
+    st.integers(-(10**20), 10**20).map(str),
+    st.floats().map(repr),
+    st.sampled_from([
+        "1e308", "-1.7976931348623157e308", "1e400", "-1e400", "5e-324", "-0.0",
+        "9007199254740993", "4503599627370495.5", "1" * 400, "0x10", "1_0", "--1",
+    ]),
+)
+_WEIGHTS = st.one_of(
+    st.binary(max_size=40),
+    st.lists(_NUMBERS, max_size=10).map(", ".join),
+    st.builds(lambda tok, k: (tok + "\n") * k, _NUMBERS, st.integers(1, 9)),
+)
+_CSV = st.lists(
+    st.tuples(
+        st.text(max_size=2),
+        st.one_of(_NUMBERS, st.sampled_from(["0", "1", "3", "1" * 401, "1" * 5000])),
+    ),
+    max_size=5,
+).map(lambda rows: "".join("%s,%s\n" % row for row in rows))
+# JSON values a codebook should not hold; "@401@" and "@5000@" stand for
+# ints of that many digits, which json.dumps cannot write
+_ODD_JSON = st.one_of(
+    st.sampled_from(["@401@", "@5000@"]),
+    st.sampled_from([-1, 2, 10**20, None, True, [], {}, 1e300]),
+    st.floats(),
+    st.text(max_size=2),
+)
+
+
+@st.composite
+def _codebooks(draw):
+    # a complete code on k symbols with its q, one of whose labels,
+    # codewords or probabilities, or q as a whole, may be odd JSON
+    k = draw(st.integers(1, 3))
+    code = [
+        {"label": "abc"[i], "codeword": w}
+        for i, w in enumerate([[""], ["0", "1"], ["0", "10", "11"]][k - 1])
+    ]
+    q = [1.0 / k] * k
+    odd = draw(_ODD_JSON)
+    spot = draw(st.sampled_from(["q entry", "label", "codeword", "q", "no q", "none"]))
+    i = draw(st.integers(0, k - 1))
+    if spot in ("label", "codeword"):
+        code[i][spot] = odd
+    elif spot == "q entry":
+        q[i] = odd
+    elif spot == "q":
+        q = odd
+    text = json.dumps(code if spot == "no q" else {"code": code, "q": q})
+    return text.replace('"@401@"', "1" * 401).replace('"@5000@"', "1" * 5000)
+
+
+_TREE_FLAGS = [[], ["--int"], ["--algo", "new"], ["--dump-level-tree"],
+               ["--int", "--dump-level-tree"], ["--algo", "new", "--dump-level-tree"]]
+# per subcommand: (flags, input file contents, codebook text or None)
+_INPUTS = {
+    "tree": st.tuples(st.sampled_from(_TREE_FLAGS), _WEIGHTS, st.none()),
+    "code": st.one_of(
+        st.tuples(st.just([]), st.binary(max_size=40), st.none()),
+        st.tuples(st.just(["--csv"]), _CSV, st.none()),
+        st.tuples(
+            st.text(max_size=4).map(
+                lambda a: ["--csv", "--smoothing", "add_one", "--alphabet=" + a]
+            ),
+            _CSV,
+            st.none(),
+        ),
+    ),
+    "stats": st.tuples(
+        st.just([]), st.binary(max_size=20), st.one_of(_codebooks(), st.text(max_size=30))
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INPUTS))
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_no_cli_input_crashes_or_exits_3(name, data):
+    # every input is bad input (exit 2) or an answer (exit 0): exit 3
+    # means a library bug, and an exception escaping main is a crash
+    flags, contents, book = data.draw(_INPUTS[name])
+    with tempfile.TemporaryDirectory() as tmp:
+
+        def write(filename, text):
+            path = os.path.join(tmp, filename)
+            with open(path, "wb") as fh:
+                if isinstance(text, str):
+                    text = text.encode("utf-8", "surrogatepass")
+                fh.write(text)
+            return path
+
+        if book is not None:
+            flags = ["--code", write("book.json", book)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main([name, write("input", contents), *flags])
+    assert rc in (0, 2), err.getvalue()
+
+
+def test_readme_bench_rows_are_current(capsys):
+    # the bench block in README.md: its command prints each listed row,
+    # in order
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    start = next(i for i, line in enumerate(lines) if line.startswith("$ alphatree bench"))
+    argv = shlex.split(lines[start])[2:]
+    rows = []
+    for line in lines[start + 1:]:
+        if line in ("...", "```"):
+            break
+        rows.append(line)
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0 and rows
+    got = out.splitlines()
+    at = [got.index(row) for row in rows]
+    assert at == sorted(at)

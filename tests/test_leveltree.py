@@ -17,14 +17,15 @@ from hypothesis.stateful import (
 from alphatree import LevelTree, LevelTreeError, alpha_int_fast, tree_cost
 from alphatree.core import minimax_cost_by_dp
 from alphatree.leveltree import NIL, static_cost, static_squeeze, static_witness
-from helpers import CachedIntOracle, random_real_weights
+from helpers import CachedIntOracle, random_real_weights, walk_depth_profile
 
 
 def settable(tree):
+    # a non-integral weight whose leaf is still at its ceiling
     return [
         i
         for i in range(tree.n)
-        if tree.weights[i] != int(tree.weights[i]) and not tree.bits[i]
+        if tree.weights[i] != tree.ceils[i] and tree.level[i] == tree.ceils[i]
     ]
 
 
@@ -139,7 +140,7 @@ def test_journal_holds_no_tracked_objects():
     # gives the cycle collector nothing new to track
     rng = random.Random(31)
     t = LevelTree(random_real_weights(rng, 300))
-    own = [id(a) for a in t._arena] + [id(t.bits)]
+    own = [id(a) for a in t._arena]
     for _ in range(600):
         free = settable(t)
         if t.segments and (not free or rng.random() < 0.3):
@@ -159,7 +160,7 @@ def test_audit_catches_corruption():
         t.audit()
         return t
 
-    bad = [tree() for _ in range(5)]
+    bad = [tree() for _ in range(4)]
     t = bad[0]
     t.csum[t.uf.find(t.parent[0])] += 1  # the node over leaves 0..3
     bad[1].level[6] -= 1  # an only child, so no level mix gives it away
@@ -169,7 +170,12 @@ def test_audit_catches_corruption():
     # leaf order is wrong
     t.rsib[0], t.lsib[2], t.rsib[2] = 2, 0, 1
     t.lsib[1], t.rsib[1], t.lsib[3] = 2, 3, 1
-    bad[4].bits[6] = 0
+    # the integral weight 2.0 is the only child of a level-5 node, whose
+    # load stays 1 when it drops a level: only the leaf rule sees it
+    t = LevelTree([2.0, 5.0])
+    t.audit()
+    t.level[0] -= 1
+    bad.append(t)
     for t in bad:
         with pytest.raises(AssertionError):
             t.audit()
@@ -344,6 +350,7 @@ def test_witness_tracks_dynamic_state():
                 break
             t.set(rng.choice(todo))
         depths = t.depth_profile()
+        assert walk_depth_profile(t) == depths
         assert tree_cost(depths, t.current_levels()) == t.cost()
 
 
@@ -390,7 +397,7 @@ def test_static_pass_matches_level_tree(levels):
     tree = LevelTree(levels)
     cost = tree.cost()
     assert static_cost(levels) == cost
-    assert static_witness(levels) == (cost, tree.depth_profile())
+    assert static_witness(levels) == (cost, walk_depth_profile(tree))
     if len(levels) <= 10:
         assert cost == minimax_cost_by_dp(levels)
 
@@ -449,8 +456,9 @@ def test_squeeze_keeps_every_enclosing_cost(p, r, s):
 
 class SetUndoMachine(RuleBasedStateMachine):
     """Random set/undo sequences on one live tree.  After every step the
-    tree passes audit() and its cost is the static pass's over its
-    current levels; every undo restores serialize() byte for byte.  The
+    tree passes audit(), its cost is the static pass's over its current
+    levels and the walk of its nodes gives its depth_profile(); every
+    undo restores serialize() byte for byte.  The
     node kinds in serialize() and the root test in audit() are derived
     from ids and levels, so this also checks that derivation."""
 
@@ -480,6 +488,7 @@ class SetUndoMachine(RuleBasedStateMachine):
     def consistent(self):
         self.tree.audit()
         assert self.tree.cost() == static_cost(self.tree.current_levels())
+        assert walk_depth_profile(self.tree) == self.tree.depth_profile()
 
 
 SetUndoMachine.TestCase.settings = settings(

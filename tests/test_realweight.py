@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from alphatree import (
     InexactCostError,
+    LevelTreeError,
     WeightSeq,
     alpha_real,
     alpha_real_new,
@@ -51,10 +53,17 @@ def test_weightseq_fields():
     assert seq.fracs[1] == 0.3
     assert seq.fracs[2] == 0.0
     assert seq.fracs[3] == 0.25
-    with pytest.raises(ValueError):
+    # the weights a float holds exactly are kept, as floats
+    assert WeightSeq([2**53, Fraction(1, 4), 3]).weights == [2.0**53, 0.25, 3.0]
+    # the rest are rejected, naming the weight, never rounded
+    with pytest.raises(LevelTreeError, match="at least one"):
         WeightSeq([])
-    with pytest.raises(ValueError):
-        WeightSeq([math.inf])
+    for bad in (math.inf, -math.inf, math.nan, 2**53 + 1, 10**400, Fraction(1, 3)):
+        with pytest.raises(LevelTreeError, match=re.escape(repr(bad))):
+            WeightSeq([0.5, bad])
+    for solve in (alpha_real, alpha_real_new):
+        with pytest.raises(LevelTreeError):
+            solve([2**53 + 1])
 
 
 def test_adjusted_matches_direct_ceiling():
