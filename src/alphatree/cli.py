@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import random
 import sys
 import time
@@ -46,10 +47,6 @@ from .realweight import (
 
 class CliError(Exception):
     """Input-level problem: reported on stderr, exit code 2."""
-
-
-class InternalCheckError(Exception):
-    """A cross-check between independent code paths failed: exit 3."""
 
 
 def _read_text(path: str) -> str:
@@ -101,7 +98,11 @@ def cmd_tree(args) -> int:
         seq = WeightSeq(ws)
         res = _ALGO_RUNNERS[args.algo](seq)
         alpha = res.alpha
-        offset = res.b
+        # b is exact, a Fraction for some weights just below 0: print it
+        # as a float rounded toward zero, so that it stays below 1
+        offset = float(res.b)
+        if offset > res.b:
+            offset = math.nextafter(offset, 0.0)
         depths = res.depths
         ceils = seq.ceils
         strategy = res.strategy
@@ -117,7 +118,7 @@ def cmd_tree(args) -> int:
         "instrumentation": instrumentation,
     }
     if args.dump_level_tree:
-        levels = ints if args.int_weights else seq.adjusted(offset)
+        levels = ints if args.int_weights else seq.adjusted(res.b)
         out["level_tree"] = json.loads(LevelTree(levels).serialize())
     if args.pretty:
         print(json.dumps(out, sort_keys=True, indent=2))
@@ -249,7 +250,7 @@ def _bench_job(seed: int, n: int, d: int, trial: int, algos: list[str]) -> list[
     first = results[0]
     for res in results[1:]:
         if (res.alpha, res.b) != (first.alpha, first.b):
-            raise InternalCheckError(
+            raise AssertionError(
                 "strategies disagree (seed=%d n=%d d=%d trial=%d): "
                 "%s gave alpha=%r b=%r, %s gave alpha=%r b=%r"
                 % (
@@ -350,9 +351,6 @@ def main(argv=None) -> int:
     ) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
-    except InternalCheckError as e:
-        print("internal check failed: %s" % e, file=sys.stderr)
-        return 3
     except (AssertionError, LevelTreeError, DepthProfileError) as e:
         # raised past input validation, so the library itself is wrong
         print("internal invariant violated: %s" % e, file=sys.stderr)

@@ -47,6 +47,15 @@ _SUM_TOL = 1e-9
 _WINDOW_BITS = 8
 
 
+def _check_increasing(labels) -> None:
+    try:
+        for a, b in zip(labels, labels[1:]):
+            if not a < b:
+                raise CodingError("labels must be strictly increasing (%r >= %r)" % (a, b))
+    except TypeError:
+        raise CodingError("labels %r and %r cannot be compared" % (a, b)) from None
+
+
 class Distribution:
     """Probability vector over a strictly increasing label sequence."""
 
@@ -62,9 +71,7 @@ class Distribution:
             raise CodingError(
                 "%d labels but %d probabilities" % (len(labels), len(probs))
             )
-        for a, b in zip(labels, labels[1:]):
-            if not a < b:
-                raise CodingError("labels must be strictly increasing (%r >= %r)" % (a, b))
+        _check_increasing(labels)
         for lab, p in zip(labels, probs):
             if not (p >= 0.0 and math.isfinite(p)):
                 raise CodingError("bad probability %r for %r" % (p, lab))
@@ -101,15 +108,18 @@ def empirical_distribution(counts, smoothing: str = "none", alphabet=None) -> Di
         if not ok:
             raise CodingError("bad count %r for symbol %r" % (c, lab))
         cmap[lab] = int(c)
-    if alphabet is None:
-        labels = sorted(cmap)
-    else:
-        labels = sorted(set(alphabet))
-        extra = set(cmap) - set(labels)
-        if extra:
-            raise CodingError(
-                "counted symbols missing from the alphabet: %r" % (sorted(extra),)
-            )
+    try:
+        if alphabet is None:
+            labels = sorted(cmap)
+        else:
+            labels = sorted(set(alphabet))
+            extra = set(cmap) - set(labels)
+            if extra:
+                raise CodingError(
+                    "counted symbols missing from the alphabet: %r" % (sorted(extra),)
+                )
+    except TypeError:
+        raise CodingError("labels must be hashable and mutually comparable") from None
     if not labels:
         raise CodingError("empty alphabet")
 
@@ -149,29 +159,20 @@ def relative_entropy(p: Distribution, q: Distribution) -> float:
 def codewords_from_depths(depths) -> list[str]:
     """Canonical order-preserving codewords for a valid depth profile.
 
-    The k-th codeword is the previous one plus one, re-sized to the new
-    length; a length decrease is only legal when the trailing subtree
-    just completed, which a valid profile guarantees.
+    With L the largest depth, the k-th codeword is the Kraft sum of the
+    codewords before it, acc = sum of 2^(L - d_j), read in its top d_k
+    of L bits; a valid profile makes it exactly 2^L at the end.
     """
     from .core import depths_to_tree
 
     depths_to_tree(depths)  # raises DepthProfileError when unrealizable
+    top = max(depths)
     out: list[str] = []
-    code = 0
-    prev = depths[0]
-    out.append(format(code, "0%db" % prev) if prev else "")
-    for length in depths[1:]:
-        code += 1
-        if length >= prev:
-            code <<= length - prev
-        else:
-            shift = prev - length
-            if code & ((1 << shift) - 1):
-                raise AssertionError("length drop before the subtree completed")
-            code >>= shift
-        out.append(format(code, "0%db" % length) if length else "")
-        prev = length
-    if code + 1 != 1 << prev:
+    acc = 0
+    for length in depths:
+        out.append(format(acc >> (top - length), "0%db" % length) if length else "")
+        acc += 1 << (top - length)
+    if acc != 1 << top:
         raise AssertionError("codeword assignment did not exhaust the tree")
     return out
 
@@ -189,9 +190,7 @@ class CodeBook:
         codewords = list(codewords)
         if not labels or len(labels) != len(codewords):
             raise CodingError("label/codeword lists empty or mismatched")
-        for a, b in zip(labels, labels[1:]):
-            if not a < b:
-                raise CodingError("labels must be strictly increasing (%r >= %r)" % (a, b))
+        _check_increasing(labels)
         for cw in codewords:
             if not isinstance(cw, str):
                 raise CodingError("codeword %r is not a string" % (cw,))

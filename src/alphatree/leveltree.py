@@ -24,14 +24,17 @@ internal node's children cover consecutive spans, left to right, whose
 union is the node's span, and the root covers [0, n).  So every leaf is
 reached exactly once, in weight order.
 
-The build is static_witness's run stack over node ids: each maximal
-equal-level run becomes the child list of one new node.  A static
-integer instance needs none of the dynamic machinery: static_cost and
-static_witness group the levels exactly as the build does, in the same
-left-to-right stack pass with no arena, no union-find and no journal,
-and the live tree's witness is static_witness of its leaf levels.
-static_squeeze shortens a run of weighted levels to an equivalent one,
-so that repeated passes over mostly fixed levels stay short.
+The build and static_witness share one run stack, _runs, and differ
+only in what they do with each run it pops: the build's lift makes one
+new node over the run, static_witness's (_pair) pairs the run's
+fragments.  A static integer instance needs none of the dynamic
+machinery: static_cost and static_witness group the levels exactly as
+the build does, in the same left-to-right stack pass with no arena, no
+union-find and no journal, and the live tree's witness is
+static_witness of its leaf levels.  static_cost and static_squeeze
+count rather than list, in a loop of their own (_fold) with no call per
+pop; static_squeeze shortens a run of weighted levels to an equivalent
+one, so that repeated passes over mostly fixed levels stay short.
 
 The undo journal is one flat list.  A write is pushed as three entries:
 the old value, the index, then the arena array written to.  The markers
@@ -51,7 +54,7 @@ import json
 import math
 import sys
 from itertools import accumulate, repeat
-from operator import setitem, sub
+from operator import add, setitem, sub
 
 NIL = -1
 
@@ -163,13 +166,16 @@ class UnionFindDeunion:
 # ----------------------------------------------------------------------
 # static integer instances
 #
-# One left-to-right pass over the levels with the grouping rule of
-# LevelTree._build: each maximal equal-level run becomes one node at
-# min(level below it, next level), with load ceil(csum / 2^gap).  The
-# stack keeps one entry per run, levels strictly decreasing upward from
-# a bottom sentinel at +inf, so a node lifted to the level of the entry
-# below it joins that run at once, and a node lifted to the incoming
-# level y goes in front of leaf y.
+# One left-to-right pass over the levels with the level tree's grouping
+# rule: each maximal equal-level run becomes one node at min(level below
+# it, next level), with load ceil(csum / 2^gap).  The stack keeps one
+# entry per run, levels strictly decreasing upward from a bottom
+# sentinel at +inf, so a node lifted to the level of the entry below it
+# joins that run at once, and a node lifted to the incoming level y goes
+# in front of leaf y.  The pass is written twice: _runs over lists (the
+# build and static_witness), and _fold over counts (static_cost and
+# static_squeeze), where a call per pop made the sorted search's hottest
+# pass about half again as slow.
 #
 # The cost passes take weighted items: an item (y, a) acts exactly like
 # a leaves at level y, which is what a lifted node of load a landing at
@@ -239,53 +245,66 @@ def static_squeeze(levels, counts, out) -> None:
     out[1].extend(cs[1:])
 
 
-def static_witness(levels) -> tuple[int, list[int]]:
-    """Cost and witness depths of a non-empty integer level sequence.
-
-    Equals LevelTree(levels).cost() and the depths of the tree it
-    builds: the stack entries are (level, fragment starts), and a run's
-    fragments are paired once per level step up to its node's level.
-    """
-    n = len(levels)
-    if n == 0:
-        raise LevelTreeError("need at least one level")
-    diff = [0] * (n + 1)
-    lv = [_TOP]
-    fr: list[list] = [[]]
+def _runs(levels, top, lift, ctx) -> tuple[list, list]:
+    # the run stack over a level sequence: entries (level, run), levels
+    # strictly decreasing upward from a bottom entry at top.  Each run
+    # popped below the incoming level y is lifted by lift(run, x, z, i,
+    # ctx), with x its level, z = min(level under it, y) and i the
+    # incoming index; what lift returns joins the run below when z is
+    # that run's level, or goes in front of item i when z = y.  Returns
+    # the stack left after the last item, bottom first.
+    lv = [top]
+    runs: list[list] = [[]]
     for i, y in enumerate(levels):
         b = lv[-1]
         run = [i]
         while b < y:
             x = lv.pop()
-            fl = fr.pop()
+            fl = runs.pop()
             b = lv[-1]
             if b < y:
-                fr[-1].extend(_pair(fl, b - x, i, diff))
+                runs[-1].extend(lift(fl, x, b, i, ctx))
             else:
-                run = _pair(fl, y - x, i, diff)
+                run = lift(fl, x, y, i, ctx)
                 run.append(i)
         if b == y:
-            fr[-1].extend(run)
+            runs[-1].extend(run)
         else:
             lv.append(y)
-            fr.append(run)
+            runs.append(run)
+    return lv, runs
+
+
+def static_witness(levels) -> tuple[int, list[int]]:
+    """Cost and witness depths of a non-empty integer level sequence.
+
+    Equals LevelTree(levels).cost() and the depths of the tree it
+    builds: the runs are fragment starts, and a run's fragments are
+    paired once per level step up to its node's level.
+    """
+    n = len(levels)
+    if n == 0:
+        raise LevelTreeError("need at least one level")
+    diff = [0] * (n + 1)
+    lv, fr = _runs(levels, _TOP, _pair, diff)
     while len(lv) > 2:
         x = lv.pop()
         fl = fr.pop()
-        fr[-1].extend(_pair(fl, lv[-1] - x, n, diff))
+        fr[-1].extend(_pair(fl, x, lv[-1], n, diff))
     rounds = ceil_log2(len(fr[1]))
-    _pair(fr[1], rounds, n, diff)
+    _pair(fr[1], 0, rounds, n, diff)
     return lv[1] + rounds, list(accumulate(diff[:n]))
 
 
-def _pair(fl: list, rounds: int, end: int, diff: list) -> list:
+def _pair(fl: list, x: int, z: int, end: int, diff: list) -> list:
     # fl holds the start leaves of adjacent fragments that together cover
     # leaves fl[0]..end-1.  Pair them from the left, the odd one last kept
-    # unpaired, up to rounds times, stopping at a single fragment; a pair
-    # starts where its left fragment does.  The pairs of one round cover
-    # fl[0] up to the unpaired fragment (or end) without a gap, so the
-    # round deepens exactly that range: one +1/-1 in the difference array
-    # diff, whose running sum is the depth of each leaf.
+    # unpaired, z - x times, stopping at a single fragment; a pair starts
+    # where its left fragment does.  The pairs of one round cover fl[0]
+    # up to the unpaired fragment (or end) without a gap, so the round
+    # deepens exactly that range: one +1/-1 in the difference array diff,
+    # whose running sum is the depth of each leaf.
+    rounds = z - x
     while rounds > 0 and len(fl) > 1:
         diff[fl[0]] += 1
         diff[fl[-1] if len(fl) % 2 else end] -= 1
@@ -299,6 +318,11 @@ class WeightSeq:
 
     A weight must be a finite float or equal one exactly (an int up to
     2^53, a dyadic Fraction): no answer for a rounded weight is exact.
+    Every fractional part is exact: w - floor(w) is a float for every
+    weight but one in (-1/2, 0) with bits below 2^-53, where it would
+    round (two such parts can round to one float, and -1e-20's to 1.0),
+    so there it is a Fraction.  Python compares floats and Fractions
+    exactly, so sorting, selecting and comparing offsets need no case.
     """
 
     def __init__(self, weights):
@@ -316,9 +340,19 @@ class WeightSeq:
             raise LevelTreeError("weights must be finite and exact as floats, got %r" % (bad,))
         self.weights = ws
         self.n = len(ws)
-        self.fracs = list(map(sub, ws, map(math.floor, ws)))
+        floors = list(map(math.floor, ws))
+        self.fracs = fracs = list(map(sub, ws, floors))
+        # f + floor(w) == w exactly iff f did not round: a rounded f is
+        # fl(w + 1) for w in (-1/2, 0), and f - 1 is exact (Sterbenz)
+        if list(map(add, fracs, floors)) != ws:
+            # imported here: fractions costs some 3 ms at package import
+            from fractions import Fraction
 
-    def adjusted(self, b: float) -> list[int]:
+            for i, w in enumerate(ws):
+                if fracs[i] + floors[i] != w:
+                    fracs[i] = Fraction(w) - floors[i]
+
+    def adjusted(self, b) -> list[int]:
         """ceil(w_i - b) for b in [0, 1): the ceiling drops by one
         exactly when 0 < frac(w_i) <= b."""
         return _adjust(self.ceils, self.fracs, b)
@@ -340,12 +374,14 @@ class LevelTree:
     reference; the only per-leaf state is the level, ceil(w_i) - x_i.
     Nodes live in parallel arrays indexed by an append-only arena id.
     Ids 0..n-1 are the leaves in weight order; internal nodes follow in
-    creation order.  So a node is a leaf iff its id is below n, and the
-    root is the one live node at the sentinel level: the build makes
-    exactly one node there, and a set that folds the root into a union
-    keeps its level.  A pointer to an internal node may be stale after a
-    union; every such read goes through _r(), which resolves it with a
-    find.  Leaf ids are never unioned and always valid.
+    creation order, and the build (_runs, with a lift that appends one
+    node over each popped run) creates them in pop order.  So a node is
+    a leaf iff its id is below n, and the root is the one live node at
+    the sentinel level: the build makes exactly one node there, and a
+    set that folds the root into a union keeps its level.  A pointer to
+    an internal node may be stale after a union; every such read goes
+    through _r(), which resolves it with a find.  Leaf ids are never
+    unioned and always valid.
     """
 
     def __init__(self, weights):
@@ -390,51 +426,32 @@ class LevelTree:
         return u
 
     def _build(self) -> int:
-        # static_witness's run stack over node ids: a run popped below the
-        # incoming level y becomes the children of one new node at
-        # min(level under it, y).  The bottom entry sits at the sentinel
-        # level, which comes last (as i = n, no leaf) and lifts the
-        # bottom run into the root.
-        level, load, csum = self.level, self.load, self.csum
+        # _runs over node ids: a run popped below the incoming level
+        # becomes the children of one new node at the level it is lifted
+        # to.  The bottom entry sits at the sentinel level, which comes
+        # last (as item n, no leaf) and lifts the bottom run into the root.
+        load, csum = self.load, self.csum
         parent, lsib, rsib, fch, lch = self.parent, self.lsib, self.rsib, self.fch, self.lch
         new_node = self._append_node
-        n = self.n
-        top = self.sentinel
-        lv = [top]
-        runs: list[list] = [[]]
-        for i in range(n + 1):
-            y = level[i] if i < n else top
-            b = lv[-1]
-            run = [i]
-            while b < y:
-                x = lv.pop()
-                ch = runs.pop()
-                b = lv[-1]
-                z = b if b < y else y
-                u = new_node(z)
-                prev = NIL
-                cs = 0
-                for c in ch:
-                    parent[c] = u
-                    lsib[c] = prev
-                    if prev != NIL:
-                        rsib[prev] = c
-                    cs += load[c]
-                    prev = c
-                fch[u] = ch[0]
-                lch[u] = prev
-                csum[u] = cs
-                load[u] = _ceil_shift(cs, z - x)
-                if b < y:
-                    runs[-1].append(u)
-                else:
-                    run = [u, i]
-            if b == y:
-                runs[-1].extend(run)
-            else:
-                lv.append(y)
-                runs.append(run)
-        return runs[0][0]
+
+        def lift(ch, x, z, i, ctx):
+            u = new_node(z)
+            prev = NIL
+            cs = 0
+            for c in ch:
+                parent[c] = u
+                lsib[c] = prev
+                if prev != NIL:
+                    rsib[prev] = c
+                cs += load[c]
+                prev = c
+            fch[u] = ch[0]
+            lch[u] = prev
+            csum[u] = cs
+            load[u] = -((-cs) >> (z - x))  # _ceil_shift inline: a call fewer per node
+            return [u]
+
+        return _runs(self.level + [self.sentinel], self.sentinel, lift, None)[1][0][0]
 
     # ------------------------------------------------------------------
     # journaled primitives

@@ -48,7 +48,11 @@ class RealCostResult:
     from the weight whose fractional part b is), plus the
     witness depth profile and the structure-operation counters: the
     live tree's sets, undos, finds, unions and deunions, the items the
-    median search partitioned, and probes, the number of static passes."""
+    median search partitioned, and probes, the number of static passes.
+
+    b is exact and in [0, 1): a float, or a Fraction when it is the
+    fractional part of a weight in (-1/2, 0) with bits below 2^-53 (see
+    WeightSeq)."""
 
     def __init__(self, alpha, b, int_cost, depths, strategy, instrumentation):
         self.alpha = alpha
@@ -260,9 +264,9 @@ def _finish(seq, b, target, strategy, acc) -> RealCostResult:
         raise AssertionError("offset %r does not reproduce the integer cost" % (b,))
     # The cost is target + frac(w_j) at the first j whose fractional part
     # is b (or target, with w = 0.0, when b is 0).  w + k, with the integer
-    # k = target - floor(w), is that sum exactly before its one rounding;
-    # target + b would round twice, since w - floor(w) rounds for weights
-    # just below 0 (-0.3, or -1e-20, whose fractional part rounds to 1.0).
+    # k = target - floor(w), is that sum exactly before its one rounding,
+    # in float arithmetic even where b is a Fraction (weights just below
+    # 0, such as -0.3 or -1e-20, whose w - floor(w) would round).
     w = seq.weights[seq.fracs.index(b)] if b > 0.0 else 0.0
     k = target - math.floor(w)
     alpha = w + k

@@ -158,9 +158,9 @@ def walk_depth_profile(tree):
                 sub, end = frags.pop(c)
                 fl.extend(sub)
         if level[u] == tree.sentinel:
-            fl = _pair(fl, ceil_log2(len(fl)), end, diff)
+            fl = _pair(fl, 0, ceil_log2(len(fl)), end, diff)
         else:
-            fl = _pair(fl, level[u] - level[ch[0]], end, diff)
+            fl = _pair(fl, level[ch[0]], level[u], end, diff)
             assert len(fl) == tree.load[u], (
                 "fragment count %d != load %d at node %d" % (len(fl), tree.load[u], u)
             )

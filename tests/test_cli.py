@@ -105,13 +105,22 @@ def test_tree_input_errors(tmp_path, capsys):
 
 
 def test_tree_alpha_rounds_once_from_the_weight(tmp_path, capsys):
+    # the last two have fractional parts that round to one float; the
+    # exact offset is printed rounded toward zero, below 1
     f = tmp_path / "w.txt"
-    for text, alpha in (("-0.3\n", -0.3), ("-1e-20\n", -1e-20)):
+    for text, alpha in (
+        ("-0.3\n", -0.3),
+        ("-1e-20\n", -1e-20),
+        ("-6.661338147750939e-17, -1.554312234475219e-16, -2\n", 1.9999999999999998),
+        ("-1.554312234475219e-16, -6.661338147750939e-17, -0.5\n", 2.0),
+    ):
         f.write_text(text)
         for algo in ("new", "sorted"):
-            rc, out, _ = run(capsys, "tree", str(f), "--algo", algo)
+            rc, out, _ = run(capsys, "tree", str(f), "--algo", algo, "--dump-level-tree")
             assert rc == 0
-            assert json.loads(out)["alpha"] == alpha
+            doc = json.loads(out)
+            assert doc["alpha"] == alpha
+            assert 0 <= doc["offset_b"] < 1
 
 
 def test_tree_inexact_cost_exits_2(tmp_path, capsys):
@@ -136,6 +145,21 @@ def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
     f.write_text("1.2 0.3 2.7\n")
     rc, _, err = run(capsys, "tree", str(f), "--algo", "new")
     assert rc == 3 and "malformed" in err
+
+
+def test_bench_strategy_disagreement_exits_3(capsys, monkeypatch):
+    # the cross-check is a bug check: it exits 3 and names the trial
+    new = alphatree.cli._ALGO_RUNNERS["new"]
+
+    def off_by_one(seq):
+        res = new(seq)
+        res.alpha += 1
+        return res
+
+    monkeypatch.setitem(alphatree.cli._ALGO_RUNNERS, "new", off_by_one)
+    rc, out, err = run(capsys, "bench", "--n", "16", "--trials", "1")
+    assert rc == 3 and out == ""
+    assert "strategies disagree (seed=0 n=16 d=2 trial=0)" in err
 
 
 def test_main_looks_commands_up_by_name(monkeypatch):

@@ -44,6 +44,8 @@ def test_distribution_validation():
         Distribution("ab", [-0.1, 1.1])
     with pytest.raises(CodingError):
         Distribution("", [])
+    with pytest.raises(CodingError, match="cannot be compared"):
+        Distribution([1, "a"], [0.5, 0.5])
 
 
 def test_empirical_plain():
@@ -76,6 +78,8 @@ def test_empirical_errors():
         empirical_distribution({"a": 1}, smoothing="jeffreys")
     with pytest.raises(CodingError):
         empirical_distribution([("a", 1), ("a", 2)])
+    with pytest.raises(CodingError, match="mutually comparable"):
+        empirical_distribution({1: 1, "a": 2})
     for bad in (2.5, -1, float("inf"), float("nan"), "x", None):
         with pytest.raises(CodingError, match="bad count"):
             empirical_distribution({"a": 1, "b": bad})
@@ -182,6 +186,8 @@ def test_codebook_invariants_enforced():
         CodeBook([], [])
     with pytest.raises(CodingError, match="not a string"):
         CodeBook(["a", "b", "c"], [0, 10, 11])  # integers, not bit strings
+    with pytest.raises(CodingError, match="cannot be compared"):
+        CodeBook([1, "a"], ["0", "1"])
 
 
 def test_codebook_json_roundtrip():

@@ -15,6 +15,7 @@ from alphatree import (
     alpha_real_sorted,
 )
 from alphatree.core import minimax_cost_by_dp
+from alphatree.leveltree import static_cost
 from alphatree.realweight import alpha_real_oracle, select_kth
 from alphatree.cli import generate_weights
 from helpers import random_real_weights, unsqueezed_sorted
@@ -98,11 +99,30 @@ def test_small_examples_both_strategies():
 
 def test_alpha_rounds_once_from_the_weight():
     # w - floor(w) rounds for weights just below 0: frac(-0.3) is 0.7 to
-    # the nearest float, and frac(-1e-20) rounds to 1.0, so target + b
-    # would give -0.30000000000000004 and 0.0
+    # the nearest float, and frac(-1e-20) rounds to 1.0, so target plus
+    # that float would give -0.30000000000000004 and 0.0
     for fn in (alpha_real, alpha_real_new, alpha_real_sorted):
         assert fn([-0.3]).alpha == -0.3
         assert fn([-1e-20]).alpha == -1e-20
+
+
+@pytest.mark.parametrize("ws, alpha", [
+    # the two fractional parts round to one float, but are not equal:
+    # the optimum is depths [1, 2, 2] at 2 - 1.4 * 2^-53, and 2.0 for
+    # the mirrored weights with -0.5 last
+    ([-6.661338147750939e-17, -1.554312234475219e-16, -2], 1.9999999999999998),
+    ([-1.554312234475219e-16, -6.661338147750939e-17, -0.5], 2.0),
+    ([-1e-20], -1e-20),
+])
+def test_tied_fractions_are_told_apart(ws, alpha):
+    seq = WeightSeq(ws)
+    assert alpha_real_oracle(ws) == alpha
+    for fn in (alpha_real, alpha_real_new):
+        res = fn(seq)
+        assert res.alpha == alpha
+        assert 0 <= res.b < 1 and res.b in seq.fracs
+        assert static_cost(seq.adjusted(res.b)) == res.int_cost
+        assert max(y + d for y, d in zip(seq.adjusted(res.b), res.depths)) == res.int_cost
 
 
 def test_real_oracle_examples():
@@ -323,8 +343,18 @@ wide_weights = st.one_of(
               st.integers(-59, 52)),
     st.builds(lambda m, e: -math.ldexp(m, e), st.floats(0.5, 1.0), st.integers(-60, -1)),
 )
+# two weights in (-2^-52, 0), one on each side of -2^-53: their
+# fractional parts differ below 2^-53, so as floats they round to one
+# value, or to neighbours
+tied_weights = st.tuples(
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+).map(lambda t: [-math.ldexp(1 + t[0], -53), -math.ldexp(1 - t[1], -53)])
 wide_weight_lists = st.one_of(
     st.lists(wide_weights, min_size=1, max_size=12),
+    st.tuples(tied_weights, st.lists(weights, min_size=1, max_size=3)).flatmap(
+        lambda t: st.permutations(t[0] + t[1])
+    ),
     st.lists(wide_weights, min_size=1, max_size=3).flatmap(
         lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=12)
     ),
@@ -349,6 +379,7 @@ def test_wide_weights_match_new_and_the_rational_dp(ws):
     else:
         new = alpha_real_new(ws)
         assert (res.alpha, res.b, res.depths) == (new.alpha, new.b, new.depths)
+        assert 0 <= res.b < 1
     if len(ws) <= 12:
         exact = minimax_cost_by_dp([Fraction(w) for w in ws])
         if res is None:
