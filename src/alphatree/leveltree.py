@@ -36,16 +36,19 @@ count rather than list, in a loop of their own (_fold) with no call per
 pop; static_squeeze shortens a run of weighted levels to an equivalent
 one, so that repeated passes over mostly fixed levels stay short.
 
-The undo journal is one flat list.  A write is pushed as three entries:
-the old value, the index, then the arena array written to.  The markers
-between writes are the plain ints _SEG (a set begins), _CREATE (a node
-was appended) and _UNION (a union was made).  undo pops the top entry:
-a list means a write, whose index and old value come next, and an int
-is a marker.  The union-find's trail is flat in the same way.  So a set
-pushes only ints and the tree's own lists, none of them a new object
-that the cycle collector tracks, and a search with some 10^5 writes
-journaled at once triggers no collection; with a tuple per write it ran
-about 200.
+The undo journal is one flat list, and undo is set union with
+backtracking: it returns to the state its segment opened in.  A set
+opens its segment with a header of two ints, the arena size and the
+union-find trail length, then pushes only writes, each as the old
+value, the index, then the arena array written to.  undo restores
+writes while the top entry is a list; the int under them is the trail
+length, to which it deunions back, and under that the arena size, past
+which it drops the node the set made.  Arena writes and the union-find
+are disjoint, so restoring every write before the deunions is exact.
+The union-find's trail is flat in the same way.  So a set pushes only
+ints and the tree's own lists, none of them a new object that the
+cycle collector tracks, and a search with some 10^5 writes journaled at
+once triggers no collection; with a tuple per write it ran about 200.
 """
 
 from __future__ import annotations
@@ -53,16 +56,11 @@ from __future__ import annotations
 import json
 import math
 import sys
+from functools import cached_property
 from itertools import accumulate, repeat
 from operator import add, setitem, sub
 
 NIL = -1
-
-# journal markers: plain ints, told apart from a write by its top entry,
-# which is always one of the tree's lists
-_SEG = 0
-_CREATE = 1
-_UNION = 2
 
 
 def ceil_log2(n: int) -> int:
@@ -340,8 +338,14 @@ class WeightSeq:
             raise LevelTreeError("weights must be finite and exact as floats, got %r" % (bad,))
         self.weights = ws
         self.n = len(ws)
+
+    @cached_property
+    def fracs(self) -> list:
+        """The fractional parts w - floor(w), computed on first use (the
+        level tree reads only the ceilings)."""
+        ws = self.weights
         floors = list(map(math.floor, ws))
-        self.fracs = fracs = list(map(sub, ws, floors))
+        fracs = list(map(sub, ws, floors))
         # f + floor(w) == w exactly iff f did not round: a rounded f is
         # fl(w + 1) for w in (-1/2, 0), and f - 1 is exact (Sterbenz)
         if list(map(add, fracs, floors)) != ws:
@@ -351,6 +355,7 @@ class WeightSeq:
             for i, w in enumerate(ws):
                 if fracs[i] + floors[i] != w:
                     fracs[i] = Fraction(w) - floors[i]
+        return fracs
 
     def adjusted(self, b) -> list[int]:
         """ceil(w_i - b) for b in [0, 1): the ceiling drops by one
@@ -381,7 +386,9 @@ class LevelTree:
     set that folds the root into a union keeps its level.  A pointer to
     an internal node may be stale after a union; every such read goes
     through _r(), which resolves it with a find.  Leaf ids are never
-    unioned and always valid.
+    unioned and always valid.  The journal holds one segment per open
+    set: a header (arena size, union-find trail length), then writes
+    only.
     """
 
     def __init__(self, weights):
@@ -462,14 +469,6 @@ class LevelTree:
             self.journal.extend((old, idx, arr))
             arr[idx] = val
 
-    def _create(self, level: int) -> int:
-        self.journal.append(_CREATE)
-        return self._append_node(level)
-
-    def _union(self, a: int, b: int) -> int:
-        self.journal.append(_UNION)
-        return self.uf.union(a, b)
-
     def _r(self, x: int) -> int:
         # resolve a possibly-stale node pointer; leaf ids (and NIL) never
         # go stale
@@ -479,7 +478,9 @@ class LevelTree:
 
     def _refresh_up(self, u: int, cl: int) -> None:
         # recompute load(u), whose children sit at level cl, and carry the
-        # change up; each parent's child level is the level of u itself
+        # change up; each parent's child level is the level of u itself.
+        # The root's load is always 1 (its level is more than log2 n above
+        # its children's), so the climb stops there at the latest
         lv, ld, cs = self.level, self.load, self.csum
         while True:
             new = _ceil_shift(cs[u], lv[u] - cl)
@@ -488,8 +489,6 @@ class LevelTree:
                 break
             self._set(ld, u, new)
             cl = lv[u]
-            if cl == self.sentinel:
-                break
             pu = self.uf.find(self.parent[u])
             self._set(cs, pu, cs[pu] - old + new)
             u = pu
@@ -510,7 +509,7 @@ class LevelTree:
             raise LevelTreeError("set(%d): weight %r is an integer" % (i, w))
         if self.level[i] != c:
             raise LevelTreeError("set(%d): bit is already 1" % i)
-        self.journal.append(_SEG)
+        self.journal.extend((len(self.level), len(self.uf.trail)))
         self.segments += 1
         self.sets += 1
         self._lower_leaf(i)
@@ -521,19 +520,20 @@ class LevelTree:
             raise LevelTreeError("undo with no set to reverse")
         self.undos += 1
         pop = self.journal.pop
-        while True:
+        e = pop()
+        while type(e) is list:
+            idx = pop()
+            e[idx] = pop()
             e = pop()
-            if type(e) is list:
-                idx = pop()
-                e[idx] = pop()
-            elif e == _SEG:
-                break
-            elif e == _CREATE:
-                for arr in self._arena:
-                    arr.pop()
-                self.uf.pop()
-            else:  # _UNION
-                self.uf.deunion()
+        uf = self.uf
+        while len(uf.trail) > e:
+            uf.deunion()
+        size = pop()
+        # the node the set made, if any; such a set made no union
+        while len(self.level) > size:
+            for arr in self._arena:
+                arr.pop()
+            uf.pop()
         self.segments -= 1
 
     def cost(self) -> int:
@@ -613,12 +613,12 @@ class LevelTree:
                 a = self._r(self.lsib[p])
                 b = self._r(self.rsib[p])
                 removed = ld[p]
-                r = self._union(self._union(ul, ur), p)
+                r = self.uf.union(self.uf.union(ul, ur), p)
                 p = find(parent) if level != self.sentinel else NIL
                 put(lv, r, level)
                 put(self.parent, r, parent)
             else:
-                r = self._union(ul, ur)
+                r = self.uf.union(ul, ur)
             put(self.lsib, r, a)
             put(self.rsib, r, b)
             put(self.fch, r, fl)
@@ -627,7 +627,7 @@ class LevelTree:
             r = ul if el != NIL else ur
         else:
             # undo drops this node whole: writes to it need no journal
-            r = self._create(y)
+            r = self._append_node(y)
             self.parent[r] = p
             put = setitem
 

@@ -226,31 +226,24 @@ def alpha_real_new(w) -> RealCostResult:
     while items:
         acc["partition_items"] += len(items)
         m = select_kth([fracs[i] for i in items], (len(items) + 1) // 2)
-        below, at, above = [], [], []
-        for i in items:
-            f = fracs[i]
-            if f < m:
-                below.append(i)
-            elif f == m:
-                at.append(i)
-            else:
-                above.append(i)
-        issued = 0
-        for i in below + at:
-            if fracs[i] > 0.0:
-                tree.set(i)
-                issued += 1
+        below = [i for i in items if fracs[i] < m]
+        # the positions whose ceiling drops at offset m: frac in (0, m]
+        lowered = [i for i in below if fracs[i] > 0.0]
+        if m > 0.0:
+            lowered += [i for i in items if fracs[i] == m]
+        for i in lowered:
+            tree.set(i)
         if tree.cost() == target:
             # m is feasible: remember it, roll the probe back, and keep
             # hunting strictly below
             candidate = m
-            for _ in range(issued):
+            for _ in lowered:
                 tree.undo()
             items = below
         else:
             # infeasible: the sets stay (every later probe includes
             # them) and the search moves strictly above m
-            items = above
+            items = [i for i in items if fracs[i] > m]
     acc.update(tree.counters())
     return _finish(seq, candidate, target, "new", acc)
 

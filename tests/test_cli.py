@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import random
 import shlex
 import tempfile
 
@@ -415,6 +416,13 @@ def test_bench_bad_inputs(capsys):
     assert rc == 2
     rc, _, err = run(capsys, "bench", "--n", "16", "--trials", "0")
     assert rc == 2
+    rc, _, err = run(capsys, "bench", "--n", "16", "--algos", ",")
+    assert rc == 2 and "no algorithms selected" in err
+    rc, _, err = run(capsys, "bench", "--n", "0")
+    assert rc == 2
+    # bench skips d > n itself; the generator rejects it
+    with pytest.raises(ValueError):
+        alphatree.cli.generate_weights(random.Random(0), 4, 5)
 
 
 # number tokens at the edges of what a float holds: huge, tiny,

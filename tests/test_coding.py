@@ -66,6 +66,8 @@ def test_empirical_add_one():
 
 
 def test_empirical_errors():
+    with pytest.raises(CodingError, match="empty alphabet"):
+        empirical_distribution({})
     with pytest.raises(CodingError):
         empirical_distribution({"a": 0, "b": 0})
     with pytest.raises(CodingError):
@@ -201,6 +203,8 @@ def test_codebook_json_roundtrip():
     bare, none_q = CodeBook.from_json(book.to_json())
     assert none_q is None
     assert bare.codewords == book.codewords
+    with pytest.raises(CodingError, match="alphabet differs"):
+        book.to_json(q=Distribution("abd", [0.5, 0.25, 0.25]))
 
 
 def test_codebook_json_errors():
@@ -210,6 +214,8 @@ def test_codebook_json_errors():
         CodeBook.from_json("{not json")
     with pytest.raises(CodingError):
         CodeBook.from_json(json.dumps({"code": [{"label": "a"}]}))
+    with pytest.raises(CodingError, match="must be a list"):
+        CodeBook.from_json('{"code": {}}')
     code = [{"label": "a", "codeword": "0"}, {"label": "b", "codeword": "1"}]
     for q in (["half", 0.5], [None, 1.0], 1.0):
         with pytest.raises(CodingError):
@@ -258,6 +264,8 @@ def test_encode_unknown_symbol():
     book = build_code(Distribution("ab", [0.5, 0.5]))
     with pytest.raises(CodingError):
         book.encode("abz")
+    with pytest.raises(CodingError, match="not in code"):
+        book.codeword_for("z")
 
 
 def test_decode_errors():

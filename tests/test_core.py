@@ -60,6 +60,8 @@ def test_uniform_weights():
     for n in (1, 2, 3, 7, 8, 9, 100):
         cost, _ = alpha_int_fast([4] * n)
         assert cost == 4 + ceil_log2(n)
+    with pytest.raises(ValueError):
+        ceil_log2(0)
 
 
 def test_shift_invariance():

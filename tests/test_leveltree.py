@@ -458,7 +458,8 @@ class SetUndoMachine(RuleBasedStateMachine):
     """Random set/undo sequences on one live tree.  After every step the
     tree passes audit(), its cost is the static pass's over its current
     levels and the walk of its nodes gives its depth_profile(); every
-    undo restores serialize() byte for byte.  The
+    undo restores serialize() byte for byte, the arena size and the
+    union-find trail length, the segment header undo returns to.  The
     node kinds in serialize() and the root test in audit() are derived
     from ids and levels, so this also checks that derivation."""
 
@@ -469,20 +470,25 @@ class SetUndoMachine(RuleBasedStateMachine):
     ).filter(lambda ws: any(w != math.floor(w) for w in ws)))
     def build(self, ws):
         self.tree = LevelTree(ws)
-        self.before: list[str] = []  # serialize() before each open set
+        # (serialize(), arena size, trail length) before each open set
+        self.before: list[tuple[str, int, int]] = []
+
+    def snapshot(self):
+        t = self.tree
+        return t.serialize(), len(t.level), len(t.uf.trail)
 
     @precondition(lambda self: settable(self.tree))
     @rule(data=st.data())
     def set(self, data):
         i = data.draw(st.sampled_from(settable(self.tree)))
-        self.before.append(self.tree.serialize())
+        self.before.append(self.snapshot())
         self.tree.set(i)
 
     @precondition(lambda self: self.before)
     @rule()
     def undo(self):
         self.tree.undo()
-        assert self.tree.serialize() == self.before.pop()
+        assert self.snapshot() == self.before.pop()
 
     @invariant()
     def consistent(self):
