@@ -19,11 +19,6 @@ Parent pointers of internal nodes are resolved through a union-find with
 deunion: merging two adjacent siblings is a single union instead of
 re-parenting their children, and undo can reverse it exactly.
 
-audit() checks leaf order by spans: leaf i covers [i, i + 1), each
-internal node's children cover consecutive spans, left to right, whose
-union is the node's span, and the root covers [0, n).  So every leaf is
-reached exactly once, in weight order.
-
 The build and static_witness share one run stack, _runs, and differ
 only in what they do with each run it pops: the build's lift makes one
 new node over the run, static_witness's (_pair) pairs the run's
@@ -31,10 +26,10 @@ fragments.  A static integer instance needs none of the dynamic
 machinery: static_cost and static_witness group the levels exactly as
 the build does, in the same left-to-right stack pass with no arena, no
 union-find and no journal, and the live tree's witness is
-static_witness of its leaf levels.  static_cost and static_squeeze
-count rather than list, in a loop of their own (_fold) with no call per
-pop; static_squeeze shortens a run of weighted levels to an equivalent
-one, so that repeated passes over mostly fixed levels stay short.
+static_witness of its leaf levels.  static_cost counts rather than
+lists, in a loop of its own with no call per pop, and the squeeze rule
+(see the static-pass comment) lets the sorted search shorten runs of
+fixed levels so that its repeated passes over them stay short.
 
 The undo journal is one flat list, and undo is set union with
 backtracking: it returns to the state its segment opened in.  A set
@@ -170,10 +165,12 @@ class UnionFindDeunion:
 # entry per run, levels strictly decreasing upward from a bottom
 # sentinel at +inf, so a node lifted to the level of the entry below it
 # joins that run at once, and a node lifted to the incoming level y goes
-# in front of leaf y.  The pass is written twice: _runs over lists (the
-# build and static_witness), and _fold over counts (static_cost and
-# static_squeeze), where a call per pop made the sorted search's hottest
-# pass about half again as slow.
+# in front of leaf y.  Every pass keeps the top entry in two locals and
+# the entries under it in lists, so an item at the top's level costs one
+# add or append, and a pop does no indexing.  The pass is written over
+# lists in _runs (the build and static_witness), and over counts in
+# static_cost and in realweight's _squeeze, where a call per pop made
+# the sorted search's hottest pass about half again as slow.
 #
 # The cost passes take weighted items: an item (y, a) acts exactly like
 # a leaves at level y, which is what a lifted node of load a landing at
@@ -189,30 +186,6 @@ class UnionFindDeunion:
 _TOP = math.inf
 
 
-def _fold(items, lv: list, cs: list, spill) -> None:
-    # push the (level, count) items onto the run stack lv/cs; with spill
-    # a pair of lists, the entry just above the sentinel is emitted into
-    # them when popped rather than lifted into the incoming item
-    for y, add in items:
-        b = lv[-1]
-        while b < y:
-            x = lv.pop()
-            c = cs.pop()
-            b = lv[-1]
-            if b < y:
-                cs[-1] += -((-c) >> (b - x))
-            elif spill is None or b != _TOP:
-                add += -((-c) >> (y - x))
-            else:
-                spill[0].append(x)
-                spill[1].append(c)
-        if b == y:
-            cs[-1] += add
-        else:
-            lv.append(y)
-            cs.append(add)
-
-
 def static_cost(levels, counts=None) -> int:
     """Minimax cost of a non-empty sequence of integer levels, each
     standing for counts[i] leaves (one each by default).
@@ -222,54 +195,71 @@ def static_cost(levels, counts=None) -> int:
     """
     if not levels:
         raise LevelTreeError("need at least one level")
-    lv = [_TOP]
-    cs = [0]
-    _fold(zip(levels, repeat(1) if counts is None else counts), lv, cs, None)
-    while len(lv) > 2:
-        x = lv.pop()
-        c = cs.pop()
-        cs[-1] += -((-c) >> (lv[-1] - x))
-    return lv[1] + ceil_log2(cs[1])
-
-
-def static_squeeze(levels, counts, out) -> None:
-    """Append the squeeze of a run of weighted items to the lists
-    out = (levels, counts): an item list that gives every enclosing
-    sequence the same static_cost as the run does."""
-    lv = [_TOP]
-    cs = [0]
-    _fold(zip(levels, counts), lv, cs, out)
-    out[0].extend(lv[1:])
-    out[1].extend(cs[1:])
+    # the top entry is (t, a); lv/cs hold the entries under it
+    lv: list = []
+    cs: list[int] = []
+    t, a = _TOP, 0
+    for y, k in zip(levels, repeat(1) if counts is None else counts):
+        if t < y:
+            b = lv.pop()
+            c = cs.pop()
+            while b < y:
+                a = c + (-((-a) >> (b - t)))
+                t = b
+                b = lv.pop()
+                c = cs.pop()
+            k += -((-a) >> (y - t))
+            t, a = b, c
+        if t == y:
+            a += k
+        else:
+            lv.append(t)
+            cs.append(a)
+            t, a = y, k
+    while len(lv) > 1:
+        b = lv.pop()
+        a = cs.pop() + (-((-a) >> (b - t)))
+        t = b
+    return t + ceil_log2(a)
 
 
 def _runs(levels, top, lift, ctx) -> tuple[list, list]:
     # the run stack over a level sequence: entries (level, run), levels
-    # strictly decreasing upward from a bottom entry at top.  Each run
-    # popped below the incoming level y is lifted by lift(run, x, z, i,
-    # ctx), with x its level, z = min(level under it, y) and i the
-    # incoming index; what lift returns joins the run below when z is
-    # that run's level, or goes in front of item i when z = y.  Returns
-    # the stack left after the last item, bottom first.
-    lv = [top]
-    runs: list[list] = [[]]
+    # strictly decreasing upward from a bottom entry at top, the top
+    # entry (t, r) in locals.  Each run popped below the incoming level y
+    # is lifted by lift(run, x, z, i, ctx), with x its level, z =
+    # min(level under it, y) and i the incoming index; what lift returns
+    # joins the run below when z is that run's level, or goes in front of
+    # item i when z = y.  Returns the stack left after the last item,
+    # bottom first.
+    lv: list = []
+    runs: list[list] = []
+    t, r = top, []
     for i, y in enumerate(levels):
-        b = lv[-1]
-        run = [i]
-        while b < y:
-            x = lv.pop()
-            fl = runs.pop()
-            b = lv[-1]
-            if b < y:
-                runs[-1].extend(lift(fl, x, b, i, ctx))
-            else:
-                run = lift(fl, x, y, i, ctx)
-                run.append(i)
-        if b == y:
-            runs[-1].extend(run)
+        if t == y:
+            r.append(i)
+            continue
+        if t > y:
+            run = [i]
         else:
-            lv.append(y)
-            runs.append(run)
+            b = lv.pop()
+            fl = runs.pop()
+            while b < y:
+                fl.extend(lift(r, t, b, i, ctx))
+                t, r = b, fl
+                b = lv.pop()
+                fl = runs.pop()
+            run = lift(r, t, y, i, ctx)
+            run.append(i)
+            t, r = b, fl
+            if t == y:
+                r.extend(run)
+                continue
+        lv.append(t)
+        runs.append(r)
+        t, r = y, run
+    lv.append(t)
+    runs.append(r)
     return lv, runs
 
 
@@ -542,10 +532,6 @@ class LevelTree:
         fr = self._r(self.fch[r])
         return self.level[fr] + ceil_log2(self.csum[r])
 
-    def current_levels(self) -> list[int]:
-        """Y as a list: ceil(w_i) - x_i per leaf."""
-        return self.level[: self.n]
-
     # ------------------------------------------------------------------
     # the set(i) surgery
     #
@@ -730,63 +716,6 @@ class LevelTree:
             "unions": self.uf.unions,
             "deunions": self.uf.deunions,
         }
-
-    def audit(self) -> None:
-        """Check every structural invariant; raises AssertionError.
-
-        Leaf order is checked by the span rule in the module docstring.
-        Test/debug only: walks the whole tree, so it is O(n) plus finds.
-        """
-        nodes = list(self._walk())
-        r = nodes[0][0]
-        if self.level[r] != self.sentinel:
-            raise AssertionError("root level is not the sentinel")
-        span: dict[int, tuple[int, int]] = {}
-        # children before parents, so each child's span is known
-        for u, _, ch in reversed(nodes):
-            if not ch:
-                raise AssertionError("internal node %d has no children" % u)
-            cl = self.level[ch[0]]
-            prev = NIL
-            cs = 0
-            spans = []
-            for c in ch:
-                if self.level[c] != cl:
-                    raise AssertionError("children of %d at mixed levels" % u)
-                if self._r(self.lsib[c]) != prev:
-                    raise AssertionError("bad lsib under %d" % u)
-                if self.uf.find(self.parent[c]) != u:
-                    raise AssertionError("child %d does not resolve to parent %d" % (c, u))
-                if c < self.n:
-                    if self.load[c] != 1:
-                        raise AssertionError("leaf %d has load != 1" % c)
-                    # a leaf sits at its ceiling, or one below if settable
-                    bit = self.ceils[c] - self.level[c]
-                    if not 0 <= bit <= (self.weights[c] != self.ceils[c]):
-                        raise AssertionError("leaf %d is not at its ceiling or one below" % c)
-                    spans.append((c, c + 1))
-                else:
-                    spans.append(span[c])
-                cs += self.load[c]
-                prev = c
-            if any(a[1] != b[0] for a, b in zip(spans, spans[1:])):
-                raise AssertionError("leaf order not preserved under %d" % u)
-            span[u] = (spans[0][0], spans[-1][1])
-            if self._r(self.lch[u]) != ch[-1]:
-                raise AssertionError("bad lch on %d" % u)
-            if cl >= self.level[u]:
-                raise AssertionError("child level not below node %d" % u)
-            if cs != self.csum[u]:
-                raise AssertionError("csum mismatch on %d" % u)
-            if self.load[u] != _ceil_shift(self.csum[u], self.level[u] - cl):
-                raise AssertionError("load recurrence violated on %d" % u)
-        if span[r] != (0, self.n):
-            raise AssertionError("leaves do not cover 0..n-1 in order")
-        live_internal = sum(
-            1 for x in range(self.n, len(self.level)) if self.uf.find(x) == x
-        )
-        if len(nodes) != live_internal:
-            raise AssertionError("unreachable live internal nodes exist")
 
     # ------------------------------------------------------------------
     # witness extraction

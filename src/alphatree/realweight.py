@@ -33,7 +33,7 @@ import math
 from bisect import bisect_left, bisect_right
 
 from .leveltree import LevelTree, WeightSeq, _adjust, as_weight_seq
-from .leveltree import static_cost, static_squeeze, static_witness
+from .leveltree import _TOP, static_cost, static_witness
 from .core import minimax_cost_by_dp
 
 
@@ -128,37 +128,76 @@ def _probe(levels, fracs, counts, b, acc) -> int:
     return static_cost(_adjust(levels, fracs, b), counts)
 
 
-# A squeeze walks every item and costs a call per run of decided items,
+# A squeeze walks every item, about twice the cost of a probe's pass,
 # but shortens only long runs.  So the search squeezes only once the
 # undecided positions (about hi - lo + 1) are at most 1/16 of the items,
-# when runs average 15 items or more.  Against no squeeze at all
-# (2-core box, sorted strategy), squeezing after every probe was slower
-# for n up to 4096 and 19% faster at n = 2^14, d = 64; this rule is
-# faster at every n tried from 512 and 44% faster at n = 2^14, d = 64.
+# when runs average 15 items or more.  Timed against 4, 8, 32 and no
+# squeeze at all (2-core box, best of 7 alternating runs, n = 512, 4096
+# and 2^14, d in {1, 2, 8, 64, n}), 16 was never beaten by more than
+# the noise: 8 took 0.87x to 1.34x its time, 4 1.01x to 1.50x, 32
+# 0.92x to 1.13x, and no squeeze 1.10x to 1.80x.
 _SQUEEZE_RUN = 16
 
 
 def _squeeze(levels, fracs, counts, flo, fhi):
-    # the items once the search range is [flo, fhi]: a position with
-    # 0 < frac in that range is still undecided and stays, every other
-    # item has a fixed level (lowered iff 0 < frac < flo), and each
-    # maximal run of fixed items is replaced by its squeeze, whose items
-    # carry frac 0.0 so no probe lowers them again (fixed lowers the
-    # undecided frac == flo too, but no undecided item is read from it)
-    n = len(levels)
-    fixed = _adjust(levels, fracs, flo)
+    # the items once the search range is [flo, fhi], in one pass: an item
+    # with 0 < frac in that range is still undecided and passes through,
+    # every other item has a fixed level (lowered iff 0 < frac < flo) and
+    # folds into static_cost's run stack, whose bottom entry is emitted
+    # when popped (leveltree's squeeze rule); an undecided item, and the
+    # end, first emit the entries left, bottom to top.  So each maximal
+    # run of fixed items is replaced by its squeeze, whose items carry
+    # frac 0.0 so that no probe lowers them again
     out_l, out_f, out_k = out = [], [], []
-    start = 0
-    for i in [i for i, f in enumerate(fracs) if 0.0 < f and flo <= f <= fhi] + [n]:
-        if start < i:
-            m = len(out_l)
-            static_squeeze(fixed[start:i], counts[start:i], (out_l, out_k))
-            out_f += [0.0] * (len(out_l) - m)
-        if i < n:
-            out_l.append(levels[i])
-            out_f.append(fracs[i])
-            out_k.append(1)
-        start = i + 1
+    # the top entry is (t, a); lv/cs hold the entries under it
+    lv: list = []
+    cs: list[int] = []
+    t, a = _TOP, 0
+    for y, f, k in zip(levels, fracs, counts):
+        if f < flo:
+            if f > 0.0:
+                y -= 1
+        elif f <= fhi and f > 0.0:
+            if lv:
+                out_l += lv[1:]
+                out_l.append(t)
+                out_k += cs[1:]
+                out_k.append(a)
+                out_f += [0.0] * len(lv)
+                lv, cs = [], []
+                t, a = _TOP, 0
+            out_l.append(y)
+            out_f.append(f)
+            out_k.append(k)
+            continue
+        if t < y:
+            b = lv.pop()
+            c = cs.pop()
+            while b < y:
+                a = c + (-((-a) >> (b - t)))
+                t = b
+                b = lv.pop()
+                c = cs.pop()
+            if lv:
+                k += -((-a) >> (y - t))
+            else:
+                # b is the sentinel: the bottom entry is emitted
+                out_l.append(t)
+                out_f.append(0.0)
+                out_k.append(a)
+            t, a = b, c
+        if t == y:
+            a += k
+        else:
+            lv.append(t)
+            cs.append(a)
+            t, a = y, k
+    if lv:
+        out_l += lv[1:]
+        out_l.append(t)
+        out_k += cs[1:]
+        out_k.append(a)
+        out_f += [0.0] * len(lv)
     return out
 
 
@@ -167,9 +206,9 @@ def alpha_real(w) -> RealCostResult:
     binary-search them, probing each distinct value once.
 
     Between probes, once the undecided positions are few, every run of
-    positions whose level no later probe can change is squeezed
-    (leveltree.static_squeeze) into at most 4d items, so the probes walk
-    O(n log d) items in all, not n each.
+    positions whose level no later probe can change is squeezed (by the
+    squeeze rule of leveltree's static passes) into at most 4d items, so
+    the probes walk O(n log d) items in all, not n each.
     """
     seq = as_weight_seq(w)
     acc = _zero_counters()
@@ -205,9 +244,10 @@ def alpha_real_new(w) -> RealCostResult:
     """Median-search strategy: one live tree, set/undo between probes.
 
     Runs in O(n log log n + n log d) tree operations, the paper's bound.
-    Measured, it is 1.8x to 5.5x slower than alpha_real at every
-    n = 2^8..2^16 and d in {1, 2, 8, 64, n} tried, few distinct ceilings
-    included, so it serves as the paper's algorithm and a cross-check.
+    Measured, it is 2.1x to 5.9x slower than alpha_real at every
+    n = 2^8, 2^10, ..., 2^16 and d in {1, 2, 8, 64, n} tried, few
+    distinct ceilings included, so it serves as the paper's algorithm
+    and a cross-check.
     """
     seq = as_weight_seq(w)
     acc = _zero_counters()

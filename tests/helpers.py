@@ -5,7 +5,16 @@ from itertools import accumulate
 
 from alphatree import CodingError, DecodeError, WeightSeq
 from alphatree.core import minimax_cost_by_dp
-from alphatree.leveltree import _pair, ceil_log2, static_cost, static_witness
+from alphatree.leveltree import (
+    NIL,
+    _TOP,
+    _adjust,
+    _ceil_shift,
+    _pair,
+    ceil_log2,
+    static_cost,
+    static_witness,
+)
 
 
 @lru_cache(maxsize=None)
@@ -166,3 +175,119 @@ def walk_depth_profile(tree):
             )
         frags[u] = (fl, end)
     return list(accumulate(diff[:n]))
+
+
+def audit(tree):
+    """Check every structural invariant of a LevelTree; raises
+    AssertionError.
+
+    Leaf order is checked by spans: leaf i covers [i, i + 1), each
+    internal node's children cover consecutive spans, left to right,
+    whose union is the node's span, and the root covers [0, n).  So
+    every leaf is reached exactly once, in weight order.  Walks the
+    whole tree, so it is O(n) plus finds.
+    """
+    n, level, load, csum = tree.n, tree.level, tree.load, tree.csum
+    find = tree.uf.find
+    nodes = list(tree._walk())
+    r = nodes[0][0]
+    if level[r] != tree.sentinel:
+        raise AssertionError("root level is not the sentinel")
+    span: dict[int, tuple[int, int]] = {}
+    # children before parents, so each child's span is known
+    for u, _, ch in reversed(nodes):
+        if not ch:
+            raise AssertionError("internal node %d has no children" % u)
+        cl = level[ch[0]]
+        prev = NIL
+        cs = 0
+        spans = []
+        for c in ch:
+            if level[c] != cl:
+                raise AssertionError("children of %d at mixed levels" % u)
+            if tree._r(tree.lsib[c]) != prev:
+                raise AssertionError("bad lsib under %d" % u)
+            if find(tree.parent[c]) != u:
+                raise AssertionError("child %d does not resolve to parent %d" % (c, u))
+            if c < n:
+                if load[c] != 1:
+                    raise AssertionError("leaf %d has load != 1" % c)
+                # a leaf sits at its ceiling, or one below if settable
+                bit = tree.ceils[c] - level[c]
+                if not 0 <= bit <= (tree.weights[c] != tree.ceils[c]):
+                    raise AssertionError("leaf %d is not at its ceiling or one below" % c)
+                spans.append((c, c + 1))
+            else:
+                spans.append(span[c])
+            cs += load[c]
+            prev = c
+        if any(a[1] != b[0] for a, b in zip(spans, spans[1:])):
+            raise AssertionError("leaf order not preserved under %d" % u)
+        span[u] = (spans[0][0], spans[-1][1])
+        if tree._r(tree.lch[u]) != ch[-1]:
+            raise AssertionError("bad lch on %d" % u)
+        if cl >= level[u]:
+            raise AssertionError("child level not below node %d" % u)
+        if cs != csum[u]:
+            raise AssertionError("csum mismatch on %d" % u)
+        if load[u] != _ceil_shift(csum[u], level[u] - cl):
+            raise AssertionError("load recurrence violated on %d" % u)
+    if span[r] != (0, n):
+        raise AssertionError("leaves do not cover 0..n-1 in order")
+    live_internal = sum(1 for x in range(n, len(level)) if find(x) == x)
+    if len(nodes) != live_internal:
+        raise AssertionError("unreachable live internal nodes exist")
+
+
+def run_squeeze(levels, counts, out):
+    """Reference squeeze of one run of weighted items, appended to the
+    lists out = (levels, counts): the run's own stack pass with the
+    whole stack in lists, where the entry just above the sentinel is
+    emitted when popped instead of lifted, then the entries left,
+    bottom to top."""
+    lv = [_TOP]
+    cs = [0]
+    for y, add in zip(levels, counts):
+        b = lv[-1]
+        while b < y:
+            x = lv.pop()
+            c = cs.pop()
+            b = lv[-1]
+            if b < y:
+                cs[-1] += -((-c) >> (b - x))
+            elif b != _TOP:
+                add += -((-c) >> (y - x))
+            else:
+                out[0].append(x)
+                out[1].append(c)
+        if b == y:
+            cs[-1] += add
+        else:
+            lv.append(y)
+            cs.append(add)
+    out[0].extend(lv[1:])
+    out[1].extend(cs[1:])
+
+
+def per_run_squeeze(levels, fracs, counts, flo, fhi):
+    """Reference for the sorted search's squeeze: the items once the
+    search range is [flo, fhi], with each maximal run of items whose
+    level is fixed (every item but one with 0 < frac in [flo, fhi])
+    cut out, fixed (lowered iff 0 < frac <= flo) and squeezed on its
+    own by run_squeeze.  Undecided items keep their level and frac,
+    with count 1; squeezed items carry frac 0.0."""
+    n = len(levels)
+    fixed = _adjust(levels, fracs, flo)
+    out_l, out_f, out_k = out = [], [], []
+    start = 0
+    for i in [i for i, f in enumerate(fracs) if 0.0 < f and flo <= f <= fhi] + [n]:
+        if start < i:
+            m = len(out_l)
+            run_squeeze(fixed[start:i], counts[start:i], (out_l, out_k))
+            out_f += [0.0] * (len(out_l) - m)
+        if i < n:
+            out_l.append(levels[i])
+            out_f.append(fracs[i])
+            out_k.append(1)
+        start = i + 1
+    return out

@@ -29,7 +29,7 @@ from alphatree.core import minimax_cost_by_dp
 from alphatree.leveltree import UnionFindDeunion
 from alphatree.realweight import alpha_real_oracle
 from alphatree.cli import generate_weights
-from helpers import CachedIntOracle, random_real_weights, random_tree_profile
+from helpers import CachedIntOracle, audit, random_real_weights, random_tree_profile
 
 
 def report(num: int, detail: str):
@@ -78,12 +78,12 @@ def test_criterion_3_uniform_half_weight_ladder():
         tree = LevelTree([k - 0.5] * n)
         base = tree.serialize()
         assert tree.cost() == 2 * k + 1
-        assert minimax_cost_by_dp(tree.current_levels(), max_n=70) == 2 * k + 1
+        assert minimax_cost_by_dp(tree.level[: tree.n], max_n=70) == 2 * k + 1
         for pair in ((0, 1), (n - 2, n - 1)):
             for i in pair:
                 tree.set(i)
             assert tree.cost() == 2 * k
-            assert minimax_cost_by_dp(tree.current_levels(), max_n=70) == 2 * k
+            assert minimax_cost_by_dp(tree.level[: tree.n], max_n=70) == 2 * k
             tree.undo()
             tree.undo()
             assert tree.cost() == 2 * k + 1
@@ -117,8 +117,8 @@ def test_criterion_4_dynamic_against_oracle():
             else:
                 break
             ops += 1
-            assert tree.cost() == oracle(tree.current_levels())
-            tree.audit()
+            assert tree.cost() == oracle(tree.level[: tree.n])
+            audit(tree)
         while tree.segments:
             tree.undo()
         assert tree.serialize() == base

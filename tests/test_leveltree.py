@@ -16,8 +16,9 @@ from hypothesis.stateful import (
 
 from alphatree import LevelTree, LevelTreeError, alpha_int_fast, tree_cost
 from alphatree.core import minimax_cost_by_dp
-from alphatree.leveltree import NIL, static_cost, static_squeeze, static_witness
-from helpers import CachedIntOracle, random_real_weights, walk_depth_profile
+from alphatree.leveltree import NIL, static_cost, static_witness
+from alphatree.realweight import _squeeze
+from helpers import CachedIntOracle, audit, random_real_weights, walk_depth_profile
 
 
 def settable(tree):
@@ -43,14 +44,14 @@ def test_build_flat_shape():
     root = t._r(t.root)
     assert t._children(root) == [0, 1, 2, 3]
     assert t.csum[root] == 4
-    t.audit()
+    audit(t)
 
 
 def test_build_accepts_reals():
     t = LevelTree([1.5, 1.5, 1.5])
     assert t.ceils == [2, 2, 2]
     assert t.cost() == 4
-    t.audit()
+    audit(t)
 
 
 def test_build_rejects_bad_input():
@@ -67,10 +68,10 @@ def test_set_single_leaf():
     assert t.cost() == 1
     t.set(0)
     assert t.cost() == 0
-    assert t.current_levels() == [0]
+    assert t.level[: t.n] == [0]
     t.undo()
     assert t.cost() == 1
-    t.audit()
+    audit(t)
 
 
 def test_set_rejections():
@@ -84,7 +85,7 @@ def test_set_rejections():
         t.set(0)  # bit already 1
     # failed attempts must not have disturbed anything
     t.undo()
-    t.audit()
+    audit(t)
     assert t.cost() == 3
 
 
@@ -107,7 +108,7 @@ def test_uniform_half_weights():
         t.undo()
         t.undo()
         assert t.cost() == 2 * k + 1
-        t.audit()
+        audit(t)
 
 
 def test_serialize_deterministic_and_restored():
@@ -157,7 +158,7 @@ def test_audit_catches_corruption():
     def tree():
         t = LevelTree([0.5] * 4 + [2.5, 1.5, 0.5, 0.5])
         t.set(6)
-        t.audit()
+        audit(t)
         return t
 
     bad = [tree() for _ in range(4)]
@@ -173,12 +174,12 @@ def test_audit_catches_corruption():
     # the integral weight 2.0 is the only child of a level-5 node, whose
     # load stays 1 when it drops a level: only the leaf rule sees it
     t = LevelTree([2.0, 5.0])
-    t.audit()
+    audit(t)
     t.level[0] -= 1
     bad.append(t)
     for t in bad:
         with pytest.raises(AssertionError):
-            t.audit()
+            audit(t)
 
 
 def test_randomized_against_oracle():
@@ -193,7 +194,7 @@ def test_randomized_against_oracle():
         ws = random_real_weights(rng, n)
         t = LevelTree(ws)
         base = t.serialize()
-        assert t.cost() == oracle(t.current_levels())
+        assert t.cost() == oracle(t.level[: t.n])
         for _ in range(rng.randint(1, 24)):
             todo = settable(t)
             if t.segments and (not todo or rng.random() < 0.45):
@@ -202,12 +203,12 @@ def test_randomized_against_oracle():
                 t.set(rng.choice(todo))
             else:
                 break
-            assert t.cost() == oracle(t.current_levels())
-            t.audit()
+            assert t.cost() == oracle(t.level[: t.n])
+            audit(t)
         while t.segments:
             t.undo()
         assert t.serialize() == base
-        t.audit()
+        audit(t)
 
 
 def test_deep_set_chains():
@@ -223,9 +224,9 @@ def test_deep_set_chains():
         rng.shuffle(order)
         for i in order:
             t.set(i)
-            assert t.cost() == oracle(t.current_levels())
+            assert t.cost() == oracle(t.level[: t.n])
         # everything set: Y = ceil(w) - 1 throughout
-        assert t.current_levels() == [c - 1 for c in t.ceils]
+        assert t.level[: t.n] == [c - 1 for c in t.ceils]
         for _ in range(n):
             t.undo()
         assert t.serialize() == base
@@ -327,8 +328,8 @@ def test_surgery_is_mirror_symmetric():
                 break
             assert a.cost() == b.cost()
             assert log_b == [SURGERY_CASES[c] for c in log_a]
-            a.audit()
-            b.audit()
+            audit(a)
+            audit(b)
         while a.segments:
             a.undo()
             b.undo()
@@ -351,7 +352,7 @@ def test_witness_tracks_dynamic_state():
             t.set(rng.choice(todo))
         depths = t.depth_profile()
         assert walk_depth_profile(t) == depths
-        assert tree_cost(depths, t.current_levels()) == t.cost()
+        assert tree_cost(depths, t.level[: t.n]) == t.cost()
 
 
 def test_large_static_build_matches_witness():
@@ -374,9 +375,9 @@ def test_large_dynamic_matches_fresh_build():
         if not todo:
             break
         t.set(rng.choice(todo))
-        fresh = LevelTree(t.current_levels())
+        fresh = LevelTree(t.level[: t.n])
         assert t.cost() == fresh.cost()
-    t.audit()
+    audit(t)
     while t.segments:
         t.undo()
     assert t.cost() == LevelTree(ws).cost()
@@ -441,17 +442,17 @@ def test_weighted_item_acts_as_its_leaves(items):
 @settings(max_examples=400, deadline=None)
 @given(items_lists, items_lists, items_lists)
 def test_squeeze_keeps_every_enclosing_cost(p, r, s):
-    out = ([], [])
-    static_squeeze([y for y, _ in r], [a for _, a in r], out)
-    squeezed = list(zip(*out))
+    # with every frac 0.0 no item of r is undecided or lowered, so the
+    # sorted search's squeeze replaces r as one run
+    out = _squeeze([y for y, _ in r], [0.0] * len(r), [a for _, a in r], 0.5, 0.5)
+    squeezed = list(zip(out[0], out[2]))
+    assert out[1] == [0.0] * len(squeezed)
     # emitted bottoms rise and the residual stack falls
     assert len(squeezed) <= min(len(r), 2 * len({y for y, _ in r}))
     if p or r or s:
         assert _cost(p + squeezed + s) == _cost(p + r + s)
     # a squeeze of a squeeze changes nothing
-    again = ([], [])
-    static_squeeze(*out, again)
-    assert again == out
+    assert _squeeze(*out, 0.5, 0.5) == out
 
 
 class SetUndoMachine(RuleBasedStateMachine):
@@ -492,8 +493,8 @@ class SetUndoMachine(RuleBasedStateMachine):
 
     @invariant()
     def consistent(self):
-        self.tree.audit()
-        assert self.tree.cost() == static_cost(self.tree.current_levels())
+        audit(self.tree)
+        assert self.tree.cost() == static_cost(self.tree.level[: self.tree.n])
         assert walk_depth_profile(self.tree) == self.tree.depth_profile()
 
 

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,10 +16,10 @@ from alphatree import (
     alpha_real_sorted,
 )
 from alphatree.core import minimax_cost_by_dp
-from alphatree.leveltree import static_cost
-from alphatree.realweight import alpha_real_oracle, select_kth
+from alphatree.leveltree import ceil_log2, static_cost
+from alphatree.realweight import _SQUEEZE_RUN, _squeeze, alpha_real_oracle, select_kth
 from alphatree.cli import generate_weights
-from helpers import random_real_weights, unsqueezed_sorted
+from helpers import per_run_squeeze, random_real_weights, unsqueezed_sorted
 
 
 def test_select_kth_examples():
@@ -333,6 +334,76 @@ def test_counter_budgets(n, d):
     assert new["finds"] <= 3 * n
     assert new["partition_items"] <= 2 * n
     assert alpha_real_sorted(ws).instrumentation["probe_items"] <= 8 * n
+
+
+# squeeze inputs as the search makes them: a frac in [0, 1), a Fraction
+# included, and a count above 1 only on an item of frac 0.0 (squeezed)
+squeeze_fracs = st.sampled_from([0.0, 1e-12, 0.25, Fraction(1, 3), 0.5, 0.75, 1 - 1e-12])
+squeeze_items = st.lists(
+    st.tuples(st.integers(-4, 4), squeeze_fracs, st.integers(1, 6)), max_size=40
+).map(lambda items: [(y, f, k if f == 0.0 else 1) for y, f, k in items])
+
+
+@settings(max_examples=600, deadline=None)
+@given(squeeze_items, squeeze_fracs, squeeze_fracs)
+# every item decided: weighted, lowered below flo, above fhi
+@example([(2, 0.0, 3), (1, 0.0, 5), (2, 0.25, 1), (3, 0.75, 1), (2, 0.0, 2)], 0.5, 0.5)
+# every item undecided, with ties at flo and at fhi
+@example([(1, 0.25, 1), (2, 0.5, 1), (0, 0.25, 1), (3, 0.5, 1)], 0.25, 0.5)
+# an undecided item first and last, Fractions at both
+@example([(1, Fraction(1, 3), 1), (3, 0.0, 4), (2, 0.25, 1), (2, 0.75, 1),
+          (0, 0.0, 2), (1, Fraction(1, 3), 1)], Fraction(1, 3), 0.5)
+# flo = 0.0: a frac 0.0 stays decided, every positive frac up to fhi not
+@example([(1, 0.0, 2), (2, 0.25, 1), (0, 0.0, 3), (1, 0.75, 1)], 0.0, 0.25)
+def test_one_pass_squeeze_matches_per_run(items, f1, f2):
+    flo, fhi = min(f1, f2), max(f1, f2)
+    args = [list(col) for col in zip(*items)] if items else [[], [], []]
+    got = _squeeze(*args, flo, fhi)
+    # identical lists, down to the type of each frac
+    assert repr(got) == repr(per_run_squeeze(*args, flo, fhi))
+
+
+def _probe_item_bound(n, nlevels):
+    # The target and the witness walk n items each.  Before bisection
+    # probe j at most u_j positions are undecided, with u_1 <= n and
+    # u_{j+1} <= ceil(u_j / 2), and probe j walks at most n items: fewer
+    # than _SQUEEZE_RUN * u_j when the search did not squeeze after the
+    # last probe, and after a squeeze at most u_j undecided items plus,
+    # for each of the u_j + 1 runs between them, twice the run's
+    # distinct levels
+    total, u = 2 * n, n
+    while u >= 2:
+        total += min(n, max(_SQUEEZE_RUN * u, u + 2 * nlevels * (u + 1)))
+        u = (u + 1) // 2
+    return total
+
+
+@pytest.mark.parametrize("d", [1, 2, 8, 64, "n"])
+def test_work_within_derived_bounds(d):
+    # Counter bounds that follow from the algorithms, for any instance:
+    # - sorted: one probe per halving of the range, plus the target and
+    #   the witness, and the item bound above;
+    # - new: each round keeps at most half its items, so R = floor(log2
+    #   n) + 1 rounds partition at most 2n - 1 items.  A round sets the
+    #   items below its median, at most half, and those at it, at most
+    #   the largest multiplicity of one frac.  A set makes at most 16
+    #   finds in its surgery plus one per node its load update climbs
+    #   through, and a path holds at most one node per level a node can
+    #   take, ceil(w_i) or ceil(w_i) - 1; each cost() makes two.
+    # The climb bound is loose where the levels are many (d = n).
+    for n in (2**10, 2**11, 2**12, 2**13, 2**14):
+        rng = random.Random("bounds:%d:%s" % (n, d))
+        seq = WeightSeq(generate_weights(rng, n, n if d == "n" else d))
+        nlevels = len(set(seq.ceils) | {c - 1 for c in seq.ceils})
+        rounds = n.bit_length()
+        ties = max(Counter(seq.fracs).values())
+        got = alpha_real_sorted(seq).instrumentation
+        assert got["probes"] <= 2 + ceil_log2(n), (n, got)
+        assert got["probe_items"] <= _probe_item_bound(n, nlevels), (n, got)
+        got = alpha_real_new(seq).instrumentation
+        assert got["partition_items"] <= 2 * n - 1, (n, got)
+        assert got["sets"] <= got["partition_items"] // 2 + ties * rounds, (n, got)
+        assert got["finds"] <= (16 + nlevels) * got["sets"] + 2 * (rounds + 1), (n, got)
 
 
 # wide weights: the ones above, magnitudes in every binade from 2^-60 up
