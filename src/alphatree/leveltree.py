@@ -53,7 +53,7 @@ import math
 import sys
 from functools import cached_property
 from itertools import accumulate, repeat
-from operator import add, setitem, sub
+from operator import setitem, sub
 
 NIL = -1
 
@@ -193,6 +193,12 @@ def static_cost(levels, counts=None) -> int:
     Equals LevelTree(levels).cost() for unit counts; the stack entries
     are (level, csum of the run).
     """
+    t, a = _static_pass(levels, counts)
+    return t + ceil_log2(a)
+
+
+def _static_pass(levels, counts) -> tuple[int, int]:
+    # static_cost's pass, to its bottom entry (t, a), t the largest level
     if not levels:
         raise LevelTreeError("need at least one level")
     # the top entry is (t, a); lv/cs hold the entries under it
@@ -220,7 +226,7 @@ def static_cost(levels, counts=None) -> int:
         b = lv.pop()
         a = cs.pop() + (-((-a) >> (b - t)))
         t = b
-    return t + ceil_log2(a)
+    return t, a
 
 
 def _runs(levels, top, lift, ctx) -> tuple[list, list]:
@@ -334,17 +340,16 @@ class WeightSeq:
         """The fractional parts w - floor(w), computed on first use (the
         level tree reads only the ceilings)."""
         ws = self.weights
-        floors = list(map(math.floor, ws))
-        fracs = list(map(sub, ws, floors))
-        # f + floor(w) == w exactly iff f did not round: a rounded f is
-        # fl(w + 1) for w in (-1/2, 0), and f - 1 is exact (Sterbenz)
-        if list(map(add, fracs, floors)) != ws:
+        fracs = list(map(sub, ws, map(math.floor, ws)))
+        # only a weight in (-1/2, 0) can round: there f is fl(w + 1), and
+        # f - 1 is exact (Sterbenz), so f did not round iff f - 1 == w
+        bad = [i for i, w in enumerate(ws) if -0.5 < w < 0.0 and fracs[i] - 1.0 != w]
+        if bad:
             # imported here: fractions costs some 3 ms at package import
             from fractions import Fraction
 
-            for i, w in enumerate(ws):
-                if fracs[i] + floors[i] != w:
-                    fracs[i] = Fraction(w) - floors[i]
+            for i in bad:
+                fracs[i] = Fraction(ws[i]) + 1
         return fracs
 
     def adjusted(self, b) -> list[int]:

@@ -15,7 +15,9 @@ Two search strategies share that skeleton:
   probing a repeated fractional part once.  Once few positions are
   undecided, it squeezes every run of positions whose level is decided
   into at most 4d items between probes, so the passes walk O(n log d)
-  items in all rather than n per probe.
+  items in all rather than n per probe.  Its first squeeze is for n/16
+  offsets at the rank interpolation search (Perl, Itai and Avni 1978)
+  predicts from the target pass, which spares four full-length probes.
 * alpha_real_new, the paper's algorithm, never sorts.  It keeps one
   level tree alive, walks a median-of-medians partition of the
   fractional parts, and moves between probe offsets by set/undo on the
@@ -33,7 +35,7 @@ import math
 from bisect import bisect_left, bisect_right
 
 from .leveltree import LevelTree, WeightSeq, _adjust, as_weight_seq
-from .leveltree import _TOP, static_cost, static_witness
+from .leveltree import _TOP, _static_pass, ceil_log2, static_witness
 from .core import minimax_cost_by_dp
 
 
@@ -121,17 +123,18 @@ def _zero_counters() -> dict:
     }
 
 
-def _probe(levels, fracs, counts, b, acc) -> int:
-    # integer cost at offset b, by one static pass over the items
+def _probe(levels, fracs, counts, b, acc) -> tuple[int, int]:
+    # (t, a) at offset b, by one static pass over the items
     acc["probes"] += 1
     acc["probe_items"] += len(levels)
-    return static_cost(_adjust(levels, fracs, b), counts)
+    return _static_pass(_adjust(levels, fracs, b), counts)
 
 
 # A squeeze walks every item, about twice the cost of a probe's pass,
 # but shortens only long runs.  So the search squeezes only once the
 # undecided positions (about hi - lo + 1) are at most 1/16 of the items,
-# when runs average 15 items or more.  Timed against 4, 8, 32 and no
+# when runs average 15 items or more, and its interpolated window holds
+# n/16 offsets for the same reason.  Timed against 4, 8, 32 and no
 # squeeze at all (2-core box, best of 7 alternating runs, n = 512, 4096
 # and 2^14, d in {1, 2, 8, 64, n}), 16 was never beaten by more than
 # the noise: 8 took 0.87x to 1.34x its time, 4 1.01x to 1.50x, 32
@@ -208,7 +211,8 @@ def alpha_real(w) -> RealCostResult:
     Between probes, once the undecided positions are few, every run of
     positions whose level no later probe can change is squeezed (by the
     squeeze rule of leveltree's static passes) into at most 4d items, so
-    the probes walk O(n log d) items in all, not n each.
+    the probes walk O(n log d) items in all, not n each.  First up to
+    two interpolated windows of n/16 offsets are tried, two probes each.
     """
     seq = as_weight_seq(w)
     acc = _zero_counters()
@@ -216,19 +220,61 @@ def alpha_real(w) -> RealCostResult:
     # the items (levels, fracs, counts): a position not squeezed yet is
     # its ceiling, frac and count 1, a squeezed item a fixed level, frac
     # 0.0 and its count
-    items = seq.ceils, seq.fracs, [1] * seq.n
-    target = _probe(*items, order[-1], acc)
+    raw = items = seq.ceils, seq.fracs, [1] * seq.n
+    t, a = _probe(*items, order[-1], acc)
+    target = t + ceil_log2(a)
+    # Q(b) = a_b * 2^(t_b - t) from the pass at b is an integer (t_b,
+    # the largest level, is t or t + 1), and b is feasible iff Q <= cap
+    cap = 1 << (target - t)
+
+    def q_at(b) -> int:
+        tb, ab = _probe(*items, b, acc)
+        return ab << (tb - t)
+
+    lo, hi = 0, bisect_left(order, order[-1])
+    # Q falls from 2a at offset 0 (the target pass one level up, if no
+    # frac is 0) to a.  Interpolating between (x1, q1) and (x2, q2), the
+    # last index of an offset's copies and its Q, either side of the
+    # answer, places w offsets strictly inside [lo, hi]; the items
+    # squeezed for them probe exactly at the top and just below.  A miss
+    # moves a point (a secant step) for one more window.  Q in [a, 2a]
+    # places the answer to about n/a indices, so a < _SQUEEZE_RUN gets no
+    # window; nor does one reaching lo, whose lower probe is decided
+    w = seq.n // _SQUEEZE_RUN
+    x1, q1, x2, q2 = -1, 2 * a, seq.n - 1, a
+    for _ in range(2 if order[0] > 0.0 and a >= _SQUEEZE_RUN else 0):
+        if hi - lo < 2:
+            break
+        r = x1 + (x2 - x1) * (q1 - cap) // (q1 - q2)
+        j = max(lo + 1, min(r - w // 2, hi - w))
+        k = min(j + w - 1, hi - 1)
+        fhi = order[k]
+        j = bisect_left(order, order[j], lo, j)
+        if j == lo:
+            break
+        items = _squeeze(*raw, order[j], fhi)
+        qt = q_at(fhi)
+        if qt > cap:
+            lo = bisect_right(order, fhi, k, hi)
+            x1, q1 = lo - 1, qt
+        else:
+            qb = q_at(order[j - 1])
+            if qb > cap:
+                lo, hi = j, bisect_left(order, fhi, j, k)
+                break
+            hi = bisect_left(order, order[j - 1], lo, j)
+            x2, q2 = j - 1, qb
+        items = raw
     # cost as a function of the offset is nonincreasing and reaches
     # target at the largest frac: binary search the first that does.  A
     # probe decides every copy of its offset, so the range drops the
     # whole run of equal fracs (all-integral input, equal smoothed q);
     # bisecting the sorted list costs nothing next to set(fracs), which
     # takes as long as the sort at n = 2^14
-    lo, hi = 0, bisect_left(order, order[-1])
     while lo < hi:
         mid = (lo + hi) // 2
         b = order[mid]
-        if _probe(*items, b, acc) == target:
+        if q_at(b) <= cap:
             hi = bisect_left(order, b, lo, mid)
         else:
             lo = bisect_right(order, b, mid, hi)
@@ -244,16 +290,17 @@ def alpha_real_new(w) -> RealCostResult:
     """Median-search strategy: one live tree, set/undo between probes.
 
     Runs in O(n log log n + n log d) tree operations, the paper's bound.
-    Measured, it is 2.1x to 5.9x slower than alpha_real at every
-    n = 2^8, 2^10, ..., 2^16 and d in {1, 2, 8, 64, n} tried, few
-    distinct ceilings included, so it serves as the paper's algorithm
-    and a cross-check.
+    Measured, it is 2.4x to 13x slower than alpha_real at every
+    n = 2^8, 2^10, ..., 2^16 and d in {1, 2, 8, 64, n} tried (10x to
+    13x at d = 1, 2.4x to 2.8x at d = n), so it serves as the paper's
+    algorithm and a cross-check.
     """
     seq = as_weight_seq(w)
     acc = _zero_counters()
     fracs = seq.fracs
     bmax = max(fracs)
-    target = _probe(seq.ceils, seq.fracs, None, bmax, acc)
+    t, a = _probe(seq.ceils, seq.fracs, None, bmax, acc)
+    target = t + ceil_log2(a)
 
     tree = LevelTree(seq)  # all bits clear: the state at offset 0
     if tree.cost() == target:

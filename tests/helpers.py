@@ -1,5 +1,6 @@
 """Shared test utilities: independent oracles and instance generators."""
 
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from itertools import accumulate
 
@@ -11,10 +12,12 @@ from alphatree.leveltree import (
     _adjust,
     _ceil_shift,
     _pair,
+    as_weight_seq,
     ceil_log2,
     static_cost,
     static_witness,
 )
+from alphatree.realweight import _SQUEEZE_RUN, _finish, _probe, _squeeze, _zero_counters
 
 
 @lru_cache(maxsize=None)
@@ -139,6 +142,31 @@ def unsqueezed_sorted(w):
     cost, depths = static_witness(seq.adjusted(order[lo]))
     assert cost == target
     return order[lo], target, depths, probes + 1
+
+
+def bisected_sorted(w):
+    """Reference for alpha_real with no interpolated window: the
+    bisection over the sorted fractional parts from the whole range,
+    squeezing once at most 1/_SQUEEZE_RUN of the items are undecided.
+    Returns its RealCostResult, counters included."""
+    seq = as_weight_seq(w)
+    acc = _zero_counters()
+    order = sorted(seq.fracs)
+    items = seq.ceils, seq.fracs, [1] * seq.n
+    t, a = _probe(*items, order[-1], acc)
+    target = t + ceil_log2(a)
+    lo, hi = 0, bisect_left(order, order[-1])
+    while lo < hi:
+        mid = (lo + hi) // 2
+        b = order[mid]
+        t, a = _probe(*items, b, acc)
+        if t + ceil_log2(a) == target:
+            hi = bisect_left(order, b, lo, mid)
+        else:
+            lo = bisect_right(order, b, mid, hi)
+        if lo < hi and _SQUEEZE_RUN * (hi - lo + 1) <= len(items[0]):
+            items = _squeeze(*items, order[lo], order[hi])
+    return _finish(seq, order[lo], target, "sorted", acc)
 
 
 def walk_depth_profile(tree):

@@ -16,10 +16,11 @@ from alphatree import (
     alpha_real_sorted,
 )
 from alphatree.core import minimax_cost_by_dp
-from alphatree.leveltree import ceil_log2, static_cost
+import alphatree.realweight
+from alphatree.leveltree import _adjust, _static_pass, ceil_log2, static_cost
 from alphatree.realweight import _SQUEEZE_RUN, _squeeze, alpha_real_oracle, select_kth
 from alphatree.cli import generate_weights
-from helpers import per_run_squeeze, random_real_weights, unsqueezed_sorted
+from helpers import bisected_sorted, per_run_squeeze, random_real_weights, unsqueezed_sorted
 
 
 def test_select_kth_examples():
@@ -307,18 +308,35 @@ def test_squeezed_search_matches_unsqueezed_long():
         b, target, depths, probes = unsqueezed_sorted(ws)
         res = alpha_real_sorted(ws)
         assert (res.b, res.int_cost, res.depths) == (b, target, depths), ws
-        assert res.instrumentation["probes"] == probes
+        assert res.instrumentation["probes"] <= _search_probe_bound(ws), ws
+
+
+def _search_probe_bound(ws):
+    # The target and the witness, plus the search's probes.  Each probe
+    # is at an offset strictly inside the range and decides all its
+    # copies, so there are at most (distinct offsets) - 1.  Each window
+    # probes its two edges at most, and at most two windows are tried;
+    # each bisection probe then keeps at most ceil(m / 2) of the m
+    # positions left, and the first range has m <= n.  This is not
+    # within the reference's probes plus 4: after two missed windows the
+    # range can still need ceil_log2(n) bisection probes where the
+    # reference needed floor(log2(n)), or fewer when its first probes hit
+    # long runs of equal offsets.
+    offsets = len(set(WeightSeq(ws).fracs))
+    return 2 + min(offsets - 1, 4 + ceil_log2(len(ws)))
 
 
 def test_sorted_probe_item_budget():
     # 14 full passes (target, 12 probes, witness) would walk 14n items;
-    # with the squeeze they walk about 7n
+    # with the squeeze they walked about 7n, and with the interpolated
+    # window about 3.5n
     n = 2**12
     for seed in range(3):
         ws = generate_weights(random.Random(seed), n, 64)
         res = alpha_real_sorted(ws)
         assert res.instrumentation["probe_items"] <= 8 * n
-        assert res.instrumentation["probes"] == unsqueezed_sorted(ws)[3]
+        assert (res.b, res.int_cost, res.depths) == unsqueezed_sorted(ws)[:3]
+        assert res.instrumentation["probes"] <= _search_probe_bound(ws)
 
 
 @pytest.mark.parametrize("d", [1, 2, 8, 64])
@@ -326,8 +344,8 @@ def test_sorted_probe_item_budget():
 def test_counter_budgets(n, d):
     # partition_items <= 2n is the halving bound of the median search;
     # sets stay near n, finds below 3n (at most 2.95n here, as set
-    # resolves each pointer once) and probe_items near 7n on these
-    # instances
+    # resolves each pointer once) and probe_items near 3.5n on these
+    # instances (near 7n before the interpolated window)
     ws = generate_weights(random.Random(n + d), n, d)
     new = alpha_real_new(ws).instrumentation
     assert new["sets"] <= n
@@ -381,8 +399,13 @@ def _probe_item_bound(n, nlevels):
 @pytest.mark.parametrize("d", [1, 2, 8, 64, "n"])
 def test_work_within_derived_bounds(d):
     # Counter bounds that follow from the algorithms, for any instance:
-    # - sorted: one probe per halving of the range, plus the target and
-    #   the witness, and the item bound above;
+    # - sorted: the probe bound of _search_probe_bound, and the item
+    #   bound above.  Its first five terms are n each; a window's edge
+    #   probes walk at most n items each, and a window holding the answer
+    #   leaves at most n/16 positions, as many as the fifth term's.  So a
+    #   search whose first or second window holds the answer fits it.
+    #   After two missed windows the bisection may take every term, and
+    #   up to four edge probes come on top, so there it is only checked;
     # - new: each round keeps at most half its items, so R = floor(log2
     #   n) + 1 rounds partition at most 2n - 1 items.  A round sets the
     #   items below its median, at most half, and those at it, at most
@@ -398,7 +421,7 @@ def test_work_within_derived_bounds(d):
         rounds = n.bit_length()
         ties = max(Counter(seq.fracs).values())
         got = alpha_real_sorted(seq).instrumentation
-        assert got["probes"] <= 2 + ceil_log2(n), (n, got)
+        assert got["probes"] <= _search_probe_bound(seq.weights), (n, got)
         assert got["probe_items"] <= _probe_item_bound(n, nlevels), (n, got)
         got = alpha_real_new(seq).instrumentation
         assert got["partition_items"] <= 2 * n - 1, (n, got)
@@ -457,3 +480,139 @@ def test_wide_weights_match_new_and_the_rational_dp(ws):
             assert abs(exact) >= 2**52 and Fraction(float(exact)) != exact
         else:
             assert res.alpha == float(exact)
+
+
+@settings(max_examples=600, deadline=None)
+@given(squeeze_items.filter(len), squeeze_fracs, squeeze_fracs)
+# ties at flo and at fhi, weighted items, a Fraction below the window
+@example([(1, Fraction(1, 3), 1), (2, 0.5, 1), (0, 0.0, 4), (3, 0.5, 1),
+          (1, 0.75, 1), (2, 0.75, 1), (0, Fraction(1, 3), 1)], 0.5, 0.75)
+# every frac below the window, and none
+@example([(2, 0.25, 1), (1, 0.0, 3), (3, 1e-12, 1)], 0.5, 0.75)
+@example([(2, 0.75, 1), (1, 0.0, 3), (3, 0.5, 1)], 0.25, 0.5)
+def test_squeezed_pass_is_exact_in_and_below_the_window(items, f1, f2):
+    # the windowed search probes the items squeezed for [flo, fhi] at
+    # fhi, inside the window, and at the largest frac below flo: each
+    # pass must end in the raw pass's bottom entry (t, a)
+    flo, fhi = min(f1, f2), max(f1, f2)
+    levels, fracs, counts = [list(col) for col in zip(*items)]
+    sq = _squeeze(levels, fracs, counts, flo, fhi)
+    below = max([f for f in fracs if f < flo], default=0.0)
+    for b in [f for f in fracs if flo <= f <= fhi] + [flo, fhi, below]:
+        got = _static_pass(_adjust(sq[0], sq[1], b), sq[2])
+        assert got == _static_pass(_adjust(levels, fracs, b), counts), b
+
+
+def skewed_weights(rng, n, late):
+    # distinct fracs i / (n + 1); about half the weights on the late
+    # (fracs above 1/2) or early side get ceiling 8, the rest ceilings in
+    # [-4, 0].  Lowering a ceiling-8 weight moves Q the most, so Q falls
+    # late (or early) in the sorted order, away from the straight line
+    # the search interpolates, and its first window misses low (or high)
+    ws = []
+    for i in range(1, n + 1):
+        f = i / (n + 1)
+        c = 8 if (f > 0.5) == late and rng.random() < 0.5 else rng.randint(-4, 0)
+        ws.append(c - 1 + f)
+    rng.shuffle(ws)
+    return ws
+
+
+def _no_window(ws):
+    # the inputs on which the sorted search tries no window: a zero frac,
+    # a target load below _SQUEEZE_RUN, or at most 2 distinct offsets
+    seq = WeightSeq(ws)
+    order = sorted(seq.fracs)
+    a = _static_pass(seq.adjusted(order[-1]), None)[1]
+    return order[0] == 0.0 or a < _SQUEEZE_RUN or len(set(order)) <= 2
+
+
+def _search_input(seed, n, kind):
+    rng = random.Random(seed)
+    if kind in ("late", "early"):
+        return skewed_weights(rng, n, kind == "late")
+    if kind == "two offsets":
+        fs = [rng.randrange(1, 2**20) / 2**20 for _ in range(2)]
+        return [rng.randint(-4, 8) - 1 + rng.choice(fs) for _ in range(n)]
+    d = n if kind == "n" else 2 if kind == "zero" else min(kind, n)
+    ws = generate_weights(rng, n, d)
+    if kind == "zero":
+        ws[rng.randrange(n)] = float(rng.randint(-4, 4))
+    return ws
+
+
+def _windows(ws):
+    # the result and, for each squeeze of the raw items, whether its
+    # range lies below the answer ("low"), above it ("high") or holds it:
+    # the bisection's squeezes always hold it, so the others are missed
+    # windows
+    seen = []
+    real = alphatree.realweight._squeeze
+
+    def record(levels, fracs, counts, flo, fhi):
+        if len(levels) == len(ws):
+            seen.append((flo, fhi))
+        return real(levels, fracs, counts, flo, fhi)
+
+    alphatree.realweight._squeeze = record
+    try:
+        res = alpha_real(ws)
+    finally:
+        alphatree.realweight._squeeze = real
+    return res, ["high" if res.b < flo else "low" if res.b > fhi else "holds"
+                 for flo, fhi in seen]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(16, 800),
+       st.sampled_from([1, 2, 8, 64, "n", "late", "early", "zero", "two offsets"]))
+def test_windowed_search_matches_bisection(seed, n, kind):
+    # the same answer as the bisection with no window, down to the type
+    # of b; where no window is tried, the same probes and items too
+    ws = _search_input(seed, n, kind)
+    res, ref = alpha_real(ws), bisected_sorted(ws)
+    got = (res.alpha, res.b, type(res.b), res.int_cost, res.depths)
+    assert got == (ref.alpha, ref.b, type(ref.b), ref.int_cost, ref.depths)
+    assert res.instrumentation["probes"] <= _search_probe_bound(ws)
+    if _no_window(ws):
+        assert res.instrumentation == ref.instrumentation
+
+
+@pytest.mark.parametrize("kind, missed", [("late", "low"), ("early", "high")])
+def test_missed_windows_keep_the_answer(kind, missed):
+    # Q falling late puts the first window below the answer, falling
+    # early puts it above; a secant step from the missed edge places
+    # the next one
+    for seed in range(4):
+        ws = skewed_weights(random.Random(seed), 512, kind == "late")
+        res, sides = _windows(ws)
+        assert sides[0] == missed, sides
+        ref = bisected_sorted(ws)
+        assert (res.b, res.int_cost, res.depths) == (ref.b, ref.int_cost, ref.depths)
+        assert res.instrumentation["probes"] <= _search_probe_bound(ws)
+
+
+@pytest.mark.parametrize("kind", ["zero", "n", "two offsets"])
+def test_window_skip_cases(kind):
+    # each skip rule on an input where it alone keeps the window out:
+    # the zero frac and the two offsets at a target load of at least
+    # _SQUEEZE_RUN, d = n with a load below it (4 at n = 2^14)
+    for n in (2**12, 2**14):
+        ws = _search_input(n, n, kind)
+        assert _no_window(ws)
+        seq = WeightSeq(ws)
+        a = _static_pass(seq.adjusted(max(seq.fracs)), None)[1]
+        assert (a < _SQUEEZE_RUN) == (kind == "n"), a
+        res, sides = _windows(ws)
+        assert res.instrumentation == bisected_sorted(ws).instrumentation
+        assert set(sides) <= {"holds"}, sides
+
+
+@pytest.mark.parametrize("d", [1, 2, 8, 64])
+def test_window_walks_fewer_items_than_bisection(d):
+    # a window that never held the answer would walk more items than
+    # the bisection alone, not fewer
+    for n in (2**12, 2**13, 2**14):
+        ws = generate_weights(random.Random("window:%d:%d" % (n, d)), n, d)
+        got = alpha_real(ws).instrumentation["probe_items"]
+        assert got < bisected_sorted(ws).instrumentation["probe_items"], (n, d)
