@@ -336,11 +336,17 @@ class WeightSeq:
         self.n = len(ws)
 
     @cached_property
+    def floors(self) -> list[int]:
+        """floor(w_i), computed on first use: the levels at the largest
+        fractional part, where every weight with a fraction is lowered."""
+        return list(map(math.floor, self.weights))
+
+    @cached_property
     def fracs(self) -> list:
         """The fractional parts w - floor(w), computed on first use (the
         level tree reads only the ceilings)."""
         ws = self.weights
-        fracs = list(map(sub, ws, map(math.floor, ws)))
+        fracs = list(map(sub, ws, self.floors))
         # only a weight in (-1/2, 0) can round: there f is fl(w + 1), and
         # f - 1 is exact (Sterbenz), so f did not round iff f - 1 == w
         bad = [i for i, w in enumerate(ws) if -0.5 < w < 0.0 and fracs[i] - 1.0 != w]

@@ -10,23 +10,26 @@ cost equals the cost at the largest one.
 Two search strategies share that skeleton:
 
 * alpha_real, the sorted search (also importable as
-  alpha_real_sorted), sorts the fractional parts (in C) and
-  binary-searches them, solving each probe with one stack pass and
-  probing a repeated fractional part once.  Once few positions are
-  undecided, it squeezes every run of positions whose level is decided
-  into at most 4d items between probes, so the passes walk O(n log d)
-  items in all rather than n per probe.  Its first squeeze is for n/16
-  offsets at the rank interpolation search (Perl, Itai and Avni 1978)
-  predicts from the target pass, which spares four full-length probes.
+  alpha_real_sorted), sorts the fractional parts (in C) and searches
+  them, solving each probe with one stack pass and probing a repeated
+  fractional part once.  Each round squeezes every run of positions
+  whose level is decided into at most 4d items, for a window of 1/16 of
+  the offsets left at the rank interpolation search (Perl, Itai and
+  Avni 1978) predicts: first from the target pass, then from the two
+  edge probes of the window that held the answer.  Below 32 offsets,
+  or after two missed windows in a row, it bisects, squeezing again
+  once few positions are undecided.  So the passes walk O(n log d)
+  items in all rather than n per probe.
 * alpha_real_new, the paper's algorithm, never sorts.  It keeps one
   level tree alive, walks a median-of-medians partition of the
   fractional parts, and moves between probe offsets by set/undo on the
   tree, touching each position O(1) times overall.
 
-Both take the target cost at the largest fractional part and the
-witness at the final offset from a stack pass too; only the live tree
-of alpha_real_new is a LevelTree.  A cost of magnitude 2^52 or more
-that no float holds exactly raises InexactCostError.
+Both take the target cost at the largest fractional part, where every
+level is floor(w), and the witness at the final offset from a stack
+pass too; only the live tree of alpha_real_new is a LevelTree.  A cost
+of magnitude 2^52 or more that no float holds exactly raises
+InexactCostError.
 """
 
 from __future__ import annotations
@@ -130,15 +133,24 @@ def _probe(levels, fracs, counts, b, acc) -> tuple[int, int]:
     return _static_pass(_adjust(levels, fracs, b), counts)
 
 
+def _target(seq, acc) -> tuple[int, int]:
+    # the pass at the largest fractional part, where every level is
+    # floor(w): a weight with a fraction is lowered, an integral one is
+    # its own ceiling
+    acc["probes"] += 1
+    acc["probe_items"] += seq.n
+    return _static_pass(seq.floors, None)
+
+
 # A squeeze walks every item, about twice the cost of a probe's pass,
 # but shortens only long runs.  So the search squeezes only once the
 # undecided positions (about hi - lo + 1) are at most 1/16 of the items,
-# when runs average 15 items or more, and its interpolated window holds
-# n/16 offsets for the same reason.  Timed against 4, 8, 32 and no
-# squeeze at all (2-core box, best of 7 alternating runs, n = 512, 4096
-# and 2^14, d in {1, 2, 8, 64, n}), 16 was never beaten by more than
-# the noise: 8 took 0.87x to 1.34x its time, 4 1.01x to 1.50x, 32
-# 0.92x to 1.13x, and no squeeze 1.10x to 1.80x.
+# when runs average 15 items or more, and each interpolated window holds
+# 1/16 of the offsets left for the same reason.  Timed against 4, 8, 32
+# and no squeeze at all (2-core box, best of 7 alternating runs, n =
+# 512, 4096 and 2^14, d in {1, 2, 8, 64, n}), 16 was never beaten by
+# more than the noise: 8 took 0.87x to 1.34x its time, 4 1.01x to
+# 1.50x, 32 0.92x to 1.13x, and no squeeze 1.10x to 1.80x.
 _SQUEEZE_RUN = 16
 
 
@@ -206,13 +218,17 @@ def _squeeze(levels, fracs, counts, flo, fhi):
 
 def alpha_real(w) -> RealCostResult:
     """Sorted-search strategy: sort the fractional parts in C, then
-    binary-search them, probing each distinct value once.
+    search them, probing each distinct value once.
 
-    Between probes, once the undecided positions are few, every run of
-    positions whose level no later probe can change is squeezed (by the
-    squeeze rule of leveltree's static passes) into at most 4d items, so
-    the probes walk O(n log d) items in all, not n each.  First up to
-    two interpolated windows of n/16 offsets are tried, two probes each.
+    Each round interpolates the answer's rank between two offsets on
+    either side of it, squeezes the items for a window of 1/16 of the
+    offsets left there, and probes the window's two edges: a window
+    holding the answer starts the next, narrower round, a miss takes a
+    secant step to one more window.  Below 32 offsets, or after two
+    misses in a row, it bisects.  A squeeze folds every run of positions
+    whose level no later probe can change (by the squeeze rule of
+    leveltree's static passes) into at most 4d items, so the probes
+    walk O(n log d) items in all, not n each.
     """
     seq = as_weight_seq(w)
     acc = _zero_counters()
@@ -220,8 +236,8 @@ def alpha_real(w) -> RealCostResult:
     # the items (levels, fracs, counts): a position not squeezed yet is
     # its ceiling, frac and count 1, a squeezed item a fixed level, frac
     # 0.0 and its count
-    raw = items = seq.ceils, seq.fracs, [1] * seq.n
-    t, a = _probe(*items, order[-1], acc)
+    items = seq.ceils, seq.fracs, [1] * seq.n
+    t, a = _target(seq, acc)
     target = t + ceil_log2(a)
     # Q(b) = a_b * 2^(t_b - t) from the pass at b is an integer (t_b,
     # the largest level, is t or t + 1), and b is feasible iff Q <= cap
@@ -233,17 +249,20 @@ def alpha_real(w) -> RealCostResult:
 
     lo, hi = 0, bisect_left(order, order[-1])
     # Q falls from 2a at offset 0 (the target pass one level up, if no
-    # frac is 0) to a.  Interpolating between (x1, q1) and (x2, q2), the
-    # last index of an offset's copies and its Q, either side of the
-    # answer, places w offsets strictly inside [lo, hi]; the items
-    # squeezed for them probe exactly at the top and just below.  A miss
-    # moves a point (a secant step) for one more window.  Q in [a, 2a]
+    # frac is 0) to a.  Interpolating between (x1, q1) and (x2, q2), an
+    # index and its Q either side of the answer, places w offsets
+    # strictly inside [lo, hi]; the items squeezed for them probe
+    # exactly at the top and just below.  A hit brackets the answer by
+    # those two probes for the next window, squeezed from the hit's
+    # items; a miss restores the items from before the window and moves
+    # a point (a secant step), twice at most between hits.  Q in [a, 2a]
     # places the answer to about n/a indices, so a < _SQUEEZE_RUN gets no
     # window; nor does one reaching lo, whose lower probe is decided
-    w = seq.n // _SQUEEZE_RUN
     x1, q1, x2, q2 = -1, 2 * a, seq.n - 1, a
-    for _ in range(2 if order[0] > 0.0 and a >= _SQUEEZE_RUN else 0):
-        if hi - lo < 2:
+    tries = 2 if order[0] > 0.0 and a >= _SQUEEZE_RUN else 0
+    while tries:
+        w = (hi - lo + 1) // _SQUEEZE_RUN
+        if w < 2:
             break
         r = x1 + (x2 - x1) * (q1 - cap) // (q1 - q2)
         j = max(lo + 1, min(r - w // 2, hi - w))
@@ -252,7 +271,8 @@ def alpha_real(w) -> RealCostResult:
         j = bisect_left(order, order[j], lo, j)
         if j == lo:
             break
-        items = _squeeze(*raw, order[j], fhi)
+        outer = items
+        items = _squeeze(*outer, order[j], fhi)
         qt = q_at(fhi)
         if qt > cap:
             lo = bisect_right(order, fhi, k, hi)
@@ -261,10 +281,13 @@ def alpha_real(w) -> RealCostResult:
             qb = q_at(order[j - 1])
             if qb > cap:
                 lo, hi = j, bisect_left(order, fhi, j, k)
-                break
+                x1, q1, x2, q2 = j - 1, qb, k, qt
+                tries = 2
+                continue
             hi = bisect_left(order, order[j - 1], lo, j)
             x2, q2 = j - 1, qb
-        items = raw
+        items = outer
+        tries -= 1
     # cost as a function of the offset is nonincreasing and reaches
     # target at the largest frac: binary search the first that does.  A
     # probe decides every copy of its offset, so the range drops the
@@ -290,16 +313,17 @@ def alpha_real_new(w) -> RealCostResult:
     """Median-search strategy: one live tree, set/undo between probes.
 
     Runs in O(n log log n + n log d) tree operations, the paper's bound.
-    Measured, it is 2.4x to 13x slower than alpha_real at every
-    n = 2^8, 2^10, ..., 2^16 and d in {1, 2, 8, 64, n} tried (10x to
-    13x at d = 1, 2.4x to 2.8x at d = n), so it serves as the paper's
-    algorithm and a cross-check.
+    Measured with alphatree bench (seed 7, best of 9 runs per cell), it
+    is 2.5x to 17x slower than alpha_real at every n = 2^8, 2^10, ...,
+    2^16 and d in {1, 2, 8, 64, n} tried (11x to 17x at d = 1, 2.5x to
+    3.3x at d = n), so it serves as the paper's algorithm and a
+    cross-check.
     """
     seq = as_weight_seq(w)
     acc = _zero_counters()
     fracs = seq.fracs
     bmax = max(fracs)
-    t, a = _probe(seq.ceils, seq.fracs, None, bmax, acc)
+    t, a = _target(seq, acc)
     target = t + ceil_log2(a)
 
     tree = LevelTree(seq)  # all bits clear: the state at offset 0

@@ -56,6 +56,8 @@ def test_weightseq_fields():
     assert seq.fracs[1] == 0.3
     assert seq.fracs[2] == 0.0
     assert seq.fracs[3] == 0.25
+    assert seq.floors == [1, 0, 2, -1]
+    assert WeightSeq([-1e-20]).floors == [-1]
     # the weights a float holds exactly are kept, as floats
     assert WeightSeq([2**53, Fraction(1, 4), 3]).weights == [2.0**53, 0.25, 3.0]
     # the rest are rejected, naming the weight, never rounded
@@ -294,6 +296,19 @@ def test_squeezed_search_matches_unsqueezed(ws):
         assert res.alpha == alpha_real_oracle(ws)
 
 
+@settings(max_examples=300, deadline=None)
+@given(weight_lists)
+@example([-1e-20, 0.5])
+@example([2.0])
+def test_target_pass_walks_the_floors(ws):
+    # at the largest fractional part every weight with a fraction is
+    # lowered to floor(w) and every integral one is its own ceiling, so
+    # the target pass needs no adjusted list
+    seq = WeightSeq(ws)
+    assert seq.floors == [math.floor(w) for w in ws]
+    assert _static_pass(seq.floors, None) == _static_pass(seq.adjusted(max(seq.fracs)), None)
+
+
 def test_squeezed_search_matches_unsqueezed_long():
     # long enough for the search to squeeze, with few distinct fractional
     # parts so that ties sit at both ends of the range it squeezes
@@ -315,9 +330,13 @@ def _search_probe_bound(ws):
     # The target and the witness, plus the search's probes.  Each probe
     # is at an offset strictly inside the range and decides all its
     # copies, so there are at most (distinct offsets) - 1.  Each window
-    # probes its two edges at most, and at most two windows are tried;
-    # each bisection probe then keeps at most ceil(m / 2) of the m
-    # positions left, and the first range has m <= n.  This is not
+    # probes its two edges at most.  A window that holds the answer
+    # leaves at most m // 16 of the m positions in range, which spares
+    # at least 4 bisection probes, and at most one missed window comes
+    # before it, so a round that hits costs no more than the 4 probes it
+    # spares.  After the last hit at most two missed windows come (4
+    # probes); each bisection probe then keeps at most ceil(m / 2) of
+    # the m positions left, and the first range has m <= n.  This is not
     # within the reference's probes plus 4: after two missed windows the
     # range can still need ceil_log2(n) bisection probes where the
     # reference needed floor(log2(n)), or fewer when its first probes hit
@@ -328,8 +347,8 @@ def _search_probe_bound(ws):
 
 def test_sorted_probe_item_budget():
     # 14 full passes (target, 12 probes, witness) would walk 14n items;
-    # with the squeeze they walked about 7n, and with the interpolated
-    # window about 3.5n
+    # with the squeeze they walked about 7n, with one interpolated window
+    # 3.7n to 4.4n, and with a window in every round 3.0n to 3.3n
     n = 2**12
     for seed in range(3):
         ws = generate_weights(random.Random(seed), n, 64)
@@ -344,8 +363,9 @@ def test_sorted_probe_item_budget():
 def test_counter_budgets(n, d):
     # partition_items <= 2n is the halving bound of the median search;
     # sets stay near n, finds below 3n (at most 2.95n here, as set
-    # resolves each pointer once) and probe_items near 3.5n on these
-    # instances (near 7n before the interpolated window)
+    # resolves each pointer once) and probe_items at most 3.7n on these
+    # instances but 6.9n at n = 2^8, d = 64 (near 7n before the
+    # interpolated windows)
     ws = generate_weights(random.Random(n + d), n, d)
     new = alpha_real_new(ws).instrumentation
     assert new["sets"] <= n
@@ -402,10 +422,12 @@ def test_work_within_derived_bounds(d):
     # - sorted: the probe bound of _search_probe_bound, and the item
     #   bound above.  Its first five terms are n each; a window's edge
     #   probes walk at most n items each, and a window holding the answer
-    #   leaves at most n/16 positions, as many as the fifth term's.  So a
-    #   search whose first or second window holds the answer fits it.
-    #   After two missed windows the bisection may take every term, and
-    #   up to four edge probes come on top, so there it is only checked;
+    #   leaves at most 1/16 of its round's positions, so its two probes
+    #   stand in for four terms, and a window inside it walks only the
+    #   items squeezed for it.  So a search whose first or second window
+    #   holds the answer fits it.  After missed windows the bisection may
+    #   take every term, and their edge probes come on top, so there it
+    #   is only checked;
     # - new: each round keeps at most half its items, so R = floor(log2
     #   n) + 1 rounds partition at most 2n - 1 items.  A round sets the
     #   items below its median, at most half, and those at it, at most
@@ -542,25 +564,25 @@ def _search_input(seed, n, kind):
 
 
 def _windows(ws):
-    # the result and, for each squeeze of the raw items, whether its
-    # range lies below the answer ("low"), above it ("high") or holds it:
-    # the bisection's squeezes always hold it, so the others are missed
-    # windows
+    # the result and, for each squeeze, whether it squeezed items that
+    # an earlier squeeze made (nested) and whether its range lies below
+    # the answer ("low"), above it ("high") or holds it: the bisection's
+    # squeezes always hold it, so the others are missed windows
+    seq = WeightSeq(ws)
     seen = []
     real = alphatree.realweight._squeeze
 
     def record(levels, fracs, counts, flo, fhi):
-        if len(levels) == len(ws):
-            seen.append((flo, fhi))
+        seen.append((levels is not seq.ceils, flo, fhi))
         return real(levels, fracs, counts, flo, fhi)
 
     alphatree.realweight._squeeze = record
     try:
-        res = alpha_real(ws)
+        res = alpha_real(seq)
     finally:
         alphatree.realweight._squeeze = real
-    return res, ["high" if res.b < flo else "low" if res.b > fhi else "holds"
-                 for flo, fhi in seen]
+    return res, [(nested, "high" if res.b < flo else "low" if res.b > fhi else "holds")
+                 for nested, flo, fhi in seen]
 
 
 @settings(max_examples=150, deadline=None)
@@ -586,10 +608,27 @@ def test_missed_windows_keep_the_answer(kind, missed):
     for seed in range(4):
         ws = skewed_weights(random.Random(seed), 512, kind == "late")
         res, sides = _windows(ws)
-        assert sides[0] == missed, sides
+        assert sides[0] == (False, missed), sides
         ref = bisected_sorted(ws)
         assert (res.b, res.int_cost, res.depths) == (ref.b, ref.int_cost, ref.depths)
         assert res.instrumentation["probes"] <= _search_probe_bound(ws)
+
+
+@pytest.mark.parametrize("missed", ["low", "high"])
+def test_missed_nested_windows_keep_the_answer(missed):
+    # a window inside one that held the answer interpolates between that
+    # window's two edge probes, and can miss on either side; the items
+    # from before its squeeze and a secant step place the next one
+    misses = 0
+    for seed in range(10):
+        ws = _search_input(seed, 2048, 8)
+        res, sides = _windows(ws)
+        misses += sides.count((True, missed))
+        ref = bisected_sorted(ws)
+        got = (res.alpha, res.b, type(res.b), res.int_cost, res.depths)
+        assert got == (ref.alpha, ref.b, type(ref.b), ref.int_cost, ref.depths)
+        assert res.instrumentation["probes"] <= _search_probe_bound(ws)
+    assert misses, missed
 
 
 @pytest.mark.parametrize("kind", ["zero", "n", "two offsets"])
@@ -605,7 +644,7 @@ def test_window_skip_cases(kind):
         assert (a < _SQUEEZE_RUN) == (kind == "n"), a
         res, sides = _windows(ws)
         assert res.instrumentation == bisected_sorted(ws).instrumentation
-        assert set(sides) <= {"holds"}, sides
+        assert {side for _, side in sides} <= {"holds"}, sides
 
 
 @pytest.mark.parametrize("d", [1, 2, 8, 64])
