@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from functools import cached_property
 from itertools import accumulate, repeat
 from operator import setitem, sub
@@ -182,6 +181,12 @@ class UnionFindDeunion:
 # cost(P + squeeze(R) + S) = cost(P + R + S) for any P and S.  Emitted
 # bottoms rise and the residual entries fall, so a squeeze has at most
 # twice as many items as R has distinct levels.
+#
+# The sorted search's levels at offset b are ceil(w - b): the floors,
+# each raised by one iff its frac is above b (WeightSeq.adjusted).  For
+# every offset in [flo, fhi], an item with frac <= flo stays at its
+# floor and one with frac > fhi is raised, so only flo < frac <= fhi is
+# undecided, and realweight's _squeeze folds every run of the others.
 
 _TOP = math.inf
 
@@ -308,7 +313,8 @@ def _pair(fl: list, x: int, z: int, end: int, diff: list) -> list:
 
 
 class WeightSeq:
-    """Real weight sequence with cached ceilings and fractional parts.
+    """Real weight sequence with cached floors, ceilings and fractional
+    parts.
 
     A weight must be a finite float or equal one exactly (an int up to
     2^53, a dyadic Fraction): no answer for a rounded weight is exact.
@@ -317,6 +323,12 @@ class WeightSeq:
     round (two such parts can round to one float, and -1e-20's to 1.0),
     so there it is a Fraction.  Python compares floats and Fractions
     exactly, so sorting, selecting and comparing offsets need no case.
+
+    The floors come with the check, as the base level of every static
+    pass: the level at offset b is floor(w_i), raised by one iff
+    frac(w_i) > b (adjusted), so an integral weight needs no case.  The
+    ceilings, a fresh LevelTree's levels, and the fractional parts are
+    computed on first use.
     """
 
     def __init__(self, weights):
@@ -325,26 +337,25 @@ class WeightSeq:
             raise LevelTreeError("need at least one weight")
         try:
             ws = list(map(float, weights))
-            self.ceils = list(map(math.ceil, ws))
+            self.floors = list(map(math.floor, ws))
         except (OverflowError, ValueError):  # an int past the float range, inf, nan
             ws = None
         if ws != weights:
             # the first weight that no float holds exactly
-            bad = next(w for w in weights if not abs(w) <= sys.float_info.max or float(w) != w)
+            bad = next(w for w in weights if not _exact_float(w))
             raise LevelTreeError("weights must be finite and exact as floats, got %r" % (bad,))
         self.weights = ws
         self.n = len(ws)
 
     @cached_property
-    def floors(self) -> list[int]:
-        """floor(w_i), computed on first use: the levels at the largest
-        fractional part, where every weight with a fraction is lowered."""
-        return list(map(math.floor, self.weights))
+    def ceils(self) -> list[int]:
+        """ceil(w_i): the leaf levels of a fresh LevelTree, the state at
+        offset 0."""
+        return list(map(math.ceil, self.weights))
 
     @cached_property
     def fracs(self) -> list:
-        """The fractional parts w - floor(w), computed on first use (the
-        level tree reads only the ceilings)."""
+        """The fractional parts w - floor(w)."""
         ws = self.weights
         fracs = list(map(sub, ws, self.floors))
         # only a weight in (-1/2, 0) can round: there f is fl(w + 1), and
@@ -359,14 +370,22 @@ class WeightSeq:
         return fracs
 
     def adjusted(self, b) -> list[int]:
-        """ceil(w_i - b) for b in [0, 1): the ceiling drops by one
-        exactly when 0 < frac(w_i) <= b."""
-        return _adjust(self.ceils, self.fracs, b)
+        """ceil(w_i - b) for b in [0, 1): floor(w_i), raised by one
+        exactly when frac(w_i) > b."""
+        return _adjust(self.floors, self.fracs, b)
 
 
-def _adjust(ceils, fracs, b) -> list[int]:
-    # each ceiling lowered by one where 0 < frac <= b
-    return [c - 1 if 0.0 < f <= b else c for c, f in zip(ceils, fracs)]
+def _exact_float(w) -> bool:
+    # w equals a finite float; a str or bytes that float() parses does not
+    try:
+        return math.isfinite(w) and float(w) == w
+    except (OverflowError, TypeError, ValueError):
+        return False
+
+
+def _adjust(floors, fracs, b) -> list[int]:
+    # each floor raised by one where frac > b
+    return [y + 1 if f > b else y for y, f in zip(floors, fracs)]
 
 
 def as_weight_seq(w) -> WeightSeq:

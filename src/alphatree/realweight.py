@@ -2,10 +2,10 @@
 
 The cost of a real sequence equals (integer cost of ceil(w_i - b)) + b
 for the right offset b, and the only offsets worth trying are the
-fractional parts of the weights.  Lowering b past frac(w_i) bumps
-ceil(w_i - b) at position i, so the integer cost is nonincreasing in b
-and the answer is the smallest fractional part whose adjusted integer
-cost equals the cost at the largest one.
+fractional parts of the weights.  ceil(w_i - b) is floor(w_i), raised
+by one iff frac(w_i) > b, so the integer cost is nonincreasing in b and
+the answer is the smallest fractional part whose adjusted integer cost
+equals the cost at the largest one.
 
 Two search strategies share that skeleton:
 
@@ -134,9 +134,8 @@ def _probe(levels, fracs, counts, b, acc) -> tuple[int, int]:
 
 
 def _target(seq, acc) -> tuple[int, int]:
-    # the pass at the largest fractional part, where every level is
-    # floor(w): a weight with a fraction is lowered, an integral one is
-    # its own ceiling
+    # the pass at the largest fractional part, where no frac is above
+    # the offset, so every level is its floor and no list is adjusted
     acc["probes"] += 1
     acc["probe_items"] += seq.n
     return _static_pass(seq.floors, None)
@@ -155,24 +154,23 @@ _SQUEEZE_RUN = 16
 
 
 def _squeeze(levels, fracs, counts, flo, fhi):
-    # the items once the search range is [flo, fhi], in one pass: an item
-    # with 0 < frac in that range is still undecided and passes through,
-    # every other item has a fixed level (lowered iff 0 < frac < flo) and
+    # the items for every probe offset in [flo, fhi], in one pass: an
+    # item with flo < frac <= fhi is still undecided and passes through,
+    # every other item has a fixed level (raised iff frac > fhi) and
     # folds into static_cost's run stack, whose bottom entry is emitted
     # when popped (leveltree's squeeze rule); an undecided item, and the
     # end, first emit the entries left, bottom to top.  So each maximal
     # run of fixed items is replaced by its squeeze, whose items carry
-    # frac 0.0 so that no probe lowers them again
+    # frac 0.0 so that no probe raises them again
     out_l, out_f, out_k = out = [], [], []
     # the top entry is (t, a); lv/cs hold the entries under it
     lv: list = []
     cs: list[int] = []
     t, a = _TOP, 0
     for y, f, k in zip(levels, fracs, counts):
-        if f < flo:
-            if f > 0.0:
-                y -= 1
-        elif f <= fhi and f > 0.0:
+        if f > fhi:
+            y += 1
+        elif f > flo:
             if lv:
                 out_l += lv[1:]
                 out_l.append(t)
@@ -234,9 +232,9 @@ def alpha_real(w) -> RealCostResult:
     acc = _zero_counters()
     order = sorted(seq.fracs)
     # the items (levels, fracs, counts): a position not squeezed yet is
-    # its ceiling, frac and count 1, a squeezed item a fixed level, frac
+    # its floor, frac and count 1, a squeezed item a fixed level, frac
     # 0.0 and its count
-    items = seq.ceils, seq.fracs, [1] * seq.n
+    items = seq.floors, seq.fracs, [1] * seq.n
     t, a = _target(seq, acc)
     target = t + ceil_log2(a)
     # Q(b) = a_b * 2^(t_b - t) from the pass at b is an integer (t_b,
@@ -251,13 +249,15 @@ def alpha_real(w) -> RealCostResult:
     # Q falls from 2a at offset 0 (the target pass one level up, if no
     # frac is 0) to a.  Interpolating between (x1, q1) and (x2, q2), an
     # index and its Q either side of the answer, places w offsets
-    # strictly inside [lo, hi]; the items squeezed for them probe
-    # exactly at the top and just below.  A hit brackets the answer by
-    # those two probes for the next window, squeezed from the hit's
-    # items; a miss restores the items from before the window and moves
-    # a point (a secant step), twice at most between hits.  Q in [a, 2a]
-    # places the answer to about n/a indices, so a < _SQUEEZE_RUN gets no
-    # window; nor does one reaching lo, whose lower probe is decided
+    # strictly inside [lo, hi], order[j..k], and squeezes the items for
+    # the window's two probes, at order[j - 1] and fhi = order[k],
+    # leaving the fracs in (order[j - 1], fhi] undecided.  A hit
+    # brackets the answer by those two probes for the next window,
+    # squeezed from the hit's items; a miss restores the items from
+    # before the window and moves a point (a secant step), twice at most
+    # between hits.  Q in [a, 2a] places the answer to about n/a
+    # indices, so a < _SQUEEZE_RUN gets no window; nor does one reaching
+    # lo, whose lower probe is decided
     x1, q1, x2, q2 = -1, 2 * a, seq.n - 1, a
     tries = 2 if order[0] > 0.0 and a >= _SQUEEZE_RUN else 0
     while tries:
@@ -272,7 +272,7 @@ def alpha_real(w) -> RealCostResult:
         if j == lo:
             break
         outer = items
-        items = _squeeze(*outer, order[j], fhi)
+        items = _squeeze(*outer, order[j - 1], fhi)
         qt = q_at(fhi)
         if qt > cap:
             lo = bisect_right(order, fhi, k, hi)
@@ -293,7 +293,8 @@ def alpha_real(w) -> RealCostResult:
     # probe decides every copy of its offset, so the range drops the
     # whole run of equal fracs (all-integral input, equal smoothed q);
     # bisecting the sorted list costs nothing next to set(fracs), which
-    # takes as long as the sort at n = 2^14
+    # takes as long as the sort at n = 2^14.  The squeeze for the offsets
+    # left, [order[lo], order[hi]], fixes the copies of order[lo] too
     while lo < hi:
         mid = (lo + hi) // 2
         b = order[mid]

@@ -152,7 +152,7 @@ def bisected_sorted(w):
     seq = as_weight_seq(w)
     acc = _zero_counters()
     order = sorted(seq.fracs)
-    items = seq.ceils, seq.fracs, [1] * seq.n
+    items = seq.floors, seq.fracs, [1] * seq.n
     t, a = _probe(*items, order[-1], acc)
     target = t + ceil_log2(a)
     lo, hi = 0, bisect_left(order, order[-1])
@@ -298,17 +298,17 @@ def run_squeeze(levels, counts, out):
 
 
 def per_run_squeeze(levels, fracs, counts, flo, fhi):
-    """Reference for the sorted search's squeeze: the items once the
-    search range is [flo, fhi], with each maximal run of items whose
-    level is fixed (every item but one with 0 < frac in [flo, fhi])
-    cut out, fixed (lowered iff 0 < frac <= flo) and squeezed on its
-    own by run_squeeze.  Undecided items keep their level and frac,
-    with count 1; squeezed items carry frac 0.0."""
+    """Reference for the sorted search's squeeze: the items for every
+    probe offset in [flo, fhi], with each maximal run of items whose
+    level is fixed (every item but one with flo < frac <= fhi) cut out,
+    fixed (raised iff frac > fhi) and squeezed on its own by
+    run_squeeze.  Undecided items keep their level and frac, with
+    count 1; squeezed items carry frac 0.0."""
     n = len(levels)
-    fixed = _adjust(levels, fracs, flo)
+    fixed = _adjust(levels, fracs, fhi)
     out_l, out_f, out_k = out = [], [], []
     start = 0
-    for i in [i for i, f in enumerate(fracs) if 0.0 < f and flo <= f <= fhi] + [n]:
+    for i in [i for i, f in enumerate(fracs) if flo < f <= fhi] + [n]:
         if start < i:
             m = len(out_l)
             run_squeeze(fixed[start:i], counts[start:i], (out_l, out_k))

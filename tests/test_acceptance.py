@@ -237,6 +237,7 @@ def test_criterion_7_excess_within_bound():
     report(7, "%d random sources stay within the bound; point masses attain it" % rows)
 
 
+@pytest.mark.timing
 def test_criterion_8_scaling_and_budget():
     """Median-search strategy at d = 2: best-of-3 wall time grows by a
     factor in [1.6, 2.6] per doubling over n = 2^14, 2^15, 2^16; at

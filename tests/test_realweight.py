@@ -63,7 +63,9 @@ def test_weightseq_fields():
     # the rest are rejected, naming the weight, never rounded
     with pytest.raises(LevelTreeError, match="at least one"):
         WeightSeq([])
-    for bad in (math.inf, -math.inf, math.nan, 2**53 + 1, 10**400, Fraction(1, 3)):
+    # float() parses a str or bytes, yet no such weight equals a float
+    for bad in (math.inf, -math.inf, math.nan, 2**53 + 1, 10**400, Fraction(1, 3),
+                "1.0", b"1", bytearray(b"1")):
         with pytest.raises(LevelTreeError, match=re.escape(repr(bad))):
             WeightSeq([0.5, bad])
     for solve in (alpha_real, alpha_real_new):
@@ -208,7 +210,11 @@ def test_alpha_real_is_the_sorted_search():
         seq = WeightSeq(generate_weights(rng, n, d))
         res = alpha_real(seq)
         assert res.strategy == "sorted"
+        # the sorted search reads the floors only; the live tree starts
+        # at the ceilings, computed on first use
+        assert "ceils" not in vars(seq)
         new = alpha_real_new(seq)
+        assert "ceils" in vars(seq)
         assert (res.alpha, res.b, res.depths) == (new.alpha, new.b, new.depths), (n, d)
     assert alpha_real_sorted is alpha_real
 
@@ -301,9 +307,8 @@ def test_squeezed_search_matches_unsqueezed(ws):
 @example([-1e-20, 0.5])
 @example([2.0])
 def test_target_pass_walks_the_floors(ws):
-    # at the largest fractional part every weight with a fraction is
-    # lowered to floor(w) and every integral one is its own ceiling, so
-    # the target pass needs no adjusted list
+    # no frac is above the largest, so at that offset no floor is
+    # raised and the target pass needs no adjusted list
     seq = WeightSeq(ws)
     assert seq.floors == [math.floor(w) for w in ws]
     assert _static_pass(seq.floors, None) == _static_pass(seq.adjusted(max(seq.fracs)), None)
@@ -384,15 +389,23 @@ squeeze_items = st.lists(
 
 @settings(max_examples=600, deadline=None)
 @given(squeeze_items, squeeze_fracs, squeeze_fracs)
-# every item decided: weighted, lowered below flo, above fhi
+# every item decided: weighted, at or below flo, raised above fhi
 @example([(2, 0.0, 3), (1, 0.0, 5), (2, 0.25, 1), (3, 0.75, 1), (2, 0.0, 2)], 0.5, 0.5)
-# every item undecided, with ties at flo and at fhi
+# ties at flo, decided, and at fhi, undecided
 @example([(1, 0.25, 1), (2, 0.5, 1), (0, 0.25, 1), (3, 0.5, 1)], 0.25, 0.5)
 # an undecided item first and last, Fractions at both
+@example([(1, Fraction(1, 3), 1), (3, 0.0, 4), (2, 0.25, 1), (2, 0.75, 1),
+          (0, 0.0, 2), (1, Fraction(1, 3), 1)], 0.25, 0.5)
+# a tie at a Fraction flo, decided, first and last
 @example([(1, Fraction(1, 3), 1), (3, 0.0, 4), (2, 0.25, 1), (2, 0.75, 1),
           (0, 0.0, 2), (1, Fraction(1, 3), 1)], Fraction(1, 3), 0.5)
 # flo = 0.0: a frac 0.0 stays decided, every positive frac up to fhi not
 @example([(1, 0.0, 2), (2, 0.25, 1), (0, 0.0, 3), (1, 0.75, 1)], 0.0, 0.25)
+# integral weights at flo = 0.0: every item decided, none raised
+@example([(2, 0.0, 1), (1, 0.0, 1), (3, 0.0, 1), (1, 0.0, 1), (2, 0.0, 1)], 0.0, 0.0)
+# Fraction bounds, with a tie at each
+@example([(1, 0.25, 1), (2, Fraction(1, 3), 1), (0, 0.5, 1), (3, Fraction(2, 3), 1),
+          (1, 0.75, 1)], Fraction(1, 3), Fraction(2, 3))
 def test_one_pass_squeeze_matches_per_run(items, f1, f2):
     flo, fhi = min(f1, f2), max(f1, f2)
     args = [list(col) for col in zip(*items)] if items else [[], [], []]
@@ -512,15 +525,21 @@ def test_wide_weights_match_new_and_the_rational_dp(ws):
 # every frac below the window, and none
 @example([(2, 0.25, 1), (1, 0.0, 3), (3, 1e-12, 1)], 0.5, 0.75)
 @example([(2, 0.75, 1), (1, 0.0, 3), (3, 0.5, 1)], 0.25, 0.5)
-def test_squeezed_pass_is_exact_in_and_below_the_window(items, f1, f2):
+# a tie at flo, decided, between undecided items
+@example([(2, 0.5, 1), (1, 0.25, 1), (3, 0.25, 1), (0, 0.5, 1), (2, 0.25, 1)], 0.25, 0.5)
+# integral weights at flo = 0.0
+@example([(2, 0.0, 1), (1, 0.0, 1), (3, 0.0, 1), (1, 0.0, 1), (2, 0.0, 1)], 0.0, 0.0)
+# Fraction bounds, with a tie at each
+@example([(1, 0.25, 1), (2, Fraction(1, 3), 1), (0, 0.5, 1), (3, Fraction(2, 3), 1),
+          (1, 0.75, 1)], Fraction(1, 3), Fraction(2, 3))
+def test_squeezed_pass_is_exact_in_the_window(items, f1, f2):
     # the windowed search probes the items squeezed for [flo, fhi] at
-    # fhi, inside the window, and at the largest frac below flo: each
-    # pass must end in the raw pass's bottom entry (t, a)
+    # both edges, flo = order[j - 1] and fhi, and the bisection inside
+    # the range: each pass must end in the raw pass's bottom entry (t, a)
     flo, fhi = min(f1, f2), max(f1, f2)
     levels, fracs, counts = [list(col) for col in zip(*items)]
     sq = _squeeze(levels, fracs, counts, flo, fhi)
-    below = max([f for f in fracs if f < flo], default=0.0)
-    for b in [f for f in fracs if flo <= f <= fhi] + [flo, fhi, below]:
+    for b in [f for f in fracs if flo <= f <= fhi] + [flo, fhi]:
         got = _static_pass(_adjust(sq[0], sq[1], b), sq[2])
         assert got == _static_pass(_adjust(levels, fracs, b), counts), b
 
@@ -573,7 +592,7 @@ def _windows(ws):
     real = alphatree.realweight._squeeze
 
     def record(levels, fracs, counts, flo, fhi):
-        seen.append((levels is not seq.ceils, flo, fhi))
+        seen.append((levels is not seq.floors, flo, fhi))
         return real(levels, fracs, counts, flo, fhi)
 
     alphatree.realweight._squeeze = record
