@@ -10,16 +10,17 @@ equals the cost at the largest one.
 Two search strategies share that skeleton:
 
 * alpha_real, the sorted search (also importable as
-  alpha_real_sorted), sorts the fractional parts (in C) and searches
-  them, solving each probe with one stack pass and probing a repeated
-  fractional part once.  Each round squeezes every run of positions
-  whose level is decided into at most 4d items, for a window of 1/16 of
-  the offsets left at the rank interpolation search (Perl, Itai and
-  Avni 1978) predicts: first from the target pass, then from the two
-  edge probes of the window that held the answer.  Below 32 offsets,
-  or after two missed windows in a row, it bisects, squeezing again
-  once few positions are undecided.  So the passes walk O(n log d)
-  items in all rather than n per probe.
+  alpha_real_sorted), sorts the fractional parts (in C) and narrows a
+  bracket of them around the answer in one loop, solving each probe
+  with one stack pass and probing a repeated fractional part once.
+  Each round squeezes every run of positions whose level is decided
+  into at most 4d items, for the whole bracket once it spans at most
+  1/16 of the items, then tries a window of 1/16 of the bracket at the
+  rank interpolation search (Perl, Itai and Avni 1978) predicts from
+  the passes on either side of it, or bisects: below 32 offsets,
+  after two missed windows in a row, or where the window would reach
+  the bracket's low end.  Integral weights keep the windows.  So the
+  passes walk O(n log d) items in all rather than n per probe.
 * alpha_real_new, the paper's algorithm, never sorts.  It keeps one
   level tree alive, walks a median-of-medians partition of the
   fractional parts, and moves between probe offsets by set/undo on the
@@ -218,15 +219,18 @@ def alpha_real(w) -> RealCostResult:
     """Sorted-search strategy: sort the fractional parts in C, then
     search them, probing each distinct value once.
 
-    Each round interpolates the answer's rank between two offsets on
-    either side of it, squeezes the items for a window of 1/16 of the
-    offsets left there, and probes the window's two edges: a window
-    holding the answer starts the next, narrower round, a miss takes a
-    secant step to one more window.  Below 32 offsets, or after two
-    misses in a row, it bisects.  A squeeze folds every run of positions
-    whose level no later probe can change (by the squeeze rule of
-    leveltree's static passes) into at most 4d items, so the probes
-    walk O(n log d) items in all, not n each.
+    The search narrows a bracket of sorted offsets, order[lo..hi],
+    that holds the answer, in one loop.  Each round first squeezes the
+    items for the whole bracket once it spans at most 1/16 of them.  It
+    then tries a window of 1/16 of the bracket at the rank interpolation
+    search (Perl, Itai and Avni 1978) predicts, squeezing the items for
+    the window and probing its two edges; below 32 offsets, after two
+    missed windows in a row, or where the window would reach lo, it
+    bisects instead.  Integral weights (frac 0) keep the windows like
+    any other input.  A squeeze folds every run of positions whose
+    level no later probe can change (by the squeeze rule of leveltree's
+    static passes) into at most 4d items, so the probes walk O(n log d)
+    items in all, not n each.
     """
     seq = as_weight_seq(w)
     acc = _zero_counters()
@@ -240,70 +244,61 @@ def alpha_real(w) -> RealCostResult:
     # Q(b) = a_b * 2^(t_b - t) from the pass at b is an integer (t_b,
     # the largest level, is t or t + 1), and b is feasible iff Q <= cap
     cap = 1 << (target - t)
-
-    def q_at(b) -> int:
-        tb, ab = _probe(*items, b, acc)
-        return ab << (tb - t)
-
+    # Cost as a function of the offset is nonincreasing and reaches
+    # target at the largest frac, so the answer is the first feasible
+    # frac.  The bracket order[lo..hi] holds it, with q1 = Q just below
+    # order[lo] and q2 = Q at order[hi].  Below every frac, 0.0 among
+    # them, each floor is raised, so Q starts at 2a and falls to a, and
+    # integral weights need no case of their own.  A probe decides
+    # every copy of its offset: it moves lo past them or hi to the
+    # first.  Bisecting the sorted list costs nothing next to
+    # set(fracs), which takes as long as the sort at n = 2^14
     lo, hi = 0, bisect_left(order, order[-1])
-    # Q falls from 2a at offset 0 (the target pass one level up, if no
-    # frac is 0) to a.  Interpolating between (x1, q1) and (x2, q2), an
-    # index and its Q either side of the answer, places w offsets
-    # strictly inside [lo, hi], order[j..k], and squeezes the items for
-    # the window's two probes, at order[j - 1] and fhi = order[k],
-    # leaving the fracs in (order[j - 1], fhi] undecided.  A hit
-    # brackets the answer by those two probes for the next window,
-    # squeezed from the hit's items; a miss restores the items from
-    # before the window and moves a point (a secant step), twice at most
-    # between hits.  Q in [a, 2a] places the answer to about n/a
-    # indices, so a < _SQUEEZE_RUN gets no window; nor does one reaching
-    # lo, whose lower probe is decided
-    x1, q1, x2, q2 = -1, 2 * a, seq.n - 1, a
-    tries = 2 if order[0] > 0.0 and a >= _SQUEEZE_RUN else 0
-    while tries:
-        w = (hi - lo + 1) // _SQUEEZE_RUN
-        if w < 2:
-            break
-        r = x1 + (x2 - x1) * (q1 - cap) // (q1 - q2)
-        j = max(lo + 1, min(r - w // 2, hi - w))
-        k = min(j + w - 1, hi - 1)
-        fhi = order[k]
-        j = bisect_left(order, order[j], lo, j)
-        if j == lo:
-            break
-        outer = items
-        items = _squeeze(*outer, order[j - 1], fhi)
-        qt = q_at(fhi)
-        if qt > cap:
-            lo = bisect_right(order, fhi, k, hi)
-            x1, q1 = lo - 1, qt
-        else:
-            qb = q_at(order[j - 1])
-            if qb > cap:
-                lo, hi = j, bisect_left(order, fhi, j, k)
-                x1, q1, x2, q2 = j - 1, qb, k, qt
-                tries = 2
-                continue
-            hi = bisect_left(order, order[j - 1], lo, j)
-            x2, q2 = j - 1, qb
-        items = outer
-        tries -= 1
-    # cost as a function of the offset is nonincreasing and reaches
-    # target at the largest frac: binary search the first that does.  A
-    # probe decides every copy of its offset, so the range drops the
-    # whole run of equal fracs (all-integral input, equal smoothed q);
-    # bisecting the sorted list costs nothing next to set(fracs), which
-    # takes as long as the sort at n = 2^14.  The squeeze for the offsets
-    # left, [order[lo], order[hi]], fixes the copies of order[lo] too
+    q1, q2 = 2 * a, a
+
+    def probe(x) -> bool:
+        nonlocal lo, hi, q1, q2
+        tb, ab = _probe(*items, order[x], acc)
+        q = ab << (tb - t)
+        if q > cap:
+            lo, q1 = bisect_right(order, order[x], x, hi), q
+            return False
+        hi, q2 = bisect_left(order, order[x], lo, x), q
+        return True
+
+    # Each round squeezes the items for the whole bracket, [order[lo],
+    # order[hi]], once it spans at most 1/16 of them; that one rule also
+    # fixes the copies of order[lo].  A window interpolates the answer's
+    # index between (lo - 1, q1) and (hi, q2), places w offsets strictly
+    # inside the bracket there, order[j..k], and squeezes the items for
+    # its two probes, at order[j - 1] and order[k], leaving the fracs in
+    # (order[j - 1], order[k]] undecided.  A hit (k feasible, j - 1 not)
+    # brackets the answer by those two probes, and the next round works
+    # on the window's items; a miss restores the items from before the
+    # window, and two misses in a row end the windows.  Q in [a, 2a]
+    # places the answer to about n/a indices, so a < _SQUEEZE_RUN gets
+    # no window; a window reaching lo, whose lower probe is decided,
+    # gives way to a bisection probe
+    tries = 2 if a >= _SQUEEZE_RUN else 0
     while lo < hi:
-        mid = (lo + hi) // 2
-        b = order[mid]
-        if q_at(b) <= cap:
-            hi = bisect_left(order, b, lo, mid)
-        else:
-            lo = bisect_right(order, b, mid, hi)
-        if lo < hi and _SQUEEZE_RUN * (hi - lo + 1) <= len(items[0]):
+        if _SQUEEZE_RUN * (hi - lo + 1) <= len(items[0]):
             items = _squeeze(*items, order[lo], order[hi])
+        w = (hi - lo + 1) // _SQUEEZE_RUN
+        if tries and w >= 2:
+            r = lo - 1 + (hi - lo + 1) * (q1 - cap) // (q1 - q2)
+            j = max(lo + 1, min(r - w // 2, hi - w))
+            k = j + w - 1
+            j = bisect_left(order, order[j], lo, j)
+            if j > lo:
+                outer = items
+                items = _squeeze(*outer, order[j - 1], order[k])
+                if probe(k) and not probe(j - 1):
+                    tries = 2
+                else:
+                    items = outer
+                    tries -= 1
+                continue
+        probe((lo + hi) // 2)
     return _finish(seq, order[lo], target, "sorted", acc)
 
 
@@ -340,9 +335,7 @@ def alpha_real_new(w) -> RealCostResult:
         m = select_kth([fracs[i] for i in items], (len(items) + 1) // 2)
         below = [i for i in items if fracs[i] < m]
         # the positions whose ceiling drops at offset m: frac in (0, m]
-        lowered = [i for i in below if fracs[i] > 0.0]
-        if m > 0.0:
-            lowered += [i for i in items if fracs[i] == m]
+        lowered = [i for i in items if 0.0 < fracs[i] <= m]
         for i in lowered:
             tree.set(i)
         if tree.cost() == target:
@@ -368,11 +361,12 @@ def _finish(seq, b, target, strategy, acc) -> RealCostResult:
     if cost != target:
         raise AssertionError("offset %r does not reproduce the integer cost" % (b,))
     # The cost is target + frac(w_j) at the first j whose fractional part
-    # is b (or target, with w = 0.0, when b is 0).  w + k, with the integer
-    # k = target - floor(w), is that sum exactly before its one rounding,
-    # in float arithmetic even where b is a Fraction (weights just below
-    # 0, such as -0.3 or -1e-20, whose w - floor(w) would round).
-    w = seq.weights[seq.fracs.index(b)] if b > 0.0 else 0.0
+    # is b; b is always some weight's (0.0 only where a weight is
+    # integral).  w + k, with the integer k = target - floor(w), is that
+    # sum exactly before its one rounding, in float arithmetic even where
+    # b is a Fraction (weights just below 0, such as -0.3 or -1e-20,
+    # whose w - floor(w) would round).
+    w = seq.weights[seq.fracs.index(b)]
     k = target - math.floor(w)
     alpha = w + k
     # Floats from 2^52 up are a unit or more apart, so there the sum can

@@ -147,8 +147,9 @@ def unsqueezed_sorted(w):
 def bisected_sorted(w):
     """Reference for alpha_real with no interpolated window: the
     bisection over the sorted fractional parts from the whole range,
-    squeezing once at most 1/_SQUEEZE_RUN of the items are undecided.
-    Returns its RealCostResult, counters included."""
+    squeezing at the start of each round once at most 1/_SQUEEZE_RUN of
+    the items are undecided.  Returns its RealCostResult, counters
+    included."""
     seq = as_weight_seq(w)
     acc = _zero_counters()
     order = sorted(seq.fracs)
@@ -157,6 +158,8 @@ def bisected_sorted(w):
     target = t + ceil_log2(a)
     lo, hi = 0, bisect_left(order, order[-1])
     while lo < hi:
+        if _SQUEEZE_RUN * (hi - lo + 1) <= len(items[0]):
+            items = _squeeze(*items, order[lo], order[hi])
         mid = (lo + hi) // 2
         b = order[mid]
         t, a = _probe(*items, b, acc)
@@ -164,8 +167,6 @@ def bisected_sorted(w):
             hi = bisect_left(order, b, lo, mid)
         else:
             lo = bisect_right(order, b, mid, hi)
-        if lo < hi and _SQUEEZE_RUN * (hi - lo + 1) <= len(items[0]):
-            items = _squeeze(*items, order[lo], order[hi])
     return _finish(seq, order[lo], target, "sorted", acc)
 
 

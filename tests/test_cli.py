@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -394,6 +395,20 @@ def test_bench_deterministic_without_timing(tmp_path, capsys):
     )
     # 2 sizes x 2 d x 2 trials x 2 algos
     assert len(out1.strip().splitlines()) == 1 + 16
+
+
+# sha256 of the sorted search's bench CSV below, recorded when its one
+# search loop landed; any later change to the search's work (its probes
+# or probe_items on any row) must re-record this digest and log the old
+# and new rows in CHANGES.md
+SORTED_BENCH_SHA256 = "2769fcc42daf21630ed459968b243bec91438d9f1d13c2554c5b98c08b461da4"
+
+
+def test_sorted_search_work_is_pinned(capsys):
+    rc, out, _ = run(capsys, "bench", "--n", "1024,4096", "--d", "1,2,8,64,4096",
+                     "--trials", "2", "--seed", "7", "--omit-timing", "--algos", "sorted")
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SORTED_BENCH_SHA256, out
 
 
 def test_bench_timing_column(capsys):
