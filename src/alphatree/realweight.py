@@ -361,12 +361,14 @@ def _finish(seq, b, target, strategy, acc) -> RealCostResult:
     if cost != target:
         raise AssertionError("offset %r does not reproduce the integer cost" % (b,))
     # The cost is target + frac(w_j) at the first j whose fractional part
-    # is b; b is always some weight's (0.0 only where a weight is
-    # integral).  w + k, with the integer k = target - floor(w), is that
-    # sum exactly before its one rounding, in float arithmetic even where
-    # b is a Fraction (weights just below 0, such as -0.3 or -1e-20,
-    # whose w - floor(w) would round).
-    w = seq.weights[seq.fracs.index(b)]
+    # is b.  w + k, with the integer k = target - floor(w), is that sum
+    # exactly before its one rounding, in float arithmetic even where b
+    # is a Fraction (weights just below 0, such as -0.3 or -1e-20, whose
+    # w - floor(w) would round).  A weight with b > 0 is under 2^52 in
+    # magnitude, so k is exact as a float wherever the sum is under
+    # 2^52; an integral weight may not be (k = 2^60 + 1 for [-2^60, 0.0]
+    # rounds), so b = 0.0 sums from 0.0.
+    w = seq.weights[seq.fracs.index(b)] if b > 0.0 else 0.0
     k = target - math.floor(w)
     alpha = w + k
     # Floats from 2^52 up are a unit or more apart, so there the sum can
