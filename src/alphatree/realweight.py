@@ -54,7 +54,9 @@ class RealCostResult:
     from the weight whose fractional part b is), plus the
     witness depth profile and the structure-operation counters: the
     live tree's sets, undos, finds, unions and deunions, the items the
-    median search partitioned, and probes, the number of static passes.
+    median search partitioned, probes, the number of static passes,
+    probe_items, the items they walked, and squeeze_items, the items
+    the sorted search's squeezes walked.
 
     b is exact and in [0, 1): a float, or a Fraction when it is the
     fractional part of a weight in (-1/2, 0) with bits below 2^-53 (see
@@ -124,6 +126,7 @@ def _zero_counters() -> dict:
         "partition_items": 0,
         "probes": 0,
         "probe_items": 0,
+        "squeeze_items": 0,
     }
 
 
@@ -154,7 +157,7 @@ def _target(seq, acc) -> tuple[int, int]:
 _SQUEEZE_RUN = 16
 
 
-def _squeeze(levels, fracs, counts, flo, fhi):
+def _squeeze(levels, fracs, counts, flo, fhi, acc):
     # the items for every probe offset in [flo, fhi], in one pass: an
     # item with flo < frac <= fhi is still undecided and passes through,
     # every other item has a fixed level (raised iff frac > fhi) and
@@ -163,6 +166,7 @@ def _squeeze(levels, fracs, counts, flo, fhi):
     # end, first emit the entries left, bottom to top.  So each maximal
     # run of fixed items is replaced by its squeeze, whose items carry
     # frac 0.0 so that no probe raises them again
+    acc["squeeze_items"] += len(levels)
     out_l, out_f, out_k = out = [], [], []
     # the top entry is (t, a); lv/cs hold the entries under it
     lv: list = []
@@ -282,7 +286,7 @@ def alpha_real(w) -> RealCostResult:
     tries = 2 if a >= _SQUEEZE_RUN else 0
     while lo < hi:
         if _SQUEEZE_RUN * (hi - lo + 1) <= len(items[0]):
-            items = _squeeze(*items, order[lo], order[hi])
+            items = _squeeze(*items, order[lo], order[hi], acc)
         w = (hi - lo + 1) // _SQUEEZE_RUN
         if tries and w >= 2:
             r = lo - 1 + (hi - lo + 1) * (q1 - cap) // (q1 - q2)
@@ -291,7 +295,7 @@ def alpha_real(w) -> RealCostResult:
             j = bisect_left(order, order[j], lo, j)
             if j > lo:
                 outer = items
-                items = _squeeze(*outer, order[j - 1], order[k])
+                items = _squeeze(*outer, order[j - 1], order[k], acc)
                 if probe(k) and not probe(j - 1):
                     tries = 2
                 else:

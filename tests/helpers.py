@@ -159,7 +159,7 @@ def bisected_sorted(w):
     lo, hi = 0, bisect_left(order, order[-1])
     while lo < hi:
         if _SQUEEZE_RUN * (hi - lo + 1) <= len(items[0]):
-            items = _squeeze(*items, order[lo], order[hi])
+            items = _squeeze(*items, order[lo], order[hi], acc)
         mid = (lo + hi) // 2
         b = order[mid]
         t, a = _probe(*items, b, acc)

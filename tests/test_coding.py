@@ -190,6 +190,14 @@ def test_codebook_invariants_enforced():
         CodeBook(["a", "b", "c"], [0, 10, 11])  # integers, not bit strings
     with pytest.raises(CodingError, match="cannot be compared"):
         CodeBook([1, "a"], ["0", "1"])
+    # digits other than ASCII "0" and "1" are not bits, though int(cw, 2)
+    # would read them as bits; the binary check comes before the
+    # empty-codeword check, as for decode's bits
+    for bad in ("\uff10", "\u0661", "0\n", "\n"):
+        with pytest.raises(CodingError, match="not binary"):
+            CodeBook(["a", "b"], [bad, "1"])
+    with pytest.raises(CodingError, match="not binary"):
+        CodeBook(["a", "b"], ["\uff10", ""])
 
 
 def test_codebook_json_roundtrip():
@@ -293,20 +301,6 @@ def test_decode_needs_string_labels():
         CodeBook([7], [""]).decode("")
 
 
-@st.composite
-def skewed_codes(draw):
-    """build_code on 1..40 symbols with geometric probabilities in a
-    random rank order; a steep ratio gives codewords far longer than
-    the decode window."""
-    m = draw(st.integers(1, 40))
-    ratio = draw(st.floats(0.2, 1.0))
-    ranks = draw(st.permutations(range(m)))
-    weights = [ratio**r for r in ranks]
-    total = math.fsum(weights)
-    labels = [chr(ord("A") + i) for i in range(m)]
-    return build_code(Distribution(labels, [w / total for w in weights]))
-
-
 def decode_outcome(decode, bits):
     """decode(bits), or the exception class and DecodeError offset."""
     try:
@@ -317,25 +311,119 @@ def decode_outcome(decode, bits):
         return (type(e), None)
 
 
+# non-binary characters in the middle and at the end, and digits that
+# are not ASCII: a fullwidth zero and an Arabic-Indic one
+NON_BINARY = ["01x10", "0110\n", "\n", "0 1", "2", "\uff10", "1\u06611", "10\uff10"]
+
+
+def test_decode_rejects_non_binary_before_other_checks():
+    book = CodeBook(["a", "b", "c"], ["0", "10", "11"])
+    ints = CodeBook([1, 2, 3], ["0", "10", "11"])
+    solo = CodeBook(["a"], [""])
+    for bits in NON_BINARY:
+        # before the string-label check and the empty-codeword check
+        for b in (book, ints, solo):
+            with pytest.raises(CodingError, match="non-binary") as ei:
+                b.decode(bits)
+            assert type(ei.value) is CodingError, bits
+        assert decode_outcome(lambda b: probe_decode(book, b), bits) == (CodingError, None)
+
+
+def greedy_window(book, window):
+    """Reference window-table entry: the longest prefix of window that
+    probe_decode decodes whole, as (labels, bits used).  Only the
+    codewords lying wholly inside the window decode, so this is the
+    greedy reading of the window's codewords."""
+    outcomes = [decode_outcome(lambda b: probe_decode(book, b), window[:u])
+                for u in range(len(window) + 1)]
+    used = max(u for u, got in enumerate(outcomes) if isinstance(got, str))
+    return outcomes[used], used
+
+
+def test_window_table_of_small_codes():
+    book = CodeBook(["a", "b", "c"], ["0", "10", "11"])
+    k, table = book._window_table()
+    # "00" holds two codewords; "01" holds "0" and the start of "10" or
+    # "11", which the next lookup reads
+    assert k == 2
+    assert table == {"00": ("aa", 2), "01": ("a", 1), "10": ("b", 2), "11": ("c", 2)}
+    assert all(table[w] == greedy_window(book, w) for w in table)
+    # a caterpillar code "0", "10", "110", ... whose last two codewords
+    # are longer than the window, with multi-character labels and an
+    # empty one: used, not the labels, says what a window holds
+    depths = list(range(1, _WINDOW_BITS + 2)) + [_WINDOW_BITS + 1]
+    long = CodeBook(["x" * i for i in range(len(depths))], codewords_from_depths(depths))
+    k, table = long._window_table()
+    assert k == _WINDOW_BITS and len(table) == 2**k
+    assert table["0" * k] == ("", k)
+    assert table["10110" + "1" * (k - 5)] == ("xxx", 5)
+    assert table["1" * k] == ("", 0)
+    assert all(table[w] == greedy_window(long, w) for w in table)
+    # decode probes past the window for both long codewords, at every
+    # truncation too
+    msg = [long.labels[i] for i in (k, 0, k + 1, 1, k)]
+    bits = long.encode(msg)
+    assert long.decode(bits) == "".join(msg)
+    for cut in range(len(bits)):
+        expect = decode_outcome(lambda b: probe_decode(long, b), bits[:cut])
+        assert decode_outcome(long.decode, bits[:cut]) == expect, cut
+
+
+@st.composite
+def skewed_codes(draw):
+    """build_code on 1..40 symbols with geometric probabilities in a
+    random rank order; a steep ratio gives codewords far longer than
+    the decode window.  The labels are single letters, or strings of 0
+    to 4 characters, the empty one included."""
+    m = draw(st.integers(1, 40))
+    ratio = draw(st.floats(0.2, 1.0))
+    ranks = draw(st.permutations(range(m)))
+    weights = [ratio**r for r in ranks]
+    total = math.fsum(weights)
+    if draw(st.booleans()):
+        labels = [chr(ord("A") + i) for i in range(m)]
+    else:
+        labels = sorted(draw(st.sets(st.text("abc", max_size=4), min_size=m, max_size=m)))
+    return build_code(Distribution(labels, [w / total for w in weights]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(skewed_codes().filter(lambda book: book.max_len))  # decode needs no table at 0
+def test_window_table_matches_greedy_probe(book):
+    k, table = book._window_table()
+    assert k == min(book.max_len, _WINDOW_BITS) and len(table) == 2**k
+    assert all(table[w] == greedy_window(book, w) for w in table)
+
+
 def test_decode_matches_probe_decoder():
     max_lens = []
+    msg_lens = []
     long_decoded = []
+    tails = []
 
     @settings(max_examples=300, deadline=None)
     @given(skewed_codes(), st.data())
     def check(book, data):
         max_lens.append(book.max_len)
-        msg = data.draw(st.lists(st.sampled_from(book.labels), max_size=60))
-        kind = data.draw(st.sampled_from(["message", "truncated", "random"]))
+        size = data.draw(st.integers(0, 400))
+        msg = data.draw(st.lists(st.sampled_from(book.labels), min_size=size, max_size=size))
+        msg_lens.append(len(msg))
+        kind = data.draw(st.sampled_from(["message", "truncated", "tail", "random"]))
         bits = book.encode(msg)
+        k = min(book.max_len, _WINDOW_BITS)
         if kind == "truncated":
             bits = bits[: data.draw(st.integers(0, len(bits)))]
+        elif kind == "tail" and k and bits:
+            # cut inside the last k bits, where the window loop hands the
+            # rest to the probe
+            bits = bits[: -data.draw(st.integers(1, min(k, len(bits))))]
+            tails.append(len(bits) >= k)
         elif kind == "random":
             bits = data.draw(st.text("01", max_size=120))
         foreign = data.draw(st.integers(0, 9)) == 0
         if foreign:
             at = data.draw(st.integers(0, len(bits)))
-            bits = bits[:at] + data.draw(st.sampled_from("2x \n")) + bits[at:]
+            bits = bits[:at] + data.draw(st.sampled_from(NON_BINARY)) + bits[at:]
         got = decode_outcome(book.decode, bits)
         assert got == decode_outcome(lambda b: probe_decode(book, b), bits)
         if foreign:
@@ -346,7 +434,9 @@ def test_decode_matches_probe_decoder():
 
     check()
     assert max(max_lens) > _WINDOW_BITS
+    assert max(msg_lens) >= 200
     assert long_decoded  # the probe past the window ran
+    assert any(tails)  # the window loop ran before the probe of the tail
 
 
 # ----------------------------------------------------------------------

@@ -444,7 +444,8 @@ def test_weighted_item_acts_as_its_leaves(items):
 def test_squeeze_keeps_every_enclosing_cost(p, r, s):
     # with every frac 0.0 no item of r is undecided or lowered, so the
     # sorted search's squeeze replaces r as one run
-    out = _squeeze([y for y, _ in r], [0.0] * len(r), [a for _, a in r], 0.5, 0.5)
+    acc = {"squeeze_items": 0}
+    out = _squeeze([y for y, _ in r], [0.0] * len(r), [a for _, a in r], 0.5, 0.5, acc)
     squeezed = list(zip(out[0], out[2]))
     assert out[1] == [0.0] * len(squeezed)
     # emitted bottoms rise and the residual stack falls
@@ -452,7 +453,7 @@ def test_squeeze_keeps_every_enclosing_cost(p, r, s):
     if p or r or s:
         assert _cost(p + squeezed + s) == _cost(p + r + s)
     # a squeeze of a squeeze changes nothing
-    assert _squeeze(*out, 0.5, 0.5) == out
+    assert _squeeze(*out, 0.5, 0.5, acc) == out
 
 
 class SetUndoMachine(RuleBasedStateMachine):

@@ -223,7 +223,7 @@ def test_alpha_real_reports_every_counter():
     res = alpha_real([0.5, 1.25, 0.75, 2.0])
     assert set(res.instrumentation) == {
         "sets", "undos", "finds", "unions", "deunions", "partition_items",
-        "probes", "probe_items",
+        "probes", "probe_items", "squeeze_items",
     }
 
 
@@ -419,9 +419,11 @@ squeeze_items = st.lists(
 def test_one_pass_squeeze_matches_per_run(items, f1, f2):
     flo, fhi = min(f1, f2), max(f1, f2)
     args = [list(col) for col in zip(*items)] if items else [[], [], []]
-    got = _squeeze(*args, flo, fhi)
+    acc = {"squeeze_items": 0}
+    got = _squeeze(*args, flo, fhi, acc)
     # identical lists, down to the type of each frac
     assert repr(got) == repr(per_run_squeeze(*args, flo, fhi))
+    assert acc["squeeze_items"] == len(items)
 
 
 def _probe_item_bound(n, nlevels):
@@ -548,7 +550,7 @@ def test_squeezed_pass_is_exact_in_the_window(items, f1, f2):
     # the range: each pass must end in the raw pass's bottom entry (t, a)
     flo, fhi = min(f1, f2), max(f1, f2)
     levels, fracs, counts = [list(col) for col in zip(*items)]
-    sq = _squeeze(levels, fracs, counts, flo, fhi)
+    sq = _squeeze(levels, fracs, counts, flo, fhi, {"squeeze_items": 0})
     for b in [f for f in fracs if flo <= f <= fhi] + [flo, fhi]:
         got = _static_pass(_adjust(sq[0], sq[1], b), sq[2])
         assert got == _static_pass(_adjust(levels, fracs, b), counts), b
@@ -599,14 +601,17 @@ def _windows(ws):
     # squeezes always hold it, so the others are missed windows; and how
     # many windows the search tried: a window's squeeze is followed by a
     # probe at its top offset, order[k], while a bisection squeeze's top,
-    # order[hi], is never probed again
+    # order[hi], is never probed again.  The items the squeezes walked
+    # must be the result's squeeze_items
     seq = WeightSeq(ws)
     log = []
+    walked = []
     real_squeeze, real_probe = alphatree.realweight._squeeze, alphatree.realweight._probe
 
-    def squeeze(levels, fracs, counts, flo, fhi):
+    def squeeze(levels, fracs, counts, flo, fhi, acc):
         log.append((levels is not seq.floors, flo, fhi))
-        return real_squeeze(levels, fracs, counts, flo, fhi)
+        walked.append(len(levels))
+        return real_squeeze(levels, fracs, counts, flo, fhi, acc)
 
     def probe(levels, fracs, counts, b, acc):
         log.append(b)
@@ -617,6 +622,7 @@ def _windows(ws):
         res = alpha_real(seq)
     finally:
         alphatree.realweight._squeeze, alphatree.realweight._probe = real_squeeze, real_probe
+    assert res.instrumentation["squeeze_items"] == sum(walked)
     sides = [(nested, "high" if res.b < flo else "low" if res.b > fhi else "holds")
              for nested, flo, fhi in (e for e in log if type(e) is tuple)]
     tried = sum(1 for e, nxt in zip(log, log[1:]) if type(e) is tuple and nxt == e[2])
