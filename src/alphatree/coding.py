@@ -177,6 +177,7 @@ def codewords_from_depths(depths) -> list[str]:
     from .core import depths_to_tree
 
     depths_to_tree(depths)  # raises DepthProfileError when unrealizable
+    depths = list(map(int, depths))
     top = max(depths)
     out: list[str] = []
     acc = 0

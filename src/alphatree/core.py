@@ -128,10 +128,13 @@ def depths_to_tree(depths) -> list[int]:
         raise DepthProfileError(0, "empty profile")
     parents = [-1] * n
     stack: list[tuple[int, int]] = []  # (node id, depth)
-    for i, d in enumerate(depths):
-        if d != int(d) or d < 0:
+    for i, w in enumerate(depths):
+        try:
+            d = int(w)
+        except (OverflowError, TypeError, ValueError):  # inf, nan, not a number
+            d = -1
+        if d != w or d < 0:
             raise DepthProfileError(i, "depth must be a nonnegative integer")
-        d = int(d)
         if len(stack) == 1 and stack[0][1] == 0:
             raise DepthProfileError(i, "tree is already complete")
         if stack and d < stack[-1][1]:

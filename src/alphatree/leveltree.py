@@ -19,17 +19,18 @@ Parent pointers of internal nodes are resolved through a union-find with
 deunion: merging two adjacent siblings is a single union instead of
 re-parenting their children, and undo can reverse it exactly.
 
-The build and static_witness share one run stack, _runs, and differ
-only in what they do with each run it pops: the build's lift makes one
-new node over the run, static_witness's (_pair) pairs the run's
-fragments.  A static integer instance needs none of the dynamic
-machinery: static_cost and static_witness group the levels exactly as
-the build does, in the same left-to-right stack pass with no arena, no
-union-find and no journal, and the live tree's witness is
-static_witness of its leaf levels.  static_cost counts rather than
-lists, in a loop of its own with no call per pop, and the squeeze rule
-(see the static-pass comment) lets the sorted search shorten runs of
-fixed levels so that its repeated passes over them stay short.
+A static integer instance needs none of the dynamic machinery:
+static_cost and static_witness group the levels exactly as the build
+does, in the same left-to-right stack pass with no arena, no union-find
+and no journal, and the live tree's witness is static_witness of its
+leaf levels.  The build and static_witness each run that pass as a loop
+of their own, with the runs popped below the incoming level lifted
+inline and no call per pop: the build makes one new node over each
+run, and static_witness pairs the run's fragments by index arithmetic,
+with no work for a run of one fragment.  static_cost counts rather than
+lists, and the squeeze rule (see the static-pass comment) lets the
+sorted search shorten runs of fixed levels so that its repeated passes
+over them stay short.
 
 The undo journal is one flat list, and undo is set union with
 backtracking: it returns to the state its segment opened in.  A set
@@ -164,12 +165,14 @@ class UnionFindDeunion:
 # entry per run, levels strictly decreasing upward from a bottom
 # sentinel at +inf, so a node lifted to the level of the entry below it
 # joins that run at once, and a node lifted to the incoming level y goes
-# in front of leaf y.  Every pass keeps the top entry in two locals and
-# the entries under it in lists, so an item at the top's level costs one
-# add or append, and a pop does no indexing.  The pass is written over
-# lists in _runs (the build and static_witness), and over counts in
-# static_cost and in realweight's _squeeze, where a call per pop made
-# the sorted search's hottest pass about half again as slow.
+# in front of leaf y.  Every pass keeps the top entry in two locals, so
+# an item at the top's level costs one add or append, and none calls a
+# function per pop.  The passes over counts (static_cost and realweight's
+# _squeeze) keep the entries under the top in two lists, popped together
+# (a tuple stack, or peeking at the entry under the top, made them no
+# faster).  The passes over lists (the build and static_witness) keep
+# (level, run) tuples and peek at the entry under the top, so a run
+# lifted to the incoming level pops and pushes nothing.
 #
 # The cost passes take weighted items: an item (y, a) acts exactly like
 # a leaves at level y, which is what a lifted node of load a landing at
@@ -234,46 +237,6 @@ def _static_pass(levels, counts) -> tuple[int, int]:
     return t, a
 
 
-def _runs(levels, top, lift, ctx) -> tuple[list, list]:
-    # the run stack over a level sequence: entries (level, run), levels
-    # strictly decreasing upward from a bottom entry at top, the top
-    # entry (t, r) in locals.  Each run popped below the incoming level y
-    # is lifted by lift(run, x, z, i, ctx), with x its level, z =
-    # min(level under it, y) and i the incoming index; what lift returns
-    # joins the run below when z is that run's level, or goes in front of
-    # item i when z = y.  Returns the stack left after the last item,
-    # bottom first.
-    lv: list = []
-    runs: list[list] = []
-    t, r = top, []
-    for i, y in enumerate(levels):
-        if t == y:
-            r.append(i)
-            continue
-        if t > y:
-            run = [i]
-        else:
-            b = lv.pop()
-            fl = runs.pop()
-            while b < y:
-                fl.extend(lift(r, t, b, i, ctx))
-                t, r = b, fl
-                b = lv.pop()
-                fl = runs.pop()
-            run = lift(r, t, y, i, ctx)
-            run.append(i)
-            t, r = b, fl
-            if t == y:
-                r.extend(run)
-                continue
-        lv.append(t)
-        runs.append(r)
-        t, r = y, run
-    lv.append(t)
-    runs.append(r)
-    return lv, runs
-
-
 def static_witness(levels) -> tuple[int, list[int]]:
     """Cost and witness depths of a non-empty integer level sequence.
 
@@ -284,32 +247,65 @@ def static_witness(levels) -> tuple[int, list[int]]:
     n = len(levels)
     if n == 0:
         raise LevelTreeError("need at least one level")
+    # A run r holds the start leaves of m + 1 adjacent fragments, which
+    # cover the leaves from r[0] up to the incoming index.  Pairing them
+    # from the left, the odd one last kept unpaired, makes pairs that
+    # start where their left fragment does, so round s keeps r[::2^s],
+    # whose last index is m >> s << s, and deepens r[0] up to that
+    # fragment when the count is odd (m >> s even), else up to the
+    # incoming index: one +1/-1 each in the difference array diff, whose
+    # running sum is the depth of each leaf.  A lift from t to z pairs
+    # for k = min(z - t, bit_length(m)) rounds (after bit_length(m) of
+    # them one fragment is left), with one += k and one slice for them
+    # all.  The top entry is (t, r) and st holds the (level, run)
+    # entries under it.
     diff = [0] * (n + 1)
-    lv, fr = _runs(levels, _TOP, _pair, diff)
-    while len(lv) > 2:
-        x = lv.pop()
-        fl = fr.pop()
-        fr[-1].extend(_pair(fl, x, lv[-1], n, diff))
-    rounds = ceil_log2(len(fr[1]))
-    _pair(fr[1], 0, rounds, n, diff)
-    return lv[1] + rounds, list(accumulate(diff[:n]))
-
-
-def _pair(fl: list, x: int, z: int, end: int, diff: list) -> list:
-    # fl holds the start leaves of adjacent fragments that together cover
-    # leaves fl[0]..end-1.  Pair them from the left, the odd one last kept
-    # unpaired, z - x times, stopping at a single fragment; a pair starts
-    # where its left fragment does.  The pairs of one round cover fl[0]
-    # up to the unpaired fragment (or end) without a gap, so the round
-    # deepens exactly that range: one +1/-1 in the difference array diff,
-    # whose running sum is the depth of each leaf.
-    rounds = z - x
-    while rounds > 0 and len(fl) > 1:
-        diff[fl[0]] += 1
-        diff[fl[-1] if len(fl) % 2 else end] -= 1
-        fl = fl[0::2]
-        rounds -= 1
-    return fl
+    st: list[tuple] = []
+    t, r = _TOP, []
+    for i, y in enumerate(levels):
+        if t > y:
+            st.append((t, r))
+            t, r = y, [i]
+            continue
+        while t < y:
+            # lift the top run to z: it joins the run under it when z is
+            # that run's level, and goes in front of item i when z = y
+            b, fl = st[-1]
+            z = b if b < y else y
+            m = len(r) - 1
+            if m:
+                k = z - t
+                if not m >> k:
+                    k = m.bit_length()
+                diff[r[0]] += k
+                diff[i if m & 1 else r[m]] -= 1
+                s = 1
+                while s < k:  # rounds 1..k-1; range() would cost a call per lift
+                    diff[i if m >> s & 1 else r[m >> s << s]] -= 1
+                    s += 1
+                r = r[:: 1 << k]
+            if z == b:
+                st.pop()
+                fl.extend(r)
+                t, r = b, fl
+            else:
+                t = y
+        r.append(i)
+    # the end: each run lifts into the one under it, and the bottom one,
+    # under the sentinel, until a single fragment is left
+    while True:
+        b, fl = st.pop()
+        m = len(r) - 1
+        k = m.bit_length()
+        if k > b - t:
+            k = b - t
+        diff[r[0]] += k
+        for s in range(k):
+            diff[n if m >> s & 1 else r[m >> s << s]] -= 1
+        if not st:
+            return t + k, list(accumulate(diff[:n]))
+        fl.extend(r[:: 1 << k])
+        t, r = b, fl
 
 
 class WeightSeq:
@@ -399,8 +395,8 @@ class LevelTree:
     reference; the only per-leaf state is the level, ceil(w_i) - x_i.
     Nodes live in parallel arrays indexed by an append-only arena id.
     Ids 0..n-1 are the leaves in weight order; internal nodes follow in
-    creation order, and the build (_runs, with a lift that appends one
-    node over each popped run) creates them in pop order.  So a node is
+    creation order, and the build (a run stack that appends one node
+    over each popped run) creates them in pop order.  So a node is
     a leaf iff its id is below n, and the root is the one live node at
     the sentinel level: the build makes exactly one node there, and a
     set that folds the root into a union keeps its level.  A pointer to
@@ -453,32 +449,46 @@ class LevelTree:
         return u
 
     def _build(self) -> int:
-        # _runs over node ids: a run popped below the incoming level
-        # becomes the children of one new node at the level it is lifted
-        # to.  The bottom entry sits at the sentinel level, which comes
-        # last (as item n, no leaf) and lifts the bottom run into the root.
+        # static_witness's run stack over node ids: a run popped below
+        # the incoming level y becomes the children of one new node at z,
+        # the level under it or y.  The bottom entry sits at the sentinel
+        # level, which comes last (as item n, no leaf) and lifts the
+        # bottom run into the root.
         load, csum = self.load, self.csum
         parent, lsib, rsib, fch, lch = self.parent, self.lsib, self.rsib, self.fch, self.lch
         new_node = self._append_node
-
-        def lift(ch, x, z, i, ctx):
-            u = new_node(z)
-            prev = NIL
-            cs = 0
-            for c in ch:
-                parent[c] = u
-                lsib[c] = prev
-                if prev != NIL:
-                    rsib[prev] = c
-                cs += load[c]
-                prev = c
-            fch[u] = ch[0]
-            lch[u] = prev
-            csum[u] = cs
-            load[u] = -((-cs) >> (z - x))  # _ceil_shift inline: a call fewer per node
-            return [u]
-
-        return _runs(self.level + [self.sentinel], self.sentinel, lift, None)[1][0][0]
+        st: list[tuple] = []
+        t, r = self.sentinel, []
+        for i, y in enumerate(self.level + [self.sentinel]):
+            if t > y:
+                st.append((t, r))
+                t, r = y, [i]
+                continue
+            while t < y:
+                b, fl = st[-1]
+                z = b if b < y else y
+                u = new_node(z)
+                prev = NIL
+                cs = 0
+                for c in r:
+                    parent[c] = u
+                    lsib[c] = prev
+                    if prev != NIL:
+                        rsib[prev] = c
+                    cs += load[c]
+                    prev = c
+                fch[u] = r[0]
+                lch[u] = prev
+                csum[u] = cs
+                load[u] = -((-cs) >> (z - t))  # _ceil_shift inline: a call fewer per node
+                if z == b:
+                    st.pop()
+                    fl.append(u)
+                    t, r = b, fl
+                else:
+                    t, r = y, [u]
+            r.append(i)
+        return r[0]
 
     # ------------------------------------------------------------------
     # journaled primitives

@@ -11,7 +11,6 @@ from alphatree.leveltree import (
     _TOP,
     _adjust,
     _ceil_shift,
-    _pair,
     as_weight_seq,
     ceil_log2,
     static_cost,
@@ -168,6 +167,21 @@ def bisected_sorted(w):
         else:
             lo = bisect_right(order, b, mid, hi)
     return _finish(seq, order[lo], target, "sorted", acc)
+
+
+def _pair(fl, x, z, end, diff):
+    """Pair the adjacent fragments that start at fl and end at end from
+    the left, the odd one last kept unpaired, z - x times or until one
+    is left, round by round; each round deepens fl[0] up to the
+    unpaired fragment (or end) by one in the difference array diff.
+    Returns the fragments left."""
+    rounds = z - x
+    while rounds > 0 and len(fl) > 1:
+        diff[fl[0]] += 1
+        diff[fl[-1] if len(fl) % 2 else end] -= 1
+        fl = fl[0::2]
+        rounds -= 1
+    return fl
 
 
 def walk_depth_profile(tree):

@@ -9,6 +9,7 @@ from alphatree import (
     CodeBook,
     CodingError,
     DecodeError,
+    DepthProfileError,
     Distribution,
     UndefinedDivergenceError,
     build_code,
@@ -133,6 +134,8 @@ def test_codewords_goldens():
     assert codewords_from_depths([2, 2, 1]) == ["00", "01", "1"]
     assert codewords_from_depths([2, 2, 2, 2]) == ["00", "01", "10", "11"]
     assert codewords_from_depths([1, 3, 3, 2]) == ["0", "100", "101", "11"]
+    # integral float depths pass validation, so they get codewords too
+    assert codewords_from_depths([1.0, 1.0]) == ["0", "1"]
 
 
 def test_codewords_reject_bad_profiles():
@@ -140,6 +143,8 @@ def test_codewords_reject_bad_profiles():
         codewords_from_depths([1, 1, 1])
     with pytest.raises(Exception):
         codewords_from_depths([2, 1])
+    with pytest.raises(DepthProfileError):
+        codewords_from_depths([1, float("inf")])
 
 
 def test_codewords_random_are_a_valid_codebook():

@@ -196,6 +196,13 @@ def test_depth_profile_errors():
         depths_to_tree([1, -1])
     with pytest.raises(DepthProfileError):
         depths_to_tree([1])
+    # a non-finite depth or a non-number is rejected at its index, by
+    # tree_cost too
+    for bad, at in (([math.inf], 0), ([math.nan], 0), ([1, math.inf], 1), ([1, None], 1)):
+        for check in (depths_to_tree, lambda d: tree_cost(d, [0] * len(d))):
+            with pytest.raises(DepthProfileError) as ei:
+                check(bad)
+            assert ei.value.index == at and "nonnegative integer" in ei.value.reason
 
 
 def test_tree_cost_validates():

@@ -384,11 +384,19 @@ def test_large_dynamic_matches_fresh_build():
 
 
 # integer level lists: general ones with negatives, long all-equal
-# runs, and few levels far apart (gaps much wider than log2 n)
+# runs, few levels far apart (gaps much wider than log2 n), and long
+# lists (up to 600 items) of equal-level runs up to 75 long, levels 3
+# apart or far apart, so that lifted runs hold many fragments and pair
+# over several rounds, with an odd count in some of them
 level_lists = st.one_of(
     st.lists(st.integers(-12, 12), min_size=1, max_size=40),
     st.builds(lambda v, n: [v] * n, st.integers(-5, 5), st.integers(1, 40)),
     st.lists(st.sampled_from([-1000, -3, 0, 64, 10**6]), min_size=1, max_size=12),
+    st.lists(
+        st.tuples(st.sampled_from([-9, -6, -3, -1, 0, 3, 6, 9, 1000]), st.integers(1, 75)),
+        min_size=1,
+        max_size=8,
+    ).map(lambda runs: [y for y, k in runs for _ in range(k)]),
 )
 
 
@@ -401,6 +409,25 @@ def test_static_pass_matches_level_tree(levels):
     assert static_witness(levels) == (cost, walk_depth_profile(tree))
     if len(levels) <= 10:
         assert cost == minimax_cost_by_dp(levels)
+
+
+WITNESS_SHA256 = "782f79571ed8e7f7c04f89a64153b22f08a7a036d5139a54eb10a4bb5eaaa73f"
+
+
+def test_witness_on_benchmark_shaped_levels_is_pinned():
+    # static_witness on level lists shaped like the benchmark's real-*
+    # inputs at an offset b (n = 2^14, ceilings 0, 3, ..., 3(d - 1), each
+    # one lower with probability b) hashes to one recorded digest: a
+    # rewrite of the pass must leave every cost and depth as it was
+    rng = random.Random(2008)
+    h = hashlib.sha256()
+    for d in (2, 64):
+        for b in (0.05, 0.67, 0.95):
+            levels = [3 * rng.randrange(d) - (rng.random() < b) for _ in range(2**14)]
+            cost, depths = static_witness(levels)
+            assert tree_cost(depths, levels) == cost
+            h.update(json.dumps([cost, depths]).encode())
+    assert h.hexdigest() == WITNESS_SHA256
 
 
 def test_static_pass_edge_cases():
