@@ -16,7 +16,6 @@ from .realweight import (
     WeightSeq,
     alpha_real,
     alpha_real_new,
-    alpha_real_sorted,
 )
 from .coding import (
     CodeBook,
@@ -53,7 +52,6 @@ __all__ = [
     "alpha_int_fast",
     "alpha_real",
     "alpha_real_new",
-    "alpha_real_sorted",
     "build_code",
     "codewords_from_depths",
     "depths_to_tree",

@@ -40,8 +40,8 @@ from .realweight import (
     InexactCostError,
     WeightSeq,
     _zero_counters,
+    alpha_real,
     alpha_real_new,
-    alpha_real_sorted,
 )
 
 
@@ -64,15 +64,13 @@ def _read_bytes(path: str) -> bytes:
 
 
 def _write_text(path, text: str) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if path is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
 
 
 # ----------------------------------------------------------------------
@@ -120,10 +118,7 @@ def cmd_tree(args) -> int:
     if args.dump_level_tree:
         levels = ints if args.int_weights else seq.adjusted(res.b)
         out["level_tree"] = json.loads(LevelTree(levels).serialize())
-    if args.pretty:
-        print(json.dumps(out, sort_keys=True, indent=2))
-    else:
-        print(json.dumps(out, sort_keys=True))
+    print(json.dumps(out, sort_keys=True, indent=2 if args.pretty else None))
     return 0
 
 
@@ -216,7 +211,7 @@ def generate_weights(rng: random.Random, n: int, d: int) -> list[float]:
     return out
 
 
-_ALGO_RUNNERS = {"new": alpha_real_new, "sorted": alpha_real_sorted}
+_ALGO_RUNNERS = {"new": alpha_real_new, "sorted": alpha_real}
 
 # bench prints every instrumentation counter, in _zero_counters() order
 _COUNTER_COLS = list(_zero_counters())

@@ -92,9 +92,6 @@ class Distribution:
         self.labels = tuple(labels)
         self.probs = tuple(probs)
 
-    def __len__(self):
-        return len(self.labels)
-
 
 def empirical_distribution(counts, smoothing: str = "none", alphabet=None) -> Distribution:
     """Distribution from symbol counts.
@@ -176,6 +173,7 @@ def codewords_from_depths(depths) -> list[str]:
     """
     from .core import depths_to_tree
 
+    depths = list(depths)  # depths_to_tree would empty an iterator
     depths_to_tree(depths)  # raises DepthProfileError when unrealizable
     depths = list(map(int, depths))
     top = max(depths)
@@ -225,17 +223,8 @@ class CodeBook:
         self._by_word = dict(zip(self.codewords, self.labels))
         self.max_len = maxlen
 
-    def __len__(self):
-        return len(self.labels)
-
     def lengths(self) -> list[int]:
         return [len(cw) for cw in self.codewords]
-
-    def codeword_for(self, label) -> str:
-        try:
-            return self._by_label[label]
-        except KeyError:
-            raise CodingError("symbol %r not in code" % (label,)) from None
 
     def encode(self, symbols) -> str:
         try:
@@ -293,8 +282,11 @@ class CodeBook:
         the lookups decode what a codeword-by-codeword reading would.  A
         codeword longer than k, and the last bits, are found by probing
         each codeword length in turn.  Raises DecodeError at the offset
-        of a codeword the bits end inside.
+        of a codeword the bits end inside, and CodingError for bits that
+        are not a str of 0s and 1s.
         """
+        if not isinstance(bits, str):
+            raise CodingError("bits must be a str, not %s" % type(bits).__name__)
         if not _is_binary(bits):
             raise CodingError("bit string contains non-binary characters")
         if not all(isinstance(lab, str) for lab in self.labels):
@@ -417,17 +409,7 @@ class CodeReport:
         self.bound = bound
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "avg_len": self.avg_len,
-                "entropy": self.entropy,
-                "relative_entropy": self.relative_entropy,
-                "excess": self.excess,
-                "bound": self.bound,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        return json.dumps(vars(self), indent=2, sort_keys=True)
 
 
 def evaluate(p: Distribution, code: CodeBook, q: Distribution) -> CodeReport:

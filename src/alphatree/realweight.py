@@ -9,18 +9,18 @@ equals the cost at the largest one.
 
 Two search strategies share that skeleton:
 
-* alpha_real, the sorted search (also importable as
-  alpha_real_sorted), sorts the fractional parts (in C) and narrows a
-  bracket of them around the answer in one loop, solving each probe
-  with one stack pass and probing a repeated fractional part once.
-  Each round squeezes every run of positions whose level is decided
-  into at most 4d items, for the whole bracket once it spans at most
-  1/16 of the items, then tries a window of 1/16 of the bracket at the
-  rank interpolation search (Perl, Itai and Avni 1978) predicts from
-  the passes on either side of it, or bisects: below 32 offsets,
-  after two missed windows in a row, or where the window would reach
-  the bracket's low end.  Integral weights keep the windows.  So the
-  passes walk O(n log d) items in all rather than n per probe.
+* alpha_real, the sorted search, sorts the fractional parts (in C)
+  and narrows a bracket of them around the answer in one loop, solving
+  each probe with one stack pass and probing a repeated fractional
+  part once.  Each round squeezes every run of positions whose level
+  is decided into at most 4d items, for the whole bracket once it spans
+  at most 1/16 of the items, then tries a window of 1/16 of the
+  bracket at the rank interpolation search (Perl, Itai and Avni 1978)
+  predicts from the passes on either side of it, or bisects: below 32
+  offsets, after two missed windows in a row, or where the window
+  would reach the bracket's low end.  Integral weights keep the
+  windows.  So the passes walk O(n log d) items in all rather than n
+  per probe.
 * alpha_real_new, the paper's algorithm, never sorts.  It keeps one
   level tree alive, walks a median-of-medians partition of the
   fractional parts, and moves between probe offsets by set/undo on the
@@ -106,14 +106,14 @@ def select_kth(values, k: int):
         vals = [v for v in vals if v > pivot]
 
 
-def alpha_real_oracle(w, max_n: int = 16) -> float:
+def alpha_real_oracle(w) -> float:
     """Reference value from the interval DP over the exact rationals,
     rounded once to a float (a float DP would round at every +1)."""
     # imported here: fractions costs some 3 ms at package import
     from fractions import Fraction
 
     seq = as_weight_seq(w)
-    return float(minimax_cost_by_dp([Fraction(x) for x in seq.weights], max_n=max_n))
+    return float(minimax_cost_by_dp([Fraction(x) for x in seq.weights]))
 
 
 def _zero_counters() -> dict:
@@ -306,6 +306,8 @@ def alpha_real(w) -> RealCostResult:
     return _finish(seq, order[lo], target, "sorted", acc)
 
 
+# the benchmark (perfbench/workloads.py) imports the sorted search by
+# this name; the package exports it as alpha_real only
 alpha_real_sorted = alpha_real
 
 
@@ -322,22 +324,19 @@ def alpha_real_new(w) -> RealCostResult:
     seq = as_weight_seq(w)
     acc = _zero_counters()
     fracs = seq.fracs
-    bmax = max(fracs)
     t, a = _target(seq, acc)
     target = t + ceil_log2(a)
 
     tree = LevelTree(seq)  # all bits clear: the state at offset 0
-    if tree.cost() == target:
-        # already optimal with no ceiling adjusted; some frac must be
-        # zero (otherwise bmax would have improved the cost), so 0 is a
-        # legal offset
-        items, candidate = [], 0.0
-    else:
-        items, candidate = list(range(seq.n)), bmax
+    # The loop needs no start case.  The largest frac is feasible and
+    # stays in items until a feasible median is found, so the loop
+    # always sets candidate.  0.0, the frac of an integral weight, is a
+    # median like any other: probing it sets no bit, and when it is the
+    # answer the loop ends there, with every set undone
+    items, candidate = list(range(seq.n)), None
     while items:
         acc["partition_items"] += len(items)
         m = select_kth([fracs[i] for i in items], (len(items) + 1) // 2)
-        below = [i for i in items if fracs[i] < m]
         # the positions whose ceiling drops at offset m: frac in (0, m]
         lowered = [i for i in items if 0.0 < fracs[i] <= m]
         for i in lowered:
@@ -348,7 +347,7 @@ def alpha_real_new(w) -> RealCostResult:
             candidate = m
             for _ in lowered:
                 tree.undo()
-            items = below
+            items = [i for i in items if fracs[i] < m]
         else:
             # infeasible: the sets stay (every later probe includes
             # them) and the search moves strictly above m
@@ -390,4 +389,5 @@ def _finish(seq, b, target, strategy, acc) -> RealCostResult:
                 "or more apart, so this input has no exact float answer"
                 % (target, b, alpha)
             )
-    return RealCostResult(alpha, b, target, depths, strategy, acc)
+    # the frac of a weight -0.0 is -0.0: report that offset as 0.0
+    return RealCostResult(alpha, b or 0.0, target, depths, strategy, acc)

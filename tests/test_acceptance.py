@@ -20,14 +20,13 @@ from alphatree import (
     LevelTreeError,
     alpha_int_fast,
     alpha_real_new,
-    alpha_real_sorted,
     build_code,
     evaluate,
     redundancy_bound,
 )
 from alphatree.core import minimax_cost_by_dp
 from alphatree.leveltree import UnionFindDeunion
-from alphatree.realweight import alpha_real_oracle
+from alphatree.realweight import alpha_real_oracle, alpha_real_sorted
 from alphatree.cli import generate_weights
 from helpers import CachedIntOracle, audit, random_real_weights, random_tree_profile
 

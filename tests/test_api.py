@@ -21,7 +21,6 @@ def test_public_names():
         "alpha_int_fast",
         "alpha_real",
         "alpha_real_new",
-        "alpha_real_sorted",
         "build_code",
         "codewords_from_depths",
         "depths_to_tree",

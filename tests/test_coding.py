@@ -136,6 +136,9 @@ def test_codewords_goldens():
     assert codewords_from_depths([1, 3, 3, 2]) == ["0", "100", "101", "11"]
     # integral float depths pass validation, so they get codewords too
     assert codewords_from_depths([1.0, 1.0]) == ["0", "1"]
+    # a one-pass iterable is read once
+    assert codewords_from_depths(iter([1, 1])) == ["0", "1"]
+    assert codewords_from_depths(d for d in [1, 2, 2]) == ["0", "10", "11"]
 
 
 def test_codewords_reject_bad_profiles():
@@ -278,7 +281,7 @@ def test_encode_unknown_symbol():
     with pytest.raises(CodingError):
         book.encode("abz")
     with pytest.raises(CodingError, match="not in code"):
-        book.codeword_for("z")
+        book.encode(["z"])
 
 
 def test_decode_errors():
@@ -332,6 +335,13 @@ def test_decode_rejects_non_binary_before_other_checks():
                 b.decode(bits)
             assert type(ei.value) is CodingError, bits
         assert decode_outcome(lambda b: probe_decode(book, b), bits) == (CodingError, None)
+    # bits of another type: bytes and bytearray have a translate that
+    # needs a bytes table, the others have none
+    for bits in (b"01", bytearray(b"01"), None, ["0", "1"], 1):
+        for b in (book, ints, solo):
+            with pytest.raises(CodingError, match="bits must be a str") as ei:
+                b.decode(bits)
+            assert type(ei.value) is CodingError, bits
 
 
 def greedy_window(book, window):
@@ -435,7 +445,7 @@ def test_decode_matches_probe_decoder():
             assert got == (CodingError, None)
         elif kind == "message" and book.max_len:
             assert got == "".join(msg)
-            long_decoded.extend(s for s in msg if len(book.codeword_for(s)) > _WINDOW_BITS)
+            long_decoded.extend(s for s in msg if len(book.encode([s])) > _WINDOW_BITS)
 
     check()
     assert max(max_lens) > _WINDOW_BITS

@@ -13,12 +13,17 @@ from alphatree import (
     WeightSeq,
     alpha_real,
     alpha_real_new,
-    alpha_real_sorted,
 )
 from alphatree.core import minimax_cost_by_dp
 import alphatree.realweight
 from alphatree.leveltree import _adjust, _static_pass, ceil_log2, static_cost
-from alphatree.realweight import _SQUEEZE_RUN, _squeeze, alpha_real_oracle, select_kth
+from alphatree.realweight import (
+    _SQUEEZE_RUN,
+    _squeeze,
+    alpha_real_oracle,
+    alpha_real_sorted,
+    select_kth,
+)
 from alphatree.cli import generate_weights
 from helpers import bisected_sorted, per_run_squeeze, random_real_weights, unsqueezed_sorted
 
@@ -143,6 +148,29 @@ def test_zero_offset_with_mixed_integrals():
         res = fn([0.5, 10.0])
         assert res.b == 0.0
         assert res.alpha == 11.0
+    # alpha_real_new reaches 0.0 as a median of its search, with no case
+    # of its own: for all-integral weights in one round that sets no bit,
+    # and otherwise after feasible probes whose sets are all undone
+    for ws in (
+        [0.5, 10.0],
+        [3.0, 0.1, 0.2, 0.3, 0.4],
+        [2.0, 0.25, 0.5, 0.75, 0.125, 1.0],
+        [4.0, 1.0, 2.0, 2.0],
+        [-3.0, -3.0, 5.0],
+        [0.0],
+        # the frac of -0.0 is -0.0, which either search may pick
+        [-0.0, 1.0],
+        [0.0, -0.0, 0.5],
+    ):
+        res, new = alpha_real_sorted(ws), alpha_real_new(ws)
+        assert (new.alpha, new.b, new.depths) == (res.alpha, res.b, res.depths), ws
+        assert repr(new.b) == "0.0", ws
+        acc = new.instrumentation
+        if all(w == int(w) for w in ws):
+            assert (acc["partition_items"], acc["sets"]) == (len(ws), 0), ws
+        else:
+            assert acc["sets"] == acc["undos"], ws
+    assert alpha_real_new([3.0, 0.1, 0.2, 0.3, 0.4]).instrumentation["sets"] == 2
 
 
 def test_strategies_agree_and_match_oracle():
