@@ -231,6 +231,9 @@ class CodeBook:
             return "".join(map(self._by_label.__getitem__, symbols))
         except KeyError as e:
             raise CodingError("symbol %r not in code" % (e.args[0],)) from None
+        except TypeError as e:
+            # symbols is not iterable, or holds an unhashable symbol
+            raise CodingError("symbols must be an iterable of labels (%s)" % e) from None
 
     def _window_table(self):
         """(k, table): k = min(max_len, _WINDOW_BITS), and table maps every

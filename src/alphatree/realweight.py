@@ -9,8 +9,11 @@ equals the cost at the largest one.
 
 Two search strategies share that skeleton:
 
-* alpha_real, the sorted search, sorts the fractional parts (in C)
-  and narrows a bracket of them around the answer in one loop, solving
+* alpha_real, the sorted search, places a first window from a sorted
+  sample of every 16th fractional part (Floyd and Rivest 1975) and
+  sorts (in C) only the fractional parts its two edge probes leave
+  undecided, or all of them where the sample cannot place it.  It
+  narrows a bracket of them around the answer in one loop, solving
   each probe with one stack pass and probing a repeated fractional
   part once.  Each round squeezes every run of positions whose level
   is decided into at most 4d items, for the whole bracket once it spans
@@ -55,8 +58,10 @@ class RealCostResult:
     witness depth profile and the structure-operation counters: the
     live tree's sets, undos, finds, unions and deunions, the items the
     median search partitioned, probes, the number of static passes,
-    probe_items, the items they walked, and squeeze_items, the items
-    the sorted search's squeezes walked.
+    probe_items, the items they walked, squeeze_items, the items the
+    sorted search's squeezes walked, and sort_items, the fractional
+    parts it sorted, its sample included (0 for the live tree's
+    search, which never sorts).
 
     b is exact and in [0, 1): a float, or a Fraction when it is the
     fractional part of a weight in (-1/2, 0) with bits below 2^-53 (see
@@ -127,6 +132,7 @@ def _zero_counters() -> dict:
         "probes": 0,
         "probe_items": 0,
         "squeeze_items": 0,
+        "sort_items": 0,
     }
 
 
@@ -220,8 +226,9 @@ def _squeeze(levels, fracs, counts, flo, fhi, acc):
 
 
 def alpha_real(w) -> RealCostResult:
-    """Sorted-search strategy: sort the fractional parts in C, then
-    search them, probing each distinct value once.
+    """Sorted-search strategy: sort the fractional parts that a first
+    window, placed from a sample, leaves undecided, then search them,
+    probing each distinct value once.
 
     The search narrows a bracket of sorted offsets, order[lo..hi],
     that holds the answer, in one loop.  Each round first squeezes the
@@ -230,24 +237,36 @@ def alpha_real(w) -> RealCostResult:
     search (Perl, Itai and Avni 1978) predicts, squeezing the items for
     the window and probing its two edges; below 32 offsets, after two
     missed windows in a row, or where the window would reach lo, it
-    bisects instead.  Integral weights (frac 0) keep the windows like
-    any other input.  A squeeze folds every run of positions whose
-    level no later probe can change (by the squeeze rule of leveltree's
-    static passes) into at most 4d items, so the probes walk O(n log d)
-    items in all, not n each.
+    bisects instead.  The first window takes its edges from every 16th
+    fractional part, sorted (Floyd and Rivest 1975), before the loop, so
+    order holds only the offsets its probes leave: those inside it when
+    it holds the answer, those beyond the missed edge when not.  Where
+    the sample cannot place it (n < 4096, a window at an end of the
+    sample, or tied edges) or no window is tried, order holds every
+    fractional part and the loop places the first window, if any.
+    Integral weights (frac 0) keep the windows like any other input.  A
+    squeeze folds every run of positions whose level no later probe can
+    change (by the squeeze rule of leveltree's static passes) into at
+    most 4d items, so the probes walk O(n log d) items in all, not n
+    each.
     """
     seq = as_weight_seq(w)
     acc = _zero_counters()
-    order = sorted(seq.fracs)
+    n, fracs = seq.n, seq.fracs
     # the items (levels, fracs, counts): a position not squeezed yet is
     # its floor, frac and count 1, a squeezed item a fixed level, frac
     # 0.0 and its count
-    items = seq.floors, seq.fracs, [1] * seq.n
+    items = seq.floors, fracs, [1] * n
     t, a = _target(seq, acc)
     target = t + ceil_log2(a)
     # Q(b) = a_b * 2^(t_b - t) from the pass at b is an integer (t_b,
     # the largest level, is t or t + 1), and b is feasible iff Q <= cap
     cap = 1 << (target - t)
+
+    def q_at(items, b) -> int:
+        tb, ab = _probe(*items, b, acc)
+        return ab << (tb - t)
+
     # Cost as a function of the offset is nonincreasing and reaches
     # target at the largest frac, so the answer is the first feasible
     # frac.  The bracket order[lo..hi] holds it, with q1 = Q just below
@@ -255,20 +274,57 @@ def alpha_real(w) -> RealCostResult:
     # them, each floor is raised, so Q starts at 2a and falls to a, and
     # integral weights need no case of their own.  A probe decides
     # every copy of its offset: it moves lo past them or hi to the
-    # first.  Bisecting the sorted list costs nothing next to
-    # set(fracs), which takes as long as the sort at n = 2^14
-    lo, hi = 0, bisect_left(order, order[-1])
+    # first.
     q1, q2 = 2 * a, a
 
     def probe(x) -> bool:
         nonlocal lo, hi, q1, q2
-        tb, ab = _probe(*items, order[x], acc)
-        q = ab << (tb - t)
+        q = q_at(items, order[x])
         if q > cap:
             lo, q1 = bisect_right(order, order[x], x, hi), q
             return False
         hi, q2 = bisect_left(order, order[x], lo, x), q
         return True
+
+    # Q in [a, 2a] places the answer to about n/a indices, so a <
+    # _SQUEEZE_RUN gets no window.  The first window is placed as the
+    # loop would place it, w = n // 16 offsets around the rank r
+    # interpolated from 2a and a, but its edges are the sample's values
+    # at ranks r -+ w/2, fracs themselves.  A sample value's rank is
+    # about 16 times its index, so the sample places the window only
+    # where it spans 16 sample values or more (n >= 4096), stops short
+    # of both ends of the sample, and has two distinct edges.  At an end
+    # the loop, which knows the extreme offsets, places it better: d = 1
+    # at a power-of-two n centres it on the top rank.  Squeezed for (flo,
+    # fhi], a hit (fhi feasible, flo not) leaves exactly the fracs in
+    # that range undecided, and order is those alone; a miss restores
+    # the items, order is the fracs beyond the missed edge, and one
+    # window try is spent
+    tries = 2 if a >= _SQUEEZE_RUN else 0
+    w = n // _SQUEEZE_RUN
+    r = n * (q1 - cap) // (q1 - q2) - 1
+    i, k = (r - w // 2) // _SQUEEZE_RUN, (r + w // 2) // _SQUEEZE_RUN
+    sample = []
+    # len(sample) - 1 = (n - 1) // 16
+    if tries and w >= _SQUEEZE_RUN**2 and 0 < i and k < (n - 1) // _SQUEEZE_RUN:
+        sample = sorted(fracs[::_SQUEEZE_RUN])
+    if sample and sample[i] < sample[k]:
+        flo, fhi = sample[i], sample[k]
+        squeezed = _squeeze(*items, flo, fhi, acc)
+        qt = q_at(squeezed, fhi)
+        qb = q_at(squeezed, flo) if qt <= cap else None
+        if qt > cap:
+            order, q1, tries = [f for f in fracs if f > fhi], qt, 1
+        elif qb <= cap:
+            order, q2, tries = [f for f in fracs if f <= flo], qb, 1
+        else:
+            items, q1, q2 = squeezed, qb, qt
+            order = [f for f in squeezed[1] if f > flo]
+        order.sort()
+    else:
+        order = sorted(fracs)
+    acc["sort_items"] += len(sample) + len(order)
+    lo, hi = 0, bisect_left(order, order[-1])
 
     # Each round squeezes the items for the whole bracket, [order[lo],
     # order[hi]], once it spans at most 1/16 of them; that one rule also
@@ -279,11 +335,9 @@ def alpha_real(w) -> RealCostResult:
     # (order[j - 1], order[k]] undecided.  A hit (k feasible, j - 1 not)
     # brackets the answer by those two probes, and the next round works
     # on the window's items; a miss restores the items from before the
-    # window, and two misses in a row end the windows.  Q in [a, 2a]
-    # places the answer to about n/a indices, so a < _SQUEEZE_RUN gets
-    # no window; a window reaching lo, whose lower probe is decided,
-    # gives way to a bisection probe
-    tries = 2 if a >= _SQUEEZE_RUN else 0
+    # window, and two misses in a row end the windows.  A window
+    # reaching lo, whose lower probe is decided, gives way to a
+    # bisection probe
     while lo < hi:
         if _SQUEEZE_RUN * (hi - lo + 1) <= len(items[0]):
             items = _squeeze(*items, order[lo], order[hi], acc)

@@ -152,6 +152,7 @@ def bisected_sorted(w):
     seq = as_weight_seq(w)
     acc = _zero_counters()
     order = sorted(seq.fracs)
+    acc["sort_items"] += seq.n
     items = seq.floors, seq.fracs, [1] * seq.n
     t, a = _probe(*items, order[-1], acc)
     target = t + ceil_log2(a)

@@ -36,7 +36,7 @@ def test_tree_real_weights(tmp_path, capsys):
     assert doc["strategy"] == "sorted"
     assert set(doc["instrumentation"]) == {
         "sets", "undos", "finds", "unions", "deunions", "partition_items",
-        "probes", "probe_items", "squeeze_items",
+        "probes", "probe_items", "squeeze_items", "sort_items",
     }
 
 
@@ -390,37 +390,38 @@ def test_bench_deterministic_without_timing(tmp_path, capsys):
     header = out1.splitlines()[0]
     assert header == (
         "n,d,trial,algo,sets,undos,finds,unions,deunions,partition_items,"
-        "probes,probe_items,squeeze_items"
+        "probes,probe_items,squeeze_items,sort_items"
     )
     # 2 sizes x 2 d x 2 trials x 2 algos
     assert len(out1.strip().splitlines()) == 1 + 16
 
 
 # the sorted search's bench CSV, recorded when its one search loop
-# landed, with the squeeze_items column added since; a later change to
-# the search's work (its probes, probe_items or squeeze_items on any
-# row) shows here as the rows that moved, and must update them and log
-# the old and new rows in CHANGES.md
+# landed, with the squeeze_items and sort_items columns added since; a
+# later change to the search's work (its probes, probe_items,
+# squeeze_items or sort_items on any row) shows here as the rows that
+# moved, and must update them and log the old and new rows in
+# CHANGES.md
 SORTED_BENCH_CSV = """\
-n,d,trial,algo,sets,undos,finds,unions,deunions,partition_items,probes,probe_items,squeeze_items
-1024,1,0,sorted,0,0,0,0,0,0,3,2178,1024
-1024,1,1,sorted,0,0,0,0,0,0,3,2174,1024
-1024,2,0,sorted,0,0,0,0,0,0,9,2856,1532
-1024,2,1,sorted,0,0,0,0,0,0,9,2733,1567
-1024,8,0,sorted,0,0,0,0,0,0,8,2753,1957
-1024,8,1,sorted,0,0,0,0,0,0,13,3243,2000
-1024,64,0,sorted,0,0,0,0,0,0,8,2959,1441
-1024,64,1,sorted,0,0,0,0,0,0,15,8152,3408
-4096,1,0,sorted,0,0,0,0,0,0,3,8695,4096
-4096,1,1,sorted,0,0,0,0,0,0,3,8694,4096
-4096,2,0,sorted,0,0,0,0,0,0,10,10480,5150
-4096,2,1,sorted,0,0,0,0,0,0,10,10360,5090
-4096,8,0,sorted,0,0,0,0,0,0,10,10793,7438
-4096,8,1,sorted,0,0,0,0,0,0,13,12948,8089
-4096,64,0,sorted,0,0,0,0,0,0,14,13998,12095
-4096,64,1,sorted,0,0,0,0,0,0,16,15337,8822
-4096,4096,0,sorted,0,0,0,0,0,0,14,28675,6294
-4096,4096,1,sorted,0,0,0,0,0,0,14,28752,6783
+n,d,trial,algo,sets,undos,finds,unions,deunions,partition_items,probes,probe_items,squeeze_items,sort_items
+1024,1,0,sorted,0,0,0,0,0,0,3,2178,1024,1024
+1024,1,1,sorted,0,0,0,0,0,0,3,2174,1024,1024
+1024,2,0,sorted,0,0,0,0,0,0,9,2856,1532,1024
+1024,2,1,sorted,0,0,0,0,0,0,9,2733,1567,1024
+1024,8,0,sorted,0,0,0,0,0,0,8,2753,1957,1024
+1024,8,1,sorted,0,0,0,0,0,0,13,3243,2000,1024
+1024,64,0,sorted,0,0,0,0,0,0,8,2959,1441,1024
+1024,64,1,sorted,0,0,0,0,0,0,15,8152,3408,1024
+4096,1,0,sorted,0,0,0,0,0,0,3,8695,4096,4096
+4096,1,1,sorted,0,0,0,0,0,0,3,8694,4096,4096
+4096,2,0,sorted,0,0,0,0,0,0,10,10788,5288,557
+4096,2,1,sorted,0,0,0,0,0,0,11,10153,5827,475
+4096,8,0,sorted,0,0,0,0,0,0,11,11276,5495,565
+4096,8,1,sorted,0,0,0,0,0,0,13,12237,7610,480
+4096,64,0,sorted,0,0,0,0,0,0,14,14073,11639,3262
+4096,64,1,sorted,0,0,0,0,0,0,12,11747,7028,504
+4096,4096,0,sorted,0,0,0,0,0,0,14,28675,6294,4096
+4096,4096,1,sorted,0,0,0,0,0,0,14,28752,6783,4096
 """
 
 
@@ -437,7 +438,7 @@ def test_bench_timing_column(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == (
         "n,d,trial,algo,wall_ns,sets,undos,finds,unions,deunions,partition_items,"
-        "probes,probe_items,squeeze_items"
+        "probes,probe_items,squeeze_items,sort_items"
     )
     assert int(lines[1].split(",")[4]) > 0
 

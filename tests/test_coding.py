@@ -284,6 +284,16 @@ def test_encode_unknown_symbol():
         book.encode(["z"])
 
 
+@pytest.mark.parametrize("symbols", [None, 5, [["a"]], ["a", {"b"}], iter([[]])])
+def test_encode_unreadable_symbols(symbols):
+    # not iterable, or an unhashable symbol: a CodingError, as for an
+    # unknown symbol, never a bare TypeError
+    book = build_code(Distribution("ab", [0.5, 0.5]))
+    with pytest.raises(CodingError, match="iterable of labels") as ei:
+        book.encode(symbols)
+    assert ei.value.__cause__ is None and ei.value.__suppress_context__
+
+
 def test_decode_errors():
     book = build_code(Distribution("abc", [0.5, 0.25, 0.25]))
     with pytest.raises(CodingError):

@@ -251,7 +251,7 @@ def test_alpha_real_reports_every_counter():
     res = alpha_real([0.5, 1.25, 0.75, 2.0])
     assert set(res.instrumentation) == {
         "sets", "undos", "finds", "unions", "deunions", "partition_items",
-        "probes", "probe_items", "squeeze_items",
+        "probes", "probe_items", "squeeze_items", "sort_items",
     }
 
 
@@ -472,22 +472,24 @@ def _probe_item_bound(n, nlevels):
 @pytest.mark.parametrize("d", [1, 2, 8, 64, "n"])
 def test_work_within_derived_bounds(d):
     # Counter bounds that follow from the algorithms, for any instance:
-    # - sorted: the probe bound of _search_probe_bound, and the item
-    #   bound above.  Its first five terms are n each; a window's edge
-    #   probes walk at most n items each, and a window holding the answer
-    #   leaves at most 1/16 of its round's positions, so its two probes
-    #   stand in for four terms, and a window inside it walks only the
-    #   items squeezed for it.  So a search whose first or second window
-    #   holds the answer fits it.  After missed windows the bisection may
-    #   take every term, and their edge probes come on top, so there it
-    #   is only checked;
-    # - new: each round keeps at most half its items, so R = floor(log2
-    #   n) + 1 rounds partition at most 2n - 1 items.  A round sets the
-    #   items below its median, at most half, and those at it, at most
-    #   the largest multiplicity of one frac.  A set makes at most 16
-    #   finds in its surgery plus one per node its load update climbs
-    #   through, and a path holds at most one node per level a node can
-    #   take, ceil(w_i) or ceil(w_i) - 1; each cost() makes two.
+    # - sorted: it sorts at most every fractional part plus a sample of
+    #   every 16th one; the probe bound of _search_probe_bound, and the
+    #   item bound above.  Its first five terms are n each; a window's
+    #   edge probes walk at most n items each, and a window holding the
+    #   answer leaves at most 1/16 of its round's positions, so its two
+    #   probes stand in for four terms, and a window inside it walks
+    #   only the items squeezed for it.  So a search whose first or
+    #   second window holds the answer fits it.  After missed windows
+    #   the bisection may take every term, and their edge probes come on
+    #   top, so there it is only checked;
+    # - new: it sorts nothing.  Each round keeps at most half its
+    #   items, so R = floor(log2 n) + 1 rounds partition at most 2n - 1
+    #   items.  A round sets the items below its median, at most half,
+    #   and those at it, at most the largest multiplicity of one frac.
+    #   A set makes at most 16 finds in its surgery plus one per node
+    #   its load update climbs through, and a path holds at most one
+    #   node per level a node can take, ceil(w_i) or ceil(w_i) - 1; each
+    #   cost() makes two.
     # The climb bound is loose where the levels are many (d = n).
     for n in (2**10, 2**11, 2**12, 2**13, 2**14):
         rng = random.Random("bounds:%d:%s" % (n, d))
@@ -498,7 +500,9 @@ def test_work_within_derived_bounds(d):
         got = alpha_real_sorted(seq).instrumentation
         assert got["probes"] <= _search_probe_bound(seq.weights), (n, got)
         assert got["probe_items"] <= _probe_item_bound(n, nlevels), (n, got)
+        assert got["sort_items"] <= n + n / _SQUEEZE_RUN + 1, (n, got)
         got = alpha_real_new(seq).instrumentation
+        assert got["sort_items"] == 0, (n, got)
         assert got["partition_items"] <= 2 * n - 1, (n, got)
         assert got["sets"] <= got["partition_items"] // 2 + ties * rounds, (n, got)
         assert got["finds"] <= (16 + nlevels) * got["sets"] + 2 * (rounds + 1), (n, got)
@@ -628,9 +632,10 @@ def _windows(ws):
     # answer ("low"), above it ("high") or holds it: the bisection's
     # squeezes always hold it, so the others are missed windows; and how
     # many windows the search tried: a window's squeeze is followed by a
-    # probe at its top offset, order[k], while a bisection squeeze's top,
-    # order[hi], is never probed again.  The items the squeezes walked
-    # must be the result's squeeze_items
+    # probe at its top offset, order[k] (fhi for the first window placed
+    # from the sample, whose squeeze is of the floors, so not nested),
+    # while a bisection squeeze's top, order[hi], is never probed again.
+    # The items the squeezes walked must be the result's squeeze_items
     seq = WeightSeq(ws)
     log = []
     walked = []
@@ -715,7 +720,11 @@ def test_window_skip_cases(kind):
         a = _static_pass(seq.adjusted(max(seq.fracs)), None)[1]
         assert (a < _SQUEEZE_RUN) == (kind == "n"), a
         res, sides, tried = _windows(ws)
-        assert res.instrumentation == bisected_sorted(ws).instrumentation
+        ref = bisected_sorted(ws).instrumentation
+        if kind == "two offsets":
+            # the sample is sorted too, and its window's two edges tie
+            ref["sort_items"] += len(seq.fracs[::_SQUEEZE_RUN])
+        assert res.instrumentation == ref
         assert {side for _, side in sides} <= {"holds"} and not tried, sides
 
 
@@ -787,3 +796,146 @@ def test_missed_windows_cost_is_bounded(kind, worst):
         assert g <= worst * r, (i, g, r)
         got, ref = got + g, ref + r
     assert got <= 0.85 * ref, (got, ref)
+
+
+def _same_answer(res, ws):
+    # alpha, b and its type, int_cost and depths, against the bisection
+    # with no window and against the live tree's search
+    got = (res.alpha, res.b, type(res.b), res.int_cost, res.depths)
+    for ref in (bisected_sorted(ws), alpha_real_new(ws)):
+        assert got == (ref.alpha, ref.b, type(ref.b), ref.int_cost, ref.depths), ref.strategy
+
+
+def _sample_window(ws):
+    # the sorted sample of every 16th fractional part, and the indices
+    # of the first window's two edges in it: r -+ w/2 over 16, where r =
+    # n (2a - cap) / a - 1 is the rank interpolated between Q = 2a below
+    # every frac and Q = a at the largest, and w = n / 16
+    seq = WeightSeq(ws)
+    n = seq.n
+    a = _static_pass(seq.floors, None)[1]
+    cap = 1 << ceil_log2(a)
+    w = n // _SQUEEZE_RUN
+    r = n * (2 * a - cap) // a - 1
+    sample = sorted(seq.fracs[::_SQUEEZE_RUN])
+    return sample, (r - w // 2) // _SQUEEZE_RUN, (r + w // 2) // _SQUEEZE_RUN
+
+
+def _first_squeeze(monkeypatch, ws):
+    # the result, and the (flo, fhi) of the search's first squeeze
+    calls = []
+    real = alphatree.realweight._squeeze
+
+    def squeeze(levels, fracs, counts, flo, fhi, acc):
+        calls.append((flo, fhi))
+        return real(levels, fracs, counts, flo, fhi, acc)
+
+    monkeypatch.setattr(alphatree.realweight, "_squeeze", squeeze)
+    res = alpha_real(ws)
+    monkeypatch.undo()
+    return res, calls[0]
+
+
+def stride_skewed_weights(rng, n, smallest):
+    # ceilings 0 and 3 and distinct fractions k / 2^40, as the
+    # benchmark's real-lowd draws them, but every 16th position holds
+    # the ceil(n / 16) smallest fractions (or the largest), so the
+    # sorted sample is those alone and the first window's two edges
+    # both lie below the answer (or above it)
+    m = -(-n // _SQUEEZE_RUN)
+    fracs = sorted(rng.sample(range(1, 2**40), n))
+    strided, rest = (fracs[:m], fracs[m:]) if smallest else (fracs[-m:], fracs[:-m])
+    rng.shuffle(strided)
+    rng.shuffle(rest)
+    picks = iter(strided), iter(rest)
+    return [3 * rng.randrange(2) - 1 + next(picks[i % _SQUEEZE_RUN > 0]) / 2**40
+            for i in range(n)]
+
+
+def test_sampled_window_hit_sorts_only_its_fracs(monkeypatch):
+    # the first window's edges are sample values; when it holds the
+    # answer, only the fracs in (flo, fhi] are sorted after the sample
+    for seed in (0, 2, 5):
+        ws = generate_weights(random.Random(seed), 4096, 2)
+        sample, i, k = _sample_window(ws)
+        res, (flo, fhi) = _first_squeeze(monkeypatch, ws)
+        assert (flo, fhi) == (sample[i], sample[k])
+        assert flo < res.b <= fhi, seed
+        inside = sum(1 for f in WeightSeq(ws).fracs if flo < f <= fhi)
+        assert res.instrumentation["sort_items"] == len(sample) + inside
+        _, sides, tried = _windows(ws)
+        assert sides[0] == (False, "holds") and tried, sides
+        _same_answer(res, ws)
+
+
+@pytest.mark.parametrize("smallest, missed", [(True, "low"), (False, "high")])
+def test_sampled_window_miss_sorts_the_side_beyond_it(monkeypatch, smallest, missed):
+    # a skewed sample puts the first window below (above) the answer:
+    # the search restores the items and sorts the fracs above fhi
+    # (at or below flo), with one window try left
+    for seed in range(3):
+        ws = stride_skewed_weights(random.Random(seed), 4096, smallest)
+        sample, i, k = _sample_window(ws)
+        res, (flo, fhi) = _first_squeeze(monkeypatch, ws)
+        assert (flo, fhi) == (sample[i], sample[k])
+        fracs = WeightSeq(ws).fracs
+        beyond = [f for f in fracs if (f > fhi if missed == "low" else f <= flo)]
+        assert res.b in beyond
+        assert res.instrumentation["sort_items"] == len(sample) + len(beyond)
+        _, sides, tried = _windows(ws)
+        assert sides[0] == (False, missed) and tried, sides
+        _same_answer(res, ws)
+
+
+@pytest.mark.parametrize("case", ["top end", "bottom end", "tied edges", "n < 4096"])
+def test_sampled_window_falls_back_to_the_full_sort(case):
+    # the rules that send the search to sorting every frac, each on an
+    # input that only it sends there; only tied edges sort the sample
+    # first.  d = 1 gives a target load of n: a power of two centres the
+    # window on the top rank, n = 2^12 + 1 on rank 1
+    n, ws = {
+        "top end": (4096, generate_weights(random.Random(1), 4096, 1)),
+        "bottom end": (4097, generate_weights(random.Random(1), 4097, 1)),
+        "tied edges": (4096, _search_input(4096, 4096, "two offsets")),
+        "n < 4096": (4095, generate_weights(random.Random(1), 4095, 2)),
+    }[case]
+    sample, i, k = _sample_window(ws)
+    top, bottom = k >= len(sample) - 1, i <= 0
+    rules = [top, bottom, not (top or bottom) and sample[i] == sample[k], n < 4096]
+    assert rules == [c == case for c in ("top end", "bottom end", "tied edges", "n < 4096")]
+    res = alpha_real(ws)
+    sort_items = n + len(sample) if case == "tied edges" else n
+    assert res.instrumentation["sort_items"] == sort_items
+    _same_answer(res, ws)
+
+
+@pytest.mark.parametrize("d, seed, edge, touches", [
+    (4, 27, "top", True), (4, 149, "top", False),
+    (8, 178, "bottom", True), (5, 13, "bottom", False),
+])
+def test_sample_end_rule_at_its_boundary(monkeypatch, d, seed, edge, touches):
+    # an edge at the sample's last (first) index sorts every frac; one
+    # index inside, the sample places the window
+    ws = generate_weights(random.Random(seed), 4096, d)
+    sample, i, k = _sample_window(ws)
+    at = k if edge == "top" else len(sample) - 1 - i
+    assert at == len(sample) - (1 if touches else 2)
+    res, first = _first_squeeze(monkeypatch, ws)
+    if touches:
+        assert res.instrumentation["sort_items"] == 4096
+    else:
+        assert first == (sample[i], sample[k])
+    _same_answer(res, ws)
+
+
+@pytest.mark.parametrize("d", [2, 8])
+def test_sampled_window_sorts_few_fracs(d):
+    # at n = 2^14 the sample places the first window on most inputs, and
+    # then the sort takes the sample and one window's fracs, about n/8
+    # in all, or the side beyond a missed window.  The top-end rule
+    # sorts every frac on 3 of these 12 inputs at d = 8, whose answer
+    # lies near the top rank, so the median is checked
+    n = 2**14
+    got = sorted(alpha_real(generate_weights(random.Random(s), n, d)).instrumentation["sort_items"]
+                 for s in range(12))
+    assert got[5] < n / 4 and got[6] < n / 4, got
