@@ -287,6 +287,15 @@ def cmd_bench(args) -> int:
         for row in batch:
             lines.append(",".join(str(row[c]) for c in cols))
     _write_text(args.out, "\n".join(lines))
+    if args.json is not None:
+        # the arguments that reproduce these rows, then one row per line,
+        # each with its wall_ns and every counter
+        argv = ["bench"] + [
+            tok for opt in ("n", "d", "trials", "seed", "algos")
+            for tok in ("--" + opt, str(getattr(args, opt)))
+        ]
+        rows = ",\n".join(json.dumps(row) for batch in batches for row in batch)
+        _write_text(args.json, '{"argv": %s,\n"rows": [\n%s\n]}' % (json.dumps(argv), rows))
     return 0
 
 
@@ -332,6 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--omit-timing", action="store_true",
                    help="drop the wall_ns column for reproducible output")
     b.add_argument("--out", default=None, help="write the CSV here instead of stdout")
+    b.add_argument("--json", default=None, metavar="PATH",
+                   help="also write the rows, wall_ns included, and the argv as JSON here")
     return parser
 
 

@@ -10,9 +10,10 @@ equals the cost at the largest one.
 Two search strategies share that skeleton:
 
 * alpha_real, the sorted search, places a first window from a sorted
-  sample of every 16th fractional part (Floyd and Rivest 1975) and
-  sorts (in C) only the fractional parts its two edge probes leave
-  undecided, or all of them where the sample cannot place it.  It
+  sample of every 16th fractional part (Floyd and Rivest 1975), an edge
+  past either end of it being an offset outside [0, 1), and sorts (in
+  C) only the fractional parts its probes leave undecided, or all of
+  them where the sample cannot place it (n < 4096 or tied edges).  It
   narrows a bracket of them around the answer in one loop, solving
   each probe with one stack pass and probing a repeated fractional
   part once.  Each round squeezes every run of positions whose level
@@ -240,10 +241,11 @@ def alpha_real(w) -> RealCostResult:
     bisects instead.  The first window takes its edges from every 16th
     fractional part, sorted (Floyd and Rivest 1975), before the loop, so
     order holds only the offsets its probes leave: those inside it when
-    it holds the answer, those beyond the missed edge when not.  Where
-    the sample cannot place it (n < 4096, a window at an end of the
-    sample, or tied edges) or no window is tried, order holds every
-    fractional part and the loop places the first window, if any.
+    it holds the answer, those beyond the missed edge when not; an edge
+    at an end of the sample is an offset outside [0, 1), never probed.
+    Where the sample cannot place it (n < 4096 or tied edges) or no
+    window is tried, order holds every fractional part and the loop
+    places the first window, if any.
     Integral weights (frac 0) keep the windows like any other input.  A
     squeeze folds every run of positions whose level no later probe can
     change (by the squeeze rule of leveltree's static passes) into at
@@ -292,34 +294,39 @@ def alpha_real(w) -> RealCostResult:
     # interpolated from 2a and a, but its edges are the sample's values
     # at ranks r -+ w/2, fracs themselves.  A sample value's rank is
     # about 16 times its index, so the sample places the window only
-    # where it spans 16 sample values or more (n >= 4096), stops short
-    # of both ends of the sample, and has two distinct edges.  At an end
-    # the loop, which knows the extreme offsets, places it better: d = 1
-    # at a power-of-two n centres it on the top rank.  Squeezed for (flo,
-    # fhi], a hit (fhi feasible, flo not) leaves exactly the fracs in
-    # that range undecided, and order is those alone; a miss restores
-    # the items, order is the fracs beyond the missed edge, and one
-    # window try is spent
+    # where it spans 16 sample values or more (n >= 4096) and has two
+    # distinct edges.  An edge index at or past an end of the sample
+    # takes a sentinel there, -1.0 below every frac (Q = 2a, infeasible)
+    # or 1.0 above (Q = a, feasible), so no probe is spent on it.  The
+    # tie is still judged on the sample's values: an input of few
+    # offsets, all integral say, would otherwise squeeze and probe a
+    # window that holds one offset.  Squeezed for (flo, fhi], a hit (fhi
+    # feasible, flo not) leaves exactly the fracs in that range
+    # undecided, and order is those alone; a miss restores the items,
+    # order is the fracs beyond the missed edge, and one window try is
+    # spent
     tries = 2 if a >= _SQUEEZE_RUN else 0
     w = n // _SQUEEZE_RUN
     r = n * (q1 - cap) // (q1 - q2) - 1
     i, k = (r - w // 2) // _SQUEEZE_RUN, (r + w // 2) // _SQUEEZE_RUN
     sample = []
-    # len(sample) - 1 = (n - 1) // 16
-    if tries and w >= _SQUEEZE_RUN**2 and 0 < i and k < (n - 1) // _SQUEEZE_RUN:
+    if tries and w >= _SQUEEZE_RUN**2:
         sample = sorted(fracs[::_SQUEEZE_RUN])
+        i, k = max(i, 0), min(k, len(sample) - 1)
     if sample and sample[i] < sample[k]:
-        flo, fhi = sample[i], sample[k]
+        flo = sample[i] if i else -1.0
+        fhi = sample[k] if k < len(sample) - 1 else 1.0
         squeezed = _squeeze(*items, flo, fhi, acc)
-        qt = q_at(squeezed, fhi)
-        qb = q_at(squeezed, flo) if qt <= cap else None
+        qt = q_at(squeezed, fhi) if fhi < 1 else q2
+        qb = q1 if flo < 0 else q_at(squeezed, flo) if qt <= cap else None
         if qt > cap:
             order, q1, tries = [f for f in fracs if f > fhi], qt, 1
         elif qb <= cap:
             order, q2, tries = [f for f in fracs if f <= flo], qb, 1
         else:
             items, q1, q2 = squeezed, qb, qt
-            order = [f for f in squeezed[1] if f > flo]
+            # squeezed items carry frac 0.0, above the bottom sentinel
+            order = [f for f in (fracs if flo < 0 else squeezed[1]) if flo < f <= fhi]
         order.sort()
     else:
         order = sorted(fracs)
@@ -370,10 +377,10 @@ def alpha_real_new(w) -> RealCostResult:
 
     Runs in O(n log log n + n log d) tree operations, the paper's bound.
     Measured with alphatree bench (seed 7, best of 9 runs per cell), it
-    is 2.5x to 17x slower than alpha_real at every n = 2^8, 2^10, ...,
-    2^16 and d in {1, 2, 8, 64, n} tried (11x to 17x at d = 1, 2.5x to
-    3.3x at d = n), so it serves as the paper's algorithm and a
-    cross-check.
+    is 2.3x to 22x slower than alpha_real at every n = 2^8, 2^10, ...,
+    2^16 and d in {1, 2, 8, 64, n} tried (5.6x at n = 2^8 and 13x to 22x
+    above it at d = 1, 2.5x to 3.0x at d = n), so it serves as the
+    paper's algorithm and a cross-check.
     """
     seq = as_weight_seq(w)
     acc = _zero_counters()

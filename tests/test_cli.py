@@ -412,8 +412,8 @@ n,d,trial,algo,sets,undos,finds,unions,deunions,partition_items,probes,probe_ite
 1024,8,1,sorted,0,0,0,0,0,0,13,3243,2000,1024
 1024,64,0,sorted,0,0,0,0,0,0,8,2959,1441,1024
 1024,64,1,sorted,0,0,0,0,0,0,15,8152,3408,1024
-4096,1,0,sorted,0,0,0,0,0,0,3,8695,4096,4096
-4096,1,1,sorted,0,0,0,0,0,0,3,8694,4096,4096
+4096,1,0,sorted,0,0,0,0,0,0,4,8415,4305,361
+4096,1,1,sorted,0,0,0,0,0,0,4,8546,4427,424
 4096,2,0,sorted,0,0,0,0,0,0,10,10788,5288,557
 4096,2,1,sorted,0,0,0,0,0,0,11,10153,5827,475
 4096,8,0,sorted,0,0,0,0,0,0,11,11276,5495,565
@@ -430,6 +430,30 @@ def test_sorted_search_work_is_pinned(capsys):
                      "--trials", "2", "--seed", "7", "--omit-timing", "--algos", "sorted")
     assert rc == 0
     assert out.splitlines() == SORTED_BENCH_CSV.splitlines()
+
+
+def test_bench_json_matches_the_csv(tmp_path, capsys):
+    # --json writes the CSV's rows, each with its wall_ns and every
+    # counter, and the arguments that reproduce them; the CSV printed
+    # beside it is the one printed without --json
+    args = ["bench", "--n", "64,4096", "--d", "1,8", "--trials", "2", "--seed", "7",
+            "--omit-timing"]
+    rc, plain, _ = run(capsys, *args)
+    assert rc == 0
+    path = tmp_path / "bench.json"
+    rc, out, _ = run(capsys, *args, "--json", str(path))
+    assert rc == 0 and out == plain
+    doc = json.loads(path.read_text())
+    assert doc["argv"] == ["bench", "--n", "64,4096", "--d", "1,8", "--trials", "2",
+                           "--seed", "7", "--algos", "new,sorted"]
+    header, *lines = plain.splitlines()
+    cols = header.split(",")
+    assert [list(row) for row in doc["rows"]] == [cols[:4] + ["wall_ns"] + cols[4:]] * len(lines)
+    assert [",".join(str(row[c]) for c in cols) for row in doc["rows"]] == lines
+    assert all(row["wall_ns"] > 0 for row in doc["rows"])
+    # the argv recorded reproduces the counters
+    rc, again, _ = run(capsys, *doc["argv"], "--omit-timing")
+    assert rc == 0 and again == plain
 
 
 def test_bench_timing_column(capsys):

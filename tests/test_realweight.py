@@ -633,9 +633,10 @@ def _windows(ws):
     # squeezes always hold it, so the others are missed windows; and how
     # many windows the search tried: a window's squeeze is followed by a
     # probe at its top offset, order[k] (fhi for the first window placed
-    # from the sample, whose squeeze is of the floors, so not nested),
-    # while a bisection squeeze's top, order[hi], is never probed again.
-    # The items the squeezes walked must be the result's squeeze_items
+    # from the sample, whose squeeze is of the floors, so not nested, or
+    # its bottom edge when fhi is the sentinel above every frac), while
+    # a bisection squeeze's top, order[hi], is never probed again.  The
+    # items the squeezes walked must be the result's squeeze_items
     seq = WeightSeq(ws)
     log = []
     walked = []
@@ -658,7 +659,8 @@ def _windows(ws):
     assert res.instrumentation["squeeze_items"] == sum(walked)
     sides = [(nested, "high" if res.b < flo else "low" if res.b > fhi else "holds")
              for nested, flo, fhi in (e for e in log if type(e) is tuple)]
-    tried = sum(1 for e, nxt in zip(log, log[1:]) if type(e) is tuple and nxt == e[2])
+    tried = sum(1 for e, nxt in zip(log, log[1:])
+                if type(e) is tuple and nxt == e[2 if e[2] < 1 else 1])
     return res, sides, tried
 
 
@@ -821,19 +823,31 @@ def _sample_window(ws):
     return sample, (r - w // 2) // _SQUEEZE_RUN, (r + w // 2) // _SQUEEZE_RUN
 
 
-def _first_squeeze(monkeypatch, ws):
-    # the result, and the (flo, fhi) of the search's first squeeze
-    calls = []
-    real = alphatree.realweight._squeeze
+def _first_window(monkeypatch, ws):
+    # the result, the (flo, fhi) of the search's first squeeze, and the
+    # offsets probed after it, up to the next squeeze
+    log = []
+    real_squeeze, real_probe = alphatree.realweight._squeeze, alphatree.realweight._probe
 
     def squeeze(levels, fracs, counts, flo, fhi, acc):
-        calls.append((flo, fhi))
-        return real(levels, fracs, counts, flo, fhi, acc)
+        log.append((flo, fhi))
+        return real_squeeze(levels, fracs, counts, flo, fhi, acc)
+
+    def probe(levels, fracs, counts, b, acc):
+        log.append(b)
+        return real_probe(levels, fracs, counts, b, acc)
 
     monkeypatch.setattr(alphatree.realweight, "_squeeze", squeeze)
+    monkeypatch.setattr(alphatree.realweight, "_probe", probe)
     res = alpha_real(ws)
     monkeypatch.undo()
-    return res, calls[0]
+    first = next(x for x, e in enumerate(log) if type(e) is tuple)
+    probed = []
+    for e in log[first + 1:]:
+        if type(e) is tuple:
+            break
+        probed.append(e)
+    return res, log[first], probed
 
 
 def stride_skewed_weights(rng, n, smallest):
@@ -858,8 +872,9 @@ def test_sampled_window_hit_sorts_only_its_fracs(monkeypatch):
     for seed in (0, 2, 5):
         ws = generate_weights(random.Random(seed), 4096, 2)
         sample, i, k = _sample_window(ws)
-        res, (flo, fhi) = _first_squeeze(monkeypatch, ws)
+        res, (flo, fhi), probed = _first_window(monkeypatch, ws)
         assert (flo, fhi) == (sample[i], sample[k])
+        assert probed == [fhi, flo]
         assert flo < res.b <= fhi, seed
         inside = sum(1 for f in WeightSeq(ws).fracs if flo < f <= fhi)
         assert res.instrumentation["sort_items"] == len(sample) + inside
@@ -876,8 +891,10 @@ def test_sampled_window_miss_sorts_the_side_beyond_it(monkeypatch, smallest, mis
     for seed in range(3):
         ws = stride_skewed_weights(random.Random(seed), 4096, smallest)
         sample, i, k = _sample_window(ws)
-        res, (flo, fhi) = _first_squeeze(monkeypatch, ws)
+        res, (flo, fhi), probed = _first_window(monkeypatch, ws)
         assert (flo, fhi) == (sample[i], sample[k])
+        # an infeasible fhi decides the window without probing flo
+        assert probed[:2] == ([fhi] if missed == "low" else [fhi, flo])
         fracs = WeightSeq(ws).fracs
         beyond = [f for f in fracs if (f > fhi if missed == "low" else f <= flo)]
         assert res.b in beyond
@@ -887,25 +904,56 @@ def test_sampled_window_miss_sorts_the_side_beyond_it(monkeypatch, smallest, mis
         _same_answer(res, ws)
 
 
-@pytest.mark.parametrize("case", ["top end", "bottom end", "tied edges", "n < 4096"])
+@pytest.mark.parametrize("end", ["top", "bottom"])
+def test_sampled_window_takes_a_sentinel_edge(monkeypatch, end):
+    # a window at or past an end of the sample takes a sentinel edge
+    # outside [0, 1) there, whose Q is known (a above every frac, 2a
+    # below), so the search probes only its other edge: one probe fewer
+    # than a window of two sample values.  d = 1 gives a target load of
+    # n: a power of two centres the window on the top rank, n = 2^12 + 1
+    # on rank 1.  Both windows hold the answer, and the sort takes the
+    # sample and the fracs inside the window
+    n = 4096 if end == "top" else 4097
+    for seed in range(1, 4):
+        ws = generate_weights(random.Random(seed), n, 1)
+        sample, i, k = _sample_window(ws)
+        assert (k >= len(sample) - 1, i <= 0) == (end == "top", end == "bottom")
+        res, (flo, fhi), probed = _first_window(monkeypatch, ws)
+        if end == "top":
+            assert flo == sample[i] and fhi >= 1 and probed == [flo]
+        else:
+            assert flo < 0 and fhi == sample[k] and probed == [fhi]
+        assert flo < res.b <= fhi
+        inside = sum(1 for f in WeightSeq(ws).fracs if flo < f <= fhi)
+        assert res.instrumentation["sort_items"] == len(sample) + inside
+        _same_answer(res, ws)
+
+
+@pytest.mark.parametrize("case", ["tied edges", "tied at an end", "n < 4096"])
 def test_sampled_window_falls_back_to_the_full_sort(case):
-    # the rules that send the search to sorting every frac, each on an
-    # input that only it sends there; only tied edges sort the sample
-    # first.  d = 1 gives a target load of n: a power of two centres the
-    # window on the top rank, n = 2^12 + 1 on rank 1
+    # the rules that still send the search to sorting every frac, each
+    # on an input that only it sends there; tied edges sort the sample
+    # first.  A tie is judged on the sample's values even where an edge
+    # is a sentinel: n equal integral weights put the window at the top
+    # end, and all their fracs are 0.0, so the sort alone finds the
+    # answer, with no squeeze and no probe but the target's and the
+    # witness's
     n, ws = {
-        "top end": (4096, generate_weights(random.Random(1), 4096, 1)),
-        "bottom end": (4097, generate_weights(random.Random(1), 4097, 1)),
         "tied edges": (4096, _search_input(4096, 4096, "two offsets")),
+        "tied at an end": (4096, [5.0] * 4096),
         "n < 4096": (4095, generate_weights(random.Random(1), 4095, 2)),
     }[case]
     sample, i, k = _sample_window(ws)
-    top, bottom = k >= len(sample) - 1, i <= 0
-    rules = [top, bottom, not (top or bottom) and sample[i] == sample[k], n < 4096]
-    assert rules == [c == case for c in ("top end", "bottom end", "tied edges", "n < 4096")]
+    m = len(sample) - 1
+    tied = 0 < i and k < m and sample[i] == sample[k]
+    tied_end = n >= 4096 and (i <= 0 or k >= m) and sample[max(i, 0)] == sample[min(k, m)]
+    cases = ("tied edges", "tied at an end", "n < 4096")
+    assert [tied, tied_end, n < 4096] == [case == c for c in cases]
     res = alpha_real(ws)
-    sort_items = n + len(sample) if case == "tied edges" else n
+    sort_items = n if case == "n < 4096" else n + len(sample)
     assert res.instrumentation["sort_items"] == sort_items
+    if case == "tied at an end":
+        assert res.instrumentation["probes"] == 2 and res.instrumentation["squeeze_items"] == 0
     _same_answer(res, ws)
 
 
@@ -914,28 +962,30 @@ def test_sampled_window_falls_back_to_the_full_sort(case):
     (8, 178, "bottom", True), (5, 13, "bottom", False),
 ])
 def test_sample_end_rule_at_its_boundary(monkeypatch, d, seed, edge, touches):
-    # an edge at the sample's last (first) index sorts every frac; one
-    # index inside, the sample places the window
+    # both sides of the end rule's boundary take a sampled window: an
+    # edge at the sample's last (first) index is a sentinel, one index
+    # inside is that sample value.  Each window holds the answer
     ws = generate_weights(random.Random(seed), 4096, d)
     sample, i, k = _sample_window(ws)
     at = k if edge == "top" else len(sample) - 1 - i
     assert at == len(sample) - (1 if touches else 2)
-    res, first = _first_squeeze(monkeypatch, ws)
-    if touches:
-        assert res.instrumentation["sort_items"] == 4096
+    res, (flo, fhi), _ = _first_window(monkeypatch, ws)
+    if edge == "top":
+        assert flo == sample[i] and (fhi >= 1 if touches else fhi == sample[k])
     else:
-        assert first == (sample[i], sample[k])
+        assert fhi == sample[k] and (flo < 0 if touches else flo == sample[i])
+    assert flo < res.b <= fhi
+    inside = sum(1 for f in WeightSeq(ws).fracs if flo < f <= fhi)
+    assert res.instrumentation["sort_items"] == len(sample) + inside
     _same_answer(res, ws)
 
 
 @pytest.mark.parametrize("d", [2, 8])
 def test_sampled_window_sorts_few_fracs(d):
-    # at n = 2^14 the sample places the first window on most inputs, and
-    # then the sort takes the sample and one window's fracs, about n/8
-    # in all, or the side beyond a missed window.  The top-end rule
-    # sorts every frac on 3 of these 12 inputs at d = 8, whose answer
-    # lies near the top rank, so the median is checked
+    # at n = 2^14 the sample places the first window on every input, and
+    # the sort takes the sample and one window's fracs, about n/8 in
+    # all, or the side beyond a missed window
     n = 2**14
     got = sorted(alpha_real(generate_weights(random.Random(s), n, d)).instrumentation["sort_items"]
                  for s in range(12))
-    assert got[5] < n / 4 and got[6] < n / 4, got
+    assert got[-1] < n / 2 and got[6] < n / 4, got
