@@ -1,10 +1,18 @@
-"""Shared test utilities: independent oracles and instance generators."""
+"""Shared test utilities: independent oracles and instance generators.
 
+Run as a script (PYTHONPATH=src python tests/helpers.py), it prints the
+sorted search's counters on every answer-corpus input as CSV, one row
+per input, so that a change to its work can be read input by input.
+"""
+
+import math
+import random
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from itertools import accumulate
 
-from alphatree import CodingError, DecodeError, WeightSeq
+from alphatree import CodingError, DecodeError, WeightSeq, alpha_real
+from alphatree.cli import generate_weights
 from alphatree.core import minimax_cost_by_dp
 from alphatree.leveltree import (
     NIL,
@@ -335,3 +343,90 @@ def per_run_squeeze(levels, fracs, counts, flo, fhi):
             out_k.append(1)
         start = i + 1
     return out
+
+
+# Sizes of the answer corpus: the small ones the DP oracle can check,
+# and the large ones straddle 4096, where the sorted search starts to
+# place windows from a sample of the fractional parts
+CORPUS_SIZES = (1, 2, 3, 5, 8, 12, 40, 300, 1000, 2500,
+                4095, 4096, 4097, 6000, 8192, 12000, 16384, 20000)
+
+
+def _with_fracs(ceils, fracs):
+    # a weight per (ceiling, frac): frac 0.0 gives the integer ceiling
+    return [c - 1 + f if f else float(c) for c, f in zip(ceils, fracs)]
+
+
+def _tiny_weights(rng, n, share):
+    # weights in (-1/2, 0) whose fractional parts are Fractions (-1e-20
+    # and weights in (-2^-55, 0)), signed zeros, each about share of
+    # them, and plain weights at ceilings near 0 for them to compete with
+    specials = [-1e-20, 0.0, -0.0]
+    out = []
+    for _ in range(n):
+        x = rng.random()
+        if x < share:
+            out.append(rng.choice(specials))
+        elif x < 2 * share:
+            out.append(-math.ldexp(1.0 - rng.random(), -55))
+        else:
+            out.append(rng.randint(-3, 1) - 1 + rng.random())
+    return out
+
+
+def _real_shape(rng, n, d):
+    # perfbench's real_weights, as a formula: the d ceilings 0, 3, ...,
+    # 3(d - 1), each at least once, and distinct fracs k / 2^40
+    pool = list(range(0, 3 * d, 3))
+    ceils = pool + [pool[rng.randrange(d)] for _ in range(n - d)]
+    rng.shuffle(ceils)
+    return [c - 1 + k / 2**40 for c, k in zip(ceils, rng.sample(range(1, 2**40), n))]
+
+
+def corpus_inputs():
+    """The answer corpus: (label, weights) pairs at fixed seeds, for
+    every size in CORPUS_SIZES, shaped as 30%, 70% and 100% integral
+    weights, 1 to 12 distinct offsets, Fraction fractional parts and
+    signed zeros, fracs sorted by position (rising, or falling at odd
+    sizes), generate_weights at d in {1, 2, 8, 64, 256, 1024, n}, and
+    the benchmark's real weights at d in {2, 64}."""
+    out = []
+    for i, n in enumerate(CORPUS_SIZES):
+        def rng(family):
+            return random.Random("corpus:%s:%d" % (family, n))
+
+        for rate in (0.3, 0.7, 1.0):
+            label = "integral%d" % round(100 * rate)
+            out.append((label, random_real_weights(rng(label), n, -8, 8, rate)))
+        k = 1 + i % 12
+        r = rng("offsets")
+        pool = [r.choice([0.0, 0.5, r.random()]) for _ in range(k)]
+        ceils = [r.randint(-8, 4) for _ in range(n)]
+        out.append(("offsets%d" % k, _with_fracs(ceils, [r.choice(pool) for _ in range(n)])))
+        for share in (0.1, 0.45):
+            label = "fraction%d" % round(100 * share)
+            out.append((label, _tiny_weights(rng(label), n, share)))
+        r = rng("sorted")
+        ws = generate_weights(r, n, min(8, n))
+        fracs = sorted((w - math.floor(w) for w in ws), reverse=i % 2 == 1)
+        out.append(("sorted", _with_fracs([math.floor(w) + 1 for w in ws], fracs)))
+        for d in sorted({1, 2, 8, 64, 256, 1024, n}):
+            if d <= n:
+                label = "gen%s" % ("n" if d == n else d)
+                out.append((label, generate_weights(rng(label), n, d)))
+        for d in (2, 64):
+            if d <= n:
+                out.append(("real%d" % d, _real_shape(rng("real%d" % d), n, d)))
+    return out
+
+
+def corpus_row(label, ws, res):
+    """One CSV row of the sorted search's counters on a corpus input."""
+    acc = res.instrumentation
+    return ",".join([label, str(len(ws))] + [str(acc[key]) for key in _zero_counters()])
+
+
+if __name__ == "__main__":
+    print(",".join(["family", "n"] + list(_zero_counters())))
+    for label, ws in corpus_inputs():
+        print(corpus_row(label, ws, alpha_real(ws)))

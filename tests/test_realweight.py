@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 import re
@@ -25,7 +27,13 @@ from alphatree.realweight import (
     select_kth,
 )
 from alphatree.cli import generate_weights
-from helpers import bisected_sorted, per_run_squeeze, random_real_weights, unsqueezed_sorted
+from helpers import (
+    bisected_sorted,
+    corpus_inputs,
+    per_run_squeeze,
+    random_real_weights,
+    unsqueezed_sorted,
+)
 
 
 def test_select_kth_examples():
@@ -989,3 +997,30 @@ def test_sampled_window_sorts_few_fracs(d):
     got = sorted(alpha_real(generate_weights(random.Random(s), n, d)).instrumentation["sort_items"]
                  for s in range(12))
     assert got[-1] < n / 2 and got[6] < n / 4, got
+
+
+CORPUS_ANSWERS_SHA256 = "fdc433f9fe93461507c130542a5ab7aa113e91997a13162e15575c350ad13432"
+CORPUS_COUNTERS_SHA256 = "a01ac7dccf8b294223c82f3ba9656354bc432adfdbfce7b126a866f80fb7bd23"
+
+
+def test_answer_corpus_is_pinned():
+    # alpha_real on every corpus input (tests/helpers.py) hashes its
+    # answers (alpha, b, type(b), int_cost, depths) to one recorded
+    # digest and its counters to another: a change to the search's work
+    # moves only the second, re-recorded with the rows that moved
+    # (python tests/helpers.py prints them), while a change to the first
+    # is a wrong answer.  The live tree's search must agree up to n =
+    # 4097, and the rational DP wherever it can run
+    answers, counters = hashlib.sha256(), hashlib.sha256()
+    for label, ws in corpus_inputs():
+        res = alpha_real(ws)
+        got = (res.alpha, res.b, type(res.b).__name__, res.int_cost, res.depths)
+        answers.update(repr(got).encode())
+        counters.update(json.dumps(res.instrumentation, sort_keys=True).encode())
+        if len(ws) <= 4097:
+            new = alpha_real_new(ws)
+            assert (new.alpha, new.b, type(new.b).__name__, new.int_cost, new.depths) == got
+        if len(ws) <= 12:
+            assert res.alpha == float(minimax_cost_by_dp([Fraction(w) for w in ws])), label
+    assert answers.hexdigest() == CORPUS_ANSWERS_SHA256
+    assert counters.hexdigest() == CORPUS_COUNTERS_SHA256
