@@ -230,12 +230,14 @@ def _parse_int_list(text: str, what: str) -> list[int]:
 def _bench_job(seed: int, n: int, d: int, trial: int, algos: list[str]) -> list[dict]:
     # random hashes a str seed with SHA-512, independent of PYTHONHASHSEED
     rng = random.Random("%d:%d:%d:%d" % (seed, n, d, trial))
-    seq = WeightSeq(generate_weights(rng, n, d))
+    # each strategy gets the plain list and builds its own WeightSeq,
+    # so no row reuses the fracs another row computed
+    ws = generate_weights(rng, n, d)
     rows = []
     results = []
     for algo in algos:
         t0 = time.perf_counter_ns()
-        res = _ALGO_RUNNERS[algo](seq)
+        res = _ALGO_RUNNERS[algo](ws)
         wall = time.perf_counter_ns() - t0
         results.append(res)
         row = {"n": n, "d": d, "trial": trial, "algo": algo, "wall_ns": wall}

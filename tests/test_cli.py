@@ -163,6 +163,21 @@ def test_bench_strategy_disagreement_exits_3(capsys, monkeypatch):
     assert "strategies disagree (seed=0 n=16 d=2 trial=0)" in err
 
 
+def test_bench_gives_each_strategy_the_weight_list(capsys, monkeypatch):
+    # each row pays for its own WeightSeq, as the benchmark's runs do:
+    # a shared one would hand the second strategy the fracs the first
+    # computed
+    seen = []
+    for algo, solve in list(alphatree.cli._ALGO_RUNNERS.items()):
+        def record(ws, solve=solve):
+            seen.append(type(ws))
+            return solve(ws)
+
+        monkeypatch.setitem(alphatree.cli._ALGO_RUNNERS, algo, record)
+    rc, _, _ = run(capsys, "bench", "--n", "16", "--trials", "2")
+    assert rc == 0 and seen == [list] * 4
+
+
 def test_main_looks_commands_up_by_name(monkeypatch):
     # main finds cmd_<command> when it is called, so a rebound command
     # (a tracer's wrapper, say) is the one that runs
