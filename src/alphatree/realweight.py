@@ -9,22 +9,24 @@ equals the cost at the largest one.
 
 Two search strategies share that skeleton:
 
-* alpha_real, the sorted search, places a first window from a sorted
-  sample of every 16th fractional part (Floyd and Rivest 1975), an edge
-  past either end of it being an offset outside [0, 1), and sorts (in
-  C) only the fractional parts its probes leave undecided, or all of
-  them where the sample cannot place it (n < 4096 or tied edges).  It
-  narrows a bracket of them around the answer in one loop, solving
-  each probe with one stack pass and probing a repeated fractional
-  part once.  Each round squeezes every run of positions whose level
-  is decided into at most 4d items, for the whole bracket once it spans
-  at most 1/16 of the items, then tries a window of 1/16 of the
-  bracket at the rank interpolation search (Perl, Itai and Avni 1978)
-  predicts from the passes on either side of it, or bisects: below 32
-  offsets, after two missed windows in a row, or where the window
-  would reach the bracket's low end.  Integral weights keep the
-  windows.  So the passes walk O(n log d) items in all rather than n
-  per probe.
+* alpha_real, the sorted search, narrows a bracket of fractional parts
+  around the answer in one loop, solving each probe with one stack pass
+  and probing a repeated fractional part once.  Each round squeezes
+  every run of positions whose level is decided into at most 4d items,
+  for the whole bracket once it spans at most 1/16 of the items, then
+  tries a window of 1/16 of the bracket at the rank interpolation
+  search (Perl, Itai and Avni 1978) predicts from the passes on either
+  side of it, or bisects: below 32 offsets, after two missed windows in
+  a row, or where the window would reach the bracket's low end.  One
+  rule reads every window's edges from a sorted list and its stride:
+  from n = 4096, a sample of every 16th fractional part (Floyd and
+  Rivest 1975), while a window spans 16 of its values, where an end of
+  the bracket (an offset outside [0, 1) below or above them all, at
+  first) may be an edge and is never probed; after that, the bracket's
+  fractional parts, those the sample did not hold sorted (in C) and
+  merged with its own.  So no fractional part is sorted twice, and
+  only one bracket's are.  Integral weights keep the windows.  So the
+  passes walk O(n log d) items in all rather than n per probe.
 * alpha_real_new, the paper's algorithm, never sorts.  It keeps one
   level tree alive, walks a median-of-medians partition of the
   fractional parts, and moves between probe offsets by set/undo on the
@@ -227,30 +229,28 @@ def _squeeze(levels, fracs, counts, flo, fhi, acc):
 
 
 def alpha_real(w) -> RealCostResult:
-    """Sorted-search strategy: sort the fractional parts that a first
-    window, placed from a sample, leaves undecided, then search them,
-    probing each distinct value once.
+    """Sorted-search strategy: narrow a bracket of offsets around the
+    answer with windows read from sorted fractional parts, probing each
+    distinct value once.
 
-    The search narrows a bracket of sorted offsets, order[lo..hi],
-    that holds the answer, in one loop.  Each round first squeezes the
-    items for the whole bracket once it spans at most 1/16 of them.  It
-    then tries a window of 1/16 of the bracket at the rank interpolation
-    search (Perl, Itai and Avni 1978) predicts, squeezing the items for
-    the window and probing its two edges; below 32 offsets, after two
-    missed windows in a row, or where the window would reach lo, it
-    bisects instead.  The first window takes its edges from every 16th
-    fractional part, sorted (Floyd and Rivest 1975), before the loop, so
-    order holds only the offsets its probes leave: those inside it when
-    it holds the answer, those beyond the missed edge when not; an edge
-    at an end of the sample is an offset outside [0, 1), never probed.
-    Where the sample cannot place it (n < 4096 or tied edges) or no
-    window is tried, order holds every fractional part and the loop
-    places the first window, if any.
-    Integral weights (frac 0) keep the windows like any other input.  A
-    squeeze folds every run of positions whose level no later probe can
-    change (by the squeeze rule of leveltree's static passes) into at
-    most 4d items, so the probes walk O(n log d) items in all, not n
-    each.
+    The bracket (flo, fhi] holds the answer.  Each round of one loop
+    tries a window of 1/16 of it at the rank interpolation search (Perl,
+    Itai and Avni 1978) predicts from the passes at its two ends,
+    squeezing the items for the window and probing its two edges; below
+    32 offsets, after two missed windows in a row, or where the window
+    would reach the bracket's low end, it bisects instead.  One rule
+    reads every window's edges from a sorted list and its stride: every
+    16th fractional part, sorted (Floyd and Rivest 1975), from n = 4096
+    and while a window spans 16 of them, where an end of the bracket may
+    be an edge and is never probed; then the bracket's fractional parts,
+    those the sample did not hold sorted and merged with its own.  So
+    no fractional part is sorted twice, and only one bracket's are.
+    Each round first squeezes the items for the whole bracket once it
+    spans at most 1/16 of them.  Integral weights (frac 0) keep the
+    windows like any other input.  A squeeze folds every run of
+    positions whose level no later probe can change (by the squeeze
+    rule of leveltree's static passes) into at most 4d items, so the
+    probes walk O(n log d) items in all, not n each.
     """
     seq = as_weight_seq(w)
     acc = _zero_counters()
@@ -265,104 +265,96 @@ def alpha_real(w) -> RealCostResult:
     # the largest level, is t or t + 1), and b is feasible iff Q <= cap
     cap = 1 << (target - t)
 
-    def q_at(items, b) -> int:
-        tb, ab = _probe(*items, b, acc)
-        return ab << (tb - t)
-
     # Cost as a function of the offset is nonincreasing and reaches
     # target at the largest frac, so the answer is the first feasible
-    # frac.  The bracket order[lo..hi] holds it, with q1 = Q just below
-    # order[lo] and q2 = Q at order[hi].  Below every frac, 0.0 among
-    # them, each floor is raised, so Q starts at 2a and falls to a, and
-    # integral weights need no case of their own.  A probe decides
+    # frac, in the bracket (flo, fhi] with q1 = Q(flo) > cap and q2 =
+    # Q(fhi) <= cap.  Below every frac, 0.0 among them, each floor is
+    # raised, so Q falls from 2a at the sentinel -1.0 to a at the
+    # sentinel 1.0, and integral weights need no case of their own.
+    # order holds every stride-th frac, sorted, and order[lo..hi] spans
+    # the bracket: order[lo - 1] stands for flo and order[hi] for fhi,
+    # either of which may lie past an end of order.  A probe decides
     # every copy of its offset: it moves lo past them or hi to the
-    # first.
-    q1, q2 = 2 * a, a
+    # first
+    q1, q2, flo, fhi = 2 * a, a, -1.0, 1.0
 
     def probe(x) -> bool:
-        nonlocal lo, hi, q1, q2
-        q = q_at(items, order[x])
+        nonlocal lo, hi, q1, q2, flo, fhi
+        tb, ab = _probe(*items, order[x], acc)
+        q = ab << (tb - t)
         if q > cap:
-            lo, q1 = bisect_right(order, order[x], x, hi), q
+            lo, q1, flo = bisect_right(order, order[x], x, hi), q, order[x]
             return False
-        hi, q2 = bisect_left(order, order[x], lo, x), q
+        hi, q2, fhi = bisect_left(order, order[x], lo, x), q, order[x]
         return True
 
     # Q in [a, 2a] places the answer to about n/a indices, so a <
-    # _SQUEEZE_RUN gets no window.  The first window is placed as the
-    # loop would place it, w = n // 16 offsets around the rank r
-    # interpolated from 2a and a, but its edges are the sample's values
-    # at ranks r -+ w/2, fracs themselves.  A sample value's rank is
-    # about 16 times its index, so the sample places the window only
-    # where it spans 16 sample values or more (n >= 4096) and has two
-    # distinct edges.  An edge index at or past an end of the sample
-    # takes a sentinel there, -1.0 below every frac (Q = 2a, infeasible)
-    # or 1.0 above (Q = a, feasible), so no probe is spent on it.  The
-    # tie is still judged on the sample's values: an input of few
-    # offsets, all integral say, would otherwise squeeze and probe a
-    # window that holds one offset.  Squeezed for (flo, fhi], a hit (fhi
-    # feasible, flo not) leaves exactly the fracs in that range
-    # undecided, and order is those alone; a miss restores the items,
-    # order is the fracs beyond the missed edge, and one window try is
-    # spent
+    # _SQUEEZE_RUN gets no window.  A sample value's rank is about 16
+    # times its index, so the sample places windows while they span 16
+    # of its values or more, as the first one does from n = 4096
     tries = 2 if a >= _SQUEEZE_RUN else 0
-    w = n // _SQUEEZE_RUN
-    r = n * (q1 - cap) // (q1 - q2) - 1
-    i, k = (r - w // 2) // _SQUEEZE_RUN, (r + w // 2) // _SQUEEZE_RUN
-    sample = []
-    if tries and w >= _SQUEEZE_RUN**2:
-        sample = sorted(fracs[::_SQUEEZE_RUN])
-        i, k = max(i, 0), min(k, len(sample) - 1)
-    if sample and sample[i] < sample[k]:
-        flo = sample[i] if i else -1.0
-        fhi = sample[k] if k < len(sample) - 1 else 1.0
-        squeezed = _squeeze(*items, flo, fhi, acc)
-        qt = q_at(squeezed, fhi) if fhi < 1 else q2
-        qb = q1 if flo < 0 else q_at(squeezed, flo) if qt <= cap else None
-        if qt > cap:
-            order, q1, tries = [f for f in fracs if f > fhi], qt, 1
-        elif qb <= cap:
-            order, q2, tries = [f for f in fracs if f <= flo], qb, 1
-        else:
-            items, q1, q2 = squeezed, qb, qt
-            # squeezed items carry frac 0.0, above the bottom sentinel
-            order = [f for f in (fracs if flo < 0 else squeezed[1]) if flo < f <= fhi]
-        order.sort()
-    else:
-        order = sorted(fracs)
-    acc["sort_items"] += len(sample) + len(order)
-    lo, hi = 0, bisect_left(order, order[-1])
+    stride = _SQUEEZE_RUN if tries and n >= _SQUEEZE_RUN**3 else 1
+    order = sorted(fracs[::stride])
+    acc["sort_items"] += len(order)
+    lo, hi = 0, len(order) if stride > 1 else bisect_left(order, order[-1])
 
     # Each round squeezes the items for the whole bracket, [order[lo],
-    # order[hi]], once it spans at most 1/16 of them; that one rule also
-    # fixes the copies of order[lo].  A window interpolates the answer's
-    # index between (lo - 1, q1) and (hi, q2), places w offsets strictly
-    # inside the bracket there, order[j..k], and squeezes the items for
-    # its two probes, at order[j - 1] and order[k], leaving the fracs in
-    # (order[j - 1], order[k]] undecided.  A hit (k feasible, j - 1 not)
-    # brackets the answer by those two probes, and the next round works
-    # on the window's items; a miss restores the items from before the
-    # window, and two misses in a row end the windows.  A window
-    # reaching lo, whose lower probe is decided, gives way to a
-    # bisection probe
-    while lo < hi:
-        if _SQUEEZE_RUN * (hi - lo + 1) <= len(items[0]):
+    # order[hi]], once it spans at most 1/16 of the sorted fracs; that
+    # one rule also fixes the copies of order[lo].  A window
+    # interpolates the answer's index between (lo - 1, q1) and (hi, q2),
+    # takes w values around it, and squeezes the items for its two
+    # edges, order[i] and order[k], leaving the fracs between them
+    # undecided.  A hit (k feasible, i not) brackets the answer by those
+    # two edges, and the next round works on the window's items; a miss
+    # restores the items from before the window, and two misses in a
+    # row end the windows.  In the sorted fracs a window lies strictly
+    # inside the bracket, and its lower edge steps down past the copies
+    # of its first offset: one that reaches lo gives way to a bisection
+    # probe.  In the sample an edge may be an end of the bracket: the
+    # window is cut at a sentinel, with nothing past it, and shifted in
+    # from a probed end.  A sampled window whose values tie (all
+    # integral weights, say) is not tried, and where the sample places
+    # no window the search sorts the bracket's fracs
+    while lo < hi or stride > 1:
+        if stride == 1 and _SQUEEZE_RUN * (hi - lo + 1) <= len(items[0]):
             items = _squeeze(*items, order[lo], order[hi], acc)
         w = (hi - lo + 1) // _SQUEEZE_RUN
-        if tries and w >= 2:
+        if tries and w >= max(2, stride):
             r = lo - 1 + (hi - lo + 1) * (q1 - cap) // (q1 - q2)
-            j = max(lo + 1, min(r - w // 2, hi - w))
-            k = j + w - 1
-            j = bisect_left(order, order[j], lo, j)
-            if j > lo:
+            i = r - w // 2 - 1
+            if stride == 1:
+                i = max(lo, min(i, hi - w - 1))
+                k = i + w
+                i = bisect_left(order, order[i + 1], lo, i + 1) - 1
+            else:
+                i = max(i, lo - 1) if lo else i
+                i = min(i, hi - w) if hi < len(order) else i
+                i, k = max(i, lo - 1), min(i + w, hi)
+            if (i >= lo or stride > 1) and order[max(i, lo)] < order[min(k, hi - 1)]:
                 outer = items
-                items = _squeeze(*outer, order[j - 1], order[k], acc)
-                if probe(k) and not probe(j - 1):
+                items = _squeeze(*outer, order[i] if i >= lo else flo,
+                                 order[k] if k < hi else fhi, acc)
+                # an end of the bracket is never probed, its Q being known
+                if (k == hi or probe(k)) and (i < lo or not probe(i)):
                     tries = 2
                 else:
                     items = outer
                     tries -= 1
                 continue
+        if stride > 1:
+            # sort the bracket's fracs less the sample's, which come in
+            # the same position order: a frac equal to the sample's next
+            # is taken as that one, and dropped (squeezed items carry
+            # frac 0.0, above the bottom sentinel)
+            held = iter([f for f in fracs[::stride] if flo < f <= fhi] + [None])
+            h = next(held)
+            rest = sorted([f for f in (fracs if flo < 0 else items[1])
+                           if flo < f <= fhi and (f != h or (h := next(held)) and False)])
+            acc["sort_items"] += len(rest)
+            # sorted() merges two sorted runs in one pass
+            order = sorted(order[lo:bisect_right(order, fhi, lo)] + rest)
+            lo, hi, stride = 0, bisect_left(order, order[-1]), 1
+            continue
         probe((lo + hi) // 2)
     return _finish(seq, order[lo], target, "sorted", acc)
 

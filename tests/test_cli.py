@@ -427,14 +427,14 @@ n,d,trial,algo,sets,undos,finds,unions,deunions,partition_items,probes,probe_ite
 1024,8,1,sorted,0,0,0,0,0,0,13,3243,2000,1024
 1024,64,0,sorted,0,0,0,0,0,0,8,2959,1441,1024
 1024,64,1,sorted,0,0,0,0,0,0,15,8152,3408,1024
-4096,1,0,sorted,0,0,0,0,0,0,4,8415,4305,361
-4096,1,1,sorted,0,0,0,0,0,0,4,8546,4427,424
-4096,2,0,sorted,0,0,0,0,0,0,10,10788,5288,557
-4096,2,1,sorted,0,0,0,0,0,0,11,10153,5827,475
-4096,8,0,sorted,0,0,0,0,0,0,11,11276,5495,565
-4096,8,1,sorted,0,0,0,0,0,0,13,12237,7610,480
-4096,64,0,sorted,0,0,0,0,0,0,14,14073,11639,3262
-4096,64,1,sorted,0,0,0,0,0,0,12,11747,7028,504
+4096,1,0,sorted,0,0,0,0,0,0,4,8415,4305,353
+4096,1,1,sorted,0,0,0,0,0,0,4,8546,4427,416
+4096,2,0,sorted,0,0,0,0,0,0,10,10706,5252,534
+4096,2,1,sorted,0,0,0,0,0,0,10,10384,5982,498
+4096,8,0,sorted,0,0,0,0,0,0,11,11303,5511,556
+4096,8,1,sorted,0,0,0,0,0,0,9,10641,6266,476
+4096,64,0,sorted,0,0,0,0,0,0,13,13763,11361,3056
+4096,64,1,sorted,0,0,0,0,0,0,10,11438,5698,488
 4096,4096,0,sorted,0,0,0,0,0,0,14,28675,6294,4096
 4096,4096,1,sorted,0,0,0,0,0,0,14,28752,6783,4096
 """

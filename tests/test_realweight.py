@@ -480,16 +480,16 @@ def _probe_item_bound(n, nlevels):
 @pytest.mark.parametrize("d", [1, 2, 8, 64, "n"])
 def test_work_within_derived_bounds(d):
     # Counter bounds that follow from the algorithms, for any instance:
-    # - sorted: it sorts at most every fractional part plus a sample of
-    #   every 16th one; the probe bound of _search_probe_bound, and the
-    #   item bound above.  Its first five terms are n each; a window's
-    #   edge probes walk at most n items each, and a window holding the
-    #   answer leaves at most 1/16 of its round's positions, so its two
-    #   probes stand in for four terms, and a window inside it walks
-    #   only the items squeezed for it.  So a search whose first or
-    #   second window holds the answer fits it.  After missed windows
-    #   the bisection may take every term, and their edge probes come on
-    #   top, so there it is only checked;
+    # - sorted: it sorts each fractional part at most once, the sample
+    #   of every 16th one included; the probe bound of
+    #   _search_probe_bound, and the item bound above.  Its first five
+    #   terms are n each; a window's edge probes walk at most n items
+    #   each, and a window holding the answer leaves at most 1/16 of its
+    #   round's positions, so its two probes stand in for four terms,
+    #   and a window inside it walks only the items squeezed for it.  So
+    #   a search whose first or second window holds the answer fits it.
+    #   After missed windows the bisection may take every term, and
+    #   their edge probes come on top, so there it is only checked;
     # - new: it sorts nothing.  Each round keeps at most half its
     #   items, so R = floor(log2 n) + 1 rounds partition at most 2n - 1
     #   items.  A round sets the items below its median, at most half,
@@ -508,7 +508,7 @@ def test_work_within_derived_bounds(d):
         got = alpha_real_sorted(seq).instrumentation
         assert got["probes"] <= _search_probe_bound(seq.weights), (n, got)
         assert got["probe_items"] <= _probe_item_bound(n, nlevels), (n, got)
-        assert got["sort_items"] <= n + n / _SQUEEZE_RUN + 1, (n, got)
+        assert got["sort_items"] <= n, (n, got)
         got = alpha_real_new(seq).instrumentation
         assert got["sort_items"] == 0, (n, got)
         assert got["partition_items"] <= 2 * n - 1, (n, got)
@@ -640,11 +640,13 @@ def _windows(ws):
     # answer ("low"), above it ("high") or holds it: the bisection's
     # squeezes always hold it, so the others are missed windows; and how
     # many windows the search tried: a window's squeeze is followed by a
-    # probe at its top offset, order[k] (fhi for the first window placed
-    # from the sample, whose squeeze is of the floors, so not nested, or
-    # its bottom edge when fhi is the sentinel above every frac), while
-    # a bisection squeeze's top, order[hi], is never probed again.  The
-    # items the squeezes walked must be the result's squeeze_items
+    # probe at its top offset, order[k] (a window read from the sample
+    # squeezes the floors, so it is not nested, and it probes its
+    # bottom edge first when its top is the sentinel above every frac;
+    # one whose top is an end the sample probed before is not counted),
+    # while a bisection squeeze's top, order[hi], is never probed
+    # again.  The items the squeezes walked must be the result's
+    # squeeze_items
     seq = WeightSeq(ws)
     log = []
     walked = []
@@ -730,11 +732,10 @@ def test_window_skip_cases(kind):
         a = _static_pass(seq.adjusted(max(seq.fracs)), None)[1]
         assert (a < _SQUEEZE_RUN) == (kind == "n"), a
         res, sides, tried = _windows(ws)
-        ref = bisected_sorted(ws).instrumentation
-        if kind == "two offsets":
-            # the sample is sorted too, and its window's two edges tie
-            ref["sort_items"] += len(seq.fracs[::_SQUEEZE_RUN])
-        assert res.instrumentation == ref
+        # with two offsets the sample's window has tied edges, so the
+        # search sorts the fracs the sample did not hold and merges the
+        # sample in: n sorted, as the bisection sorts
+        assert res.instrumentation == bisected_sorted(ws).instrumentation
         assert {side for _, side in sides} <= {"holds"} and not tried, sides
 
 
@@ -758,8 +759,9 @@ def test_rounding_one_weight_costs_no_probe_work(d):
     # weights as the benchmark's real-* workloads draw them (ceilings 0,
     # 3, ..., 3(d - 1), distinct fractions k / 2^40): rounding the first
     # weight to an integer makes 0 an offset and changes one floor, and
-    # the search walks as many items as before (0.999x to 1.001x here;
-    # windows switched off by a zero frac walked 1.9x to 2.7x)
+    # the search keeps its windows (windows switched off by a zero frac
+    # walked 1.9x to 2.7x).  The zero moves the sample by one value, so
+    # a window can land a little apart: 0.997x to 1.067x the items here
     for seed in range(2):
         rng = random.Random("rounded:%d:%d" % (seed, d))
         n = 2**14
@@ -768,7 +770,7 @@ def test_rounding_one_weight_costs_no_probe_work(d):
         items = alpha_real(ws).instrumentation["probe_items"]
         ws[0] = float(round(ws[0]))
         res = alpha_real(ws)
-        assert res.instrumentation["probe_items"] <= 1.01 * items, (seed, d)
+        assert res.instrumentation["probe_items"] <= 1.1 * items, (seed, d)
         assert res.instrumentation["probes"] <= _search_probe_bound(ws)
 
 
@@ -818,52 +820,62 @@ def _same_answer(res, ws):
 
 def _sample_window(ws):
     # the sorted sample of every 16th fractional part, and the indices
-    # of the first window's two edges in it: r -+ w/2 over 16, where r =
-    # n (2a - cap) / a - 1 is the rank interpolated between Q = 2a below
-    # every frac and Q = a at the largest, and w = n / 16
+    # of the first window's two edges in it: w = (m + 1) // 16 values
+    # on from r - w/2 - 1, where r = (m + 1)(2a - cap) / a - 1 is the
+    # index interpolated between Q = 2a at the sentinel below every frac
+    # (index -1) and Q = a at the one above (index m), cut at either
     seq = WeightSeq(ws)
-    n = seq.n
     a = _static_pass(seq.floors, None)[1]
     cap = 1 << ceil_log2(a)
-    w = n // _SQUEEZE_RUN
-    r = n * (2 * a - cap) // a - 1
     sample = sorted(seq.fracs[::_SQUEEZE_RUN])
-    return sample, (r - w // 2) // _SQUEEZE_RUN, (r + w // 2) // _SQUEEZE_RUN
+    m = len(sample)
+    w = (m + 1) // _SQUEEZE_RUN
+    i = (m + 1) * (2 * a - cap) // a - 1 - w // 2 - 1
+    return sample, max(i, -1), min(i + w, m)
 
 
-def _first_window(monkeypatch, ws):
-    # the result, the (flo, fhi) of the search's first squeeze, and the
-    # offsets probed after it, up to the next squeeze
+def _edge(sample, x):
+    # the offset at sample index x: the sentinel -1.0 or 1.0 past an end
+    return sample[x] if 0 <= x < len(sample) else -1.0 if x < 0 else 1.0
+
+
+def _unheld(ws, flo, fhi):
+    # how many fracs in (flo, fhi] the sample of every 16th one did not
+    # hold: the search sorts those and merges the sample's in
+    fracs = WeightSeq(ws).fracs
+    inside = sum(1 for f in fracs if flo < f <= fhi)
+    return inside - sum(1 for f in fracs[::_SQUEEZE_RUN] if flo < f <= fhi)
+
+
+def _squeezes(monkeypatch, ws):
+    # the result, and for each squeeze of the search its (flo, fhi) and
+    # the offsets probed after it, up to the next squeeze (a probe
+    # before the first squeeze is left out)
     log = []
     real_squeeze, real_probe = alphatree.realweight._squeeze, alphatree.realweight._probe
 
     def squeeze(levels, fracs, counts, flo, fhi, acc):
-        log.append((flo, fhi))
+        log.append(((flo, fhi), []))
         return real_squeeze(levels, fracs, counts, flo, fhi, acc)
 
     def probe(levels, fracs, counts, b, acc):
-        log.append(b)
+        if log:
+            log[-1][1].append(b)
         return real_probe(levels, fracs, counts, b, acc)
 
     monkeypatch.setattr(alphatree.realweight, "_squeeze", squeeze)
     monkeypatch.setattr(alphatree.realweight, "_probe", probe)
     res = alpha_real(ws)
     monkeypatch.undo()
-    first = next(x for x, e in enumerate(log) if type(e) is tuple)
-    probed = []
-    for e in log[first + 1:]:
-        if type(e) is tuple:
-            break
-        probed.append(e)
-    return res, log[first], probed
+    return res, log
 
 
 def stride_skewed_weights(rng, n, smallest):
     # ceilings 0 and 3 and distinct fractions k / 2^40, as the
     # benchmark's real-lowd draws them, but every 16th position holds
     # the ceil(n / 16) smallest fractions (or the largest), so the
-    # sorted sample is those alone and the first window's two edges
-    # both lie below the answer (or above it)
+    # sorted sample is those alone and every window read from it lies
+    # below the answer (or above it)
     m = -(-n // _SQUEEZE_RUN)
     fracs = sorted(rng.sample(range(1, 2**40), n))
     strided, rest = (fracs[:m], fracs[m:]) if smallest else (fracs[-m:], fracs[:-m])
@@ -876,123 +888,153 @@ def stride_skewed_weights(rng, n, smallest):
 
 def test_sampled_window_hit_sorts_only_its_fracs(monkeypatch):
     # the first window's edges are sample values; when it holds the
-    # answer, only the fracs in (flo, fhi] are sorted after the sample
+    # answer, the search sorts the sample and then only the fracs in
+    # (flo, fhi] that the sample did not hold, and merges the two
     for seed in (0, 2, 5):
         ws = generate_weights(random.Random(seed), 4096, 2)
         sample, i, k = _sample_window(ws)
-        res, (flo, fhi), probed = _first_window(monkeypatch, ws)
+        res, log = _squeezes(monkeypatch, ws)
+        (flo, fhi), probed = log[0]
         assert (flo, fhi) == (sample[i], sample[k])
         assert probed == [fhi, flo]
         assert flo < res.b <= fhi, seed
-        inside = sum(1 for f in WeightSeq(ws).fracs if flo < f <= fhi)
-        assert res.instrumentation["sort_items"] == len(sample) + inside
+        assert res.instrumentation["sort_items"] == len(sample) + _unheld(ws, flo, fhi)
         _, sides, tried = _windows(ws)
         assert sides[0] == (False, "holds") and tried, sides
         _same_answer(res, ws)
 
 
+@pytest.mark.parametrize("d, seed, missed", [(8, 3, "low"), (64, 5, "high")])
+def test_sampled_miss_takes_a_second_sampled_try(monkeypatch, d, seed, missed):
+    # a missed first window leaves the bracket beyond its missed edge,
+    # and the next window is read from the sample too, interpolated
+    # between that edge's Q and the bracket's other end: its edges are
+    # sample values or that edge, which is not probed again, and when
+    # it holds the answer the search sorts only its fracs that the
+    # sample did not hold
+    ws = generate_weights(random.Random(seed), 8192, d)
+    sample, i, k = _sample_window(ws)
+    res, log = _squeezes(monkeypatch, ws)
+    (flo, fhi), probed = log[0]
+    assert (flo, fhi) == (_edge(sample, i), _edge(sample, k))
+    # an infeasible fhi decides the window without probing flo
+    assert probed == ([fhi] if missed == "low" else [fhi, flo])
+    assert (res.b > fhi) == (missed == "low") and (res.b <= flo) == (missed == "high")
+    (flo2, fhi2), probed2 = log[1]
+    if missed == "low":
+        assert fhi <= flo2 and fhi not in probed2
+    else:
+        assert fhi2 <= flo and flo not in probed2
+    assert {flo2, fhi2} <= set(sample) | {flo, fhi, -1.0, 1.0}
+    assert flo2 < res.b <= fhi2
+    assert res.instrumentation["sort_items"] == len(sample) + _unheld(ws, flo2, fhi2)
+    _same_answer(res, ws)
+
+
 @pytest.mark.parametrize("smallest, missed", [(True, "low"), (False, "high")])
 def test_sampled_window_miss_sorts_the_side_beyond_it(monkeypatch, smallest, missed):
-    # a skewed sample puts the first window below (above) the answer:
-    # the search restores the items and sorts the fracs above fhi
-    # (at or below flo), with one window try left
-    for seed in range(3):
-        ws = stride_skewed_weights(random.Random(seed), 4096, smallest)
-        sample, i, k = _sample_window(ws)
-        res, (flo, fhi), probed = _first_window(monkeypatch, ws)
-        assert (flo, fhi) == (sample[i], sample[k])
-        # an infeasible fhi decides the window without probing flo
-        assert probed[:2] == ([fhi] if missed == "low" else [fhi, flo])
-        fracs = WeightSeq(ws).fracs
-        beyond = [f for f in fracs if (f > fhi if missed == "low" else f <= flo)]
-        assert res.b in beyond
-        assert res.instrumentation["sort_items"] == len(sample) + len(beyond)
-        _, sides, tried = _windows(ws)
-        assert sides[0] == (False, missed) and tried, sides
-        _same_answer(res, ws)
+    # a sample of the smallest (largest) fracs puts every window read
+    # from it below (above) the answer: one at n = 4096, where the
+    # bracket left is too narrow for a second, and two at n = 2^14.
+    # Then the search sorts the fracs beyond the last missed edge that
+    # the sample did not hold, here every frac outside the sample, so
+    # it sorts n in all and none twice
+    for n, sampled in ((4096, 1), (2**14, 2)):
+        for seed in range(2):
+            ws = stride_skewed_weights(random.Random(seed), n, smallest)
+            sample = sorted(WeightSeq(ws).fracs[::_SQUEEZE_RUN])
+            res, log = _squeezes(monkeypatch, ws)
+            (flo, fhi), probed = log[0]
+            # an infeasible fhi decides the window without probing flo
+            assert probed[:2] == ([fhi] if missed == "low" else [fhi, flo])
+            for (flo, fhi), _ in log[:sampled]:
+                assert {flo, fhi} <= set(sample) | {-1.0, 1.0}
+                assert (res.b > fhi) == (missed == "low") and (res.b <= flo) == (missed == "high")
+            beyond = (fhi, 1.0) if missed == "low" else (-1.0, flo)
+            sort_items = res.instrumentation["sort_items"]
+            assert sort_items == len(sample) + _unheld(ws, *beyond) == n
+            _same_answer(res, ws)
 
 
 @pytest.mark.parametrize("end", ["top", "bottom"])
 def test_sampled_window_takes_a_sentinel_edge(monkeypatch, end):
-    # a window at or past an end of the sample takes a sentinel edge
-    # outside [0, 1) there, whose Q is known (a above every frac, 2a
-    # below), so the search probes only its other edge: one probe fewer
-    # than a window of two sample values.  d = 1 gives a target load of
-    # n: a power of two centres the window on the top rank, n = 2^12 + 1
-    # on rank 1.  Both windows hold the answer, and the sort takes the
-    # sample and the fracs inside the window
+    # a window reaching past an end of the sample is cut at a sentinel
+    # edge outside [0, 1) there, whose Q is known (a above every frac,
+    # 2a below), so the search probes only its other edge: one probe
+    # fewer than a window of two sample values.  d = 1 gives a target
+    # load of n: a power of two centres the window on the top rank, n =
+    # 2^12 + 1 on rank 1.  Both windows hold the answer, and the sort
+    # takes the sample and the fracs inside the window it did not hold
     n = 4096 if end == "top" else 4097
     for seed in range(1, 4):
         ws = generate_weights(random.Random(seed), n, 1)
         sample, i, k = _sample_window(ws)
-        assert (k >= len(sample) - 1, i <= 0) == (end == "top", end == "bottom")
-        res, (flo, fhi), probed = _first_window(monkeypatch, ws)
+        assert (k == len(sample), i == -1) == (end == "top", end == "bottom")
+        res, log = _squeezes(monkeypatch, ws)
+        (flo, fhi), probed = log[0]
         if end == "top":
-            assert flo == sample[i] and fhi >= 1 and probed == [flo]
+            assert flo == sample[i] and fhi == 1.0 and probed == [flo]
         else:
-            assert flo < 0 and fhi == sample[k] and probed == [fhi]
+            assert flo == -1.0 and fhi == sample[k] and probed == [fhi]
         assert flo < res.b <= fhi
-        inside = sum(1 for f in WeightSeq(ws).fracs if flo < f <= fhi)
-        assert res.instrumentation["sort_items"] == len(sample) + inside
+        assert res.instrumentation["sort_items"] == len(sample) + _unheld(ws, flo, fhi)
         _same_answer(res, ws)
 
 
 @pytest.mark.parametrize("case", ["tied edges", "tied at an end", "n < 4096"])
 def test_sampled_window_falls_back_to_the_full_sort(case):
-    # the rules that still send the search to sorting every frac, each
-    # on an input that only it sends there; tied edges sort the sample
-    # first.  A tie is judged on the sample's values even where an edge
-    # is a sentinel: n equal integral weights put the window at the top
-    # end, and all their fracs are 0.0, so the sort alone finds the
-    # answer, with no squeeze and no probe but the target's and the
-    # witness's
+    # the rules that leave the sample with no window, each on an input
+    # that only it catches, so that the search sorts every frac once:
+    # the sample, then the rest, merged.  A tie is judged on the
+    # sample's values even where an edge is a sentinel: n equal
+    # integral weights put the window at the top end, and all their
+    # fracs are 0.0, so the sort alone finds the answer, with no
+    # squeeze and no probe but the target's and the witness's
     n, ws = {
         "tied edges": (4096, _search_input(4096, 4096, "two offsets")),
         "tied at an end": (4096, [5.0] * 4096),
         "n < 4096": (4095, generate_weights(random.Random(1), 4095, 2)),
     }[case]
     sample, i, k = _sample_window(ws)
-    m = len(sample) - 1
-    tied = 0 < i and k < m and sample[i] == sample[k]
-    tied_end = n >= 4096 and (i <= 0 or k >= m) and sample[max(i, 0)] == sample[min(k, m)]
+    m = len(sample)
+    tied = n >= 4096 and sample[max(i, 0)] == sample[min(k, m - 1)]
+    at_end = i < 0 or k == m
     cases = ("tied edges", "tied at an end", "n < 4096")
-    assert [tied, tied_end, n < 4096] == [case == c for c in cases]
+    assert [tied and not at_end, tied and at_end, n < 4096] == [case == c for c in cases]
     res = alpha_real(ws)
-    sort_items = n if case == "n < 4096" else n + len(sample)
-    assert res.instrumentation["sort_items"] == sort_items
+    assert res.instrumentation["sort_items"] == n
     if case == "tied at an end":
         assert res.instrumentation["probes"] == 2 and res.instrumentation["squeeze_items"] == 0
     _same_answer(res, ws)
 
 
 @pytest.mark.parametrize("d, seed, edge, touches", [
-    (4, 27, "top", True), (4, 149, "top", False),
-    (8, 178, "bottom", True), (5, 13, "bottom", False),
+    (4, 100, "top", True), (5, 1, "top", False),
+    (5, 13, "bottom", True), (5, 227, "bottom", False),
 ])
 def test_sample_end_rule_at_its_boundary(monkeypatch, d, seed, edge, touches):
     # both sides of the end rule's boundary take a sampled window: an
-    # edge at the sample's last (first) index is a sentinel, one index
-    # inside is that sample value.  Each window holds the answer
+    # edge past the sample's last (first) value is the sentinel there,
+    # one on that value is the value.  Each window holds the answer
     ws = generate_weights(random.Random(seed), 4096, d)
     sample, i, k = _sample_window(ws)
-    at = k if edge == "top" else len(sample) - 1 - i
-    assert at == len(sample) - (1 if touches else 2)
-    res, (flo, fhi), _ = _first_window(monkeypatch, ws)
-    if edge == "top":
-        assert flo == sample[i] and (fhi >= 1 if touches else fhi == sample[k])
-    else:
-        assert fhi == sample[k] and (flo < 0 if touches else flo == sample[i])
+    m = len(sample)
+    assert (k if edge == "top" else m - 1 - i) == (m if touches else m - 1)
+    res, log = _squeezes(monkeypatch, ws)
+    (flo, fhi), _ = log[0]
+    assert (flo, fhi) == (_edge(sample, i), _edge(sample, k))
+    assert (fhi == 1.0 if edge == "top" else flo == -1.0) == touches
     assert flo < res.b <= fhi
-    inside = sum(1 for f in WeightSeq(ws).fracs if flo < f <= fhi)
-    assert res.instrumentation["sort_items"] == len(sample) + inside
+    assert res.instrumentation["sort_items"] == len(sample) + _unheld(ws, flo, fhi)
     _same_answer(res, ws)
 
 
 @pytest.mark.parametrize("d", [2, 8])
 def test_sampled_window_sorts_few_fracs(d):
     # at n = 2^14 the sample places the first window on every input, and
-    # the sort takes the sample and one window's fracs, about n/8 in
-    # all, or the side beyond a missed window
+    # the sort takes the sample and the fracs of one window that it did
+    # not hold, about n/8 in all, or after a missed window those of a
+    # wider bracket (0.23n at most here)
     n = 2**14
     got = sorted(alpha_real(generate_weights(random.Random(s), n, d)).instrumentation["sort_items"]
                  for s in range(12))
@@ -1000,7 +1042,7 @@ def test_sampled_window_sorts_few_fracs(d):
 
 
 CORPUS_ANSWERS_SHA256 = "fdc433f9fe93461507c130542a5ab7aa113e91997a13162e15575c350ad13432"
-CORPUS_COUNTERS_SHA256 = "a01ac7dccf8b294223c82f3ba9656354bc432adfdbfce7b126a866f80fb7bd23"
+CORPUS_COUNTERS_SHA256 = "41776c2de9c981f03acc3f8ca00a3a80f90824487678a681ae49964adc3375da"
 
 
 def test_answer_corpus_is_pinned():
@@ -1010,10 +1052,12 @@ def test_answer_corpus_is_pinned():
     # moves only the second, re-recorded with the rows that moved
     # (python tests/helpers.py prints them), while a change to the first
     # is a wrong answer.  The live tree's search must agree up to n =
-    # 4097, and the rational DP wherever it can run
+    # 4097, and the rational DP wherever it can run.  No frac is sorted
+    # twice, so at most n are sorted
     answers, counters = hashlib.sha256(), hashlib.sha256()
     for label, ws in corpus_inputs():
         res = alpha_real(ws)
+        assert res.instrumentation["sort_items"] <= len(ws), label
         got = (res.alpha, res.b, type(res.b).__name__, res.int_cost, res.depths)
         answers.update(repr(got).encode())
         counters.update(json.dumps(res.instrumentation, sort_keys=True).encode())
