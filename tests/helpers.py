@@ -420,13 +420,8 @@ def corpus_inputs():
     return out
 
 
-def corpus_row(label, ws, res):
-    """One CSV row of the sorted search's counters on a corpus input."""
-    acc = res.instrumentation
-    return ",".join([label, str(len(ws))] + [str(acc[key]) for key in _zero_counters()])
-
-
 if __name__ == "__main__":
     print(",".join(["family", "n"] + list(_zero_counters())))
     for label, ws in corpus_inputs():
-        print(corpus_row(label, ws, alpha_real(ws)))
+        acc = alpha_real(ws).instrumentation
+        print(",".join([label, str(len(ws))] + [str(acc[key]) for key in _zero_counters()]))

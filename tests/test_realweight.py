@@ -931,6 +931,24 @@ def test_sampled_miss_takes_a_second_sampled_try(monkeypatch, d, seed, missed):
     _same_answer(res, ws)
 
 
+def test_sampled_hit_nests_a_sampled_window(monkeypatch):
+    # from n = 2^16 a sampled window that holds the answer can span 256
+    # sample values or more, so the next window is read from the sample
+    # too, inside the first; the sort then takes only the inner
+    # window's fracs that the sample did not hold
+    ws = generate_weights(random.Random(1), 2**16, 2)
+    sample = sorted(WeightSeq(ws).fracs[::_SQUEEZE_RUN])
+    res, log = _squeezes(monkeypatch, ws)
+    (flo, fhi), _ = log[0]
+    (flo2, fhi2), _ = log[1]
+    assert {flo, fhi, flo2, fhi2} <= set(sample) | {-1.0, 1.0}
+    assert flo <= flo2 < res.b <= fhi2 <= fhi
+    assert res.instrumentation["sort_items"] == len(sample) + _unheld(ws, flo2, fhi2)
+    ref = bisected_sorted(ws)
+    got = (res.alpha, res.b, type(res.b), res.int_cost, res.depths)
+    assert got == (ref.alpha, ref.b, type(ref.b), ref.int_cost, ref.depths)
+
+
 @pytest.mark.parametrize("smallest, missed", [(True, "low"), (False, "high")])
 def test_sampled_window_miss_sorts_the_side_beyond_it(monkeypatch, smallest, missed):
     # a sample of the smallest (largest) fracs puts every window read
