@@ -227,23 +227,34 @@ def _parse_int_list(text: str, what: str) -> list[int]:
     return vals
 
 
-def _bench_job(seed: int, n: int, d: int, trial: int, algos: list[str]) -> list[dict]:
+def _bench_job(seed: int, n: int, d: int, trial: int, algos: list[str],
+               repeat: int = 1) -> list[dict]:
     # random hashes a str seed with SHA-512, independent of PYTHONHASHSEED
     rng = random.Random("%d:%d:%d:%d" % (seed, n, d, trial))
     # each strategy gets the plain list and builds its own WeightSeq,
     # so no row reuses the fracs another row computed
     ws = generate_weights(rng, n, d)
-    rows = []
+    rows = [{"n": n, "d": d, "trial": trial, "algo": algo, "wall_ns": None} for algo in algos]
     results = []
-    for algo in algos:
-        t0 = time.perf_counter_ns()
-        res = _ALGO_RUNNERS[algo](ws)
-        wall = time.perf_counter_ns() - t0
-        results.append(res)
-        row = {"n": n, "d": d, "trial": trial, "algo": algo, "wall_ns": wall}
-        for key in _COUNTER_COLS:
-            row[key] = res.instrumentation[key]
-        rows.append(row)
+    # the strategies run in turn, repeat times, so a slow spell of the
+    # machine falls on both; each row keeps its best time, and its
+    # counters must not move between repeats
+    for rep in range(repeat):
+        for row in rows:
+            t0 = time.perf_counter_ns()
+            res = _ALGO_RUNNERS[row["algo"]](ws)
+            wall = time.perf_counter_ns() - t0
+            counters = {key: res.instrumentation[key] for key in _COUNTER_COLS}
+            if rep == 0:
+                results.append(res)
+                row.update(counters)
+            elif counters != {key: row[key] for key in _COUNTER_COLS}:
+                raise AssertionError(
+                    "%s counters moved between repeats (seed=%d n=%d d=%d trial=%d)"
+                    % (row["algo"], seed, n, d, trial)
+                )
+            if row["wall_ns"] is None or wall < row["wall_ns"]:
+                row["wall_ns"] = wall
     first = results[0]
     for res in results[1:]:
         if (res.alpha, res.b) != (first.alpha, first.b):
@@ -270,6 +281,8 @@ def cmd_bench(args) -> int:
         raise CliError("no algorithms selected")
     if args.trials < 1:
         raise CliError("--trials must be at least 1")
+    if args.repeat < 1:
+        raise CliError("--repeat must be at least 1")
     jobs = [
         (n, d, t)
         for n in ns
@@ -279,7 +292,7 @@ def cmd_bench(args) -> int:
     ]
     if not jobs:
         raise CliError("no feasible (n, d) combinations")
-    batches = [_bench_job(args.seed, n, d, t, algos) for n, d, t in jobs]
+    batches = [_bench_job(args.seed, n, d, t, algos, args.repeat) for n, d, t in jobs]
     cols = ["n", "d", "trial", "algo"]
     if not args.omit_timing:
         cols.append("wall_ns")
@@ -293,7 +306,7 @@ def cmd_bench(args) -> int:
         # the arguments that reproduce these rows, then one row per line,
         # each with its wall_ns and every counter
         argv = ["bench"] + [
-            tok for opt in ("n", "d", "trials", "seed", "algos")
+            tok for opt in ("n", "d", "trials", "seed", "algos", "repeat")
             for tok in ("--" + opt, str(getattr(args, opt)))
         ]
         rows = ",\n".join(json.dumps(row) for batch in batches for row in batch)
@@ -340,6 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--trials", type=int, default=3)
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--algos", default="new,sorted")
+    b.add_argument("--repeat", type=int, default=1,
+                   help="run the strategies in turn this many times per trial, "
+                   "keeping each row's best wall_ns")
     b.add_argument("--omit-timing", action="store_true",
                    help="drop the wall_ns column for reproducible output")
     b.add_argument("--out", default=None, help="write the CSV here instead of stdout")

@@ -1,11 +1,13 @@
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
 import random
 import shlex
 import tempfile
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -460,7 +462,7 @@ def test_bench_json_matches_the_csv(tmp_path, capsys):
     assert rc == 0 and out == plain
     doc = json.loads(path.read_text())
     assert doc["argv"] == ["bench", "--n", "64,4096", "--d", "1,8", "--trials", "2",
-                           "--seed", "7", "--algos", "new,sorted"]
+                           "--seed", "7", "--algos", "new,sorted", "--repeat", "1"]
     header, *lines = plain.splitlines()
     cols = header.split(",")
     assert [list(row) for row in doc["rows"]] == [cols[:4] + ["wall_ns"] + cols[4:]] * len(lines)
@@ -469,6 +471,54 @@ def test_bench_json_matches_the_csv(tmp_path, capsys):
     # the argv recorded reproduces the counters
     rc, again, _ = run(capsys, *doc["argv"], "--omit-timing")
     assert rc == 0 and again == plain
+
+
+def test_bench_repeat_keeps_the_best_time(tmp_path, capsys, monkeypatch):
+    # --repeat k runs the strategies in turn k times per trial; each row
+    # keeps its least wall_ns and the counters every repeat gave, and
+    # the JSON argv records k
+    rc, plain, _ = run(capsys, "bench", "--n", "64", "--trials", "1", "--omit-timing")
+    assert rc == 0
+    calls = []
+    for algo, solve in list(alphatree.cli._ALGO_RUNNERS.items()):
+        def record(ws, algo=algo, solve=solve):
+            calls.append(algo)
+            return solve(ws)
+
+        monkeypatch.setitem(alphatree.cli._ALGO_RUNNERS, algo, record)
+    # a clock read twice per run: new takes 50, 30, 70 ns, sorted 40, 60, 20
+    ticks = itertools.accumulate(x for dt in (50, 40, 30, 60, 70, 20) for x in (0, dt))
+    monkeypatch.setattr(alphatree.cli, "time", types.SimpleNamespace(
+        perf_counter_ns=lambda: next(ticks)))
+    path = tmp_path / "bench.json"
+    rc, out, _ = run(capsys, "bench", "--n", "64", "--trials", "1", "--repeat", "3",
+                     "--json", str(path))
+    assert rc == 0 and calls == ["new", "sorted"] * 3
+    doc = json.loads(path.read_text())
+    assert doc["argv"][-2:] == ["--repeat", "3"]
+    assert [row["wall_ns"] for row in doc["rows"]] == [30, 20]
+    counters = [",".join(str(row[c]) for c in plain.splitlines()[0].split(","))
+                for row in doc["rows"]]
+    assert counters == plain.splitlines()[1:]
+    assert [line.split(",")[4] for line in out.splitlines()[1:]] == ["30", "20"]
+
+
+def test_bench_repeat_checks_the_counters(capsys, monkeypatch):
+    # a strategy whose counters move between repeats is a bug: exit 3
+    new = alphatree.cli._ALGO_RUNNERS["new"]
+    runs = []
+
+    def drifting(ws):
+        res = new(ws)
+        runs.append(ws)
+        res.instrumentation["probes"] += len(runs)
+        return res
+
+    monkeypatch.setitem(alphatree.cli._ALGO_RUNNERS, "new", drifting)
+    rc, _, err = run(capsys, "bench", "--n", "16", "--trials", "1", "--repeat", "2")
+    assert rc == 3 and "new counters moved between repeats (seed=0 n=16 d=2 trial=0)" in err
+    rc, _, _ = run(capsys, "bench", "--n", "16", "--trials", "1")
+    assert rc == 0
 
 
 def test_bench_timing_column(capsys):
@@ -491,6 +541,8 @@ def test_bench_bad_inputs(capsys):
     assert rc == 2
     rc, _, err = run(capsys, "bench", "--n", "16", "--trials", "0")
     assert rc == 2
+    rc, _, err = run(capsys, "bench", "--n", "16", "--repeat", "0")
+    assert rc == 2 and "--repeat" in err
     rc, _, err = run(capsys, "bench", "--n", "16", "--algos", ",")
     assert rc == 2 and "no algorithms selected" in err
     rc, _, err = run(capsys, "bench", "--n", "0")
