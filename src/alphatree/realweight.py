@@ -14,19 +14,24 @@ Two search strategies share that skeleton:
   and probing a repeated fractional part once.  Each round squeezes
   every run of positions whose level is decided into at most 4d items,
   for the whole bracket once it spans at most 1/16 of the items, then
-  tries a window of 1/16 of the bracket at the rank interpolation
-  search (Perl, Itai and Avni 1978) predicts from the passes on either
-  side of it, or bisects: below 32 offsets, after two missed windows in
-  a row, or where the window would reach the bracket's low end.  One
-  rule reads every window's edges from a sorted list and its stride:
-  from n = 4096, a sample of every 16th fractional part (Floyd and
-  Rivest 1975), while a window spans 16 of its values, where an end of
+  tries a window at the rank interpolation search (Perl, Itai and Avni
+  1978) predicts from the passes on either side of it, or bisects:
+  after two missed windows in a row in one list, where the window would
+  reach the bracket's low end, or where it would hold fewer than 2
+  values.  The passes' load Q falls in whole steps across the bracket,
+  so interpolation places the answer only to within one step's share
+  of it: a window takes 1/16 of the bracket, but at least four steps'
+  worth and at most 1/4.  One rule reads every window's edges from a
+  sorted list and its stride: from n = 4096, a sample of every 16th
+  fractional part (Floyd and Rivest 1975), while a window spans 16 of
+  its values (1/32 of the bracket there, up to 1/8), where an end of
   the bracket (an offset outside [0, 1) below or above them all, at
   first) may be an edge and is never probed; after that, the bracket's
   fractional parts, those the sample did not hold sorted (in C) and
-  merged with its own.  So no fractional part is sorted twice, and
-  only one bracket's are.  Integral weights keep the windows.  So the
-  passes walk O(n log d) items in all rather than n per probe.
+  merged with its own, with two tries of their own.  So no fractional
+  part is sorted twice, and only one bracket's are.  Integral weights
+  keep the windows.  So the passes walk O(n log d) items in all rather
+  than n per probe.
 * alpha_real_new, the paper's algorithm, never sorts.  It keeps one
   level tree alive, walks a median-of-medians partition of the
   fractional parts, and moves between probe offsets by set/undo on the
@@ -157,12 +162,14 @@ def _target(seq, acc) -> tuple[int, int]:
 # A squeeze walks every item, about twice the cost of a probe's pass,
 # but shortens only long runs.  So the search squeezes only once the
 # undecided positions (about hi - lo + 1) are at most 1/16 of the items,
-# when runs average 15 items or more, and each interpolated window holds
-# 1/16 of the offsets left for the same reason.  Timed against 4, 8, 32
-# and no squeeze at all (2-core box, best of 7 alternating runs, n =
-# 512, 4096 and 2^14, d in {1, 2, 8, 64, n}), 16 was never beaten by
-# more than the noise: 8 took 0.87x to 1.34x its time, 4 1.01x to
-# 1.50x, 32 0.92x to 1.13x, and no squeeze 1.10x to 1.80x.
+# when runs average 15 items or more.  Timed against 4, 8, 32 and no
+# squeeze at all (2-core box, best of 7 alternating runs, n = 512, 4096
+# and 2^14, d in {1, 2, 8, 64, n}), 16 was never beaten by more than
+# the noise: 8 took 0.87x to 1.34x its time, 4 1.01x to 1.50x, 32 0.92x
+# to 1.13x, and no squeeze 1.10x to 1.80x.  An interpolated window
+# holds 1/16 of the offsets left for the same reason, 1/32 of the
+# sample's, whose edge probes walk every item, unless Q's whole steps
+# place the answer less closely than that (see alpha_real's loop).
 _SQUEEZE_RUN = 16
 
 
@@ -234,17 +241,21 @@ def alpha_real(w) -> RealCostResult:
     distinct value once.
 
     The bracket (flo, fhi] holds the answer.  Each round of one loop
-    tries a window of 1/16 of it at the rank interpolation search (Perl,
-    Itai and Avni 1978) predicts from the passes at its two ends,
-    squeezing the items for the window and probing its two edges; below
-    32 offsets, after two missed windows in a row, or where the window
-    would reach the bracket's low end, it bisects instead.  One rule
-    reads every window's edges from a sorted list and its stride: every
-    16th fractional part, sorted (Floyd and Rivest 1975), from n = 4096
-    and while a window spans 16 of them, where an end of the bracket may
-    be an edge and is never probed; then the bracket's fractional parts,
-    those the sample did not hold sorted and merged with its own.  So
-    no fractional part is sorted twice, and only one bracket's are.
+    tries a window at the rank interpolation search (Perl, Itai and
+    Avni 1978) predicts from the passes at its two ends, squeezing the
+    items for the window and probing its two edges; after two missed
+    windows in a row in one list, where the window would reach the
+    bracket's low end, or where it would hold fewer than 2 values, it
+    bisects instead.  The passes' load Q is an integer, so a window
+    takes 1/16 of the bracket but at least four of the steps by which Q
+    falls across it, and at most 1/4.  One rule reads every window's
+    edges from a sorted list and its stride: every 16th fractional
+    part, sorted (Floyd and Rivest 1975), from n = 4096 and while a
+    window spans 16 of them (1/32 of the bracket, up to 1/8), where an
+    end of the bracket may be an edge and is never probed; then the
+    bracket's fractional parts, those the sample did not hold sorted
+    and merged with its own, with two tries of their own.  So no
+    fractional part is sorted twice, and only one bracket's are.
     Each round first squeezes the items for the whole bracket once it
     spans at most 1/16 of them.  Integral weights (frac 0) keep the
     windows like any other input.  A squeeze folds every run of
@@ -291,7 +302,9 @@ def alpha_real(w) -> RealCostResult:
     # Q in [a, 2a] places the answer to about n/a indices, so a <
     # _SQUEEZE_RUN gets no window.  A sample value's rank is about 16
     # times its index, so the sample places windows while they span 16
-    # of its values or more, as the first one does from n = 4096
+    # of its values or more, as the first one does from n = 4096.  Each
+    # list gets two tries: two missed windows in a row end the sample's,
+    # and the sorted fracs start with two more
     tries = 2 if a >= _SQUEEZE_RUN else 0
     stride = _SQUEEZE_RUN if tries and n >= _SQUEEZE_RUN**3 else 1
     order = sorted(fracs[::stride])
@@ -307,10 +320,10 @@ def alpha_real(w) -> RealCostResult:
     # undecided.  A hit (k feasible, i not) brackets the answer by those
     # two edges, and the next round works on the window's items; a miss
     # restores the items from before the window, and two misses in a
-    # row end the windows.  In the sorted fracs a window lies strictly
-    # inside the bracket, and its lower edge steps down past the copies
-    # of its first offset: one that reaches lo gives way to a bisection
-    # probe.  In the sample an edge may be an end of the bracket: the
+    # row end the windows read from that list.  In the sorted fracs a
+    # window lies strictly inside the bracket, and its lower edge steps
+    # down past the copies of its first offset: one that reaches lo
+    # gives way to a bisection probe.  In the sample an edge may be an end of the bracket: the
     # window is cut at a sentinel, with nothing past it, and shifted in
     # from a probed end.  A sampled window whose values tie (all
     # integral weights, say) is not tried, and where the sample places
@@ -318,9 +331,16 @@ def alpha_real(w) -> RealCostResult:
     while lo < hi or stride > 1:
         if stride == 1 and _SQUEEZE_RUN * (hi - lo + 1) <= len(items[0]):
             items = _squeeze(*items, order[lo], order[hi], acc)
-        w = (hi - lo + 1) // _SQUEEZE_RUN
+        # Q falls from q1 to q2 in whole steps across the bracket, so it
+        # places the answer to within span / (q1 - q2) values: a window
+        # takes 1/16 of the bracket (1/32 in the sample) but at least
+        # four such steps, and in the sample at least one stride, up to
+        # 1/4 of the bracket (1/8 in the sample)
+        span, wide = hi - lo + 1, 2 if stride > 1 else 1
+        w = max(span // (_SQUEEZE_RUN * wide), -(-4 * span // (q1 - q2)), stride)
+        w = min(w, span // (4 * wide))
         if tries and w >= max(2, stride):
-            r = lo - 1 + (hi - lo + 1) * (q1 - cap) // (q1 - q2)
+            r = lo - 1 + span * (q1 - cap) // (q1 - q2)
             i = r - w // 2 - 1
             if stride == 1:
                 i = max(lo, min(i, hi - w - 1))
@@ -353,7 +373,9 @@ def alpha_real(w) -> RealCostResult:
             acc["sort_items"] += len(rest)
             # sorted() merges two sorted runs in one pass
             order = sorted(order[lo:bisect_right(order, fhi, lo)] + rest)
-            lo, hi, stride = 0, bisect_left(order, order[-1]), 1
+            # the sorted fracs place windows by exact rank: two tries of
+            # their own, even after two sampled misses
+            lo, hi, stride, tries = 0, bisect_left(order, order[-1]), 1, 2
             continue
         probe((lo + hi) // 2)
     return _finish(seq, order[lo], target, "sorted", acc)

@@ -423,20 +423,20 @@ SORTED_BENCH_CSV = """\
 n,d,trial,algo,sets,undos,finds,unions,deunions,partition_items,probes,probe_items,squeeze_items,sort_items
 1024,1,0,sorted,0,0,0,0,0,0,3,2178,1024,1024
 1024,1,1,sorted,0,0,0,0,0,0,3,2174,1024,1024
-1024,2,0,sorted,0,0,0,0,0,0,9,2856,1532,1024
-1024,2,1,sorted,0,0,0,0,0,0,9,2733,1567,1024
-1024,8,0,sorted,0,0,0,0,0,0,8,2753,1957,1024
-1024,8,1,sorted,0,0,0,0,0,0,13,3243,2000,1024
-1024,64,0,sorted,0,0,0,0,0,0,8,2959,1441,1024
-1024,64,1,sorted,0,0,0,0,0,0,15,8152,3408,1024
+1024,2,0,sorted,0,0,0,0,0,0,8,2624,1260,1024
+1024,2,1,sorted,0,0,0,0,0,0,9,2626,1564,1024
+1024,8,0,sorted,0,0,0,0,0,0,10,2864,1477,1024
+1024,8,1,sorted,0,0,0,0,0,0,13,3073,1600,1024
+1024,64,0,sorted,0,0,0,0,0,0,10,3325,1625,1024
+1024,64,1,sorted,0,0,0,0,0,0,16,4725,3278,1024
 4096,1,0,sorted,0,0,0,0,0,0,4,8415,4305,353
 4096,1,1,sorted,0,0,0,0,0,0,4,8546,4427,416
-4096,2,0,sorted,0,0,0,0,0,0,10,10706,5252,534
-4096,2,1,sorted,0,0,0,0,0,0,10,10384,5982,498
-4096,8,0,sorted,0,0,0,0,0,0,11,11303,5511,556
-4096,8,1,sorted,0,0,0,0,0,0,9,10641,6266,476
-4096,64,0,sorted,0,0,0,0,0,0,13,13763,11361,3056
-4096,64,1,sorted,0,0,0,0,0,0,10,11438,5698,488
+4096,2,0,sorted,0,0,0,0,0,0,7,10525,5252,534
+4096,2,1,sorted,0,0,0,0,0,0,10,10285,6028,498
+4096,8,0,sorted,0,0,0,0,0,0,10,11114,5511,556
+4096,8,1,sorted,0,0,0,0,0,0,10,10777,6464,476
+4096,64,0,sorted,0,0,0,0,0,0,13,13694,10995,466
+4096,64,1,sorted,0,0,0,0,0,0,15,12422,6474,488
 4096,4096,0,sorted,0,0,0,0,0,0,14,28675,6294,4096
 4096,4096,1,sorted,0,0,0,0,0,0,14,28752,6783,4096
 """

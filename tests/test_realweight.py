@@ -380,18 +380,20 @@ def _search_probe_bound(ws):
     # The target and the witness, plus the search's probes.  Each probe
     # is at an offset strictly inside the range and decides all its
     # copies, so there are at most (distinct offsets) - 1.  Each window
-    # probes its two edges at most.  A window that holds the answer
-    # leaves at most m // 16 of the m positions in range, which spares
-    # at least 4 bisection probes, and at most one missed window comes
-    # before it (two in a row end the windows), so a round that hits
-    # costs no more than the 4 probes it spares.  After the last hit at
-    # most two missed windows come (4 probes); each bisection probe,
-    # before, between or after them, keeps at most ceil(m / 2) of the m
-    # positions left, and the first range has m <= n.  This is not
-    # within the reference's probes plus 4: after two missed windows the
-    # range can still need ceil_log2(n) bisection probes where the
-    # reference needed floor(log2(n)), or fewer when its first probes hit
-    # long runs of equal offsets.
+    # probes its two edges at most.  A window of 1/16 of the m positions
+    # in range that holds the answer spares at least 4 bisection
+    # probes, and at most one missed window comes before it (two in a
+    # row end a list's windows), so such a round costs no more than the
+    # 4 probes it spares.  After the last hit at most two missed windows
+    # come (4 probes); each bisection probe, before, between or after
+    # them, keeps at most ceil(m / 2) of the m positions left, and the
+    # first range has m <= n.  This is not within the reference's probes
+    # plus 4: after two missed windows the range can still need
+    # ceil_log2(n) bisection probes where the reference needed
+    # floor(log2(n)), or fewer when its first probes hit long runs of
+    # equal offsets.  A window widened to four Q steps (at most 1/4 of
+    # the range) spares only 2 probes, and the sorted fracs get two
+    # tries after the sample's two, so there the bound is only checked
     offsets = len(set(WeightSeq(ws).fracs))
     return 2 + min(offsets - 1, 4 + ceil_log2(len(ws)))
 
@@ -484,12 +486,14 @@ def test_work_within_derived_bounds(d):
     #   of every 16th one included; the probe bound of
     #   _search_probe_bound, and the item bound above.  Its first five
     #   terms are n each; a window's edge probes walk at most n items
-    #   each, and a window holding the answer leaves at most 1/16 of its
-    #   round's positions, so its two probes stand in for four terms,
-    #   and a window inside it walks only the items squeezed for it.  So
-    #   a search whose first or second window holds the answer fits it.
-    #   After missed windows the bisection may take every term, and
-    #   their edge probes come on top, so there it is only checked;
+    #   each, and a window of 1/16 of its round's positions holding the
+    #   answer leaves at most that share, so its two probes stand in for
+    #   four terms, and a window inside it walks only the items squeezed
+    #   for it.  So a search whose first or second window holds the
+    #   answer fits it.  After missed windows the bisection may take
+    #   every term, and their edge probes come on top, and a window
+    #   widened to four Q steps (up to 1/4 of the positions) stands in
+    #   for two terms only, so there it is only checked;
     # - new: it sorts nothing.  Each round keeps at most half its
     #   items, so R = floor(log2 n) + 1 rounds partition at most 2n - 1
     #   items.  A round sets the items below its median, at most half,
@@ -761,7 +765,7 @@ def test_rounding_one_weight_costs_no_probe_work(d):
     # weight to an integer makes 0 an offset and changes one floor, and
     # the search keeps its windows (windows switched off by a zero frac
     # walked 1.9x to 2.7x).  The zero moves the sample by one value, so
-    # a window can land a little apart: 0.997x to 1.067x the items here
+    # a window can land a little apart: 0.997x to 1.005x the items here
     for seed in range(2):
         rng = random.Random("rounded:%d:%d" % (seed, d))
         n = 2**14
@@ -820,16 +824,18 @@ def _same_answer(res, ws):
 
 def _sample_window(ws):
     # the sorted sample of every 16th fractional part, and the indices
-    # of the first window's two edges in it: w = (m + 1) // 16 values
-    # on from r - w/2 - 1, where r = (m + 1)(2a - cap) / a - 1 is the
-    # index interpolated between Q = 2a at the sentinel below every frac
-    # (index -1) and Q = a at the one above (index m), cut at either
+    # of the first window's two edges in it: w values on from r - w/2 -
+    # 1, where r = (m + 1)(2a - cap) / a - 1 is the index interpolated
+    # between Q = 2a at the sentinel below every frac (index -1) and Q =
+    # a at the one above (index m), cut at either.  Across those m + 1
+    # values Q falls a steps, so w is 1/32 of them but at least four
+    # steps and one stride, and at most 1/8 of them
     seq = WeightSeq(ws)
     a = _static_pass(seq.floors, None)[1]
     cap = 1 << ceil_log2(a)
     sample = sorted(seq.fracs[::_SQUEEZE_RUN])
     m = len(sample)
-    w = (m + 1) // _SQUEEZE_RUN
+    w = min(max((m + 1) // 32, -(-4 * (m + 1) // a), _SQUEEZE_RUN), (m + 1) // 8)
     i = (m + 1) * (2 * a - cap) // a - 1 - w // 2 - 1
     return sample, max(i, -1), min(i + w, m)
 
@@ -904,7 +910,7 @@ def test_sampled_window_hit_sorts_only_its_fracs(monkeypatch):
         _same_answer(res, ws)
 
 
-@pytest.mark.parametrize("d, seed, missed", [(8, 3, "low"), (64, 5, "high")])
+@pytest.mark.parametrize("d, seed, missed", [(8, 3, "low"), (64, 2, "high")])
 def test_sampled_miss_takes_a_second_sampled_try(monkeypatch, d, seed, missed):
     # a missed first window leaves the bracket beyond its missed edge,
     # and the next window is read from the sample too, interpolated
@@ -932,9 +938,9 @@ def test_sampled_miss_takes_a_second_sampled_try(monkeypatch, d, seed, missed):
 
 
 def test_sampled_hit_nests_a_sampled_window(monkeypatch):
-    # from n = 2^16 a sampled window that holds the answer can span 256
-    # sample values or more, so the next window is read from the sample
-    # too, inside the first; the sort then takes only the inner
+    # from n = 2^16 a sampled window that holds the answer spans 128
+    # sample values or more (1/32 of them), so the next window is read
+    # from the sample too, inside the first; the sort then takes only the inner
     # window's fracs that the sample did not hold
     ws = generate_weights(random.Random(1), 2**16, 2)
     sample = sorted(WeightSeq(ws).fracs[::_SQUEEZE_RUN])
@@ -972,6 +978,24 @@ def test_sampled_window_miss_sorts_the_side_beyond_it(monkeypatch, smallest, mis
             sort_items = res.instrumentation["sort_items"]
             assert sort_items == len(sample) + _unheld(ws, *beyond) == n
             _same_answer(res, ws)
+
+
+@pytest.mark.parametrize("smallest", [True, False])
+def test_sorted_fracs_take_windows_after_two_sampled_misses(smallest):
+    # two missed sampled windows end the sample's tries, not the
+    # windows: the sorted fracs place theirs by exact rank, with two
+    # tries of their own, and hold the answer in one at least.  Here
+    # that walks about 0.37x the probe items of the bisection alone,
+    # which the search fell back to while two sampled misses ended
+    # every window
+    for seed in range(2):
+        ws = stride_skewed_weights(random.Random(seed), 2**14, smallest)
+        res, sides, tried = _windows(ws)
+        assert [side for _, side in sides[:2]] == ["low" if smallest else "high"] * 2
+        assert tried > 2 and (False, "holds") in sides[2:], sides
+        ref = bisected_sorted(ws)
+        assert res.instrumentation["probe_items"] < 0.5 * ref.instrumentation["probe_items"]
+        _same_answer(res, ws)
 
 
 @pytest.mark.parametrize("end", ["top", "bottom"])
@@ -1052,15 +1076,95 @@ def test_sampled_window_sorts_few_fracs(d):
     # at n = 2^14 the sample places the first window on every input, and
     # the sort takes the sample and the fracs of one window that it did
     # not hold, about n/8 in all, or after a missed window those of a
-    # wider bracket (0.23n at most here)
+    # wider bracket (0.22n at most here)
     n = 2**14
     got = sorted(alpha_real(generate_weights(random.Random(s), n, d)).instrumentation["sort_items"]
                  for s in range(12))
     assert got[-1] < n / 2 and got[6] < n / 4, got
 
 
+def _width(span, steps, sampled):
+    # a window's values for a bracket of span values across which Q
+    # falls steps whole steps: 1/16 of the span (1/32 in the sample),
+    # at least four steps' worth and, in the sample, one stride, and at
+    # most 1/4 of the span (1/8 in the sample)
+    wide = 2 if sampled else 1
+    floor = max(span // (16 * wide), -(-4 * span // steps), _SQUEEZE_RUN if sampled else 1)
+    return min(floor, span // (4 * wide))
+
+
+@pytest.mark.parametrize("kind", ["real-highd", "d = 1024"])
+def test_every_window_obeys_the_width_rule(monkeypatch, kind):
+    # replays the search from its squeezes and probes: the bracket
+    # (flo, fhi] and Q at both ends, Q from a pass over the floors at
+    # each probe.  Every window must hold the values the rule gives for
+    # the bracket it was cut from, in the sample (a sentinel above every
+    # frac counts as one more value there) until the sample places no
+    # window, then in the sorted fracs, which squeeze the whole bracket
+    # (up to its top) as well; only a sampled window cut at a sentinel
+    # may hold fewer.  On perfbench's real-highd shape (target load
+    # about 530) the 1/32 width sets the first window; at d = 1024
+    # (load about 40) the four Q steps do
+    n = 2**14
+    if kind == "real-highd":
+        rng = random.Random("width:highd")
+        ceils = [3 * rng.randrange(64) for _ in range(n)]
+        ws = [c - 1 + k / 2**40 for c, k in zip(ceils, rng.sample(range(1, 2**40), n))]
+    else:
+        ws = generate_weights(random.Random("width:1024"), n, 1024)
+    seq = WeightSeq(ws)
+    assert len(set(seq.fracs)) == n
+    t, a = _static_pass(seq.floors, None)
+    cap = 1 << ceil_log2(a)
+    sample = sorted(seq.fracs[::_SQUEEZE_RUN])
+    res, log = _squeezes(monkeypatch, ws)
+
+    def q_at(b):
+        tb, ab = _static_pass(seq.adjusted(b), None)
+        return ab << (tb - t)
+
+    def count(values, lo, hi):
+        return sum(1 for f in values if lo < f <= hi)
+
+    flo, fhi, q1, q2, sampled, tries = -1.0, 1.0, 2 * a, a, True, 2
+    widths = []
+    for (x, y), probed in log:
+        if sampled:
+            span = count(sample, flo, fhi) + (fhi == 1.0)
+            w = _width(span, q1 - q2, True)
+            if tries and w >= _SQUEEZE_RUN:
+                got = count(sample, x, y) + (y == 1.0)
+                assert got == w or (got < w and (x == -1.0 or y == 1.0)), (x, y)
+            else:
+                sampled, tries = False, 2
+        if not sampled and y == max(f for f in seq.fracs if f <= fhi):
+            # the squeeze of the whole bracket, which bisection probes
+            # may follow
+            assert x == min(f for f in seq.fracs if f > flo)
+        else:
+            if not sampled:
+                span = count(seq.fracs, flo, fhi)
+                w = _width(span, q1 - q2, False)
+                assert tries and w >= 2 and count(seq.fracs, x, y) == w, (x, y)
+            widths.append((span, q1 - q2, w))
+            tries = 2 if x < res.b <= y else tries - 1
+        # the window's probes, then any bisection's
+        for b in probed:
+            q = q_at(b)
+            if q > cap:
+                flo, q1 = b, q
+            else:
+                fhi, q2 = b, q
+    assert widths and flo < res.b <= fhi
+    span, steps, w = widths[0]
+    if kind == "real-highd":
+        assert w == span // 32 > -(-4 * span // steps), widths[0]
+    else:
+        assert w == -(-4 * span // steps) > span // 32, widths[0]
+
+
 CORPUS_ANSWERS_SHA256 = "fdc433f9fe93461507c130542a5ab7aa113e91997a13162e15575c350ad13432"
-CORPUS_COUNTERS_SHA256 = "41776c2de9c981f03acc3f8ca00a3a80f90824487678a681ae49964adc3375da"
+CORPUS_COUNTERS_SHA256 = "4ed4f2ba5cfce8448b562f278debbdc16337c467d804f8d6ca77da0784ee842a"
 
 
 def test_answer_corpus_is_pinned():
