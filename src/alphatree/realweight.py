@@ -390,11 +390,12 @@ def alpha_real_new(w) -> RealCostResult:
     """Median-search strategy: one live tree, set/undo between probes.
 
     Runs in O(n log log n + n log d) tree operations, the paper's bound.
-    Measured with alphatree bench (seed 7, best of 9 runs per cell), it
-    is 2.3x to 22x slower than alpha_real at every n = 2^8, 2^10, ...,
-    2^16 and d in {1, 2, 8, 64, n} tried (5.6x at n = 2^8 and 13x to 22x
-    above it at d = 1, 2.5x to 3.0x at d = n), so it serves as the
-    paper's algorithm and a cross-check.
+    Measured with alphatree bench (BENCH_qsteps.json: seed 7, 3 trials,
+    best of 5 repeats per row), it is 2.4x to 14x slower than alpha_real
+    at every n = 2^8, 2^10, ..., 2^16 and d in {1, 2, 8, 64, ..., n}
+    tried (8.4x at n = 2^8 and 9.6x to 14x above it at d = 1, 2.4x to
+    2.7x at d = n), so it serves as the paper's algorithm and a
+    cross-check.
     """
     seq = as_weight_seq(w)
     acc = _zero_counters()
