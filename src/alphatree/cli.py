@@ -228,17 +228,17 @@ def _parse_int_list(text: str, what: str) -> list[int]:
 
 
 def _bench_job(seed: int, n: int, d: int, trial: int, algos: list[str],
-               repeat: int = 1) -> list[dict]:
+               repeat: int) -> list[dict]:
     # random hashes a str seed with SHA-512, independent of PYTHONHASHSEED
     rng = random.Random("%d:%d:%d:%d" % (seed, n, d, trial))
     # each strategy gets the plain list and builds its own WeightSeq,
     # so no row reuses the fracs another row computed
     ws = generate_weights(rng, n, d)
-    rows = [{"n": n, "d": d, "trial": trial, "algo": algo, "wall_ns": None} for algo in algos]
+    rows = [{"n": n, "d": d, "trial": trial, "algo": algo} for algo in algos]
     results = []
     # the strategies run in turn, repeat times, so a slow spell of the
-    # machine falls on both; each row keeps its best time, and its
-    # counters must not move between repeats
+    # machine falls on each; a row keeps its best time, and its counters
+    # must not move between repeats
     for rep in range(repeat):
         for row in rows:
             t0 = time.perf_counter_ns()
@@ -247,14 +247,15 @@ def _bench_job(seed: int, n: int, d: int, trial: int, algos: list[str],
             counters = {key: res.instrumentation[key] for key in _COUNTER_COLS}
             if rep == 0:
                 results.append(res)
+                row["wall_ns"] = wall
                 row.update(counters)
-            elif counters != {key: row[key] for key in _COUNTER_COLS}:
+                continue
+            if any(row[key] != v for key, v in counters.items()):
                 raise AssertionError(
                     "%s counters moved between repeats (seed=%d n=%d d=%d trial=%d)"
                     % (row["algo"], seed, n, d, trial)
                 )
-            if row["wall_ns"] is None or wall < row["wall_ns"]:
-                row["wall_ns"] = wall
+            row["wall_ns"] = min(row["wall_ns"], wall)
     first = results[0]
     for res in results[1:]:
         if (res.alpha, res.b) != (first.alpha, first.b):

@@ -323,11 +323,11 @@ def alpha_real(w) -> RealCostResult:
     # row end the windows read from that list.  In the sorted fracs a
     # window lies strictly inside the bracket, and its lower edge steps
     # down past the copies of its first offset: one that reaches lo
-    # gives way to a bisection probe.  In the sample an edge may be an end of the bracket: the
-    # window is cut at a sentinel, with nothing past it, and shifted in
-    # from a probed end.  A sampled window whose values tie (all
-    # integral weights, say) is not tried, and where the sample places
-    # no window the search sorts the bracket's fracs
+    # gives way to a bisection probe.  In the sample an edge may be an
+    # end of the bracket: the window is cut at a sentinel, with nothing
+    # past it, and shifted in from a probed end.  A sampled window whose
+    # values tie (all integral weights, say) is not tried, and where the
+    # sample places no window the search sorts the bracket's fracs
     while lo < hi or stride > 1:
         if stride == 1 and _SQUEEZE_RUN * (hi - lo + 1) <= len(items[0]):
             items = _squeeze(*items, order[lo], order[hi], acc)
@@ -373,8 +373,7 @@ def alpha_real(w) -> RealCostResult:
             acc["sort_items"] += len(rest)
             # sorted() merges two sorted runs in one pass
             order = sorted(order[lo:bisect_right(order, fhi, lo)] + rest)
-            # the sorted fracs place windows by exact rank: two tries of
-            # their own, even after two sampled misses
+            # the sorted fracs start with two tries of their own
             lo, hi, stride, tries = 0, bisect_left(order, order[-1]), 1, 2
             continue
         probe((lo + hi) // 2)

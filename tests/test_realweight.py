@@ -940,8 +940,8 @@ def test_sampled_miss_takes_a_second_sampled_try(monkeypatch, d, seed, missed):
 def test_sampled_hit_nests_a_sampled_window(monkeypatch):
     # from n = 2^16 a sampled window that holds the answer spans 128
     # sample values or more (1/32 of them), so the next window is read
-    # from the sample too, inside the first; the sort then takes only the inner
-    # window's fracs that the sample did not hold
+    # from the sample too, inside the first; the sort then takes only
+    # the inner window's fracs that the sample did not hold
     ws = generate_weights(random.Random(1), 2**16, 2)
     sample = sorted(WeightSeq(ws).fracs[::_SQUEEZE_RUN])
     res, log = _squeezes(monkeypatch, ws)
