@@ -2,7 +2,8 @@
 
 Subcommands: tree (minimax cost of a weights file), code (build a
 codebook from a sample), stats (score a codebook against a target
-file), bench (timed sweeps comparing the two real-weight strategies).
+file), bench (timed sweeps comparing the two real-weight strategies,
+written as JSON rows).
 
 Exit codes: 0 on success, 2 for any input problem, 3 when an internal
 check fails on input that was already validated (which means a bug,
@@ -81,10 +82,10 @@ def cmd_tree(args) -> int:
     ws = parse_weights(_read_text(args.weights))
     if not ws:
         raise CliError("no weights found in %s" % args.weights)
-    if args.int_weights:
+    if args.algo == "int":
         bad = [w for w in ws if w != int(w)]
         if bad:
-            raise CliError("--int given but %r is not an integer" % (bad[0],))
+            raise CliError("--algo int given but %r is not an integer" % (bad[0],))
         ints = [int(w) for w in ws]
         cost, depths = alpha_int_fast(ints)
         alpha: float | int = cost
@@ -116,7 +117,7 @@ def cmd_tree(args) -> int:
         "instrumentation": instrumentation,
     }
     if args.dump_level_tree:
-        levels = ints if args.int_weights else seq.adjusted(res.b)
+        levels = ints if args.algo == "int" else seq.adjusted(res.b)
         out["level_tree"] = json.loads(LevelTree(levels).serialize())
     print(json.dumps(out, sort_keys=True, indent=2 if args.pretty else None))
     return 0
@@ -293,25 +294,18 @@ def cmd_bench(args) -> int:
     ]
     if not jobs:
         raise CliError("no feasible (n, d) combinations")
-    batches = [_bench_job(args.seed, n, d, t, algos, args.repeat) for n, d, t in jobs]
-    cols = ["n", "d", "trial", "algo"]
-    if not args.omit_timing:
-        cols.append("wall_ns")
-    cols += _COUNTER_COLS
-    lines = [",".join(cols)]
-    for batch in batches:
-        for row in batch:
-            lines.append(",".join(str(row[c]) for c in cols))
-    _write_text(args.out, "\n".join(lines))
-    if args.json is not None:
-        # the arguments that reproduce these rows, then one row per line,
-        # each with its wall_ns and every counter
-        argv = ["bench"] + [
-            tok for opt in ("n", "d", "trials", "seed", "algos", "repeat")
-            for tok in ("--" + opt, str(getattr(args, opt)))
-        ]
-        rows = ",\n".join(json.dumps(row) for batch in batches for row in batch)
-        _write_text(args.json, '{"argv": %s,\n"rows": [\n%s\n]}' % (json.dumps(argv), rows))
+    rows = [row for n, d, t in jobs for row in _bench_job(args.seed, n, d, t, algos, args.repeat)]
+    # the arguments that reproduce these rows, then one row per line
+    argv = ["bench"] + [
+        tok for opt in ("n", "d", "trials", "seed", "algos", "repeat")
+        for tok in ("--" + opt, str(getattr(args, opt)))
+    ]
+    if args.omit_timing:
+        argv.append("--omit-timing")
+        for row in rows:
+            del row["wall_ns"]
+    lines = ",\n".join(json.dumps(row) for row in rows)
+    _write_text(args.out, '{"argv": %s,\n"rows": [\n%s\n]}' % (json.dumps(argv), lines))
     return 0
 
 
@@ -328,10 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("tree", help="minimax cost and witness for a weights file")
     t.add_argument("weights", help="weights file (numbers split by lines/commas), or - for stdin")
-    t.add_argument("--int", dest="int_weights", action="store_true",
-                   help="require integer weights and use the integer fast path")
-    t.add_argument("--algo", choices=tuple(_ALGO_RUNNERS), default="sorted",
-                   help="real-weight strategy (default sorted)")
+    t.add_argument("--algo", choices=(*_ALGO_RUNNERS, "int"), default="sorted",
+                   help="new or sorted (the default) searches real weights; int "
+                   "requires integer weights and uses the integer fast path")
     t.add_argument("--dump-level-tree", action="store_true",
                    help="embed the level-tree snapshot in the output")
     t.add_argument("--pretty", action="store_true", help="indent the JSON output")
@@ -358,10 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run the strategies in turn this many times per trial, "
                    "keeping each row's best wall_ns")
     b.add_argument("--omit-timing", action="store_true",
-                   help="drop the wall_ns column for reproducible output")
-    b.add_argument("--out", default=None, help="write the CSV here instead of stdout")
-    b.add_argument("--json", default=None, metavar="PATH",
-                   help="also write the rows, wall_ns included, and the argv as JSON here")
+                   help="drop each row's wall_ns for reproducible output")
+    b.add_argument("--out", default=None,
+                   help="write the JSON rows and their argv here instead of stdout")
     return parser
 
 

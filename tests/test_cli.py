@@ -1,4 +1,5 @@
 import contextlib
+import glob
 import io
 import itertools
 import json
@@ -6,6 +7,8 @@ import math
 import os
 import random
 import shlex
+import subprocess
+import sys
 import tempfile
 import types
 
@@ -45,7 +48,7 @@ def test_tree_real_weights(tmp_path, capsys):
 def test_tree_int_mode(tmp_path, capsys):
     f = tmp_path / "w.txt"
     f.write_text("4 5 2 2 2\n1 2 3 6 4\n")
-    rc, out, _ = run(capsys, "tree", str(f), "--int")
+    rc, out, _ = run(capsys, "tree", str(f), "--algo", "int")
     assert rc == 0
     doc = json.loads(out)
     assert doc["alpha"] == 8
@@ -53,10 +56,14 @@ def test_tree_int_mode(tmp_path, capsys):
     assert doc["strategy"] == "int"
     rc, _, err = run(capsys, "tree", str(f))  # same file, real mode: fine
     assert rc == 0
-    f.write_text("1.5\n")
-    rc, _, err = run(capsys, "tree", str(f), "--int")
+    f.write_text("2 1.5 0.5\n")
+    rc, _, err = run(capsys, "tree", str(f), "--algo", "int")
     assert rc == 2
-    assert "--int" in err
+    assert "--algo int" in err and "1.5" in err and "0.5" not in err
+    # the integer path is one value of --algo, not a flag beside it
+    with pytest.raises(SystemExit) as exc:
+        main(["tree", str(f), "--int"])
+    assert exc.value.code == 2
 
 
 def test_tree_algo_flags_agree(tmp_path, capsys):
@@ -77,6 +84,30 @@ def test_tree_algo_flags_agree(tmp_path, capsys):
         main(["tree", str(f), "--algo", "auto"])
     assert exc.value.code == 2
     assert "invalid choice: 'auto'" in capsys.readouterr().err
+
+
+def test_tree_and_code_read_stdin(tmp_path, capsys, monkeypatch):
+    # "-" reads tree's weights as text and code's sample as raw bytes,
+    # where a byte that is not UTF-8 is one more symbol
+    f = tmp_path / "input"
+    for command, data in (("tree", b"1.2, 0.3\n"), ("code", b"abba\xff")):
+        f.write_bytes(data)
+        rc, from_file, _ = run(capsys, command, str(f))
+        assert rc == 0
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        assert run(capsys, command, "-") == (0, from_file, "")
+
+
+def test_module_runs_the_cli():
+    # python -m alphatree is main with the process's arguments and exit
+    src = os.path.dirname(os.path.dirname(alphatree.cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "alphatree", "tree", "-", "--algo", "int"],
+        input="4 5 2 2 2\n1 2 3 6 4\n", capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["alpha"] == 8
 
 
 def test_tree_dump_and_pretty(tmp_path, capsys):
@@ -211,12 +242,12 @@ def test_main_parses_each_call_afresh(monkeypatch):
     assert main(["code", "s.txt", "--csv", "--smoothing", "add_one"]) == 0
     assert main(["tree", "v.txt"]) == 0
     assert seen == [
-        {"command": "tree", "weights": "w.txt", "int_weights": False, "algo": "new",
-         "dump_level_tree": False, "pretty": True},
+        {"command": "tree", "weights": "w.txt", "algo": "new", "dump_level_tree": False,
+         "pretty": True},
         {"command": "code", "sample": "s.txt", "csv": True, "smoothing": "add_one",
          "alphabet": None, "out": None},
-        {"command": "tree", "weights": "v.txt", "int_weights": False, "algo": "sorted",
-         "dump_level_tree": False, "pretty": False},
+        {"command": "tree", "weights": "v.txt", "algo": "sorted", "dump_level_tree": False,
+         "pretty": False},
     ]
     assert alphatree.cli.build_parser() is alphatree.cli.build_parser()
 
@@ -397,28 +428,26 @@ def test_stats_names_first_unknown_symbol(tmp_path, capsys):
     assert "'z'" in err and "'y'" not in err
 
 
-def test_bench_deterministic_without_timing(tmp_path, capsys):
+def test_bench_deterministic_without_timing(capsys):
     args = ("bench", "--n", "32,64", "--d", "1,2", "--trials", "2",
             "--seed", "7", "--omit-timing")
     rc, out1, _ = run(capsys, *args)
     assert rc == 0
     rc, out2, _ = run(capsys, *args)
     assert out1 == out2
-    header = out1.splitlines()[0]
-    assert header == (
-        "n,d,trial,algo,sets,undos,finds,unions,deunions,partition_items,"
-        "probes,probe_items,squeeze_items,sort_items"
-    )
-    # 2 sizes x 2 d x 2 trials x 2 algos
-    assert len(out1.strip().splitlines()) == 1 + 16
+    # 2 sizes x 2 d x 2 trials x 2 algos, none with a wall_ns
+    assert [list(row) for row in json.loads(out1)["rows"]] == [[
+        "n", "d", "trial", "algo", "sets", "undos", "finds", "unions", "deunions",
+        "partition_items", "probes", "probe_items", "squeeze_items", "sort_items",
+    ]] * 16
 
 
-# the sorted search's bench CSV, recorded when its one search loop
-# landed, with the squeeze_items and sort_items columns added since; a
-# later change to the search's work (its probes, probe_items,
-# squeeze_items or sort_items on any row) shows here as the rows that
-# moved, and must update them and log the old and new rows in
-# CHANGES.md
+# the sorted search's bench rows, as CSV lines under their keys,
+# recorded when its one search loop landed, with the squeeze_items and
+# sort_items keys added since; a later change to the search's work (its
+# probes, probe_items, squeeze_items or sort_items on any row) shows
+# here as the rows that moved, and must update them and log the old and
+# new rows in CHANGES.md
 SORTED_BENCH_CSV = """\
 n,d,trial,algo,sets,undos,finds,unions,deunions,partition_items,probes,probe_items,squeeze_items,sort_items
 1024,1,0,sorted,0,0,0,0,0,0,3,2178,1024,1024
@@ -446,37 +475,39 @@ def test_sorted_search_work_is_pinned(capsys):
     rc, out, _ = run(capsys, "bench", "--n", "1024,4096", "--d", "1,2,8,64,4096",
                      "--trials", "2", "--seed", "7", "--omit-timing", "--algos", "sorted")
     assert rc == 0
-    assert out.splitlines() == SORTED_BENCH_CSV.splitlines()
+    header, *lines = SORTED_BENCH_CSV.splitlines()
+    rows = json.loads(out)["rows"]
+    assert [list(row) for row in rows] == [header.split(",")] * len(rows)
+    assert [",".join(map(str, row.values())) for row in rows] == lines
 
 
-def test_bench_json_matches_the_csv(tmp_path, capsys):
-    # --json writes the CSV's rows, each with its wall_ns and every
-    # counter, and the arguments that reproduce them; the CSV printed
-    # beside it is the one printed without --json
-    args = ["bench", "--n", "64,4096", "--d", "1,8", "--trials", "2", "--seed", "7",
-            "--omit-timing"]
-    rc, plain, _ = run(capsys, *args)
-    assert rc == 0
+def test_bench_argv_reproduces_the_rows(tmp_path, capsys):
+    # --out writes what bench would print: the arguments that reproduce
+    # the rows, then the rows, each with its wall_ns and every counter;
+    # --omit-timing drops wall_ns and is recorded in the argv
+    args = ["bench", "--n", "64,4096", "--d", "1,8", "--trials", "2", "--seed", "7"]
     path = tmp_path / "bench.json"
-    rc, out, _ = run(capsys, *args, "--json", str(path))
-    assert rc == 0 and out == plain
+    rc, out, _ = run(capsys, *args, "--out", str(path))
+    assert rc == 0 and out == ""
     doc = json.loads(path.read_text())
-    assert doc["argv"] == ["bench", "--n", "64,4096", "--d", "1,8", "--trials", "2",
-                           "--seed", "7", "--algos", "new,sorted", "--repeat", "1"]
-    header, *lines = plain.splitlines()
-    cols = header.split(",")
-    assert [list(row) for row in doc["rows"]] == [cols[:4] + ["wall_ns"] + cols[4:]] * len(lines)
-    assert [",".join(str(row[c]) for c in cols) for row in doc["rows"]] == lines
-    assert all(row["wall_ns"] > 0 for row in doc["rows"])
-    # the argv recorded reproduces the counters
-    rc, again, _ = run(capsys, *doc["argv"], "--omit-timing")
-    assert rc == 0 and again == plain
+    assert doc["argv"] == args + ["--algos", "new,sorted", "--repeat", "1"]
+    assert all(row.pop("wall_ns") > 0 for row in doc["rows"])
+    rc, out, _ = run(capsys, *doc["argv"], "--omit-timing")
+    assert rc == 0
+    untimed = json.loads(out)
+    assert untimed == {"argv": doc["argv"] + ["--omit-timing"], "rows": doc["rows"]}
+    rc, again, _ = run(capsys, *untimed["argv"])
+    assert rc == 0 and again == out
+    # the rows are written once, in one format
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--json", str(path)])
+    assert exc.value.code == 2
 
 
-def test_bench_repeat_keeps_the_best_time(tmp_path, capsys, monkeypatch):
+def test_bench_repeat_keeps_the_best_time(capsys, monkeypatch):
     # --repeat k runs the strategies in turn k times per trial; each row
     # keeps its least wall_ns and the counters every repeat gave, and
-    # the JSON argv records k
+    # the argv records k
     rc, plain, _ = run(capsys, "bench", "--n", "64", "--trials", "1", "--omit-timing")
     assert rc == 0
     calls = []
@@ -490,17 +521,12 @@ def test_bench_repeat_keeps_the_best_time(tmp_path, capsys, monkeypatch):
     ticks = itertools.accumulate(x for dt in (50, 40, 30, 60, 70, 20) for x in (0, dt))
     monkeypatch.setattr(alphatree.cli, "time", types.SimpleNamespace(
         perf_counter_ns=lambda: next(ticks)))
-    path = tmp_path / "bench.json"
-    rc, out, _ = run(capsys, "bench", "--n", "64", "--trials", "1", "--repeat", "3",
-                     "--json", str(path))
+    rc, out, _ = run(capsys, "bench", "--n", "64", "--trials", "1", "--repeat", "3")
     assert rc == 0 and calls == ["new", "sorted"] * 3
-    doc = json.loads(path.read_text())
+    doc = json.loads(out)
     assert doc["argv"][-2:] == ["--repeat", "3"]
-    assert [row["wall_ns"] for row in doc["rows"]] == [30, 20]
-    counters = [",".join(str(row[c]) for c in plain.splitlines()[0].split(","))
-                for row in doc["rows"]]
-    assert counters == plain.splitlines()[1:]
-    assert [line.split(",")[4] for line in out.splitlines()[1:]] == ["30", "20"]
+    assert [row.pop("wall_ns") for row in doc["rows"]] == [30, 20]
+    assert doc["rows"] == json.loads(plain)["rows"]
 
 
 def test_bench_repeat_checks_the_counters(capsys, monkeypatch):
@@ -524,12 +550,42 @@ def test_bench_repeat_checks_the_counters(capsys, monkeypatch):
 def test_bench_timing_column(capsys):
     rc, out, _ = run(capsys, "bench", "--n", "16", "--trials", "1")
     assert rc == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == (
-        "n,d,trial,algo,wall_ns,sets,undos,finds,unions,deunions,partition_items,"
-        "probes,probe_items,squeeze_items,sort_items"
-    )
-    assert int(lines[1].split(",")[4]) > 0
+    rows = json.loads(out)["rows"]
+    assert [list(row) for row in rows] == [[
+        "n", "d", "trial", "algo", "wall_ns", "sets", "undos", "finds", "unions",
+        "deunions", "partition_items", "probes", "probe_items", "squeeze_items",
+        "sort_items",
+    ]] * 2
+    assert all(row["wall_ns"] > 0 for row in rows)
+
+
+# every committed bench file, and one bench writes now: the baselines a
+# speed claim compares against must stay readable beside fresh rows
+_BENCH_FILES = sorted(glob.glob(os.path.join(os.path.dirname(__file__), os.pardir, "BENCH_*.json")))
+
+
+@pytest.mark.parametrize("path", _BENCH_FILES + [None],
+                         ids=[os.path.basename(p) for p in _BENCH_FILES] + ["bench --out"])
+def test_bench_files_share_one_format(path, tmp_path, capsys):
+    if path is None:
+        path = tmp_path / "BENCH_fresh.json"
+        rc, _, _ = run(capsys, "bench", "--n", "16,64", "--d", "1,8", "--trials", "2",
+                       "--out", str(path))
+        assert rc == 0
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    doc = json.loads(text)
+    # the argv leads, then one row per line
+    assert list(doc) == ["argv", "rows"] and doc["rows"]
+    lines = text.splitlines()
+    assert lines[1] == '"rows": [' and lines[-1] == "]}" and len(lines) == len(doc["rows"]) + 3
+    # the argv is still a bench command line
+    assert doc["argv"][0] == "bench"
+    assert alphatree.cli.build_parser().parse_args(doc["argv"]).command == "bench"
+    keys = ["n", "d", "trial", "wall_ns", *alphatree.cli._COUNTER_COLS]
+    for row in doc["rows"]:
+        assert row["algo"] in alphatree.cli._ALGO_RUNNERS
+        assert all(type(row[key]) is int for key in keys), row
 
 
 def test_bench_bad_inputs(capsys):
@@ -550,6 +606,15 @@ def test_bench_bad_inputs(capsys):
     # bench skips d > n itself; the generator rejects it
     with pytest.raises(ValueError):
         alphatree.cli.generate_weights(random.Random(0), 4, 5)
+
+
+def test_generate_weights_redraws_a_zero_fraction():
+    # a fractional part of 0.0 would make the weight an integer: it is
+    # drawn again
+    fracs = iter([0.0, 0.0, 0.25, 0.5])
+    rng = types.SimpleNamespace(sample=lambda pop, k: [3], randrange=lambda k: 0,
+                                shuffle=lambda xs: None, random=lambda: next(fracs))
+    assert alphatree.cli.generate_weights(rng, 2, 1) == [2.25, 2.5]
 
 
 # number tokens at the edges of what a float holds: huge, tiny,
@@ -607,9 +672,40 @@ def _codebooks(draw):
     return text.replace('"@401@"', "1" * 401).replace('"@5000@"', "1" * 5000)
 
 
-_TREE_FLAGS = [[], ["--int"], ["--algo", "new"], ["--dump-level-tree"],
-               ["--int", "--dump-level-tree"], ["--algo", "new", "--dump-level-tree"]]
-# per subcommand: (flags, input file contents, codebook text or None)
+_TREE_FLAGS = [[], ["--algo", "int"], ["--algo", "new"], ["--dump-level-tree"],
+               ["--algo", "int", "--dump-level-tree"], ["--algo", "new", "--dump-level-tree"]]
+# bench flags: a small grid (no size above 64), valid or with one flag
+# spoiled: a size or distinct-ceiling list that may hold bad tokens, a
+# count below 1, or algorithm names that may be unknown or missing
+_INT_LIST = st.lists(st.integers(1, 64), min_size=1, max_size=3).map(
+    lambda vals: ",".join(map(str, vals)))
+_ANY_LIST = st.lists(
+    st.one_of(st.integers(-2, 64).map(str),
+              st.sampled_from(["", " 8", "abc", "1.5", "1e3", "0x10", "--1", "1" * 5000])),
+    max_size=3,
+).map(",".join)
+
+
+@st.composite
+def _bench_flags(draw):
+    spoil = draw(st.sampled_from([None, None, None, "n", "d", "trials", "repeat", "algos"]))
+    if spoil == "algos":
+        algos = st.lists(st.sampled_from(["new", "sorted", "int", "quantum", ""]), max_size=3)
+    else:
+        algos = st.lists(st.sampled_from(["new", "sorted", " sorted "]), min_size=1, max_size=3)
+    flags = {
+        "n": draw(_ANY_LIST if spoil == "n" else _INT_LIST),
+        "d": draw(_ANY_LIST if spoil == "d" else _INT_LIST),
+        "trials": draw(st.integers(-1, 0) if spoil == "trials" else st.integers(1, 2)),
+        "repeat": draw(st.integers(-1, 0) if spoil == "repeat" else st.integers(1, 2)),
+        "seed": draw(st.integers(-3, 3)),
+        "algos": ",".join(draw(algos)),
+    }
+    return ["--%s=%s" % item for item in flags.items()] + ["--omit-timing"] * draw(st.booleans())
+
+
+# per subcommand: (flags, input file contents or None, codebook text or
+# None)
 _INPUTS = {
     "tree": st.tuples(st.sampled_from(_TREE_FLAGS), _WEIGHTS, st.none()),
     "code": st.one_of(
@@ -626,6 +722,7 @@ _INPUTS = {
     "stats": st.tuples(
         st.just([]), st.binary(max_size=20), st.one_of(_codebooks(), st.text(max_size=30))
     ),
+    "bench": st.tuples(_bench_flags(), st.none(), st.none()),
 }
 
 
@@ -648,9 +745,11 @@ def test_no_cli_input_crashes_or_exits_3(name, data):
 
         if book is not None:
             flags = ["--code", write("book.json", book)]
+        if contents is not None:
+            flags = [write("input", contents), *flags]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = main([name, write("input", contents), *flags])
+            rc = main([name, *flags])
     assert rc in (0, 2), err.getvalue()
 
 
