@@ -259,7 +259,7 @@ def static_witness(levels) -> tuple[int, list[int]]:
     # them one fragment is left), with one += k and one slice for them
     # all.  The top entry is (t, r) and st holds the (level, run)
     # entries under it.
-    diff = [0] * (n + 1)
+    diff = [0] * n
     st: list[tuple] = []
     t, r = _TOP, []
     for i, y in enumerate(levels):
@@ -292,7 +292,8 @@ def static_witness(levels) -> tuple[int, list[int]]:
                 t = y
         r.append(i)
     # the end: each run lifts into the one under it, and the bottom one,
-    # under the sentinel, until a single fragment is left
+    # under the sentinel, until a single fragment is left; a -1 up to
+    # the end, past the last leaf, is left out
     while True:
         b, fl = st.pop()
         m = len(r) - 1
@@ -301,9 +302,10 @@ def static_witness(levels) -> tuple[int, list[int]]:
             k = b - t
         diff[r[0]] += k
         for s in range(k):
-            diff[n if m >> s & 1 else r[m >> s << s]] -= 1
+            if not m >> s & 1:
+                diff[r[m >> s << s]] -= 1
         if not st:
-            return t + k, list(accumulate(diff[:n]))
+            return t + k, list(accumulate(diff))
         fl.extend(r[:: 1 << k])
         t, r = b, fl
 
@@ -356,13 +358,13 @@ class WeightSeq:
         fracs = list(map(sub, ws, self.floors))
         # only a weight in (-1/2, 0) can round: there f is fl(w + 1), and
         # f - 1 is exact (Sterbenz), so f did not round iff f - 1 == w
-        bad = [i for i, w in enumerate(ws) if -0.5 < w < 0.0 and fracs[i] - 1.0 != w]
-        if bad:
-            # imported here: fractions costs some 3 ms at package import
-            from fractions import Fraction
+        for w, f in zip(ws, fracs):
+            if -0.5 < w < 0.0 and f - 1.0 != w:
+                # imported here: fractions costs some 3 ms at package import
+                from fractions import Fraction
 
-            for i in bad:
-                fracs[i] = Fraction(ws[i]) + 1
+                return [Fraction(w) + 1 if -0.5 < w < 0.0 and f - 1.0 != w else f
+                        for w, f in zip(ws, fracs)]
         return fracs
 
     def adjusted(self, b) -> list[int]:

@@ -22,8 +22,8 @@ Two search strategies share that skeleton:
   so interpolation places the answer only to within one step's share
   of it: a window takes 1/16 of the bracket, but at least four steps'
   worth and at most 1/4.  One rule reads every window's edges from a
-  sorted list and its stride: from n = 4096, a sample of every 16th
-  fractional part (Floyd and Rivest 1975), while a window spans 16 of
+  sorted list and its stride: from n = 4096, a sample of every 8th
+  fractional part (Floyd and Rivest 1975), while a window spans 8 of
   its values (1/32 of the bracket there, up to 1/8), where an end of
   the bracket (an offset outside [0, 1) below or above them all, at
   first) may be an edge and is never probed; after that, the bracket's
@@ -172,6 +172,17 @@ def _target(seq, acc) -> tuple[int, int]:
 # place the answer less closely than that (see alpha_real's loop).
 _SQUEEZE_RUN = 16
 
+# The first windows are read from a sorted sample of every 8th frac
+# (Floyd and Rivest 1975).  Near the middle a sample value's rank
+# scatters by about sqrt(stride * n) / 2 around stride times its index,
+# while the first window spans n / 32 ranks, so the scatter sets how
+# often that window misses.  On 192 inputs shaped as the benchmark's
+# real-lowd (n = 2^14, d = 2) a sample of every 16th frac missed 72
+# first windows and one of every 8th 48, for 1024 more values sorted
+# (real-highd's shape, d = 64: 66 and 62; Q there moves mostly with the
+# top ceiling's own fracs, whose scatter no sample of all fracs cuts)
+_SAMPLE_STRIDE = 8
+
 
 def _squeeze(levels, fracs, counts, flo, fhi, acc):
     # the items for every probe offset in [flo, fhi], in one pass: an
@@ -249,9 +260,9 @@ def alpha_real(w) -> RealCostResult:
     bisects instead.  The passes' load Q is an integer, so a window
     takes 1/16 of the bracket but at least four of the steps by which Q
     falls across it, and at most 1/4.  One rule reads every window's
-    edges from a sorted list and its stride: every 16th fractional
+    edges from a sorted list and its stride: every 8th fractional
     part, sorted (Floyd and Rivest 1975), from n = 4096 and while a
-    window spans 16 of them (1/32 of the bracket, up to 1/8), where an
+    window spans 8 of them (1/32 of the bracket, up to 1/8), where an
     end of the bracket may be an edge and is never probed; then the
     bracket's fractional parts, those the sample did not hold sorted
     and merged with its own, with two tries of their own.  So no
@@ -300,13 +311,13 @@ def alpha_real(w) -> RealCostResult:
         return True
 
     # Q in [a, 2a] places the answer to about n/a indices, so a <
-    # _SQUEEZE_RUN gets no window.  A sample value's rank is about 16
-    # times its index, so the sample places windows while they span 16
-    # of its values or more, as the first one does from n = 4096.  Each
-    # list gets two tries: two missed windows in a row end the sample's,
-    # and the sorted fracs start with two more
+    # _SQUEEZE_RUN gets no window.  A sample value's rank is about
+    # stride times its index, so the sample places windows while they
+    # span a stride of its values or more, as the first one does from n
+    # = 4096.  Each list gets two tries: two missed windows in a row end
+    # the sample's, and the sorted fracs start with two more
     tries = 2 if a >= _SQUEEZE_RUN else 0
-    stride = _SQUEEZE_RUN if tries and n >= _SQUEEZE_RUN**3 else 1
+    stride = _SAMPLE_STRIDE if tries and n >= 4096 else 1
     order = sorted(fracs[::stride])
     acc["sort_items"] += len(order)
     lo, hi = 0, len(order) if stride > 1 else bisect_left(order, order[-1])
@@ -389,11 +400,11 @@ def alpha_real_new(w) -> RealCostResult:
     """Median-search strategy: one live tree, set/undo between probes.
 
     Runs in O(n log log n + n log d) tree operations, the paper's bound.
-    Measured with alphatree bench (BENCH_qsteps.json: seed 7, 3 trials,
-    best of 5 repeats per row), it is 2.4x to 14x slower than alpha_real
-    at every n = 2^8, 2^10, ..., 2^16 and d in {1, 2, 8, 64, ..., n}
-    tried (8.4x at n = 2^8 and 9.6x to 14x above it at d = 1, 2.4x to
-    2.7x at d = n), so it serves as the paper's algorithm and a
+    Measured with alphatree bench (BENCH_sample8.json: seed 7, 3 trials,
+    best of 5 repeats per row), it is 2.4x to 13.8x slower than
+    alpha_real at every n = 2^8, 2^10, ..., 2^16 and d in {1, 2, 8, 64,
+    ..., n} tried (8.6x at n = 2^8 and 9.8x to 13.8x above it at d = 1,
+    2.4x to 2.7x at d = n), so it serves as the paper's algorithm and a
     cross-check.
     """
     seq = as_weight_seq(w)

@@ -458,14 +458,14 @@ n,d,trial,algo,sets,undos,finds,unions,deunions,partition_items,probes,probe_ite
 1024,8,1,sorted,0,0,0,0,0,0,13,3073,1600,1024
 1024,64,0,sorted,0,0,0,0,0,0,10,3325,1625,1024
 1024,64,1,sorted,0,0,0,0,0,0,16,4725,3278,1024
-4096,1,0,sorted,0,0,0,0,0,0,4,8415,4305,353
-4096,1,1,sorted,0,0,0,0,0,0,4,8546,4427,416
-4096,2,0,sorted,0,0,0,0,0,0,7,10525,5252,534
-4096,2,1,sorted,0,0,0,0,0,0,10,10285,6028,498
-4096,8,0,sorted,0,0,0,0,0,0,10,11114,5511,556
-4096,8,1,sorted,0,0,0,0,0,0,10,10777,6464,476
-4096,64,0,sorted,0,0,0,0,0,0,13,13694,10995,466
-4096,64,1,sorted,0,0,0,0,0,0,15,12422,6474,488
+4096,1,0,sorted,0,0,0,0,0,0,4,8326,4221,567
+4096,1,1,sorted,0,0,0,0,0,0,4,8302,4197,554
+4096,2,0,sorted,0,0,0,0,0,0,9,9501,4734,641
+4096,2,1,sorted,0,0,0,0,0,0,9,9086,4468,587
+4096,8,0,sorted,0,0,0,0,0,0,9,9828,5477,628
+4096,8,1,sorted,0,0,0,0,0,0,11,9940,5628,625
+4096,64,0,sorted,0,0,0,0,0,0,14,13422,10295,643
+4096,64,1,sorted,0,0,0,0,0,0,13,11410,13945,957
 4096,4096,0,sorted,0,0,0,0,0,0,14,28675,6294,4096
 4096,4096,1,sorted,0,0,0,0,0,0,14,28752,6783,4096
 """
