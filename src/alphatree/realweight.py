@@ -9,29 +9,61 @@ equals the cost at the largest one.
 
 Two search strategies share that skeleton:
 
-* alpha_real, the sorted search, narrows a bracket of fractional parts
-  around the answer in one loop, solving each probe with one stack pass
-  and probing a repeated fractional part once.  Each round squeezes
-  every run of positions whose level is decided into at most 4d items,
-  for the whole bracket once it spans at most 1/16 of the items, then
-  tries a window at the rank interpolation search (Perl, Itai and Avni
-  1978) predicts from the passes on either side of it, or bisects:
-  after two missed windows in a row in one list, where the window would
-  reach the bracket's low end, or where it would hold fewer than 2
-  values.  The passes' load Q falls in whole steps across the bracket,
-  so interpolation places the answer only to within one step's share
-  of it: a window takes 1/16 of the bracket, but at least four steps'
-  worth and at most 1/4.  One rule reads every window's edges from a
-  sorted list and its stride: from n = 4096, a sample of every 8th
-  fractional part (Floyd and Rivest 1975), while a window spans 8 of
-  its values (1/32 of the bracket there, up to 1/8), where an end of
-  the bracket (an offset outside [0, 1) below or above them all, at
-  first) may be an edge and is never probed; after that, the bracket's
-  fractional parts, those the sample did not hold sorted (in C) and
-  merged with its own, with two tries of their own.  So no fractional
-  part is sorted twice, and only one bracket's are.  Integral weights
-  keep the windows.  So the passes walk O(n log d) items in all rather
-  than n per probe.
+* alpha_real, the sorted search, narrows a bracket (flo, fhi] of
+  fractional parts around the answer in one loop, solving each probe
+  with one stack pass and probing a repeated fractional part once.
+  Each round squeezes every run of positions whose level is decided
+  into at most 4d items, for the whole bracket once it spans at most
+  1/16 of the items, then bisects, with one probe over its N items, or
+  tries a window: the values around the rank interpolation search
+  (Perl, Itai and Avni 1978) predicts from the passes at the bracket's
+  ends, 1/24 of the bracket but at least four of the whole steps by
+  which the passes' load Q falls across it, and at most 1/4.  A window
+  is cut at the bracket's ends, which are never probed, their Q being
+  known, and widened down past the copies of its lower edge.  It
+  squeezes the N items for its edges and probes them; a hit brackets
+  the answer by the two, and the next round works on the window's
+  items, while a miss restores the N items.  Every window's edges, and
+  every bisection probe, come from one sorted list: from n = 4096,
+  every 8th fractional part, sorted (Floyd and Rivest 1975), while a
+  window spans 8 of its values or more; then the bracket's fractional
+  parts, those the sample did not hold sorted (in C) and merged with
+  its own.  So no fractional part is sorted twice, and only one
+  bracket's are.
+
+  One rule chooses between bisection and a window.  Let L(s) =
+  ceil(log2 s), the bisection probes that narrow s values to one.  The
+  budget B counts, in passes over the current items, what bisection
+  would have walked on the same brackets less what the windows walked.
+  It starts at 2 (at 0 below a target load of 16, where Q takes too few
+  values to place a window), and a window is tried while B >= 1, where
+  the bracket holds 48 values or more (1/24 of it is two) and two
+  offsets below its top, and a hit would narrow it by at least two
+  halvings.  A
+  window that walks c passes and narrows the bracket from s values to
+  s' leaves B + h - c, at most 2, with h = L(s) - L(s'); a bisection
+  probe leaves B as it is.
+
+  The work this bounds.  A window walks c <= 3 passes (its squeeze
+  walks the N items and each of its two probes at most N), so B >= -2
+  throughout.  The items N_j at window j's start never grow from one
+  window to the next (a hit and a squeeze only shrink the items, a
+  miss restores them), and window j walks c_j N_j <= (h_j + B_j -
+  B_j+1) N_j items.  Summed by parts, with B_j >= 1 at every window,
+  B_1 <= 2 and the last B >= -2, the windows walk at most 4n items more
+  than the sum of h_j N_j, which is what bisection would walk for the
+  same halvings over the items each window started from.  A miss that
+  gains no halving costs c > 1 and leaves B < 1, so it is the last
+  window.  So a bisection probe and a window that holds the answer
+  (two probes for h >= 2) spend at most one probe per halving, any
+  other window at most two per halving, and the last one at most two
+  more: past the target and the witness the search makes at most 2H +
+  2 probes, where H = L(m + 1) + L(n) bounds the halvings in a sample
+  of m values and in the sorted fracs; and at most one per distinct
+  offset, since each probes an offset strictly inside the bracket.  A
+  squeeze folds every run of positions whose level no later probe can
+  change into at most 4d items, so the passes walk O(n log d) items in
+  all rather than n per probe.
 * alpha_real_new, the paper's algorithm, never sorts.  It keeps one
   level tree alive, walks a median-of-medians partition of the
   fractional parts, and moves between probe offsets by set/undo on the
@@ -166,10 +198,8 @@ def _target(seq, acc) -> tuple[int, int]:
 # squeeze at all (2-core box, best of 7 alternating runs, n = 512, 4096
 # and 2^14, d in {1, 2, 8, 64, n}), 16 was never beaten by more than
 # the noise: 8 took 0.87x to 1.34x its time, 4 1.01x to 1.50x, 32 0.92x
-# to 1.13x, and no squeeze 1.10x to 1.80x.  An interpolated window
-# holds 1/16 of the offsets left for the same reason, 1/32 of the
-# sample's, whose edge probes walk every item, unless Q's whole steps
-# place the answer less closely than that (see alpha_real's loop).
+# to 1.13x, and no squeeze 1.10x to 1.80x.  A target load below 16
+# gets no window: Q then takes at most 17 values across all the offsets.
 _SQUEEZE_RUN = 16
 
 # The first windows are read from a sorted sample of every 8th frac
@@ -182,6 +212,21 @@ _SQUEEZE_RUN = 16
 # (real-highd's shape, d = 64: 66 and 62; Q there moves mostly with the
 # top ceiling's own fracs, whose scatter no sample of all fracs cuts)
 _SAMPLE_STRIDE = 8
+
+# A window takes 1/24 of the bracket's values, but at least four of the
+# steps by which Q falls across it and at most 1/4.  On perfbench's
+# real-lowd and real-highd shapes (seeds 1, 2, 5 and 7, ops 0-15)
+# windows of 1/20, 1/24, 1/28 and 1/32 (each where the bracket holds
+# twice the divisor in values) walked 3.88n, 3.80n, 3.81n and 3.81n
+# probe, squeeze and sort items per op on real-lowd, and 4.73n, 4.61n,
+# 4.59n and 4.70n on real-highd.  The windows' budget holds two passes
+# over the items.  With one, a first window that misses sends the rest
+# of the search to bisection: 3.88n and 5.20n there, while the
+# near-uniform code weights of tests/helpers.py walk at most 1.06x the
+# items of bisection instead of 1.20x; three passes gave 3.79n, 4.61n
+# and 1.32x
+_WINDOW = 24
+_BUDGET = 2
 
 
 def _squeeze(levels, fracs, counts, flo, fhi, acc):
@@ -251,28 +296,10 @@ def alpha_real(w) -> RealCostResult:
     answer with windows read from sorted fractional parts, probing each
     distinct value once.
 
-    The bracket (flo, fhi] holds the answer.  Each round of one loop
-    tries a window at the rank interpolation search (Perl, Itai and
-    Avni 1978) predicts from the passes at its two ends, squeezing the
-    items for the window and probing its two edges; after two missed
-    windows in a row in one list, where the window would reach the
-    bracket's low end, or where it would hold fewer than 2 values, it
-    bisects instead.  The passes' load Q is an integer, so a window
-    takes 1/16 of the bracket but at least four of the steps by which Q
-    falls across it, and at most 1/4.  One rule reads every window's
-    edges from a sorted list and its stride: every 8th fractional
-    part, sorted (Floyd and Rivest 1975), from n = 4096 and while a
-    window spans 8 of them (1/32 of the bracket, up to 1/8), where an
-    end of the bracket may be an edge and is never probed; then the
-    bracket's fractional parts, those the sample did not hold sorted
-    and merged with its own, with two tries of their own.  So no
-    fractional part is sorted twice, and only one bracket's are.
-    Each round first squeezes the items for the whole bracket once it
-    spans at most 1/16 of them.  Integral weights (frac 0) keep the
-    windows like any other input.  A squeeze folds every run of
-    positions whose level no later probe can change (by the squeeze
-    rule of leveltree's static passes) into at most 4d items, so the
-    probes walk O(n log d) items in all, not n each.
+    Each round squeezes the items for the whole bracket once it spans
+    at most 1/16 of them, then bisects or, while the windows' budget
+    covers a miss, tries a window around the rank that interpolation
+    predicts.  The module docstring gives the rule and its work bound.
     """
     seq = as_weight_seq(w)
     acc = _zero_counters()
@@ -310,69 +337,19 @@ def alpha_real(w) -> RealCostResult:
         hi, q2, fhi = bisect_left(order, order[x], lo, x), q, order[x]
         return True
 
-    # Q in [a, 2a] places the answer to about n/a indices, so a <
-    # _SQUEEZE_RUN gets no window.  A sample value's rank is about
-    # stride times its index, so the sample places windows while they
-    # span a stride of its values or more, as the first one does from n
-    # = 4096.  Each list gets two tries: two missed windows in a row end
-    # the sample's, and the sorted fracs start with two more
-    tries = 2 if a >= _SQUEEZE_RUN else 0
-    stride = _SAMPLE_STRIDE if tries and n >= 4096 else 1
+    stride = _SAMPLE_STRIDE if n >= 4096 else 1
     order = sorted(fracs[::stride])
     acc["sort_items"] += len(order)
     lo, hi = 0, len(order) if stride > 1 else bisect_left(order, order[-1])
-
-    # Each round squeezes the items for the whole bracket, [order[lo],
-    # order[hi]], once it spans at most 1/16 of the sorted fracs; that
-    # one rule also fixes the copies of order[lo].  A window
-    # interpolates the answer's index between (lo - 1, q1) and (hi, q2),
-    # takes w values around it, and squeezes the items for its two
-    # edges, order[i] and order[k], leaving the fracs between them
-    # undecided.  A hit (k feasible, i not) brackets the answer by those
-    # two edges, and the next round works on the window's items; a miss
-    # restores the items from before the window, and two misses in a
-    # row end the windows read from that list.  In the sorted fracs a
-    # window lies strictly inside the bracket, and its lower edge steps
-    # down past the copies of its first offset: one that reaches lo
-    # gives way to a bisection probe.  In the sample an edge may be an
-    # end of the bracket: the window is cut at a sentinel, with nothing
-    # past it, and shifted in from a probed end.  A sampled window whose
-    # values tie (all integral weights, say) is not tried, and where the
-    # sample places no window the search sorts the bracket's fracs
+    # the passes over the current items by which the windows may trail
+    # bisection (see the module docstring)
+    budget = _BUDGET if a >= _SQUEEZE_RUN else 0
     while lo < hi or stride > 1:
-        if stride == 1 and _SQUEEZE_RUN * (hi - lo + 1) <= len(items[0]):
-            items = _squeeze(*items, order[lo], order[hi], acc)
         # Q falls from q1 to q2 in whole steps across the bracket, so it
-        # places the answer to within span / (q1 - q2) values: a window
-        # takes 1/16 of the bracket (1/32 in the sample) but at least
-        # four such steps, and in the sample at least one stride, up to
-        # 1/4 of the bracket (1/8 in the sample)
-        span, wide = hi - lo + 1, 2 if stride > 1 else 1
-        w = max(span // (_SQUEEZE_RUN * wide), -(-4 * span // (q1 - q2)), stride)
-        w = min(w, span // (4 * wide))
-        if tries and w >= max(2, stride):
-            r = lo - 1 + span * (q1 - cap) // (q1 - q2)
-            i = r - w // 2 - 1
-            if stride == 1:
-                i = max(lo, min(i, hi - w - 1))
-                k = i + w
-                i = bisect_left(order, order[i + 1], lo, i + 1) - 1
-            else:
-                i = max(i, lo - 1) if lo else i
-                i = min(i, hi - w) if hi < len(order) else i
-                i, k = max(i, lo - 1), min(i + w, hi)
-            if (i >= lo or stride > 1) and order[max(i, lo)] < order[min(k, hi - 1)]:
-                outer = items
-                items = _squeeze(*outer, order[i] if i >= lo else flo,
-                                 order[k] if k < hi else fhi, acc)
-                # an end of the bracket is never probed, its Q being known
-                if (k == hi or probe(k)) and (i < lo or not probe(i)):
-                    tries = 2
-                else:
-                    items = outer
-                    tries -= 1
-                continue
-        if stride > 1:
+        # places the answer to within span / (q1 - q2) values
+        span = hi - lo + 1
+        w = min(max(span // _WINDOW, -(-4 * span // (q1 - q2))), span // 4)
+        if stride > 1 and (lo == hi or w < stride):
             # sort the bracket's fracs less the sample's, which come in
             # the same position order: a frac equal to the sample's next
             # is taken as that one, and dropped (squeezed items carry
@@ -384,9 +361,37 @@ def alpha_real(w) -> RealCostResult:
             acc["sort_items"] += len(rest)
             # sorted() merges two sorted runs in one pass
             order = sorted(order[lo:bisect_right(order, fhi, lo)] + rest)
-            # the sorted fracs start with two tries of their own
-            lo, hi, stride, tries = 0, bisect_left(order, order[-1]), 1, 2
+            lo, hi, stride = 0, bisect_left(order, order[-1]), 1
             continue
+        # the sorted fracs' first value also fixes its copies; the
+        # sample's cannot, as fracs it did not hold lie below it
+        if _SQUEEZE_RUN * stride * span <= len(items[0]):
+            items = _squeeze(*items, flo if stride > 1 else order[lo], fhi, acc)
+        # a window while the budget covers its squeeze and the bracket
+        # holds 48 values or more (windows in smaller ones saved under
+        # 0.4% of perfbench's items, and made searches of 16 to 40
+        # weights probe unlike bisection) and two offsets below its top:
+        # w values around the rank interpolated between (lo - 1, q1) and
+        # (hi, q2), cut at the bracket's ends, and widened down past the
+        # copies of the lower edge, if a hit would spare a bisection
+        # probe (two halvings)
+        if budget >= 1 and span >= 2 * _WINDOW and order[lo] < order[hi - 1]:
+            r = lo - 1 + span * (q1 - cap) // (q1 - q2)
+            i = max(r - w // 2, lo - 1)
+            k = min(i + w, hi)
+            if i >= lo:
+                i = bisect_left(order, order[i], lo, i) - 1
+            if (k - i - 1).bit_length() + 2 <= (span - 1).bit_length():
+                outer, walked = items, acc["probe_items"] + acc["squeeze_items"]
+                items = _squeeze(*outer, order[i] if i >= lo else flo,
+                                 order[k] if k < hi else fhi, acc)
+                # an end of the bracket is never probed, its Q being known
+                if not ((k == hi or probe(k)) and (i < lo or not probe(i))):
+                    items = outer
+                walked = acc["probe_items"] + acc["squeeze_items"] - walked
+                budget = min(_BUDGET, budget + (span - 1).bit_length()
+                             - (hi - lo).bit_length() - walked / len(outer[0]))
+                continue
         probe((lo + hi) // 2)
     return _finish(seq, order[lo], target, "sorted", acc)
 

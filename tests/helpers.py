@@ -1,8 +1,9 @@
 """Shared test utilities: independent oracles and instance generators.
 
 Run as a script (PYTHONPATH=src python tests/helpers.py), it prints the
-sorted search's counters on every answer-corpus input as CSV, one row
-per input, so that a change to its work can be read input by input.
+sorted search's counters on every answer-corpus input and every
+near-uniform input as CSV, one row per input, so that a change to its
+work can be read input by input.
 """
 
 import math
@@ -176,6 +177,21 @@ def bisected_sorted(w):
         else:
             lo = bisect_right(order, b, mid, hi)
     return _finish(seq, order[lo], target, "sorted", acc)
+
+
+def near_uniform_weights(rng, n):
+    """The weights build_code takes for a near-uniform sample: log2 q_i
+    for q_i proportional to 1 + u_i, u_i uniform in [0, 1)."""
+    q = [1 + rng.random() for _ in range(n)]
+    total = math.fsum(q)
+    return [math.log2(x / total) for x in q]
+
+
+def near_uniform_inputs():
+    """(label, weights) pairs: near_uniform_weights at fixed seeds, 8
+    inputs each at 2^12 and 2^14 symbols."""
+    return [("near-uniform", near_uniform_weights(random.Random("near-uniform:%d:%d" % (n, s)), n))
+            for n in (2**12, 2**14) for s in range(8)]
 
 
 def _pair(fl, x, z, end, diff):
@@ -422,6 +438,6 @@ def corpus_inputs():
 
 if __name__ == "__main__":
     print(",".join(["family", "n"] + list(_zero_counters())))
-    for label, ws in corpus_inputs():
+    for label, ws in corpus_inputs() + near_uniform_inputs():
         acc = alpha_real(ws).instrumentation
         print(",".join([label, str(len(ws))] + [str(acc[key]) for key in _zero_counters()]))

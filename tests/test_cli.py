@@ -450,24 +450,24 @@ def test_bench_deterministic_without_timing(capsys):
 # new rows in CHANGES.md
 SORTED_BENCH_CSV = """\
 n,d,trial,algo,sets,undos,finds,unions,deunions,partition_items,probes,probe_items,squeeze_items,sort_items
-1024,1,0,sorted,0,0,0,0,0,0,3,2178,1024,1024
-1024,1,1,sorted,0,0,0,0,0,0,3,2174,1024,1024
-1024,2,0,sorted,0,0,0,0,0,0,8,2624,1260,1024
-1024,2,1,sorted,0,0,0,0,0,0,9,2626,1564,1024
-1024,8,0,sorted,0,0,0,0,0,0,10,2864,1477,1024
-1024,8,1,sorted,0,0,0,0,0,0,13,3073,1600,1024
-1024,64,0,sorted,0,0,0,0,0,0,10,3325,1625,1024
-1024,64,1,sorted,0,0,0,0,0,0,16,4725,3278,1024
-4096,1,0,sorted,0,0,0,0,0,0,4,8326,4221,567
-4096,1,1,sorted,0,0,0,0,0,0,4,8302,4197,554
-4096,2,0,sorted,0,0,0,0,0,0,9,9501,4734,641
-4096,2,1,sorted,0,0,0,0,0,0,9,9086,4468,587
-4096,8,0,sorted,0,0,0,0,0,0,9,9828,5477,628
-4096,8,1,sorted,0,0,0,0,0,0,11,9940,5628,625
-4096,64,0,sorted,0,0,0,0,0,0,14,13422,10295,643
-4096,64,1,sorted,0,0,0,0,0,0,13,11410,13945,957
-4096,4096,0,sorted,0,0,0,0,0,0,14,28675,6294,4096
-4096,4096,1,sorted,0,0,0,0,0,0,14,28752,6783,4096
+1024,1,0,sorted,0,0,0,0,0,0,7,2231,1069,1024
+1024,1,1,sorted,0,0,0,0,0,0,7,2231,1069,1024
+1024,2,0,sorted,0,0,0,0,0,0,10,2856,1236,1024
+1024,2,1,sorted,0,0,0,0,0,0,9,2837,1241,1024
+1024,8,0,sorted,0,0,0,0,0,0,9,2835,2151,1024
+1024,8,1,sorted,0,0,0,0,0,0,9,3053,1299,1024
+1024,64,0,sorted,0,0,0,0,0,0,10,3559,1632,1024
+1024,64,1,sorted,0,0,0,0,0,0,14,7732,2459,1024
+4096,1,0,sorted,0,0,0,0,0,0,5,8347,4241,575
+4096,1,1,sorted,0,0,0,0,0,0,5,8309,4203,555
+4096,2,0,sorted,0,0,0,0,0,0,10,9756,5486,662
+4096,2,1,sorted,0,0,0,0,0,0,12,10436,5169,613
+4096,8,0,sorted,0,0,0,0,0,0,10,10551,6146,708
+4096,8,1,sorted,0,0,0,0,0,0,10,10284,5823,653
+4096,64,0,sorted,0,0,0,0,0,0,13,13116,9976,647
+4096,64,1,sorted,0,0,0,0,0,0,12,11207,13550,937
+4096,4096,0,sorted,0,0,0,0,0,0,14,28769,6347,623
+4096,4096,1,sorted,0,0,0,0,0,0,14,28976,6961,648
 """
 
 
