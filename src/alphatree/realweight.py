@@ -20,16 +20,16 @@ Two search strategies share that skeleton:
   ends, 1/24 of the bracket but at least four of the whole steps by
   which the passes' load Q falls across it, and at most 1/4.  A window
   is cut at the bracket's ends, which are never probed, their Q being
-  known, and widened down past the copies of its lower edge.  It
-  squeezes the N items for its edges and probes them; a hit brackets
+  known, and its lower edge steps below the copies of its first value.
+  It squeezes the N items for its edges and probes them; a hit brackets
   the answer by the two, and the next round works on the window's
   items, while a miss restores the N items.  Every window's edges, and
   every bisection probe, come from one sorted list: from n = 4096,
-  every 8th fractional part, sorted (Floyd and Rivest 1975), while a
-  window spans 8 of its values or more; then the bracket's fractional
-  parts, those the sample did not hold sorted (in C) and merged with
-  its own.  So no fractional part is sorted twice, and only one
-  bracket's are.
+  every 8th fractional part, sorted (Floyd and Rivest 1975) and topped
+  by the largest, while a window spans 8 of its values or more; then
+  the bracket's fractional parts, those the sample did not hold sorted
+  (in C) and merged with its own.  So no fractional part is sorted
+  twice, and only one bracket's are.
 
   One rule chooses between bisection and a window.  Let L(s) =
   ceil(log2 s), the bisection probes that narrow s values to one.  The
@@ -39,10 +39,9 @@ Two search strategies share that skeleton:
   values to place a window), and a window is tried while B >= 1, where
   the bracket holds 48 values or more (1/24 of it is two) and two
   offsets below its top, and a hit would narrow it by at least two
-  halvings.  A
-  window that walks c passes and narrows the bracket from s values to
-  s' leaves B + h - c, at most 2, with h = L(s) - L(s'); a bisection
-  probe leaves B as it is.
+  halvings.  A window that walks c passes and narrows the bracket from
+  s values to s' leaves B + h - c, at most 2, with h = L(s) - L(s'); a
+  bisection probe leaves B as it is.
 
   The work this bounds.  A window walks c <= 3 passes (its squeeze
   walks the N items and each of its two probes at most N), so B >= -2
@@ -60,10 +59,11 @@ Two search strategies share that skeleton:
   more: past the target and the witness the search makes at most 2H +
   2 probes, where H = L(m + 1) + L(n) bounds the halvings in a sample
   of m values and in the sorted fracs; and at most one per distinct
-  offset, since each probes an offset strictly inside the bracket.  A
-  squeeze folds every run of positions whose level no later probe can
-  change into at most 4d items, so the passes walk O(n log d) items in
-  all rather than n per probe.
+  offset but the largest, since each probes an offset strictly inside
+  the bracket, whose top starts at the largest.  A squeeze folds every
+  run of positions whose level no later probe can change into at most
+  4d items, so the passes walk O(n log d) items in all rather than n
+  per probe.
 * alpha_real_new, the paper's algorithm, never sorts.  It keeps one
   level tree alive, walks a median-of-medians partition of the
   fractional parts, and moves between probe offsets by set/undo on the
@@ -319,12 +319,12 @@ def alpha_real(w) -> RealCostResult:
     # frac, in the bracket (flo, fhi] with q1 = Q(flo) > cap and q2 =
     # Q(fhi) <= cap.  Below every frac, 0.0 among them, each floor is
     # raised, so Q falls from 2a at the sentinel -1.0 to a at the
-    # sentinel 1.0, and integral weights need no case of their own.
-    # order holds every stride-th frac, sorted, and order[lo..hi] spans
-    # the bracket: order[lo - 1] stands for flo and order[hi] for fhi,
-    # either of which may lie past an end of order.  A probe decides
-    # every copy of its offset: it moves lo past them or hi to the
-    # first
+    # sentinel 1.0, or at the largest frac, and integral weights need no
+    # case of their own.  order holds every stride-th frac, sorted, then
+    # the largest, and order[lo..hi] spans the bracket: order[lo - 1]
+    # stands for flo, which may lie below order, and order[hi] for fhi.
+    # A probe decides every copy of its offset: it moves lo past them or
+    # hi to the first
     q1, q2, flo, fhi = 2 * a, a, -1.0, 1.0
 
     def probe(x) -> bool:
@@ -340,7 +340,11 @@ def alpha_real(w) -> RealCostResult:
     stride = _SAMPLE_STRIDE if n >= 4096 else 1
     order = sorted(fracs[::stride])
     acc["sort_items"] += len(order)
-    lo, hi = 0, len(order) if stride > 1 else bisect_left(order, order[-1])
+    if stride > 1:
+        # the largest frac tops the sample, as it tops the sorted fracs:
+        # Q there is known, so it is never probed
+        order.append(max(fracs))
+    lo, hi = 0, bisect_left(order, order[-1])
     # the passes over the current items by which the windows may trail
     # bisection (see the module docstring)
     budget = _BUDGET if a >= _SQUEEZE_RUN else 0
@@ -372,15 +376,15 @@ def alpha_real(w) -> RealCostResult:
         # 0.4% of perfbench's items, and made searches of 16 to 40
         # weights probe unlike bisection) and two offsets below its top:
         # w values around the rank interpolated between (lo - 1, q1) and
-        # (hi, q2), cut at the bracket's ends, and widened down past the
-        # copies of the lower edge, if a hit would spare a bisection
-        # probe (two halvings)
+        # (hi, q2), cut at the bracket's ends, its lower edge stepped
+        # below the copies of its first value, if a hit would spare a
+        # bisection probe (two halvings)
         if budget >= 1 and span >= 2 * _WINDOW and order[lo] < order[hi - 1]:
             r = lo - 1 + span * (q1 - cap) // (q1 - q2)
             i = max(r - w // 2, lo - 1)
             k = min(i + w, hi)
             if i >= lo:
-                i = bisect_left(order, order[i], lo, i) - 1
+                i = bisect_left(order, order[i + 1], lo, i + 1) - 1
             if (k - i - 1).bit_length() + 2 <= (span - 1).bit_length():
                 outer, walked = items, acc["probe_items"] + acc["squeeze_items"]
                 items = _squeeze(*outer, order[i] if i >= lo else flo,

@@ -450,22 +450,22 @@ def test_bench_deterministic_without_timing(capsys):
 # new rows in CHANGES.md
 SORTED_BENCH_CSV = """\
 n,d,trial,algo,sets,undos,finds,unions,deunions,partition_items,probes,probe_items,squeeze_items,sort_items
-1024,1,0,sorted,0,0,0,0,0,0,7,2231,1069,1024
-1024,1,1,sorted,0,0,0,0,0,0,7,2231,1069,1024
-1024,2,0,sorted,0,0,0,0,0,0,10,2856,1236,1024
-1024,2,1,sorted,0,0,0,0,0,0,9,2837,1241,1024
-1024,8,0,sorted,0,0,0,0,0,0,9,2835,2151,1024
-1024,8,1,sorted,0,0,0,0,0,0,9,3053,1299,1024
-1024,64,0,sorted,0,0,0,0,0,0,10,3559,1632,1024
-1024,64,1,sorted,0,0,0,0,0,0,14,7732,2459,1024
-4096,1,0,sorted,0,0,0,0,0,0,5,8347,4241,575
-4096,1,1,sorted,0,0,0,0,0,0,5,8309,4203,555
-4096,2,0,sorted,0,0,0,0,0,0,10,9756,5486,662
-4096,2,1,sorted,0,0,0,0,0,0,12,10436,5169,613
-4096,8,0,sorted,0,0,0,0,0,0,10,10551,6146,708
-4096,8,1,sorted,0,0,0,0,0,0,10,10284,5823,653
-4096,64,0,sorted,0,0,0,0,0,0,13,13116,9976,647
-4096,64,1,sorted,0,0,0,0,0,0,12,11207,13550,937
+1024,1,0,sorted,0,0,0,0,0,0,7,2223,1067,1024
+1024,1,1,sorted,0,0,0,0,0,0,7,2223,1067,1024
+1024,2,0,sorted,0,0,0,0,0,0,10,2848,1234,1024
+1024,2,1,sorted,0,0,0,0,0,0,9,2825,1238,1024
+1024,8,0,sorted,0,0,0,0,0,0,10,2984,2164,1024
+1024,8,1,sorted,0,0,0,0,0,0,9,3022,1291,1024
+1024,64,0,sorted,0,0,0,0,0,0,10,3452,1708,1024
+1024,64,1,sorted,0,0,0,0,0,0,14,7744,2465,1024
+4096,1,0,sorted,0,0,0,0,0,0,4,8328,4229,570
+4096,1,1,sorted,0,0,0,0,0,0,4,8298,4199,554
+4096,2,0,sorted,0,0,0,0,0,0,8,9665,6172,662
+4096,2,1,sorted,0,0,0,0,0,0,12,10376,5141,611
+4096,8,0,sorted,0,0,0,0,0,0,9,10215,5872,682
+4096,8,1,sorted,0,0,0,0,0,0,10,10257,5797,652
+4096,64,0,sorted,0,0,0,0,0,0,12,12840,9798,634
+4096,64,1,sorted,0,0,0,0,0,0,11,11034,13579,937
 4096,4096,0,sorted,0,0,0,0,0,0,14,28769,6347,623
 4096,4096,1,sorted,0,0,0,0,0,0,14,28976,6961,648
 """
