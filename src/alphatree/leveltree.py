@@ -23,14 +23,15 @@ A static integer instance needs none of the dynamic machinery:
 static_cost and static_witness group the levels exactly as the build
 does, in the same left-to-right stack pass with no arena, no union-find
 and no journal, and the live tree's witness is static_witness of its
-leaf levels.  The build and static_witness each run that pass as a loop
-of their own, with the runs popped below the incoming level lifted
-inline and no call per pop: the build makes one new node over each
-run, and static_witness pairs the run's fragments by index arithmetic,
-with no work for a run of one fragment.  static_cost counts rather than
-lists, and the squeeze rule (see the static-pass comment) lets the
-sorted search shorten runs of fixed levels so that its repeated passes
-over them stay short.
+leaf levels.  Three loops run that pass, with the runs popped below the
+incoming level lifted inline and no call per pop: the build makes one
+new node over each run, static_witness pairs the run's fragments by
+index arithmetic, with no work for a run of one fragment, and the
+counting pass, _squeeze_pass, counts rather than lists.  It squeezes
+runs of fixed levels (see the static-pass comment), so that the sorted
+search's repeated passes over them stay short, and at a single offset
+its output is read by a fold with no stack, _bottom_entry: that is
+static_cost, and each probe of the sorted search.
 
 The undo journal is one flat list, and undo is set union with
 backtracking: it returns to the state its segment opened in.  A set
@@ -167,14 +168,14 @@ class UnionFindDeunion:
 # joins that run at once, and a node lifted to the incoming level y goes
 # in front of leaf y.  Every pass keeps the top entry in two locals, so
 # an item at the top's level costs one add or append, and none calls a
-# function per pop.  The passes over counts (static_cost and realweight's
-# _squeeze) keep the entries under the top in two lists, popped together
-# (a tuple stack, or peeking at the entry under the top, made them no
-# faster).  The passes over lists (the build and static_witness) keep
-# (level, run) tuples and peek at the entry under the top, so a run
-# lifted to the incoming level pops and pushes nothing.
+# function per pop.  The counting pass, _squeeze_pass, keeps the
+# entries under the top in two lists, popped together (a tuple stack,
+# or peeking at the entry under the top, made them no faster).  The
+# passes over lists (the build and static_witness) keep (level, run)
+# tuples and peek at the entry under the top, so a run lifted to the
+# incoming level pops and pushes nothing.
 #
-# The cost passes take weighted items: an item (y, a) acts exactly like
+# The counting pass takes weighted items: an item (y, a) acts like
 # a leaves at level y, which is what a lifted node of load a landing at
 # y is.  Since ceil(ceil(c / 2^p) / 2^q) = ceil(c / 2^(p + q)), a run of
 # items R can be replaced by its squeeze, the items of its own pass with
@@ -189,7 +190,13 @@ class UnionFindDeunion:
 # each raised by one iff its frac is above b (WeightSeq.adjusted).  For
 # every offset in [flo, fhi], an item with frac <= flo stays at its
 # floor and one with frac > fhi is raised, so only flo < frac <= fhi is
-# undecided, and realweight's _squeeze folds every run of the others.
+# undecided, and _squeeze_pass squeezes every run of the others.  At
+# one offset, flo = fhi = b, no item is undecided, so the squeeze is the
+# whole list's: it rises to the pass's bottom entry (t, a), t the
+# largest level, and falls from there.  _bottom_entry reads that entry
+# with no stack, by a fold that lifts each item into the next from
+# either end.  That is a probe of the sorted search, its target (the
+# probe at 1.0, above every frac) and static_cost.
 
 _TOP = math.inf
 
@@ -198,22 +205,42 @@ def static_cost(levels, counts=None) -> int:
     """Minimax cost of a non-empty sequence of integer levels, each
     standing for counts[i] leaves (one each by default).
 
-    Equals LevelTree(levels).cost() for unit counts; the stack entries
-    are (level, csum of the run).
+    Equals LevelTree(levels).cost() for unit counts.
     """
-    t, a = _static_pass(levels, counts)
+    t, a = _bottom_entry(levels, repeat(0.0), repeat(1) if counts is None else counts, 0.0)
     return t + ceil_log2(a)
 
 
-def _static_pass(levels, counts) -> tuple[int, int]:
-    # static_cost's pass, to its bottom entry (t, a), t the largest level
-    if not levels:
-        raise LevelTreeError("need at least one level")
+def _squeeze_pass(levels, fracs, counts, flo, fhi):
+    # the items (levels, fracs, counts) for every offset in [flo, fhi]:
+    # an item with flo < frac <= fhi is undecided and passes through,
+    # every other item has a fixed level (raised iff frac > fhi) and goes
+    # on the run stack, whose bottom entry is emitted when popped; an
+    # undecided item, and the end, first emit the entries left, bottom
+    # to top.  So each maximal run of fixed items is replaced by its
+    # squeeze, whose items carry frac 0.0 so that no offset raises them
+    # again.  An item at or below flo costs one comparison
+    out_l, out_f, out_k = out = [], [], []
     # the top entry is (t, a); lv/cs hold the entries under it
     lv: list = []
     cs: list[int] = []
     t, a = _TOP, 0
-    for y, k in zip(levels, repeat(1) if counts is None else counts):
+    for y, f, k in zip(levels, fracs, counts):
+        if f > flo:
+            if f <= fhi:
+                if lv:
+                    out_l += lv[1:]
+                    out_l.append(t)
+                    out_k += cs[1:]
+                    out_k.append(a)
+                    out_f += [0.0] * len(lv)
+                    lv, cs = [], []
+                    t, a = _TOP, 0
+                out_l.append(y)
+                out_f.append(f)
+                out_k.append(k)
+                continue
+            y += 1
         if t < y:
             b = lv.pop()
             c = cs.pop()
@@ -222,7 +249,13 @@ def _static_pass(levels, counts) -> tuple[int, int]:
                 t = b
                 b = lv.pop()
                 c = cs.pop()
-            k += -((-a) >> (y - t))
+            if lv:
+                k += -((-a) >> (y - t))
+            else:
+                # b is the sentinel: the bottom entry is emitted
+                out_l.append(t)
+                out_f.append(0.0)
+                out_k.append(a)
             t, a = b, c
         if t == y:
             a += k
@@ -230,11 +263,32 @@ def _static_pass(levels, counts) -> tuple[int, int]:
             lv.append(t)
             cs.append(a)
             t, a = y, k
-    while len(lv) > 1:
-        b = lv.pop()
-        a = cs.pop() + (-((-a) >> (b - t)))
-        t = b
-    return t, a
+    if lv:
+        out_l += lv[1:]
+        out_l.append(t)
+        out_k += cs[1:]
+        out_k.append(a)
+        out_f += [0.0] * len(lv)
+    return out
+
+
+def _bottom_entry(levels, fracs, counts, b) -> tuple[int, int]:
+    # the pass's bottom entry (t, a) at offset b, from the squeeze for
+    # [b, b]: its items rise to the peak, (t, a) less what the others
+    # add to it, and fall from there, so lifting each item into the next
+    # from either end folds them all into the peak
+    lv, _, cs = _squeeze_pass(levels, fracs, counts, b, b)
+    if not lv:
+        raise LevelTreeError("need at least one level")
+    p = lv.index(max(lv))
+    a = -cs[p]  # both folds end in the peak
+    for ys, ks in (lv[:p + 1], cs[:p + 1]), (lv[p:][::-1], cs[p:][::-1]):
+        x, c = ys[0], 0
+        for y, k in zip(ys, ks):
+            c = k + (-((-c) >> (y - x)))
+            x = y
+        a += c
+    return lv[p], a
 
 
 def static_witness(levels) -> tuple[int, list[int]]:
@@ -370,7 +424,7 @@ class WeightSeq:
     def adjusted(self, b) -> list[int]:
         """ceil(w_i - b) for b in [0, 1): floor(w_i), raised by one
         exactly when frac(w_i) > b."""
-        return _adjust(self.floors, self.fracs, b)
+        return [y + 1 if f > b else y for y, f in zip(self.floors, self.fracs)]
 
 
 def _exact_float(w) -> bool:
@@ -379,11 +433,6 @@ def _exact_float(w) -> bool:
         return math.isfinite(w) and float(w) == w
     except (OverflowError, TypeError, ValueError):
         return False
-
-
-def _adjust(floors, fracs, b) -> list[int]:
-    # each floor raised by one where frac > b
-    return [y + 1 if f > b else y for y, f in zip(floors, fracs)]
 
 
 def as_weight_seq(w) -> WeightSeq:

@@ -10,8 +10,9 @@ equals the cost at the largest one.
 Two search strategies share that skeleton:
 
 * alpha_real, the sorted search, narrows a bracket (flo, fhi] of
-  fractional parts around the answer in one loop, solving each probe
-  with one stack pass and probing a repeated fractional part once.
+  fractional parts around the answer in one loop, probing a repeated
+  fractional part once.  A probe at b is leveltree's counting pass,
+  the squeeze for [b, b], read by a fold.
   Each round squeezes every run of positions whose level is decided
   into at most 4d items, for the whole bracket once it spans at most
   1/16 of the items, then bisects, with one probe over its N items, or
@@ -69,11 +70,11 @@ Two search strategies share that skeleton:
   fractional parts, and moves between probe offsets by set/undo on the
   tree, touching each position O(1) times overall.
 
-Both take the target cost at the largest fractional part, where every
-level is floor(w), and the witness at the final offset from a stack
-pass too; only the live tree of alpha_real_new is a LevelTree.  A cost
-of magnitude 2^52 or more that no float holds exactly raises
-InexactCostError.
+Both take the target cost from the probe at 1.0, above every
+fractional part, where every level is floor(w), and the witness at the
+final offset from static_witness; only the live tree of alpha_real_new
+is a LevelTree.  A cost of magnitude 2^52 or more that no float holds
+exactly raises InexactCostError.
 """
 
 from __future__ import annotations
@@ -81,8 +82,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 
-from .leveltree import LevelTree, WeightSeq, _adjust, as_weight_seq
-from .leveltree import _TOP, _static_pass, ceil_log2, static_witness
+from .leveltree import LevelTree, WeightSeq, as_weight_seq
+from .leveltree import _bottom_entry, _squeeze_pass, ceil_log2, static_witness
 from .core import minimax_cost_by_dp
 
 
@@ -177,18 +178,16 @@ def _zero_counters() -> dict:
 
 
 def _probe(levels, fracs, counts, b, acc) -> tuple[int, int]:
-    # (t, a) at offset b, by one static pass over the items
+    # the pass's bottom entry (t, a) at offset b, read by leveltree's fold
     acc["probes"] += 1
     acc["probe_items"] += len(levels)
-    return _static_pass(_adjust(levels, fracs, b), counts)
+    return _bottom_entry(levels, fracs, counts, b)
 
 
-def _target(seq, acc) -> tuple[int, int]:
-    # the pass at the largest fractional part, where no frac is above
-    # the offset, so every level is its floor and no list is adjusted
-    acc["probes"] += 1
-    acc["probe_items"] += seq.n
-    return _static_pass(seq.floors, None)
+def _squeeze(levels, fracs, counts, flo, fhi, acc):
+    # the items for every offset in [flo, fhi] (leveltree's squeeze)
+    acc["squeeze_items"] += len(levels)
+    return _squeeze_pass(levels, fracs, counts, flo, fhi)
 
 
 # A squeeze walks every item, about twice the cost of a probe's pass,
@@ -230,68 +229,6 @@ _WINDOW = 24
 _BUDGET = 2
 
 
-def _squeeze(levels, fracs, counts, flo, fhi, acc):
-    # the items for every probe offset in [flo, fhi], in one pass: an
-    # item with flo < frac <= fhi is still undecided and passes through,
-    # every other item has a fixed level (raised iff frac > fhi) and
-    # folds into static_cost's run stack, whose bottom entry is emitted
-    # when popped (leveltree's squeeze rule); an undecided item, and the
-    # end, first emit the entries left, bottom to top.  So each maximal
-    # run of fixed items is replaced by its squeeze, whose items carry
-    # frac 0.0 so that no probe raises them again
-    acc["squeeze_items"] += len(levels)
-    out_l, out_f, out_k = out = [], [], []
-    # the top entry is (t, a); lv/cs hold the entries under it
-    lv: list = []
-    cs: list[int] = []
-    t, a = _TOP, 0
-    for y, f, k in zip(levels, fracs, counts):
-        if f > fhi:
-            y += 1
-        elif f > flo:
-            if lv:
-                out_l += lv[1:]
-                out_l.append(t)
-                out_k += cs[1:]
-                out_k.append(a)
-                out_f += [0.0] * len(lv)
-                lv, cs = [], []
-                t, a = _TOP, 0
-            out_l.append(y)
-            out_f.append(f)
-            out_k.append(k)
-            continue
-        if t < y:
-            b = lv.pop()
-            c = cs.pop()
-            while b < y:
-                a = c + (-((-a) >> (b - t)))
-                t = b
-                b = lv.pop()
-                c = cs.pop()
-            if lv:
-                k += -((-a) >> (y - t))
-            else:
-                # b is the sentinel: the bottom entry is emitted
-                out_l.append(t)
-                out_f.append(0.0)
-                out_k.append(a)
-            t, a = b, c
-        if t == y:
-            a += k
-        else:
-            lv.append(t)
-            cs.append(a)
-            t, a = y, k
-    if lv:
-        out_l += lv[1:]
-        out_l.append(t)
-        out_k += cs[1:]
-        out_k.append(a)
-        out_f += [0.0] * len(lv)
-    return out
-
-
 def alpha_real(w) -> RealCostResult:
     """Sorted-search strategy: narrow a bracket of offsets around the
     answer with windows read from sorted fractional parts, probing each
@@ -309,7 +246,9 @@ def alpha_real(w) -> RealCostResult:
     # its floor, frac and count 1, a squeezed item a fixed level, frac
     # 0.0 and its count
     items = seq.floors, fracs, [1] * n
-    t, a = _target(seq, acc)
+    # the target is the probe at 1.0, above every frac: every level is
+    # its floor
+    t, a = _probe(*items, 1.0, acc)
     target = t + ceil_log2(a)
     # Q(b) = a_b * 2^(t_b - t) from the pass at b is an integer (t_b,
     # the largest level, is t or t + 1), and b is feasible iff Q <= cap
@@ -409,7 +348,14 @@ alpha_real_sorted = alpha_real
 def alpha_real_new(w) -> RealCostResult:
     """Median-search strategy: one live tree, set/undo between probes.
 
-    Runs in O(n log log n + n log d) tree operations, the paper's bound.
+    The paper states O(n d log log n) time, d the number of distinct
+    ceilings.  The bounds derived here, and checked by
+    test_work_within_derived_bounds, are on its counters, with rounds
+    = floor(log2 n) + 1, ties the most weights that share one
+    fractional part and nlevels the distinct levels a leaf can take,
+    ceil(w_i) or ceil(w_i) - 1: at most 2n - 1 partitioned items, at
+    most partition_items / 2 + ties * rounds sets, and at most (16 +
+    nlevels) * sets + 2 (rounds + 1) finds.
     Measured with alphatree bench (BENCH_sample8.json: seed 7, 3 trials,
     best of 5 repeats per row), it is 2.4x to 13.8x slower than
     alpha_real at every n = 2^8, 2^10, ..., 2^16 and d in {1, 2, 8, 64,
@@ -420,7 +366,7 @@ def alpha_real_new(w) -> RealCostResult:
     seq = as_weight_seq(w)
     acc = _zero_counters()
     fracs = seq.fracs
-    t, a = _target(seq, acc)
+    t, a = _probe(seq.floors, fracs, [1] * seq.n, 1.0, acc)
     target = t + ceil_log2(a)
 
     tree = LevelTree(seq)  # all bits clear: the state at offset 0

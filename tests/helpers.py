@@ -3,22 +3,30 @@
 Run as a script (PYTHONPATH=src python tests/helpers.py), it prints the
 sorted search's counters on every answer-corpus input and every
 near-uniform input as CSV, one row per input, so that a change to its
-work can be read input by input.
+work can be read input by input.  With the argument lines
+(PYTHONPATH=src python tests/helpers.py lines) it prints the code size
+of each module of the package and the total: every line that a
+non-comment token spans, less the module docstring.
 """
 
+import ast
+import io
 import math
+import os
 import random
+import sys
+import tokenize
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from itertools import accumulate
 
-from alphatree import CodingError, DecodeError, WeightSeq, alpha_real
+import alphatree
+from alphatree import CodingError, DecodeError, LevelTree, WeightSeq, alpha_real, tree_cost
 from alphatree.cli import generate_weights
 from alphatree.core import minimax_cost_by_dp
 from alphatree.leveltree import (
     NIL,
     _TOP,
-    _adjust,
     _ceil_shift,
     as_weight_seq,
     ceil_log2,
@@ -345,7 +353,7 @@ def per_run_squeeze(levels, fracs, counts, flo, fhi):
     run_squeeze.  Undecided items keep their level and frac, with
     count 1; squeezed items carry frac 0.0."""
     n = len(levels)
-    fixed = _adjust(levels, fracs, fhi)
+    fixed = [y + 1 if f > fhi else y for y, f in zip(levels, fracs)]
     out_l, out_f, out_k = out = [], [], []
     start = 0
     for i in [i for i, f in enumerate(fracs) if flo < f <= fhi] + [n]:
@@ -359,6 +367,59 @@ def per_run_squeeze(levels, fracs, counts, flo, fhi):
             out_k.append(1)
         start = i + 1
     return out
+
+
+def bottom_entry(levels, counts=None):
+    """Reference for the bottom entry (t, a) of the stack pass over
+    integer levels, each standing for counts[i] leaves (one each by
+    default): a LevelTree over the items expanded to unit leaves, whose
+    root holds the runs at the largest level t, with csum a."""
+    if counts is None:
+        counts = [1] * len(levels)
+    tree = LevelTree([y for y, k in zip(levels, counts) for _ in range(k)])
+    root = tree._r(tree.root)
+    return tree.level[tree._r(tree.fch[root])], tree.csum[root]
+
+
+def certify(ws, res):
+    """Check that res, a RealCostResult for the weights ws, is optimal,
+    by static_witness alone (which shares no code with the search's
+    passes); raises AssertionError.
+
+    The integer cost at offset b is nonincreasing in b, so int_cost + b
+    is the least cost over the offsets when: the witness depths form a
+    tree of cost alpha; the cost at b, and at the largest frac, is
+    int_cost; and the cost at the largest frac below b is above it, or
+    b is the smallest frac.
+    """
+    seq = as_weight_seq(ws)
+    assert tree_cost(res.depths, seq.weights) == res.alpha, res
+    assert res.b in seq.fracs, res
+
+    def cost(b):
+        return static_witness(seq.adjusted(b))[0]
+
+    assert cost(res.b) == cost(max(seq.fracs)) == res.int_cost, res
+    below = [f for f in seq.fracs if f < res.b]
+    assert not below or cost(max(below)) > res.int_cost, ("a smaller offset is feasible", res)
+
+
+def code_lines(path):
+    """Code size of one module: the lines that a non-comment token
+    spans, less the module docstring's."""
+    skip = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+            tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+    with open(path, "rb") as f:
+        source = f.read()
+    lines = set()
+    for tok in tokenize.tokenize(io.BytesIO(source).readline):
+        if tok.type not in skip:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    body = ast.parse(source).body
+    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant) \
+            and isinstance(body[0].value.value, str):
+        lines -= set(range(body[0].lineno, body[0].end_lineno + 1))
+    return len(lines)
 
 
 # Sizes of the answer corpus: the small ones the DP oracle can check,
@@ -437,7 +498,16 @@ def corpus_inputs():
 
 
 if __name__ == "__main__":
-    print(",".join(["family", "n"] + list(_zero_counters())))
-    for label, ws in corpus_inputs() + near_uniform_inputs():
-        acc = alpha_real(ws).instrumentation
-        print(",".join([label, str(len(ws))] + [str(acc[key]) for key in _zero_counters()]))
+    if sys.argv[1:] == ["lines"]:
+        root = os.path.dirname(alphatree.__file__)
+        total = 0
+        for name in sorted(f for f in os.listdir(root) if f.endswith(".py")):
+            count = code_lines(os.path.join(root, name))
+            total += count
+            print(name, count)
+        print("total", total)
+    else:
+        print(",".join(["family", "n"] + list(_zero_counters())))
+        for label, ws in corpus_inputs() + near_uniform_inputs():
+            acc = alpha_real(ws).instrumentation
+            print(",".join([label, str(len(ws))] + [str(acc[key]) for key in _zero_counters()]))

@@ -13,13 +13,15 @@ from hypothesis import example, given, settings, strategies as st
 from alphatree import (
     InexactCostError,
     LevelTreeError,
+    RealCostResult,
     WeightSeq,
     alpha_real,
     alpha_real_new,
+    tree_cost,
 )
 from alphatree.core import minimax_cost_by_dp
 import alphatree.realweight
-from alphatree.leveltree import _adjust, _static_pass, ceil_log2, static_cost
+from alphatree.leveltree import _bottom_entry, ceil_log2, static_cost, static_witness
 from alphatree.realweight import (
     _BUDGET,
     _SAMPLE_STRIDE,
@@ -33,6 +35,8 @@ from alphatree.realweight import (
 from alphatree.cli import generate_weights
 from helpers import (
     bisected_sorted,
+    bottom_entry,
+    certify,
     corpus_inputs,
     near_uniform_inputs,
     per_run_squeeze,
@@ -147,6 +151,24 @@ def test_tied_fractions_are_told_apart(ws, alpha):
         assert 0 <= res.b < 1 and res.b in seq.fracs
         assert static_cost(seq.adjusted(res.b)) == res.int_cost
         assert max(y + d for y, d in zip(seq.adjusted(res.b), res.depths)) == res.int_cost
+
+
+def test_certify_rejects_a_later_offset():
+    # the next frac above the answer is feasible too, and its witness
+    # and cost pass every check of certify but the lower bound
+    rng = random.Random(24)
+    for _ in range(100):
+        ws = random_real_weights(rng, rng.randint(2, 12))
+        seq = WeightSeq(ws)
+        res = alpha_real(seq)
+        certify(ws, res)
+        above = [f for f in seq.fracs if f > res.b]
+        if above:
+            b = min(above)
+            cost, depths = static_witness(seq.adjusted(b))
+            late = RealCostResult(tree_cost(depths, ws), b, cost, depths, "sorted", {})
+            with pytest.raises(AssertionError, match="a smaller offset is feasible"):
+                certify(ws, late)
 
 
 def test_real_oracle_examples():
@@ -350,6 +372,8 @@ def test_squeezed_search_matches_unsqueezed(ws):
     assert (other.alpha, other.b, other.depths) == (res.alpha, b, depths)
     if len(ws) <= 12:
         assert res.alpha == alpha_real_oracle(ws)
+    certify(ws, res)
+    certify(ws, other)
 
 
 @settings(max_examples=300, deadline=None)
@@ -357,11 +381,13 @@ def test_squeezed_search_matches_unsqueezed(ws):
 @example([-1e-20, 0.5])
 @example([2.0])
 def test_target_pass_walks_the_floors(ws):
-    # no frac is above the largest, so at that offset no floor is
-    # raised and the target pass needs no adjusted list
+    # no frac is above 1.0, nor above the largest, so at either offset
+    # no floor is raised: the target, the probe at 1.0, is the pass at
+    # the largest frac
     seq = WeightSeq(ws)
     assert seq.floors == [math.floor(w) for w in ws]
-    assert _static_pass(seq.floors, None) == _static_pass(seq.adjusted(max(seq.fracs)), None)
+    got = _bottom_entry(seq.floors, seq.fracs, [1] * seq.n, 1.0)
+    assert got == bottom_entry(seq.floors) == bottom_entry(seq.adjusted(max(seq.fracs)))
 
 
 def test_squeezed_search_matches_unsqueezed_long():
@@ -575,6 +601,8 @@ def test_wide_weights_match_new_and_the_rational_dp(ws):
         new = alpha_real_new(ws)
         assert (res.alpha, res.b, res.depths) == (new.alpha, new.b, new.depths)
         assert 0 <= res.b < 1
+        certify(ws, res)
+        certify(ws, new)
     if len(ws) <= 12:
         exact = minimax_cost_by_dp([Fraction(w) for w in ws])
         if res is None:
@@ -598,16 +626,28 @@ def test_wide_weights_match_new_and_the_rational_dp(ws):
 # Fraction bounds, with a tie at each
 @example([(1, 0.25, 1), (2, Fraction(1, 3), 1), (0, 0.5, 1), (3, Fraction(2, 3), 1),
           (1, 0.75, 1)], Fraction(1, 3), Fraction(2, 3))
+# the fold's shapes: a single item, levels all rising (each item pops
+# the bottom entry, so every squeezed item but the last is emitted) and
+# all falling (every item stays on the stack), and weighted items
+@example([(2, 0.25, 1)], 0.5, 0.5)
+@example([(-3, 0.0, 1), (-1, 0.75, 1), (1, 0.0, 2), (3, 0.25, 1)], 0.5, 0.5)
+@example([(4, 0.25, 1), (2, 0.0, 3), (0, 0.75, 1), (-2, 0.0, 1)], 0.25, 0.5)
+@example([(1, 0.0, 5), (3, 0.0, 2), (3, 0.0, 6), (0, 0.0, 4), (2, 0.5, 1), (4, 0.0, 3)],
+         0.25, 0.75)
 def test_squeezed_pass_is_exact_in_the_window(items, f1, f2):
     # the windowed search probes the items squeezed for [flo, fhi] at
     # both edges, flo = order[j - 1] and fhi, and the bisection inside
-    # the range: each pass must end in the raw pass's bottom entry (t, a)
+    # the range: each pass must end in the raw pass's bottom entry (t, a),
+    # here a LevelTree over the items at b expanded to unit leaves
     flo, fhi = min(f1, f2), max(f1, f2)
     levels, fracs, counts = [list(col) for col in zip(*items)]
     sq = _squeeze(levels, fracs, counts, flo, fhi, {"squeeze_items": 0})
     for b in [f for f in fracs if flo <= f <= fhi] + [flo, fhi]:
-        got = _static_pass(_adjust(sq[0], sq[1], b), sq[2])
-        assert got == _static_pass(_adjust(levels, fracs, b), counts), b
+        got = _bottom_entry(*sq, b)
+        ref = bottom_entry([y + 1 if f > b else y for y, f in zip(levels, fracs)], counts)
+        assert got == _bottom_entry(levels, fracs, counts, b) == ref, b
+    with pytest.raises(LevelTreeError):
+        _bottom_entry([], [], [], flo)
 
 
 def skewed_weights(rng, n, late):
@@ -630,7 +670,7 @@ def _no_window(ws):
     # load below _SQUEEZE_RUN, or at most 2 distinct offsets
     seq = WeightSeq(ws)
     order = sorted(seq.fracs)
-    a = _static_pass(seq.adjusted(order[-1]), None)[1]
+    a = bottom_entry(seq.adjusted(order[-1]))[1]
     return a < _SQUEEZE_RUN or len(set(order)) <= 2
 
 
@@ -669,8 +709,6 @@ def _replay(ws):
     # the items it "walked" and the halvings "h" it gained ("edges" is
     # None for a bisection round)
     seq = WeightSeq(ws)
-    t, a = _static_pass(seq.floors, None)
-    cap = 1 << ceil_log2(a)
     mod, log = alphatree.realweight, []
     real_squeeze, real_probe = mod._squeeze, mod._probe
 
@@ -681,7 +719,7 @@ def _replay(ws):
 
     def probe(levels, fracs, counts, b, acc):
         tb, ab = real_probe(levels, fracs, counts, b, acc)
-        log.append(("probe", b, len(levels), ab << (tb - t)))
+        log.append(("probe", b, len(levels), tb, ab))
         return tb, ab
 
     def sort(values):
@@ -698,6 +736,10 @@ def _replay(ws):
         del mod.sorted
     assert res.instrumentation["squeeze_items"] == sum(e[2] for e in log if e[0] == "squeeze")
     events = iter(log)
+    # the first probe is the target, at 1.0 over the n floors
+    _, b, walked, t, a = next(events)
+    assert (b, walked) == (1.0, seq.n)
+    cap = 1 << ceil_log2(a)
     flo, fhi, q1, q2, items, kind = -1.0, 1.0, 2 * a, a, seq.n, None
     budget, rounds = (_BUDGET if a >= _SQUEEZE_RUN else 0), []
 
@@ -710,7 +752,8 @@ def _replay(ws):
         # end of the bracket to its offset, and returns whether it lay
         # below the answer
         nonlocal flo, fhi, q1, q2
-        _, got, walked, q = event
+        _, got, walked, tb, ab = event
+        q = ab << (tb - t)
         assert event[0] == "probe" and walked == items and got == (got if b is None else b)
         lo, hi = bracket()
         assert got in values and flo < got < values[hi], (got, flo, fhi)
@@ -830,7 +873,7 @@ def test_window_skip_cases(kind):
         ws = _search_input(n, n, kind)
         assert _no_window(ws)
         seq = WeightSeq(ws)
-        a = _static_pass(seq.adjusted(max(seq.fracs)), None)[1]
+        a = bottom_entry(seq.adjusted(max(seq.fracs)))[1]
         assert (a < _SQUEEZE_RUN) == (kind == "n"), a
         res, rounds = _replay(ws)
         assert not [r for r in rounds if r["edges"]], rounds
@@ -953,7 +996,7 @@ def _sample_window(ws):
     # past its copies.  Across those s values Q falls a steps, so w is
     # 1/24 of them but at least four steps, and at most 1/4 of them
     seq = WeightSeq(ws)
-    a = _static_pass(seq.floors, None)[1]
+    a = bottom_entry(seq.floors)[1]
     cap = 1 << ceil_log2(a)
     sample = sorted(seq.fracs[::_SAMPLE_STRIDE]) + [max(seq.fracs)]
     s = bisect_left(sample, sample[-1]) + 1
@@ -1263,7 +1306,7 @@ def test_every_window_obeys_the_width_rule(kind):
         ws = generate_weights(random.Random("width:1024"), n, 1024)
     seq = WeightSeq(ws)
     assert len(set(seq.fracs)) == n
-    a = _static_pass(seq.floors, None)[1]
+    a = bottom_entry(seq.floors)[1]
     res, rounds = _window_items_within_bound(ws)
     windows = [r for r in rounds if r["edges"]]
     for r in windows:
@@ -1287,12 +1330,14 @@ def test_answer_corpus_is_pinned():
     # digest and its counters to another: a change to the search's work
     # moves only the second, re-recorded with the rows that moved
     # (python tests/helpers.py prints them), while a change to the first
-    # is a wrong answer.  The live tree's search must agree up to n =
-    # 4097, and the rational DP wherever it can run.  No frac is sorted
-    # twice, so at most n are sorted
+    # is a wrong answer.  Every answer is certified optimal, the live
+    # tree's search must agree up to n = 4097, and the rational DP
+    # wherever it can run.  No frac is sorted twice, so at most n are
+    # sorted
     answers, counters = hashlib.sha256(), hashlib.sha256()
     for label, ws in corpus_inputs():
         res = alpha_real(ws)
+        certify(ws, res)
         assert res.instrumentation["sort_items"] <= len(ws), label
         got = (res.alpha, res.b, type(res.b).__name__, res.int_cost, res.depths)
         answers.update(repr(got).encode())
