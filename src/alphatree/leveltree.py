@@ -23,15 +23,19 @@ A static integer instance needs none of the dynamic machinery:
 static_cost and static_witness group the levels exactly as the build
 does, in the same left-to-right stack pass with no arena, no union-find
 and no journal, and the live tree's witness is static_witness of its
-leaf levels.  Three loops run that pass, with the runs popped below the
+leaf levels.  Four loops run that pass, with the runs popped below the
 incoming level lifted inline and no call per pop: the build makes one
 new node over each run, static_witness pairs the run's fragments by
 index arithmetic, with no work for a run of one fragment, and the
-counting pass, _squeeze_pass, counts rather than lists.  It squeezes
-runs of fixed levels (see the static-pass comment), so that the sorted
-search's repeated passes over them stay short, and at a single offset
-its output is read by a fold with no stack, _bottom_entry: that is
-static_cost, and each probe of the sorted search.
+counting passes count rather than list.  The squeeze, _squeeze_pass,
+squeezes runs of fixed levels (see the static-pass comment), so that
+the sorted search's repeated passes over them stay short, and at a
+single offset its output is read by a fold with no stack,
+_bottom_entry: that is static_cost, and each probe of the sorted
+search.  The fold pass, _fold_pass, runs once over the floors: it
+gives the target of both searches and folds each run that costs the
+same at every offset into one item, so that the sorted search walks
+only the positions that can change the cost.
 
 The undo journal is one flat list, and undo is set union with
 backtracking: it returns to the state its segment opened in.  A set
@@ -170,8 +174,9 @@ class UnionFindDeunion:
 # an item at the top's level costs one add or append, and none calls a
 # function per pop.  The counting pass, _squeeze_pass, keeps the
 # entries under the top in two lists, popped together (a tuple stack,
-# or peeking at the entry under the top, made them no faster).  The
-# passes over lists (the build and static_witness) keep (level, run)
+# or peeking at the entry under the top, made them no faster); the fold
+# pass, whose entries also carry their first position, keeps tuples.
+# The passes over lists (the build and static_witness) keep (level, run)
 # tuples and peek at the entry under the top, so a run lifted to the
 # incoming level pops and pushes nothing.
 #
@@ -195,8 +200,31 @@ class UnionFindDeunion:
 # whole list's: it rises to the pass's bottom entry (t, a), t the
 # largest level, and falls from there.  _bottom_entry reads that entry
 # with no stack, by a fold that lifts each item into the next from
-# either end.  That is a probe of the sorted search, its target (the
-# probe at 1.0, above every frac) and static_cost.
+# either end.  That is a probe of the sorted search and static_cost.
+#
+# The fold pass, _fold_pass, is the pass over the floors, at 1.0 above
+# every frac: the search's target.  It also folds the runs that no offset
+# can change.  When an incoming position i at floor y pops the entries
+# below y, they hold the run R of positions since the last one at y or
+# above (any entry at y or above is never popped by R's levels, all
+# below y); R lifts to y with load ceil(a / 2^(y - t)), (t, a) its
+# bottom entry with the others lifted into it, and R's own cost is t +
+# ceil_log2(a).  If R holds two positions or more and costs at most y -
+# 1, the pass replaces R by one item fixed at y, and the replacement is
+# exact at every offset.  Raising any of R's levels by one raises its
+# cost by at most one, to at most y, and a run of two or more leaves
+# costs more than its highest level, so at every offset all of R lies
+# below y, and so below both its neighbours: the position before it (or
+# the sentinel) and i, at y or y + 1.  So at every offset R is popped
+# whole when i comes in and lifts to z, the lower of i's level and the
+# entry's below, z >= y, with load 1, since its cost is at most y; the
+# item at y lands at z with load 1 too, lifted there or, at z = y,
+# merged.  So the stack after i, and everything after, is the same.  No
+# position at the largest floor is ever folded: none lies below an
+# incoming floor.  A single position is left as it is, as its fold would
+# shorten nothing.  The folds nest: a fold whose run holds earlier ones
+# replaces them, and the position after the outermost is kept, so the
+# items are at most twice the kept positions.
 
 _TOP = math.inf
 
@@ -270,6 +298,70 @@ def _squeeze_pass(levels, fracs, counts, flo, fhi):
         out_k.append(a)
         out_f += [0.0] * len(lv)
     return out
+
+
+def _fold_pass(levels, fracs):
+    # the target's bottom entry (t, a), the pass over the floors (levels)
+    # alone, and the folded items (levels, fracs, counts) with the fracs
+    # of the kept positions, in position order: a run that an incoming
+    # position at y lifts is folded into the item (y, 0.0, 1) when it
+    # holds two positions or more and costs at most y - 1 (see the
+    # static-pass comment).  The folds are cut from the lists at the end
+    # as (start, end, level), a fold dropping those inside it.  The
+    # stack holds (level, load, first position) tuples under the top
+    # entry (t, a, s): in three lists, as _squeeze_pass keeps two, the
+    # loop took 1.03x to 1.08x as long (n = 2^14, d = 2 and 64)
+    cuts: list[tuple[int, int, int]] = []
+    st: list[tuple] = []
+    t, a, s = _TOP, 0, 0
+    for i, y in enumerate(levels):
+        if t == y:
+            a += 1
+        elif t > y:
+            st.append((t, a, s))
+            t, a, s = y, 1, i
+        else:
+            b, c, r = st.pop()
+            while b < y:
+                a = c + (-((-a) >> (b - t)))
+                t, s = b, r
+                b, c, r = st.pop()
+            # (t, a) is the run of positions s..i-1, all below y
+            if i - s > 1 and not (a - 1) >> (y - 1 - t):
+                while cuts and cuts[-1][0] >= s:
+                    cuts.pop()
+                cuts.append((s, i, y))
+            k = 1 + (-((-a) >> (y - t)))
+            if b == y:
+                t, a, s = b, c + k, r
+            else:
+                st.append((b, c, r))
+                t, a = y, k
+    if not st:
+        raise LevelTreeError("need at least one level")
+    # the end: each entry lifts into the one under it, down to the
+    # sentinel at st[0]
+    while len(st) > 1:
+        b, c, _ = st.pop()
+        a = c + (-((-a) >> (b - t)))
+        t = b
+    if not cuts:
+        return t, a, (levels, fracs, [1] * len(levels)), fracs
+    out_l, out_f, kept = [], [], []
+    j = 0
+    for s, e, y in cuts:
+        f = fracs[j:s]
+        out_l += levels[j:s]
+        out_l.append(y)
+        out_f += f
+        out_f.append(0.0)
+        kept += f
+        j = e
+    f = fracs[j:]
+    out_l += levels[j:]
+    out_f += f
+    kept += f
+    return t, a, (out_l, out_f, [1] * len(out_l)), kept
 
 
 def _bottom_entry(levels, fracs, counts, b) -> tuple[int, int]:

@@ -10,11 +10,11 @@ equals the cost at the largest one.
 Two search strategies share that skeleton:
 
 * alpha_real, the sorted search, narrows a bracket (flo, fhi] of
-  fractional parts around the answer in one loop, probing a repeated
-  fractional part once.  A probe at b is leveltree's counting pass,
-  the squeeze for [b, b], read by a fold.
-  Each round squeezes every run of positions whose level is decided
-  into at most 4d items, for the whole bracket once it spans at most
+  fractional parts (the kept positions', below) around the answer in
+  one loop, probing a repeated fractional part once.  A probe at b is
+  leveltree's counting pass, the squeeze for [b, b], read by a fold.
+  Each round squeezes every run of items whose level is decided into
+  at most 4d items, for the whole bracket once it spans at most
   1/16 of the items, then bisects, with one probe over its N items, or
   tries a window: the values around the rank interpolation search
   (Perl, Itai and Avni 1978) predicts from the passes at the bracket's
@@ -25,12 +25,12 @@ Two search strategies share that skeleton:
   It squeezes the N items for its edges and probes them; a hit brackets
   the answer by the two, and the next round works on the window's
   items, while a miss restores the N items.  Every window's edges, and
-  every bisection probe, come from one sorted list: from n = 4096,
-  every 8th fractional part, sorted (Floyd and Rivest 1975) and topped
-  by the largest, while a window spans 8 of its values or more; then
-  the bracket's fractional parts, those the sample did not hold sorted
-  (in C) and merged with its own.  So no fractional part is sorted
-  twice, and only one bracket's are.
+  every bisection probe, come from one sorted list of the n kept
+  fractional parts: from n = 4096, every 8th of them, sorted (Floyd and
+  Rivest 1975) and topped by the largest, while a window spans 8 of its
+  values or more; then the bracket's, those the sample did not hold
+  sorted (in C) and merged with its own.  So no fractional part is
+  sorted twice, and only one bracket's are.
 
   One rule chooses between bisection and a window.  Let L(s) =
   ceil(log2 s), the bisection probes that narrow s values to one.  The
@@ -50,31 +50,56 @@ Two search strategies share that skeleton:
   window to the next (a hit and a squeeze only shrink the items, a
   miss restores them), and window j walks c_j N_j <= (h_j + B_j -
   B_j+1) N_j items.  Summed by parts, with B_j >= 1 at every window,
-  B_1 <= 2 and the last B >= -2, the windows walk at most 4n items more
-  than the sum of h_j N_j, which is what bisection would walk for the
-  same halvings over the items each window started from.  A miss that
-  gains no halving costs c > 1 and leaves B < 1, so it is the last
-  window.  So a bisection probe and a window that holds the answer
-  (two probes for h >= 2) spend at most one probe per halving, any
-  other window at most two per halving, and the last one at most two
-  more: past the target and the witness the search makes at most 2H +
-  2 probes, where H = L(m + 1) + L(n) bounds the halvings in a sample
-  of m values and in the sorted fracs; and at most one per distinct
-  offset but the largest, since each probes an offset strictly inside
-  the bracket, whose top starts at the largest.  A squeeze folds every
-  run of positions whose level no later probe can change into at most
-  4d items, so the passes walk O(n log d) items in all rather than n
-  per probe.
+  B_1 <= 2 and the last B >= -2, the windows walk at most 4N items
+  more than the sum of h_j N_j, which is what bisection would walk for
+  the same halvings over the items each window started from; N, the
+  items the fold leaves, is at most 2n, as the position after a folded
+  run is kept.  A miss that gains no halving costs c > 1 and leaves B <
+  1, so it is the last window.  So a bisection probe and a window that
+  holds the answer (two probes for h >= 2) spend at most one probe per
+  halving, any other window at most two per halving, and the last one
+  at most two more: past the target and the witness the search makes
+  at most 2H + 2 probes, where H = L(m + 1) + L(n) bounds the halvings
+  in a sample of m values and in the n sorted kept fracs; and at most one per
+  distinct kept offset but the largest, since each probes an offset
+  strictly inside the bracket, whose top starts at the largest.  A
+  squeeze folds every run of items whose level no later probe can
+  change into at most 4d items, so the passes walk O(N log d) items in
+  all rather than N per probe, besides the target's and the witness's
+  passes over all the positions.
 * alpha_real_new, the paper's algorithm, never sorts.  It keeps one
   level tree alive, walks a median-of-medians partition of the
   fractional parts, and moves between probe offsets by set/undo on the
   tree, touching each position O(1) times overall.
 
-Both take the target cost from the probe at 1.0, above every
-fractional part, where every level is floor(w), and the witness at the
-final offset from static_witness; only the live tree of alpha_real_new
-is a LevelTree.  A cost of magnitude 2^52 or more that no float holds
-exactly raises InexactCostError.
+Both take the target, the cost at the largest fractional part, from
+leveltree's fold pass over the floors, the pass at 1.0, above every
+fractional part.  The pass also folds every run of two or more
+positions that the floor y of the next position lifts, when the run
+costs at most y - 1 at the floors, into one item fixed at y: raising
+levels adds at most one to the run's cost and both its neighbours sit
+at y or above, so the run costs the same at every offset (leveltree's
+static-pass comment).  The other positions are kept.  alpha_real_new
+ignores the folded items.
+
+Lemma: the answer is the fractional part of a kept position.  The
+folded runs cost the same at every offset, so the cost changes only
+where a kept position's level does, at a kept fractional part.  Let f
+be the answer and suppose it is no kept one.  If a kept fractional part
+lies below f, take the largest, g: no kept level differs between g and
+f (one does iff its fractional part lies in (g, f]), so g is feasible,
+against f being the smallest.  Otherwise, below the smallest kept
+fractional part every kept position that is not integral is raised.
+With no integral position kept, that is every kept position, and the
+cost is the all-raised cost, target + 1, so f is not feasible either;
+with one kept, 0.0 is itself a kept fractional part, at or below f.
+So the sorted search samples, sorts and probes the kept fractional
+parts alone, over the folded items.
+
+Both take the witness at the final offset from static_witness, over
+the raw levels; only the live tree of alpha_real_new is a LevelTree.
+A cost of magnitude 2^52 or more that no float holds exactly raises
+InexactCostError.
 """
 
 from __future__ import annotations
@@ -83,7 +108,7 @@ import math
 from bisect import bisect_left, bisect_right
 
 from .leveltree import LevelTree, WeightSeq, as_weight_seq
-from .leveltree import _bottom_entry, _squeeze_pass, ceil_log2, static_witness
+from .leveltree import _bottom_entry, _fold_pass, _squeeze_pass, ceil_log2, static_witness
 from .core import minimax_cost_by_dp
 
 
@@ -100,9 +125,11 @@ class RealCostResult:
     live tree's sets, undos, finds, unions and deunions, the items the
     median search partitioned, probes, the number of static passes,
     probe_items, the items they walked, squeeze_items, the items the
-    sorted search's squeezes walked, and sort_items, the fractional
+    sorted search's squeezes walked, sort_items, the fractional
     parts it sorted, its sample included (0 for the live tree's
-    search, which never sorts).
+    search, which never sorts), and kept_items, the positions the fold
+    pass kept, whose fractional parts the sorted search reads (the
+    live tree's search sets every position regardless).
 
     b is exact and in [0, 1): a float, or a Fraction when it is the
     fractional part of a weight in (-1/2, 0) with bits below 2^-53 (see
@@ -174,7 +201,18 @@ def _zero_counters() -> dict:
         "probe_items": 0,
         "squeeze_items": 0,
         "sort_items": 0,
+        "kept_items": 0,
     }
+
+
+def _target(seq, acc):
+    # the fold pass over the floors: the target's bottom entry (t, a) at
+    # offset 1.0, above every frac, the folded items and the kept fracs
+    acc["probes"] += 1
+    acc["probe_items"] += seq.n
+    t, a, items, kept = _fold_pass(seq.floors, seq.fracs)
+    acc["kept_items"] = len(kept)
+    return t, a, items, kept
 
 
 def _probe(levels, fracs, counts, b, acc) -> tuple[int, int]:
@@ -190,15 +228,18 @@ def _squeeze(levels, fracs, counts, flo, fhi, acc):
     return _squeeze_pass(levels, fracs, counts, flo, fhi)
 
 
-# A squeeze walks every item, about twice the cost of a probe's pass,
-# but shortens only long runs.  So the search squeezes only once the
-# undecided positions (about hi - lo + 1) are at most 1/16 of the items,
-# when runs average 15 items or more.  Timed against 4, 8, 32 and no
-# squeeze at all (2-core box, best of 7 alternating runs, n = 512, 4096
-# and 2^14, d in {1, 2, 8, 64, n}), 16 was never beaten by more than
-# the noise: 8 took 0.87x to 1.34x its time, 4 1.01x to 1.50x, 32 0.92x
-# to 1.13x, and no squeeze 1.10x to 1.80x.  A target load below 16
-# gets no window: Q then takes at most 17 values across all the offsets.
+# A squeeze walks every item, in 1.2x to 1.3x the time of a probe's
+# pass over the folded items (n = 2^14, perfbench's real-lowd and
+# real-highd shapes, a squeeze for 1/16 of the kept fracs), but shortens
+# only long runs.  So the search squeezes only once the undecided
+# positions (about hi - lo + 1) are at most 1/16 of the items, when runs
+# average 15 items or more.  Timed on the folded items against 4, 8, 32
+# and no squeeze at all (2-core box, best of 3 alternating runs, those
+# shapes, n = 4096 at d = 8 and d = n, and near-uniform code weights at
+# 2^14), 16 was never beaten by more than the noise of 5%: 4 took 0.95x
+# to 1.06x its time, 8 0.97x to 1.08x, 32 0.98x to 1.06x and no squeeze
+# 0.96x to 1.53x.  A target load below 16 gets no window: Q then takes
+# at most 17 values across all the offsets.
 _SQUEEZE_RUN = 16
 
 # The first windows are read from a sorted sample of every 8th frac
@@ -210,7 +251,8 @@ _SQUEEZE_RUN = 16
 # of every 16th frac missed 72 first windows and one of every 8th 48,
 # for 1024 more values sorted (real-highd's shape, d = 64: 66 and 62; Q
 # there moves mostly with the top ceiling's own fracs, whose scatter no
-# sample of all fracs cuts)
+# sample of all fracs cuts.  Since the fold pass, that shape keeps about
+# 9% of its positions, fewer than 4096, and takes no sample)
 _SAMPLE_STRIDE = 8
 
 # A window takes 1/24 of the bracket's values, but at least four of the
@@ -241,14 +283,12 @@ def alpha_real(w) -> RealCostResult:
     """
     seq = as_weight_seq(w)
     acc = _zero_counters()
-    n, fracs = seq.n, seq.fracs
-    # the items (levels, fracs, counts): a position not squeezed yet is
-    # its floor, frac and count 1, a squeezed item a fixed level, frac
-    # 0.0 and its count
-    items = seq.floors, fracs, [1] * n
-    # the target is the probe at 1.0, above every frac: every level is
-    # its floor
-    t, a = _probe(*items, 1.0, acc)
+    # the items (levels, fracs, counts): a kept position not squeezed yet
+    # is its floor, frac and count 1, a folded run or a squeezed item a
+    # fixed level, frac 0.0 and its count; fracs and n are the kept
+    # positions', and the search reads no other
+    t, a, items, fracs = _target(seq, acc)
+    n = len(fracs)
     target = t + ceil_log2(a)
     # Q(b) = a_b * 2^(t_b - t) from the pass at b is an integer (t_b,
     # the largest level, is t or t + 1), and b is feasible iff Q <= cap
@@ -296,8 +336,8 @@ def alpha_real(w) -> RealCostResult:
         if stride > 1 and (lo == hi or w < stride):
             # sort the bracket's fracs less the sample's, which come in
             # the same position order: a frac equal to the sample's next
-            # is taken as that one, and dropped (squeezed items carry
-            # frac 0.0, above the bottom sentinel)
+            # is taken as that one, and dropped (folded and squeezed
+            # items carry frac 0.0, above the bottom sentinel)
             held = iter([f for f in fracs[::stride] if flo < f <= fhi] + [None])
             h = next(held)
             rest = sorted([f for f in (fracs if flo < 0 else items[1])
@@ -366,7 +406,7 @@ def alpha_real_new(w) -> RealCostResult:
     seq = as_weight_seq(w)
     acc = _zero_counters()
     fracs = seq.fracs
-    t, a = _probe(seq.floors, fracs, [1] * seq.n, 1.0, acc)
+    t, a, _, _ = _target(seq, acc)
     target = t + ceil_log2(a)
 
     tree = LevelTree(seq)  # all bits clear: the state at offset 0

@@ -28,12 +28,13 @@ from alphatree.leveltree import (
     NIL,
     _TOP,
     _ceil_shift,
+    _fold_pass,
     as_weight_seq,
     ceil_log2,
     static_cost,
     static_witness,
 )
-from alphatree.realweight import _SQUEEZE_RUN, _finish, _probe, _squeeze, _zero_counters
+from alphatree.realweight import _SQUEEZE_RUN, _finish, _probe, _squeeze, _target, _zero_counters
 
 
 @lru_cache(maxsize=None)
@@ -136,13 +137,14 @@ def probe_decode(book, bits):
     return "".join(out)
 
 
-def unsqueezed_sorted(w):
+def unsqueezed_sorted(w, fracs=None):
     """Reference sorted search: the same binary search over the sorted
-    fractional parts, dropping a probed value's whole run of copies,
-    with every probe a full stack pass over all n adjusted levels.
-    Returns (b, int_cost, depths, probes)."""
+    fractional parts (or over fracs, such as the kept positions' of
+    kept_fracs), dropping a probed value's whole run of copies, with
+    every probe a full stack pass over all n adjusted levels.  Returns
+    (b, int_cost, depths, probes)."""
     seq = WeightSeq(w)
-    order = sorted(seq.fracs)
+    order = sorted(seq.fracs if fracs is None else fracs)
     target = static_cost(seq.adjusted(order[-1]))
     probes = 1
     lo, hi = 0, order.index(order[-1])
@@ -161,17 +163,16 @@ def unsqueezed_sorted(w):
 
 
 def bisected_sorted(w):
-    """Reference for alpha_real with no interpolated window: the
-    bisection over the sorted fractional parts from the whole range,
-    squeezing at the start of each round once at most 1/_SQUEEZE_RUN of
-    the items are undecided.  Returns its RealCostResult, counters
-    included."""
+    """Reference for alpha_real with no interpolated window: from the
+    fold pass, the bisection over the kept positions' sorted fractional
+    parts from the whole range, squeezing at the start of each round
+    once at most 1/_SQUEEZE_RUN of the items are undecided.  Returns
+    its RealCostResult, counters included."""
     seq = as_weight_seq(w)
     acc = _zero_counters()
-    order = sorted(seq.fracs)
-    acc["sort_items"] += seq.n
-    items = seq.floors, seq.fracs, [1] * seq.n
-    t, a = _probe(*items, order[-1], acc)
+    t, a, items, fracs = _target(seq, acc)
+    order = sorted(fracs)
+    acc["sort_items"] += len(order)
     target = t + ceil_log2(a)
     lo, hi = 0, bisect_left(order, order[-1])
     while lo < hi:
@@ -185,6 +186,30 @@ def bisected_sorted(w):
         else:
             lo = bisect_right(order, b, mid, hi)
     return _finish(seq, order[lo], target, "sorted", acc)
+
+
+def kept_fracs(w):
+    """The fracs of the positions the fold pass keeps, in position
+    order: the fracs the sorted search samples, sorts and probes."""
+    seq = as_weight_seq(w)
+    return _fold_pass(seq.floors, seq.fracs)[3]
+
+
+def reference_fold(levels):
+    """Reference for the fold pass's runs, by static_witness (which
+    shares no code with the counting passes): for each position i at
+    level y, the run of positions since the last one at y or above (or
+    the start), when it holds two positions or more and costs at most
+    y - 1; only the runs no other holds are kept.  Returns their
+    (start, end, level), end exclusive, by start."""
+    runs = []
+    for i, y in enumerate(levels):
+        p = i - 1
+        while p >= 0 and levels[p] < y:
+            p -= 1
+        if i - p > 2 and static_witness(levels[p + 1:i])[0] < y:
+            runs = [r for r in runs if r[0] <= p] + [(p + 1, i, y)]
+    return runs
 
 
 def near_uniform_weights(rng, n):

@@ -41,7 +41,7 @@ def test_tree_real_weights(tmp_path, capsys):
     assert doc["strategy"] == "sorted"
     assert set(doc["instrumentation"]) == {
         "sets", "undos", "finds", "unions", "deunions", "partition_items",
-        "probes", "probe_items", "squeeze_items", "sort_items",
+        "probes", "probe_items", "squeeze_items", "sort_items", "kept_items",
     }
 
 
@@ -439,35 +439,36 @@ def test_bench_deterministic_without_timing(capsys):
     assert [list(row) for row in json.loads(out1)["rows"]] == [[
         "n", "d", "trial", "algo", "sets", "undos", "finds", "unions", "deunions",
         "partition_items", "probes", "probe_items", "squeeze_items", "sort_items",
+        "kept_items",
     ]] * 16
 
 
 # the sorted search's bench rows, as CSV lines under their keys,
-# recorded when its one search loop landed, with the squeeze_items and
-# sort_items keys added since; a later change to the search's work (its
-# probes, probe_items, squeeze_items or sort_items on any row) shows
-# here as the rows that moved, and must update them and log the old and
-# new rows in CHANGES.md
+# recorded when its one search loop landed, with the squeeze_items,
+# sort_items and kept_items keys added since; a later change to the
+# search's work (its probes, probe_items, squeeze_items, sort_items or
+# kept_items on any row) shows here as the rows that moved, and must
+# update them and log the old and new rows in CHANGES.md
 SORTED_BENCH_CSV = """\
-n,d,trial,algo,sets,undos,finds,unions,deunions,partition_items,probes,probe_items,squeeze_items,sort_items
-1024,1,0,sorted,0,0,0,0,0,0,7,2223,1067,1024
-1024,1,1,sorted,0,0,0,0,0,0,7,2223,1067,1024
-1024,2,0,sorted,0,0,0,0,0,0,10,2848,1234,1024
-1024,2,1,sorted,0,0,0,0,0,0,9,2825,1238,1024
-1024,8,0,sorted,0,0,0,0,0,0,10,2984,2164,1024
-1024,8,1,sorted,0,0,0,0,0,0,9,3022,1291,1024
-1024,64,0,sorted,0,0,0,0,0,0,10,3452,1708,1024
-1024,64,1,sorted,0,0,0,0,0,0,14,7744,2465,1024
-4096,1,0,sorted,0,0,0,0,0,0,4,8328,4229,570
-4096,1,1,sorted,0,0,0,0,0,0,4,8298,4199,554
-4096,2,0,sorted,0,0,0,0,0,0,8,9665,6172,662
-4096,2,1,sorted,0,0,0,0,0,0,12,10376,5141,611
-4096,8,0,sorted,0,0,0,0,0,0,9,10215,5872,682
-4096,8,1,sorted,0,0,0,0,0,0,10,10257,5797,652
-4096,64,0,sorted,0,0,0,0,0,0,12,12840,9798,634
-4096,64,1,sorted,0,0,0,0,0,0,11,11034,13579,937
-4096,4096,0,sorted,0,0,0,0,0,0,14,28769,6347,623
-4096,4096,1,sorted,0,0,0,0,0,0,14,28976,6961,648
+n,d,trial,algo,sets,undos,finds,unions,deunions,partition_items,probes,probe_items,squeeze_items,sort_items,kept_items
+1024,1,0,sorted,0,0,0,0,0,0,7,2223,1067,1024,1024
+1024,1,1,sorted,0,0,0,0,0,0,7,2223,1067,1024,1024
+1024,2,0,sorted,0,0,0,0,0,0,9,2520,872,645,645
+1024,2,1,sorted,0,0,0,0,0,0,8,2394,1969,898,898
+1024,8,0,sorted,0,0,0,0,0,0,9,2365,1187,442,442
+1024,8,1,sorted,0,0,0,0,0,0,7,2227,369,222,222
+1024,64,0,sorted,0,0,0,0,0,0,7,2258,205,106,106
+1024,64,1,sorted,0,0,0,0,0,0,10,2746,384,108,108
+4096,1,0,sorted,0,0,0,0,0,0,4,8328,4229,570,4096
+4096,1,1,sorted,0,0,0,0,0,0,4,8298,4199,554,4096
+4096,2,0,sorted,0,0,0,0,0,0,8,9178,3821,2926,2926
+4096,2,1,sorted,0,0,0,0,0,0,13,10174,3846,2570,2570
+4096,8,0,sorted,0,0,0,0,0,0,10,9509,4286,2730,2730
+4096,8,1,sorted,0,0,0,0,0,0,9,9026,2497,1631,1631
+4096,64,0,sorted,0,0,0,0,0,0,11,9628,809,222,222
+4096,64,1,sorted,0,0,0,0,0,0,8,8630,740,403,403
+4096,4096,0,sorted,0,0,0,0,0,0,7,8377,49,30,30
+4096,4096,1,sorted,0,0,0,0,0,0,7,8459,60,37,37
 """
 
 
@@ -554,7 +555,7 @@ def test_bench_timing_column(capsys):
     assert [list(row) for row in rows] == [[
         "n", "d", "trial", "algo", "wall_ns", "sets", "undos", "finds", "unions",
         "deunions", "partition_items", "probes", "probe_items", "squeeze_items",
-        "sort_items",
+        "sort_items", "kept_items",
     ]] * 2
     assert all(row["wall_ns"] > 0 for row in rows)
 
@@ -562,6 +563,8 @@ def test_bench_timing_column(capsys):
 # every committed bench file, and one bench writes now: the baselines a
 # speed claim compares against must stay readable beside fresh rows
 _BENCH_FILES = sorted(glob.glob(os.path.join(os.path.dirname(__file__), os.pardir, "BENCH_*.json")))
+_BENCH_FILES_BEFORE_KEPT_ITEMS = {"BENCH_baseline.json", "BENCH_qsteps.json",
+                                  "BENCH_sample-ends.json", "BENCH_sample8.json"}
 
 
 @pytest.mark.parametrize("path", _BENCH_FILES + [None],
@@ -582,7 +585,11 @@ def test_bench_files_share_one_format(path, tmp_path, capsys):
     # the argv is still a bench command line
     assert doc["argv"][0] == "bench"
     assert alphatree.cli.build_parser().parse_args(doc["argv"]).command == "bench"
+    # kept_items came last, with BENCH_fold.json; the files before it
+    # hold every other counter
     keys = ["n", "d", "trial", "wall_ns", *alphatree.cli._COUNTER_COLS]
+    if os.path.basename(str(path)) in _BENCH_FILES_BEFORE_KEPT_ITEMS:
+        keys.remove("kept_items")
     for row in doc["rows"]:
         assert row["algo"] in alphatree.cli._ALGO_RUNNERS
         assert all(type(row[key]) is int for key in keys), row

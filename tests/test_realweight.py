@@ -21,7 +21,7 @@ from alphatree import (
 )
 from alphatree.core import minimax_cost_by_dp
 import alphatree.realweight
-from alphatree.leveltree import _bottom_entry, ceil_log2, static_cost, static_witness
+from alphatree.leveltree import _bottom_entry, _fold_pass, ceil_log2, static_cost, static_witness
 from alphatree.realweight import (
     _BUDGET,
     _SAMPLE_STRIDE,
@@ -38,9 +38,11 @@ from helpers import (
     bottom_entry,
     certify,
     corpus_inputs,
+    kept_fracs,
     near_uniform_inputs,
     per_run_squeeze,
     random_real_weights,
+    reference_fold,
     unsqueezed_sorted,
 )
 
@@ -286,7 +288,7 @@ def test_alpha_real_reports_every_counter():
     res = alpha_real([0.5, 1.25, 0.75, 2.0])
     assert set(res.instrumentation) == {
         "sets", "undos", "finds", "unions", "deunions", "partition_items",
-        "probes", "probe_items", "squeeze_items", "sort_items",
+        "probes", "probe_items", "squeeze_items", "sort_items", "kept_items",
     }
 
 
@@ -363,10 +365,14 @@ weight_lists = st.one_of(
 @settings(max_examples=500, deadline=None)
 @given(weight_lists)
 def test_squeezed_search_matches_unsqueezed(ws):
-    b, target, depths, probes = unsqueezed_sorted(ws)
+    b, target, depths, _ = unsqueezed_sorted(ws)
     res = alpha_real_sorted(ws)
     assert (res.b, res.int_cost, res.depths) == (b, target, depths)
     assert res.alpha == target + b
+    # the same bisection over the kept fracs finds the same answer and
+    # makes the same probes
+    *kept, probes = unsqueezed_sorted(ws, kept_fracs(ws))
+    assert kept == [b, target, depths]
     assert res.instrumentation["probes"] == probes
     other = alpha_real_new(ws)
     assert (other.alpha, other.b, other.depths) == (res.alpha, b, depths)
@@ -382,12 +388,106 @@ def test_squeezed_search_matches_unsqueezed(ws):
 @example([2.0])
 def test_target_pass_walks_the_floors(ws):
     # no frac is above 1.0, nor above the largest, so at either offset
-    # no floor is raised: the target, the probe at 1.0, is the pass at
-    # the largest frac
+    # no floor is raised: the target, the fold pass over the floors, is
+    # the pass at 1.0 and at the largest frac
     seq = WeightSeq(ws)
     assert seq.floors == [math.floor(w) for w in ws]
-    got = _bottom_entry(seq.floors, seq.fracs, [1] * seq.n, 1.0)
+    got = _fold_pass(seq.floors, seq.fracs)[:2]
+    assert got == _bottom_entry(seq.floors, seq.fracs, [1] * seq.n, 1.0)
     assert got == bottom_entry(seq.floors) == bottom_entry(seq.adjusted(max(seq.fracs)))
+
+
+def _check_fold(ws):
+    # the fold pass against code it shares nothing with: its target is
+    # a LevelTree's bottom entry over the floors, its items the raw ones
+    # with each run of reference_fold replaced by (y, 0.0, 1), down to
+    # the type of each frac, and at 1.0 and at every distinct frac the
+    # folded items end in the raw levels' bottom entry.  No position at
+    # the largest floor is folded.  Returns the runs
+    seq = WeightSeq(ws)
+    t, a, items, kept = _fold_pass(seq.floors, seq.fracs)
+    assert (t, a) == bottom_entry(seq.floors)
+    runs = reference_fold(seq.floors)
+    want_l, want_f, want_kept, j = [], [], [], 0
+    for start, end, y in runs + [(seq.n, seq.n, None)]:
+        want_l += seq.floors[j:start] + [y] * (y is not None)
+        want_f += seq.fracs[j:start] + [0.0] * (y is not None)
+        want_kept += seq.fracs[j:start]
+        j = end
+    assert repr(items) == repr((want_l, want_f, [1] * len(want_l)))
+    assert repr(kept) == repr(want_kept)
+    top = max(seq.floors)
+    assert all(seq.floors[i] < top for start, end, _ in runs for i in range(start, end))
+    for b in sorted(set(seq.fracs)) + [1.0]:
+        assert _bottom_entry(*items, b) == bottom_entry(seq.adjusted(b)), b
+    return runs
+
+
+@settings(max_examples=400, deadline=None)
+@given(weight_lists)
+# integral walls around a run that folds, and around one position,
+# which does not
+@example([9.0, 0.5, 0.25, 9.0])
+@example([9.0, 0.5, 9.0])
+# a fold nested in a fold, and a run that costs one too many to fold
+@example([9.0, 0.5, 0.25, 5.0, 0.75, 9.0])
+@example([2.0, 0.5, 0.25, 0.75, 2.0])
+def test_fold_pass_is_exact_at_every_offset(ws):
+    _check_fold(ws)
+
+
+def test_fold_pass_is_exact_on_long_wide_inputs():
+    # long inputs whose ceilings lie 3 to 20 apart, with integral
+    # weights and tied fracs: runs fold inside runs, and the search's
+    # answer must come out as without the fold
+    rng = random.Random("fold:wide")
+    folded = 0
+    for _ in range(12):
+        n = rng.randint(300, 1500)
+        gap = rng.choice([3, 5, 8, 20])
+        pool = [rng.choice([0.0, 0.5, 1e-12, 1 - 1e-12, rng.random()]) for _ in range(3)]
+        ceils = [gap * rng.randint(0, rng.choice([2, 6, 20])) for _ in range(n)]
+        fracs = [rng.choice(pool) if rng.random() < 0.3 else rng.random() for _ in range(n)]
+        ws = [c - 1 + f if f else float(c) for c, f in zip(ceils, fracs)]
+        folded += sum(end - start for start, end, _ in _check_fold(ws))
+        res = alpha_real(ws)
+        assert res.b in kept_fracs(ws)
+        _same_answer(res, ws)
+        certify(ws, res)
+    assert folded > 0
+
+
+@pytest.mark.parametrize("ws", [
+    # integral walls around folded runs
+    [9.0, 0.5, 9.0],
+    [9.0, 0.5, 0.25, 9.0, 1.75, 1.5, 9.0],
+    [-3.0, -9.5, -9.25, -3.0, -8.125, -8.5, -8.75, -3.0],
+    # everything folds but the integral walls, so the answer is 0.0,
+    # and one frac kept among walls
+    [9.0, 0.3, 0.7, 9.0, 0.1, 0.9, 0.5, 9.0],
+    [9.0, 0.3, 0.7, 9.0, 8.5, 9.0, 0.1, 0.9, 9.0],
+    # n = 1, all-integral input and near-integer fracs
+    [5.5], [-0.0], [3.0, 3.0, 1.0, 3.0], [7.0] * 5,
+    [9.0, 1 - 1e-12, 1e-12, 9.0, 1 - 1e-15, 9 - 1e-12],
+    [-1e-20, 5.0, -1e-20, -1e-20, 5.0],
+    # huge magnitudes, around folded runs and as the walls
+    [2.0**40, 0.5, 0.25, 2.0**40, 3.5, 2.0**40],
+    [2.0**51, 3.5, 3.25, 2.0**51 + 0.5, 7.5, 7.75, 2.0**51],
+    [-2.0**60, 0.5, 0.25, 0.0],
+])
+def test_fold_keeps_the_answer_among_kept_fracs(ws):
+    # the lemma of realweight's module docstring: the answer is a kept
+    # position's frac, so the search over the kept fracs alone finds
+    # the optimal offset, certified by static_witness; the two
+    # strategies agree, and the fold is exact
+    _check_fold(ws)
+    res = alpha_real(ws)
+    assert res.b in kept_fracs(ws)
+    certify(ws, res)
+    new = alpha_real_new(ws)
+    assert (res.alpha, res.b, type(res.b), res.depths) == (new.alpha, new.b, type(new.b), new.depths)
+    if len(ws) <= 12:
+        assert res.alpha == alpha_real_oracle(ws)
 
 
 def test_squeezed_search_matches_unsqueezed_long():
@@ -413,9 +513,11 @@ def _search_probe_bound(ws):
     # the largest, each probing an offset strictly inside the bracket,
     # and at most 2H + 2, where H = L(m + 1) + L(n), with L = ceil_log2,
     # bounds the halvings in the sample of m values (none below n =
-    # 4096) and in the sorted fracs
-    n = len(ws)
-    offsets = len(set(WeightSeq(ws).fracs))
+    # 4096) and in the sorted fracs; the offsets and n are the kept
+    # positions'
+    fracs = kept_fracs(ws)
+    n = len(fracs)
+    offsets = len(set(fracs))
     m = -(-n // _SAMPLE_STRIDE) if n >= 4096 else 0
     return 2 + min(offsets - 1, 2 * (ceil_log2(m + 1) + ceil_log2(n)) + 2)
 
@@ -437,13 +539,17 @@ def _probe_item_bound(n, nlevels):
 
 def _window_items_within_bound(ws):
     # the item bound of realweight's module docstring, round by round:
-    # the windows walk at most 4n items more than h probes over the N
-    # items each window started from, summed over the windows; returns
-    # the result and the rounds
+    # the windows walk at most 4N items more than h probes over the N
+    # items each window started from, summed over the windows, where N,
+    # the items the fold pass leaves, is at most twice the kept
+    # positions; returns the result and the rounds
     res, rounds = _replay(ws)
+    seq = WeightSeq(ws)
+    _, _, (levels, _, _), kept = _fold_pass(seq.floors, seq.fracs)
+    assert len(levels) <= 2 * len(kept)
     windows = [r for r in rounds if r["edges"]]
     walked = sum(r["walked"] for r in windows)
-    assert walked <= sum(r["h"] * r["N"] for r in windows) + 4 * len(ws), rounds
+    assert walked <= sum(r["h"] * r["N"] for r in windows) + 4 * len(levels), rounds
     assert all(r["budget"] >= 1 for r in windows)
     return res, rounds
 
@@ -653,13 +759,16 @@ def test_squeezed_pass_is_exact_in_the_window(items, f1, f2):
 def skewed_weights(rng, n, late):
     # distinct fracs i / (n + 1); about half the weights on the late
     # (fracs above 1/2) or early side get ceiling 8, the rest ceilings in
-    # [-4, 0].  Lowering a ceiling-8 weight moves Q the most, so Q falls
+    # [5, 7].  Lowering a ceiling-8 weight moves Q the most, so Q falls
     # late (or early) in the sorted order, away from the straight line
-    # the search interpolates, and its first window misses low (or high)
+    # the search interpolates, and its first window misses low (or high).
+    # The ceilings lie close, so the fold pass keeps over 90% of the
+    # positions (with ceilings in [-4, 0] it kept 30%, and the first
+    # window held the answer on all of 8 late inputs of 512 weights)
     ws = []
     for i in range(1, n + 1):
         f = i / (n + 1)
-        c = 8 if (f > 0.5) == late and rng.random() < 0.5 else rng.randint(-4, 0)
+        c = 8 if (f > 0.5) == late and rng.random() < 0.5 else rng.randint(5, 7)
         ws.append(c - 1 + f)
     rng.shuffle(ws)
     return ws
@@ -710,11 +819,18 @@ def _replay(ws):
     # None for a bisection round)
     seq = WeightSeq(ws)
     mod, log = alphatree.realweight, []
-    real_squeeze, real_probe = mod._squeeze, mod._probe
+    real_target, real_squeeze, real_probe = mod._target, mod._squeeze, mod._probe
+    folded = []
+
+    def target(seq, acc):
+        out = real_target(seq, acc)
+        folded.append(out[2][0])
+        log.append(("target",) + out)
+        return out
 
     def squeeze(levels, fracs, counts, flo, fhi, acc):
         out = real_squeeze(levels, fracs, counts, flo, fhi, acc)
-        log.append(("squeeze", (flo, fhi), len(levels), len(out[0]), levels is not seq.floors))
+        log.append(("squeeze", (flo, fhi), len(levels), len(out[0]), levels is not folded[0]))
         return out
 
     def probe(levels, fracs, counts, b, acc):
@@ -728,19 +844,22 @@ def _replay(ws):
         log.append(("sort", out))
         return out
 
-    mod._squeeze, mod._probe, mod.sorted = squeeze, probe, sort
+    mod._target, mod._squeeze, mod._probe, mod.sorted = target, squeeze, probe, sort
     try:
         res = alpha_real(seq)
     finally:
-        mod._squeeze, mod._probe = real_squeeze, real_probe
+        mod._target, mod._squeeze, mod._probe = real_target, real_squeeze, real_probe
         del mod.sorted
     assert res.instrumentation["squeeze_items"] == sum(e[2] for e in log if e[0] == "squeeze")
     events = iter(log)
-    # the first probe is the target, at 1.0 over the n floors
-    _, b, walked, t, a = next(events)
-    assert (b, walked) == (1.0, seq.n)
+    # the fold pass comes first: the target over the n floors, the
+    # folded items the search starts from, and the kept fracs, whose
+    # sample the first list is from 4096 of them
+    _, t, a, (levels, _, _), kept = next(events)
+    assert (t, a) == bottom_entry(seq.floors)
+    assert res.instrumentation["kept_items"] == len(kept)
     cap = 1 << ceil_log2(a)
-    flo, fhi, q1, q2, items, kind = -1.0, 1.0, 2 * a, a, seq.n, None
+    flo, fhi, q1, q2, items, kind = -1.0, 1.0, 2 * a, a, len(levels), None
     budget, rounds = (_BUDGET if a >= _SQUEEZE_RUN else 0), []
 
     def bracket():
@@ -766,7 +885,7 @@ def _replay(ws):
     for event in events:
         if event[0] == "sort":
             values = event[1]
-            kind = "sample" if kind is None and seq.n >= 4096 else "sorted"
+            kind = "sample" if kind is None and len(kept) >= 4096 else "sorted"
             continue
         lo, hi = bracket()
         span = hi - lo + 1
@@ -847,9 +966,11 @@ def test_missed_nested_windows_keep_the_answer(missed):
     # a window inside one that held the answer interpolates between that
     # window's two edge probes, and can miss on either side; the items
     # from before its squeeze and a secant step place the next one
+    # (at d = 2: at d = 64 the fold pass keeps about a tenth of the
+    # positions, and no nested window missed on these seeds)
     misses = 0
     for seed in range(10):
-        ws = _search_input(seed, 2048, 64)
+        ws = _search_input(seed, 2048, 2)
         res, sides, _ = _windows(ws)
         misses += sides.count((True, missed))
         ref = bisected_sorted(ws)
@@ -867,8 +988,9 @@ def test_window_skip_cases(kind):
     # one value below its top, the largest frac.  With two offsets the
     # search probes as the bisection does, the lower offset alone, and
     # sorts the sample and the fracs of the answer's offset that it did
-    # not hold; at d = n it bisects the sample first and sorts only the
-    # fracs between two of its values and the sample
+    # not hold (below 4096 kept fracs, as the 2620 of 2^12 weights here,
+    # every kept frac at once); at d = n it bisects the sample first and
+    # sorts only the fracs between two of its values and the sample
     for n in (2**12, 2**14):
         ws = _search_input(n, n, kind)
         assert _no_window(ws)
@@ -880,8 +1002,10 @@ def test_window_skip_cases(kind):
         got, ref = dict(res.instrumentation), dict(bisected_sorted(ws).instrumentation)
         if kind == "two offsets":
             below = max((f for f in set(seq.fracs) if f < res.b), default=-1.0)
-            sample = len(seq.fracs[::_SAMPLE_STRIDE])
-            assert got.pop("sort_items") == sample + _unheld(ws, below, res.b) < n
+            kept = kept_fracs(ws)
+            sorts = (len(kept) if len(kept) < 4096 else
+                     len(kept[::_SAMPLE_STRIDE]) + _unheld(ws, below, res.b))
+            assert got.pop("sort_items") == sorts <= len(kept) < n
             ref.pop("sort_items")
             assert got == ref
         else:
@@ -987,7 +1111,7 @@ def _same_answer(res, ws):
 
 
 def _sample_window(ws):
-    # the sorted sample of every 8th fractional part, topped by the
+    # the sorted sample of every 8th kept fractional part, topped by the
     # largest, and the indices of the first window's two edges in it: w
     # values on from r - w/2, where r = s(2a - cap) / a - 1 is the index
     # interpolated between Q = 2a at the sentinel below every frac
@@ -995,10 +1119,10 @@ def _sample_window(ws):
     # (index s - 1), cut at either, the lower edge then stepped down
     # past its copies.  Across those s values Q falls a steps, so w is
     # 1/24 of them but at least four steps, and at most 1/4 of them
-    seq = WeightSeq(ws)
-    a = bottom_entry(seq.floors)[1]
+    fracs = kept_fracs(ws)
+    a = bottom_entry(WeightSeq(ws).floors)[1]
     cap = 1 << ceil_log2(a)
-    sample = sorted(seq.fracs[::_SAMPLE_STRIDE]) + [max(seq.fracs)]
+    sample = sorted(fracs[::_SAMPLE_STRIDE]) + [max(fracs)]
     s = bisect_left(sample, sample[-1]) + 1
     w = min(max(s // _WINDOW, -(-4 * s // a)), s // 4)
     i = max(s * (2 * a - cap) // a - 1 - w // 2, -1)
@@ -1013,9 +1137,9 @@ def _edge(sample, x):
 
 
 def _unheld(ws, flo, fhi):
-    # how many fracs in (flo, fhi] the sample of every 8th one did not
-    # hold: the search sorts those and merges the sample's in
-    fracs = WeightSeq(ws).fracs
+    # how many kept fracs in (flo, fhi] the sample of every 8th one did
+    # not hold: the search sorts those and merges the sample's in
+    fracs = kept_fracs(ws)
     inside = sum(1 for f in fracs if flo < f <= fhi)
     return inside - sum(1 for f in fracs[::_SAMPLE_STRIDE] if flo < f <= fhi)
 
@@ -1044,27 +1168,31 @@ def _squeezes(monkeypatch, ws):
 
 
 def stride_skewed_weights(rng, n, smallest):
-    # ceilings 0 and 3 and distinct fractions k / 2^40, as the
-    # benchmark's real-lowd draws them, but every 8th position holds
-    # the ceil(n / 8) smallest fractions (or the largest), so the
-    # sorted sample is those alone and every window read from it lies
-    # below the answer (or above it)
+    # ceilings 0 and 1 and distinct fractions k / 2^40, as the
+    # benchmark's real-lowd draws them but with adjacent ceilings, so
+    # that the fold pass keeps every position (a run of two or more
+    # floors below y costs y or more); every 8th position holds the
+    # ceil(n / 8) smallest fractions (or the largest), so the sorted
+    # sample is those alone and every window read from it lies below
+    # the answer (or above it)
     m = -(-n // _SAMPLE_STRIDE)
     fracs = sorted(rng.sample(range(1, 2**40), n))
     strided, rest = (fracs[:m], fracs[m:]) if smallest else (fracs[-m:], fracs[:-m])
     rng.shuffle(strided)
     rng.shuffle(rest)
     picks = iter(strided), iter(rest)
-    return [3 * rng.randrange(2) - 1 + next(picks[i % _SAMPLE_STRIDE > 0]) / 2**40
+    return [rng.randrange(2) - 1 + next(picks[i % _SAMPLE_STRIDE > 0]) / 2**40
             for i in range(n)]
 
 
 def test_sampled_window_hit_sorts_only_its_fracs(monkeypatch):
     # the first window's edges are sample values; when it holds the
     # answer, the search sorts the sample and then only the fracs in
-    # (flo, fhi] that the sample did not hold, and merges the two
-    for seed in (2, 6, 12):
-        ws = generate_weights(random.Random(seed), 4096, 2)
+    # (flo, fhi] that the sample did not hold, and merges the two.  At
+    # 8192 weights: at 4096 the fold pass keeps fewer than 4096
+    # positions on most seeds, and the search takes no sample
+    for seed in (0, 1, 12):
+        ws = generate_weights(random.Random(seed), 8192, 2)
         sample, i, k = _sample_window(ws)
         res, log = _squeezes(monkeypatch, ws)
         (flo, fhi), probed = log[0]
@@ -1077,7 +1205,7 @@ def test_sampled_window_hit_sorts_only_its_fracs(monkeypatch):
         _same_answer(res, ws)
 
 
-@pytest.mark.parametrize("d, seed, missed", [(8, 6, "low"), (64, 2, "high")])
+@pytest.mark.parametrize("d, seed, missed", [(8, 13, "low"), (64, 2, "high")])
 def test_sampled_miss_takes_a_second_sampled_try(monkeypatch, d, seed, missed):
     # a missed first window leaves the bracket beyond its missed edge,
     # and where the miss gained a halving the budget still covers a
@@ -1085,8 +1213,10 @@ def test_sampled_miss_takes_a_second_sampled_try(monkeypatch, d, seed, missed):
     # between that edge's Q and the bracket's other end: its edges are
     # sample values or that edge, which is not probed again, and when
     # it holds the answer the search sorts only its fracs that the
-    # sample did not hold
-    ws = generate_weights(random.Random(seed), 8192, d)
+    # sample did not hold.  The fold pass keeps 0.60n of the positions
+    # of the d = 8 input and 0.13n of the d = 64 one, so they hold 8192
+    # and 2^15 weights, for a sample of 4096 kept ones or more
+    ws = generate_weights(random.Random(seed), 8192 if d == 8 else 2**15, d)
     sample, i, k = _sample_window(ws)
     res, log = _squeezes(monkeypatch, ws)
     (flo, fhi), probed = log[0]
@@ -1110,9 +1240,11 @@ def test_sampled_hit_nests_a_sampled_window(monkeypatch):
     # or more where Q falls by few steps across it (d = 64 here), so the
     # next window is read from the sample too, inside the first; the sort
     # then takes only the inner window's fracs that the sample did not
-    # hold
-    ws = generate_weights(random.Random(5), 2**14, 64)
-    sample = sorted(WeightSeq(ws).fracs[::_SAMPLE_STRIDE])
+    # hold.  The ceilings fall by position, so no floor lifts a run and
+    # the fold pass keeps every position: of generate_weights' shuffled
+    # ones at d = 64 it keeps about 7%, too few for a sample
+    ws = sorted(generate_weights(random.Random(0), 2**14, 64), key=math.ceil, reverse=True)
+    sample = sorted(kept_fracs(ws)[::_SAMPLE_STRIDE])
     res, log = _squeezes(monkeypatch, ws)
     (flo, fhi), _ = log[0]
     (flo2, fhi2), _ = log[1]
@@ -1134,7 +1266,7 @@ def test_sampled_window_miss_sorts_the_side_beyond_it(monkeypatch, smallest, mis
     for n in (4096, 2**14):
         for seed in range(2):
             ws = stride_skewed_weights(random.Random(seed), n, smallest)
-            sample = sorted(WeightSeq(ws).fracs[::_SAMPLE_STRIDE])
+            sample = sorted(kept_fracs(ws)[::_SAMPLE_STRIDE])
             res, log = _squeezes(monkeypatch, ws)
             (flo, fhi), probed = log[0]
             # an infeasible fhi decides the window without probing flo
@@ -1198,8 +1330,9 @@ def test_sampled_window_takes_a_sentinel_edge(monkeypatch, end):
 
 @pytest.mark.parametrize("case", ["tied at an end", "n < 4096"])
 def test_sampled_window_falls_back_to_the_full_sort(case):
-    # the inputs on which the search sorts every frac once (the sample,
-    # then the rest, merged): below n = 4096 there is no sample, and n
+    # the inputs on which the search sorts every kept frac once (the
+    # sample, then the rest, merged): below 4096 kept fracs there is no
+    # sample (4095 weights of two ceilings keep 2559 here), and n
     # equal integral weights, whose fracs are all 0.0, leave the sample
     # no value below its top, the largest frac, so the sort alone finds
     # the answer, with no squeeze and no probe but the target's and the
@@ -1208,10 +1341,11 @@ def test_sampled_window_falls_back_to_the_full_sort(case):
         "tied at an end": (4096, [5.0] * 4096),
         "n < 4096": (4095, generate_weights(random.Random(1), 4095, 2)),
     }[case]
-    sample = sorted(WeightSeq(ws).fracs[::_SAMPLE_STRIDE])
-    assert (n >= 4096 and sample[0] == sample[-1]) == (case == "tied at an end")
+    kept = kept_fracs(ws)
+    sample = sorted(kept[::_SAMPLE_STRIDE])
+    assert (len(kept) >= 4096 and sample[0] == sample[-1]) == (case == "tied at an end")
     res = alpha_real(ws)
-    assert res.instrumentation["sort_items"] == n
+    assert res.instrumentation["sort_items"] == len(kept)
     if case == "tied at an end":
         assert res.instrumentation["probes"] == 2 and res.instrumentation["squeeze_items"] == 0
     _same_answer(res, ws)
@@ -1220,11 +1354,14 @@ def test_sampled_window_falls_back_to_the_full_sort(case):
 def test_tied_sampled_window_probes_the_value_once():
     # a sampled window inside a block of equal fracs widens down past
     # the block, so one probe at the tied value decides all its copies,
-    # and the search need not sort every frac.  Corpus input integral30
-    # at n = 20000 puts the first window in its block of 0.0 fracs (30%
-    # of them), whose lower edge is then the bracket's bottom end: the
-    # search probes 0.0 alone and sorts 7747 fracs
-    ws = random_real_weights(random.Random("corpus:integral30:20000"), 20000, -8, 8, 0.3)
+    # and the search need not sort every frac.  20000 weights at
+    # ceilings -1 to 1, 30% of them integral, put the first window in
+    # their block of 0.0 fracs, whose lower edge is then the bracket's
+    # bottom end: the search probes 0.0 alone and sorts 7688 fracs.
+    # (The corpus's integral30 input at n = 20000, ceilings -8 to 8,
+    # showed this until the fold pass, which keeps 56% of its positions
+    # and moves its first window out of the block)
+    ws = random_real_weights(random.Random("tied:0"), 20000, -1, 1, 0.3)
     sample, i, k = _sample_window(ws)
     res, rounds = _replay(ws)
     assert rounds[0]["edges"] == (_edge(sample, i), _edge(sample, k))
@@ -1236,14 +1373,15 @@ def test_tied_sampled_window_probes_the_value_once():
 
 
 @pytest.mark.parametrize("d, seed, edge, touches", [
-    (4, 10, "top", True), (4, 71, "top", False),
-    (5, 142, "bottom", True), (5, 228, "bottom", False),
+    (4, 71, "top", True), (4, 1985, "top", False),
+    (5, 142, "bottom", True), (5, 1418, "bottom", False),
 ])
 def test_sample_end_rule_at_its_boundary(monkeypatch, d, seed, edge, touches):
     # both sides of the end rule's boundary take a sampled window: an
     # edge past the sample's last (first) value is the sentinel there,
-    # one on that value is the value.  Each window holds the answer
-    ws = generate_weights(random.Random(seed), 4096, d)
+    # one on that value is the value.  Each window holds the answer.
+    # At 8192 weights, of which the fold pass keeps 4096 or more
+    ws = generate_weights(random.Random(seed), 8192, d)
     sample, i, k = _sample_window(ws)
     top = bisect_left(sample, sample[-1])
     assert (top - k if edge == "top" else i + 1) == (0 if touches else 1)
@@ -1296,7 +1434,9 @@ def test_every_window_obeys_the_width_rule(kind):
     # windows walk within the docstring's item bound.  On perfbench's
     # real-highd shape (target load about 530) the 1/24 width sets the
     # first window; at d = 1024 (load about 40) the four Q steps do.
-    # The fracs are distinct, so no edge steps down past copies
+    # The fold pass keeps fewer than 4096 positions on both, so the
+    # first list is the kept fracs, sorted.  The fracs are distinct, so
+    # no edge steps down past copies
     n = 2**14
     if kind == "real-highd":
         rng = random.Random("width:highd")
@@ -1307,21 +1447,22 @@ def test_every_window_obeys_the_width_rule(kind):
     seq = WeightSeq(ws)
     assert len(set(seq.fracs)) == n
     a = bottom_entry(seq.floors)[1]
+    kept = kept_fracs(ws)
     res, rounds = _window_items_within_bound(ws)
     windows = [r for r in rounds if r["edges"]]
     for r in windows:
         w = min(max(r["span"] // _WINDOW, -(-4 * r["span"] // r["steps"])), r["span"] // 4)
         assert r["width"] == w or r["cut"] and r["width"] < w, r
     first = windows[0]
-    assert first is rounds[0] and first["list"] == "sample" and first["steps"] == a
-    assert first["span"] == len(seq.fracs[::_SAMPLE_STRIDE]) + 1
+    assert first is rounds[0] and first["list"] == "sorted" and first["steps"] == a
+    assert first["span"] == len(kept) < 4096
     quarter, steps = first["span"] // _WINDOW, -(-4 * first["span"] // a)
     assert first["width"] == (quarter if kind == "real-highd" else steps) > min(quarter, steps)
     _same_answer(res, ws)
 
 
 CORPUS_ANSWERS_SHA256 = "fdc433f9fe93461507c130542a5ab7aa113e91997a13162e15575c350ad13432"
-CORPUS_COUNTERS_SHA256 = "cf928f64d80c80619198a1fd17ba6db24b31b4e088f00e3295fe3494d8f4f163"
+CORPUS_COUNTERS_SHA256 = "459dcdc3bcba343e4b1c3c1add3be78e6fa8ee1d1c661880ee195204f22b1bae"
 
 
 def test_answer_corpus_is_pinned():
