@@ -33,9 +33,9 @@ the sorted search's repeated passes over them stay short, and at a
 single offset its output is read by a fold with no stack,
 _bottom_entry: that is static_cost, and each probe of the sorted
 search.  The fold pass, _fold_pass, runs once over the floors: it
-gives the target of both searches and folds each run that costs the
-same at every offset into one item, so that the sorted search walks
-only the positions that can change the cost.
+gives the sorted search its target and folds each run that costs the
+same at every offset into one item, so that the search walks only the
+positions that can change the cost.
 
 The undo journal is one flat list, and undo is set union with
 backtracking: it returns to the state its segment opened in.  A set
@@ -345,8 +345,6 @@ def _fold_pass(levels, fracs):
         b, c, _ = st.pop()
         a = c + (-((-a) >> (b - t)))
         t = b
-    if not cuts:
-        return t, a, (levels, fracs, [1] * len(levels)), fracs
     out_l, out_f, kept = [], [], []
     j = 0
     for s, e, y in cuts:

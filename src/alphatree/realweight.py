@@ -28,9 +28,9 @@ Two search strategies share that skeleton:
   every bisection probe, come from one sorted list of the n kept
   fractional parts: from n = 4096, every 8th of them, sorted (Floyd and
   Rivest 1975) and topped by the largest, while a window spans 8 of its
-  values or more; then the bracket's, those the sample did not hold
-  sorted (in C) and merged with its own.  So no fractional part is
-  sorted twice, and only one bracket's are.
+  values or more; then the bracket's, sorted afresh, the sample's own
+  among them.  So the search sorts the sample, about n/8 values, and
+  one bracket's fractional parts (below 4096, all n at once).
 
   One rule chooses between bisection and a window.  Let L(s) =
   ceil(log2 s), the bisection probes that narrow s values to one.  The
@@ -72,15 +72,15 @@ Two search strategies share that skeleton:
   fractional parts, and moves between probe offsets by set/undo on the
   tree, touching each position O(1) times overall.
 
-Both take the target, the cost at the largest fractional part, from
-leveltree's fold pass over the floors, the pass at 1.0, above every
-fractional part.  The pass also folds every run of two or more
-positions that the floor y of the next position lifts, when the run
-costs at most y - 1 at the floors, into one item fixed at y: raising
-levels adds at most one to the run's cost and both its neighbours sit
-at y or above, so the run costs the same at every offset (leveltree's
-static-pass comment).  The other positions are kept.  alpha_real_new
-ignores the folded items.
+Both take the target, the cost at the largest fractional part, from a
+pass over the floors, the pass at 1.0, above every fractional part:
+alpha_real_new from static_cost, alpha_real from leveltree's fold pass.
+That pass also folds every run of two or more positions that the floor
+y of the next position lifts, when the run costs at most y - 1 at the
+floors, into one item fixed at y: raising levels adds at most one to
+the run's cost and both its neighbours sit at y or above, so the run
+costs the same at every offset (leveltree's static-pass comment).  The
+other positions are kept.
 
 Lemma: the answer is the fractional part of a kept position.  The
 folded runs cost the same at every offset, so the cost changes only
@@ -107,8 +107,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 
-from .leveltree import LevelTree, WeightSeq, as_weight_seq
-from .leveltree import _bottom_entry, _fold_pass, _squeeze_pass, ceil_log2, static_witness
+from .leveltree import LevelTree, WeightSeq, as_weight_seq, static_cost, static_witness
+from .leveltree import _bottom_entry, _fold_pass, _squeeze_pass, ceil_log2
 from .core import minimax_cost_by_dp
 
 
@@ -128,8 +128,8 @@ class RealCostResult:
     sorted search's squeezes walked, sort_items, the fractional
     parts it sorted, its sample included (0 for the live tree's
     search, which never sorts), and kept_items, the positions the fold
-    pass kept, whose fractional parts the sorted search reads (the
-    live tree's search sets every position regardless).
+    pass kept, whose fractional parts the sorted search reads (0 for
+    the live tree's search, which runs no fold pass).
 
     b is exact and in [0, 1): a float, or a Fraction when it is the
     fractional part of a weight in (-1/2, 0) with bits below 2^-53 (see
@@ -251,8 +251,8 @@ _SQUEEZE_RUN = 16
 # of every 16th frac missed 72 first windows and one of every 8th 48,
 # for 1024 more values sorted (real-highd's shape, d = 64: 66 and 62; Q
 # there moves mostly with the top ceiling's own fracs, whose scatter no
-# sample of all fracs cuts.  Since the fold pass, that shape keeps about
-# 9% of its positions, fewer than 4096, and takes no sample)
+# sample of all fracs cuts.  Since the fold pass, that shape keeps 4.9%
+# to 5.6% of its positions, fewer than 4096, and takes no sample)
 _SAMPLE_STRIDE = 8
 
 # A window takes 1/24 of the bracket's values, but at least four of the
@@ -320,10 +320,9 @@ def alpha_real(w) -> RealCostResult:
     stride = _SAMPLE_STRIDE if n >= 4096 else 1
     order = sorted(fracs[::stride])
     acc["sort_items"] += len(order)
-    if stride > 1:
-        # the largest frac tops the sample, as it tops the sorted fracs:
-        # Q there is known, so it is never probed
-        order.append(max(fracs))
+    # the largest frac tops the list: Q there is known, so it is never
+    # probed
+    order.append(max(fracs))
     lo, hi = 0, bisect_left(order, order[-1])
     # the passes over the current items by which the windows may trail
     # bisection (see the module docstring)
@@ -334,17 +333,12 @@ def alpha_real(w) -> RealCostResult:
         span = hi - lo + 1
         w = min(max(span // _WINDOW, -(-4 * span // (q1 - q2))), span // 4)
         if stride > 1 and (lo == hi or w < stride):
-            # sort the bracket's fracs less the sample's, which come in
-            # the same position order: a frac equal to the sample's next
-            # is taken as that one, and dropped (folded and squeezed
-            # items carry frac 0.0, above the bottom sentinel)
-            held = iter([f for f in fracs[::stride] if flo < f <= fhi] + [None])
-            h = next(held)
-            rest = sorted([f for f in (fracs if flo < 0 else items[1])
-                           if flo < f <= fhi and (f != h or (h := next(held)) and False)])
-            acc["sort_items"] += len(rest)
-            # sorted() merges two sorted runs in one pass
-            order = sorted(order[lo:bisect_right(order, fhi, lo)] + rest)
+            # sort the bracket's kept fracs afresh, the sample's among
+            # them: the items' fracs, or the kept ones while flo is the
+            # bottom sentinel, below the 0.0 that folded and squeezed
+            # items carry
+            order = sorted([f for f in (fracs if flo < 0 else items[1]) if flo < f <= fhi])
+            acc["sort_items"] += len(order)
             lo, hi, stride = 0, bisect_left(order, order[-1]), 1
             continue
         # the sorted fracs' first value also fixes its copies; the
@@ -406,8 +400,10 @@ def alpha_real_new(w) -> RealCostResult:
     seq = as_weight_seq(w)
     acc = _zero_counters()
     fracs = seq.fracs
-    t, a, _, _ = _target(seq, acc)
-    target = t + ceil_log2(a)
+    # the target from the plain pass over the floors, counted as _target's
+    acc["probes"] += 1
+    acc["probe_items"] += seq.n
+    target = static_cost(seq.floors)
 
     tree = LevelTree(seq)  # all bits clear: the state at offset 0
     # The loop needs no start case.  The largest frac is feasible and

@@ -6,10 +6,15 @@ near-uniform input as CSV, one row per input, so that a change to its
 work can be read input by input.  With the argument lines
 (PYTHONPATH=src python tests/helpers.py lines) it prints the code size
 of each module of the package and the total: every line that a
-non-comment token spans, less the module docstring.
+non-comment token spans, less the module docstring.  With the argument
+phases (PYTHONPATH=src python tests/helpers.py phases) it prints, on
+perfbench's real-lowd and real-highd inputs (seed 1, ops 0-15), the
+best-of-5 time per op of each whole-sequence pass of alpha_real and of
+the whole call, the search being the remainder.
 """
 
 import ast
+import importlib.util
 import io
 import math
 import os
@@ -19,6 +24,7 @@ import tokenize
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from itertools import accumulate
+from time import perf_counter
 
 import alphatree
 from alphatree import CodingError, DecodeError, LevelTree, WeightSeq, alpha_real, tree_cost
@@ -522,8 +528,64 @@ def corpus_inputs():
     return out
 
 
+def perfbench_real_inputs():
+    """perfbench's real-lowd and real-highd inputs, seed 1, ops 0-15:
+    {workload: [weights, ...]}, from its own generator, loaded by path
+    as tests/test_perfbench_hooks.py loads it."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    mod = importlib.util.module_from_spec(spec)
+    # the dataclasses in workloads.py look their module up in sys.modules
+    sys.modules["workloads"] = mod
+    spec.loader.exec_module(mod)
+    # a real workload's make draws its weights by real_weights
+    return {name: [mod.WORKLOADS[name].make(mod.op_rng(name, 1, k), None).weights
+                   for k in range(16)]
+            for name in ("real-lowd", "real-highd")}
+
+
+def phase_times(inputs):
+    """Seconds per input of each whole-sequence pass of alpha_real over
+    inputs, and of the whole call, each the best of 5 runs over all of
+    them: WeightSeq, its fracs, the fold pass, adjusted at the answer
+    and static_witness there.  Each pass gets what it reads built
+    beforehand, untimed.  Returns (name, seconds) pairs, the search,
+    what alpha_real spends outside those passes, last."""
+    seqs = [WeightSeq(ws) for ws in inputs]
+    # alpha_real leaves each seq's fracs cached
+    answers = list(zip(seqs, [alpha_real(seq).b for seq in seqs]))
+    levels = [seq.adjusted(b) for seq, b in answers]
+    phases = [
+        ("WeightSeq", lambda: inputs, WeightSeq),
+        ("fracs", lambda: [WeightSeq(ws) for ws in inputs], lambda seq: seq.fracs),
+        ("_fold_pass", lambda: seqs, lambda seq: _fold_pass(seq.floors, seq.fracs)),
+        ("adjusted", lambda: answers, lambda x: x[0].adjusted(x[1])),
+        ("static_witness", lambda: levels, static_witness),
+        ("alpha_real", lambda: inputs, alpha_real),
+    ]
+    out = []
+    for name, setup, step in phases:
+        best = math.inf
+        for _ in range(5):
+            args = setup()
+            start = perf_counter()
+            for x in args:
+                step(x)
+            best = min(best, perf_counter() - start)
+        out.append((name, best / len(inputs)))
+    whole = out[-1][1]
+    return out + [("search", whole - sum(s for _, s in out[:-1]))]
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] == ["lines"]:
+    if sys.argv[1:] == ["phases"]:
+        print("workload,phase,ms_per_op,share")
+        for workload, inputs in perfbench_real_inputs().items():
+            times = phase_times(inputs)
+            whole = dict(times)["alpha_real"]
+            for name, sec in times:
+                print("%s,%s,%.3f,%.3f" % (workload, name, 1e3 * sec, sec / whole))
+    elif sys.argv[1:] == ["lines"]:
         root = os.path.dirname(alphatree.__file__)
         total = 0
         for name in sorted(f for f in os.listdir(root) if f.endswith(".py")):
