@@ -28,9 +28,9 @@ Two search strategies share that skeleton:
   every bisection probe, come from one sorted list of the n kept
   fractional parts: from n = 4096, every 8th of them, sorted (Floyd and
   Rivest 1975) and topped by the largest, while a window spans 8 of its
-  values or more; then the bracket's, sorted afresh, the sample's own
-  among them.  So the search sorts the sample, about n/8 values, and
-  one bracket's fractional parts (below 4096, all n at once).
+  values or more; then the bracket's, those the sample did not hold
+  sorted (in C) and merged with its own.  So no fractional part is
+  sorted twice, and only one bracket's are: at most n in all.
 
   One rule chooses between bisection and a window.  Let L(s) =
   ceil(log2 s), the bisection probes that narrow s values to one.  The
@@ -205,11 +205,16 @@ def _zero_counters() -> dict:
     }
 
 
+def _count_pass(acc, n):
+    # one static pass over n items
+    acc["probes"] += 1
+    acc["probe_items"] += n
+
+
 def _target(seq, acc):
     # the fold pass over the floors: the target's bottom entry (t, a) at
     # offset 1.0, above every frac, the folded items and the kept fracs
-    acc["probes"] += 1
-    acc["probe_items"] += seq.n
+    _count_pass(acc, seq.n)
     t, a, items, kept = _fold_pass(seq.floors, seq.fracs)
     acc["kept_items"] = len(kept)
     return t, a, items, kept
@@ -217,8 +222,7 @@ def _target(seq, acc):
 
 def _probe(levels, fracs, counts, b, acc) -> tuple[int, int]:
     # the pass's bottom entry (t, a) at offset b, read by leveltree's fold
-    acc["probes"] += 1
-    acc["probe_items"] += len(levels)
+    _count_pass(acc, len(levels))
     return _bottom_entry(levels, fracs, counts, b)
 
 
@@ -333,12 +337,17 @@ def alpha_real(w) -> RealCostResult:
         span = hi - lo + 1
         w = min(max(span // _WINDOW, -(-4 * span // (q1 - q2))), span // 4)
         if stride > 1 and (lo == hi or w < stride):
-            # sort the bracket's kept fracs afresh, the sample's among
-            # them: the items' fracs, or the kept ones while flo is the
-            # bottom sentinel, below the 0.0 that folded and squeezed
-            # items carry
-            order = sorted([f for f in (fracs if flo < 0 else items[1]) if flo < f <= fhi])
-            acc["sort_items"] += len(order)
+            # sort the bracket's fracs less the sample's, which come in
+            # the same position order: a frac equal to the sample's next
+            # is taken as that one, and dropped (folded and squeezed
+            # items carry frac 0.0, above the bottom sentinel)
+            held = iter([f for f in fracs[::stride] if flo < f <= fhi] + [None])
+            h = next(held)
+            rest = sorted([f for f in (fracs if flo < 0 else items[1])
+                           if flo < f <= fhi and (f != h or (h := next(held)) and False)])
+            acc["sort_items"] += len(rest)
+            # sorted() merges two sorted runs in one pass
+            order = sorted(order[lo:bisect_right(order, fhi, lo)] + rest)
             lo, hi, stride = 0, bisect_left(order, order[-1]), 1
             continue
         # the sorted fracs' first value also fixes its copies; the
@@ -400,9 +409,10 @@ def alpha_real_new(w) -> RealCostResult:
     seq = as_weight_seq(w)
     acc = _zero_counters()
     fracs = seq.fracs
-    # the target from the plain pass over the floors, counted as _target's
-    acc["probes"] += 1
-    acc["probe_items"] += seq.n
+    # the target from static_cost, a pass apart from the fold pass that
+    # alpha_real takes it from, so that the two strategies' answers also
+    # cross-check that pass
+    _count_pass(acc, seq.n)
     target = static_cost(seq.floors)
 
     tree = LevelTree(seq)  # all bits clear: the state at offset 0
@@ -436,8 +446,7 @@ def alpha_real_new(w) -> RealCostResult:
 
 def _finish(seq, b, target, strategy, acc) -> RealCostResult:
     # witness depths come from a static pass at the final offset
-    acc["probes"] += 1
-    acc["probe_items"] += seq.n
+    _count_pass(acc, seq.n)
     cost, depths = static_witness(seq.adjusted(b))
     if cost != target:
         raise AssertionError("offset %r does not reproduce the integer cost" % (b,))

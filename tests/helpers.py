@@ -26,6 +26,8 @@ from functools import lru_cache
 from itertools import accumulate
 from time import perf_counter
 
+from pytest import MonkeyPatch
+
 import alphatree
 from alphatree import CodingError, DecodeError, LevelTree, WeightSeq, alpha_real, tree_cost
 from alphatree.cli import generate_weights
@@ -528,20 +530,29 @@ def corpus_inputs():
     return out
 
 
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+
+
+def load_perfbench(name, monkeypatch):
+    """perfbench/<name>.py, loaded by path.  The dataclasses in
+    workloads.py look their module up in sys.modules, so the module is
+    registered there by monkeypatch, until monkeypatch is undone."""
+    spec = importlib.util.spec_from_file_location(name, os.path.join(PERFBENCH, name + ".py"))
+    mod = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, mod)
+    spec.loader.exec_module(mod)
+    return mod
+
+
 def perfbench_real_inputs():
     """perfbench's real-lowd and real-highd inputs, seed 1, ops 0-15:
-    {workload: [weights, ...]}, from its own generator, loaded by path
-    as tests/test_perfbench_hooks.py loads it."""
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
-    spec = importlib.util.spec_from_file_location("workloads", path)
-    mod = importlib.util.module_from_spec(spec)
-    # the dataclasses in workloads.py look their module up in sys.modules
-    sys.modules["workloads"] = mod
-    spec.loader.exec_module(mod)
-    # a real workload's make draws its weights by real_weights
-    return {name: [mod.WORKLOADS[name].make(mod.op_rng(name, 1, k), None).weights
-                   for k in range(16)]
-            for name in ("real-lowd", "real-highd")}
+    {workload: [weights, ...]}, from its own generator."""
+    with MonkeyPatch.context() as monkeypatch:
+        mod = load_perfbench("workloads", monkeypatch)
+        # a real workload's make draws its weights by real_weights
+        return {name: [mod.WORKLOADS[name].make(mod.op_rng(name, 1, k), None).weights
+                       for k in range(16)]
+                for name in ("real-lowd", "real-highd")}
 
 
 def phase_times(inputs):

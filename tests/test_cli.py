@@ -459,8 +459,8 @@ n,d,trial,algo,sets,undos,finds,unions,deunions,partition_items,probes,probe_ite
 1024,8,1,sorted,0,0,0,0,0,0,7,2227,369,222,222
 1024,64,0,sorted,0,0,0,0,0,0,7,2258,205,106,106
 1024,64,1,sorted,0,0,0,0,0,0,10,2746,384,108,108
-4096,1,0,sorted,0,0,0,0,0,0,4,8328,4229,579,4096
-4096,1,1,sorted,0,0,0,0,0,0,4,8298,4199,563,4096
+4096,1,0,sorted,0,0,0,0,0,0,4,8328,4229,570,4096
+4096,1,1,sorted,0,0,0,0,0,0,4,8298,4199,554,4096
 4096,2,0,sorted,0,0,0,0,0,0,8,9178,3821,2926,2926
 4096,2,1,sorted,0,0,0,0,0,0,13,10174,3846,2570,2570
 4096,8,0,sorted,0,0,0,0,0,0,10,9509,4286,2730,2730
