@@ -24,7 +24,6 @@ from collections import Counter
 from .coding import (
     CodeBook,
     CodingError,
-    Distribution,
     build_code,
     empirical_distribution,
     evaluate,
@@ -82,33 +81,26 @@ def cmd_tree(args) -> int:
     ws = parse_weights(_read_text(args.weights))
     if not ws:
         raise CliError("no weights found in %s" % args.weights)
+    seq = WeightSeq(ws)
     if args.algo == "int":
-        bad = [w for w in ws if w != int(w)]
-        if bad:
-            raise CliError("--algo int given but %r is not an integer" % (bad[0],))
-        ints = [int(w) for w in ws]
-        cost, depths = alpha_int_fast(ints)
-        alpha: float | int = cost
-        offset = 0
-        ceils = ints
-        strategy = "int"
-        instrumentation = _zero_counters()
+        for w, f in zip(ws, seq.fracs):
+            if f:
+                raise CliError("--algo int given but %r is not an integer" % (w,))
+        alpha, depths = alpha_int_fast(seq.floors)
+        b = offset = 0
+        strategy, instrumentation = "int", _zero_counters()
     else:
-        seq = WeightSeq(ws)
         res = _ALGO_RUNNERS[args.algo](seq)
-        alpha = res.alpha
+        alpha, b, depths = res.alpha, res.b, res.depths
+        strategy, instrumentation = res.strategy, res.instrumentation
         # b is exact, a Fraction for some weights just below 0: print it
         # as a float rounded toward zero, so that it stays below 1
-        offset = float(res.b)
-        if offset > res.b:
+        offset = float(b)
+        if offset > b:
             offset = math.nextafter(offset, 0.0)
-        depths = res.depths
-        ceils = seq.ceils
-        strategy = res.strategy
-        instrumentation = res.instrumentation
     out = {
-        "n": len(ws),
-        "d": len(set(ceils)),
+        "n": seq.n,
+        "d": len(set(seq.ceils)),
         "alpha": alpha,
         "offset_b": offset,
         "depths": depths,
@@ -117,8 +109,7 @@ def cmd_tree(args) -> int:
         "instrumentation": instrumentation,
     }
     if args.dump_level_tree:
-        levels = ints if args.algo == "int" else seq.adjusted(res.b)
-        out["level_tree"] = json.loads(LevelTree(levels).serialize())
+        out["level_tree"] = json.loads(LevelTree(seq.adjusted(b)).serialize())
     print(json.dumps(out, sort_keys=True, indent=2 if args.pretty else None))
     return 0
 
@@ -158,8 +149,7 @@ def cmd_code(args) -> int:
         counts = _counts_from_csv(_read_text(args.sample))
     else:
         counts = _counts_from_bytes(_read_bytes(args.sample))
-    alphabet = list(args.alphabet) if args.alphabet is not None else None
-    dist = empirical_distribution(counts, smoothing=args.smoothing, alphabet=alphabet)
+    dist = empirical_distribution(counts, smoothing=args.smoothing, alphabet=args.alphabet)
     book = build_code(dist)
     _write_text(args.out, book.to_json(q=dist))
     return 0
@@ -179,13 +169,8 @@ def cmd_stats(args) -> int:
     data = _read_bytes(args.target)
     if not data:
         raise CliError("target file is empty")
-    counts = _counts_from_bytes(data)
-    known = set(book.labels)
-    for sym in counts:  # in order of first occurrence
-        if sym not in known:
-            raise CliError("target symbol %r is not in the code" % sym)
-    total = len(data)
-    p = Distribution(book.labels, [counts.get(lab, 0) / total for lab in book.labels])
+    # names the first target symbol the code lacks
+    p = empirical_distribution(_counts_from_bytes(data), alphabet=book.labels)
     report = evaluate(p, book, q)
     print(report.to_json())
     return 0

@@ -99,7 +99,8 @@ def empirical_distribution(counts, smoothing: str = "none", alphabet=None) -> Di
     counts is a mapping or an iterable of (label, count) pairs.  With
     smoothing="add_one" every symbol of the declared alphabet gets one
     phantom occurrence; that mode requires alphabet, since it exists to
-    give unseen symbols mass.
+    give unseen symbols mass.  A counted symbol outside a declared
+    alphabet raises CodingError naming the first, in the counts' order.
     """
     if hasattr(counts, "items"):
         pairs = list(counts.items())
@@ -120,28 +121,24 @@ def empirical_distribution(counts, smoothing: str = "none", alphabet=None) -> Di
         if alphabet is None:
             labels = sorted(cmap)
         else:
-            labels = sorted(set(alphabet))
-            extra = set(cmap) - set(labels)
-            if extra:
-                raise CodingError(
-                    "counted symbols missing from the alphabet: %r" % (sorted(extra),)
-                )
+            known = set(alphabet)
+            labels = sorted(known)
+            for lab in cmap:
+                if lab not in known:
+                    raise CodingError("counted symbol %r is not in the alphabet" % (lab,))
     except TypeError:
         raise CodingError("labels must be hashable and mutually comparable") from None
     if not labels:
         raise CodingError("empty alphabet")
-
-    if smoothing == "none":
-        total = sum(cmap.get(lab, 0) for lab in labels)
-        if total == 0:
-            raise CodingError("all counts are zero")
-        return Distribution(labels, [cmap.get(lab, 0) / total for lab in labels])
-    if smoothing == "add_one":
-        if alphabet is None:
-            raise CodingError("add_one smoothing requires a declared alphabet")
-        total = sum(cmap.get(lab, 0) for lab in labels) + len(labels)
-        return Distribution(labels, [(cmap.get(lab, 0) + 1) / total for lab in labels])
-    raise CodingError("unknown smoothing %r" % (smoothing,))
+    if smoothing not in ("none", "add_one"):
+        raise CodingError("unknown smoothing %r" % (smoothing,))
+    phantom = int(smoothing == "add_one")  # each label's phantom count
+    if phantom and alphabet is None:
+        raise CodingError("add_one smoothing requires a declared alphabet")
+    total = sum(cmap.values()) + phantom * len(labels)  # every counted label is in labels
+    if total == 0:
+        raise CodingError("all counts are zero")
+    return Distribution(labels, [(cmap.get(lab, 0) + phantom) / total for lab in labels])
 
 
 def entropy(p: Distribution) -> float:

@@ -229,13 +229,12 @@ class UnionFindDeunion:
 _TOP = math.inf
 
 
-def static_cost(levels, counts=None) -> int:
-    """Minimax cost of a non-empty sequence of integer levels, each
-    standing for counts[i] leaves (one each by default).
+def static_cost(levels) -> int:
+    """Minimax cost of a non-empty sequence of integer levels.
 
-    Equals LevelTree(levels).cost() for unit counts.
+    Equals LevelTree(levels).cost().
     """
-    t, a = _bottom_entry(levels, repeat(0.0), repeat(1) if counts is None else counts, 0.0)
+    t, a = _bottom_entry(levels, repeat(0.0), repeat(1), 0.0)
     return t + ceil_log2(a)
 
 

@@ -249,14 +249,16 @@ _SQUEEZE_RUN = 16
 # The first windows are read from a sorted sample of every 8th frac
 # (Floyd and Rivest 1975).  Near the middle a sample value's rank
 # scatters by about sqrt(stride * n) / 2 around stride times its index,
-# while the first window spans n / 24 ranks, so the scatter sets how
-# often that window misses.  With windows of n / 32 ranks, on 192
-# inputs shaped as the benchmark's real-lowd (n = 2^14, d = 2) a sample
-# of every 16th frac missed 72 first windows and one of every 8th 48,
-# for 1024 more values sorted (real-highd's shape, d = 64: 66 and 62; Q
-# there moves mostly with the top ceiling's own fracs, whose scatter no
-# sample of all fracs cuts.  Since the fold pass, that shape keeps 4.9%
-# to 5.6% of its positions, fewer than 4096, and takes no sample)
+# while the first window spans 1/24 of the bracket, so the scatter sets
+# how often that window misses.  On 192 inputs shaped as the benchmark's
+# real-lowd (n = 2^14, d = 2; test_sampled_first_window_misses_rarely's
+# generator, seeds 0-191) a sample of every 16th frac missed 47 first
+# windows and one of every 8th 24; the 16th sorted 72 fewer values an
+# input, its smaller sample less the wider brackets its misses hand
+# over, but walked 3.52n probe, squeeze and sort items against 3.45n.
+# real-highd's shape (d = 64) keeps 4.6% to 5.9% of its positions after
+# the fold pass (perfbench seed 1, ops 0-15), fewer than 4096, and takes
+# no sample
 _SAMPLE_STRIDE = 8
 
 # A window takes 1/24 of the bracket's values, but at least four of the

@@ -8,9 +8,10 @@ work can be read input by input.  With the argument lines
 of each module of the package and the total: every line that a
 non-comment token spans, less the module docstring.  With the argument
 phases (PYTHONPATH=src python tests/helpers.py phases) it prints, on
-perfbench's real-lowd and real-highd inputs (seed 1, ops 0-15), the
-best-of-5 time per op of each whole-sequence pass of alpha_real and of
-the whole call, the search being the remainder.
+perfbench's real-lowd and real-highd inputs (seed 1, ops 0-15) and on
+the near-uniform ones, build_code's weights at 2^12 and 2^14 symbols,
+the best-of-5 time per op of each whole-sequence pass of alpha_real and
+of the whole call, the search being the remainder.
 """
 
 import ast
@@ -591,7 +592,9 @@ def phase_times(inputs):
 if __name__ == "__main__":
     if sys.argv[1:] == ["phases"]:
         print("workload,phase,ms_per_op,share")
-        for workload, inputs in perfbench_real_inputs().items():
+        workloads = perfbench_real_inputs()
+        workloads["near-uniform"] = [ws for _, ws in near_uniform_inputs()]
+        for workload, inputs in workloads.items():
             times = phase_times(inputs)
             whole = dict(times)["alpha_real"]
             for name, sec in times:

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import types
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,7 @@ import alphatree.cli
 import alphatree.coding
 import alphatree.core
 from alphatree.cli import main
+from alphatree.coding import CodeBook, empirical_distribution, evaluate
 from alphatree.leveltree import LevelTree, LevelTreeError
 
 
@@ -56,6 +58,13 @@ def test_tree_int_mode(tmp_path, capsys):
     assert doc["strategy"] == "int"
     rc, _, err = run(capsys, "tree", str(f))  # same file, real mode: fine
     assert rc == 0
+    # on integral weights the integer path dumps the sorted search's tree
+    dumps = [run(capsys, "tree", str(f), "--algo", algo, "--dump-level-tree")
+             for algo in ("int", "sorted")]
+    assert [rc for rc, _, _ in dumps] == [0, 0]
+    docs = [json.loads(out) for _, out, _ in dumps]
+    for key in ("level_tree", "d", "depths"):
+        assert docs[0][key] == docs[1][key]
     f.write_text("2 1.5 0.5\n")
     rc, _, err = run(capsys, "tree", str(f), "--algo", "int")
     assert rc == 2
@@ -262,13 +271,19 @@ def test_code_and_stats_flow(tmp_path, capsys):
     assert [e["label"] for e in doc["code"]] == ["a", "b", "c"]
     assert doc["q"] == [0.5, 0.375, 0.125]
 
+    # stats scores the target's distribution as the library builds it,
+    # on a target that leaves "c" out too
+    book, q = CodeBook.from_json(book_path.read_text())
     target = tmp_path / "target.txt"
-    target.write_bytes(b"abcabc")
-    rc, out, _ = run(capsys, "stats", str(target), "--code", str(book_path))
-    assert rc == 0
-    rep = json.loads(out)
-    assert set(rep) == {"avg_len", "entropy", "relative_entropy", "excess", "bound"}
-    assert rep["excess"] <= rep["bound"] + 1e-9
+    for data in (b"abcabc", b"abba"):
+        target.write_bytes(data)
+        rc, out, _ = run(capsys, "stats", str(target), "--code", str(book_path))
+        assert rc == 0
+        rep = json.loads(out)
+        assert set(rep) == {"avg_len", "entropy", "relative_entropy", "excess", "bound"}
+        assert rep["excess"] <= rep["bound"] + 1e-9
+        p = empirical_distribution(Counter(data.decode()), alphabet=book.labels)
+        assert out == evaluate(p, book, q).to_json() + "\n"
 
 
 def test_stats_runs_no_optimizer(tmp_path, capsys, monkeypatch):

@@ -75,6 +75,10 @@ def test_empirical_errors():
         empirical_distribution({"a": 1}, smoothing="add_one")  # no alphabet
     with pytest.raises(CodingError):
         empirical_distribution({"z": 1}, alphabet="ab")  # symbol outside
+    # the first counted symbol outside, in the counts' order, and no other
+    with pytest.raises(CodingError, match="'z'") as exc:
+        empirical_distribution({"a": 1, "z": 1, "y": 2}, alphabet="ab")
+    assert "'y'" not in str(exc.value)
     with pytest.raises(CodingError):
         empirical_distribution({"a": -1})
     with pytest.raises(CodingError):

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import random
+from itertools import repeat
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,7 @@ from hypothesis.stateful import (
 
 from alphatree import LevelTree, LevelTreeError, alpha_int_fast, tree_cost
 from alphatree.core import minimax_cost_by_dp
-from alphatree.leveltree import NIL, static_cost, static_witness
+from alphatree.leveltree import NIL, _bottom_entry, ceil_log2, static_cost, static_witness
 from alphatree.realweight import _squeeze
 from helpers import CachedIntOracle, audit, random_real_weights, walk_depth_profile
 
@@ -452,7 +453,9 @@ items_lists = st.lists(
 
 
 def _cost(items):
-    return static_cost([y for y, _ in items], [a for _, a in items])
+    # the cost of items (y, a), each a leaves at level y
+    t, a = _bottom_entry([y for y, _ in items], repeat(0.0), [a for _, a in items], 0.0)
+    return t + ceil_log2(a)
 
 
 @settings(max_examples=200, deadline=None)

@@ -1465,10 +1465,10 @@ def test_sampled_first_window_misses_rarely():
     # weights as the benchmark's real-lowd draws them (ceilings 0 and 3,
     # distinct fractions k / 2^40), at n = 2^14.  The rank of a sample
     # value near the middle scatters by about sqrt(stride * n) / 2, 256
-    # ranks for a sample of every 16th frac, as much as half the first
-    # window (1/32 of the sample, n / 32 ranks): that window missed the
-    # answer on 36 of these 96 inputs, and one from every 8th on 25; one
-    # of 1/24 of the sample, as now, misses on 12
+    # ranks for a sample of every 16th frac, three quarters of half the
+    # first window (1/24 of the sample, n / 24 ranks): that window misses
+    # the answer on 21 of these 96 inputs, and one from every 8th, as
+    # now, on 9
     n, misses = 2**14, 0
     for seed in range(96):
         rng = random.Random("first window:%d" % seed)
