@@ -120,28 +120,29 @@ class InexactCostError(ValueError):
 
 class RealCostResult:
     """Outcome of a real-weight run: alpha = int_cost + b (rounded once,
-    from the weight whose fractional part b is), plus the
-    witness depth profile and the structure-operation counters: the
-    live tree's sets, undos, finds, unions and deunions, the items the
-    median search partitioned, probes, the number of static passes,
-    probe_items, the items they walked, squeeze_items, the items the
-    sorted search's squeezes walked, sort_items, the fractional
-    parts it sorted, its sample included (0 for the live tree's
-    search, which never sorts), and kept_items, the positions the fold
-    pass kept, whose fractional parts the sorted search reads (0 for
-    the live tree's search, which runs no fold pass).
-
+    from the weight whose fractional part b is), the witness depth
+    profile, and the trace of the search's passes with its counters.
     b is exact and in [0, 1): a float, or a Fraction when it is the
-    fractional part of a weight in (-1/2, 0) with bits below 2^-53 (see
-    WeightSeq)."""
+    fractional part of a weight in (-1/2, 0) with bits below 2^-53.
 
-    def __init__(self, alpha, b, int_cost, depths, strategy, instrumentation):
+    trace holds one event per pass, in order: ("probe", items, b, (t, a)
+    or cost), a static pass at offset b, the first the target's at 1.0
+    and the last the witness's; ("kept", k, fracs), the fracs of the k
+    positions the fold pass kept; ("squeeze", items, flo, fhi, out), the
+    items for [flo, fhi]; ("sort", values, list), a sorted list, values
+    of it sorted afresh; ("partition", items, median, sets, feasible), a
+    round of alpha_real_new.  instrumentation sums each kind's items (as
+    probe_items, kept_items, ...), counts the probes and adds the live
+    tree's sets, undos, finds, unions and deunions."""
+
+    def __init__(self, alpha, b, int_cost, depths, strategy, instrumentation, trace):
         self.alpha = alpha
         self.b = b
         self.int_cost = int_cost
         self.depths = depths
         self.strategy = strategy
         self.instrumentation = instrumentation
+        self.trace = trace
 
     def __repr__(self):
         return "RealCostResult(alpha=%r, b=%r, strategy=%r)" % (
@@ -205,31 +206,14 @@ def _zero_counters() -> dict:
     }
 
 
-def _count_pass(acc, n):
-    # one static pass over n items
-    acc["probes"] += 1
-    acc["probe_items"] += n
-
-
-def _target(seq, acc):
-    # the fold pass over the floors: the target's bottom entry (t, a) at
-    # offset 1.0, above every frac, the folded items and the kept fracs
-    _count_pass(acc, seq.n)
-    t, a, items, kept = _fold_pass(seq.floors, seq.fracs)
-    acc["kept_items"] = len(kept)
-    return t, a, items, kept
-
-
-def _probe(levels, fracs, counts, b, acc) -> tuple[int, int]:
-    # the pass's bottom entry (t, a) at offset b, read by leveltree's fold
-    _count_pass(acc, len(levels))
-    return _bottom_entry(levels, fracs, counts, b)
-
-
-def _squeeze(levels, fracs, counts, flo, fhi, acc):
-    # the items for every offset in [flo, fhi] (leveltree's squeeze)
-    acc["squeeze_items"] += len(levels)
-    return _squeeze_pass(levels, fracs, counts, flo, fhi)
+def _counters(trace) -> dict:
+    # the trace's sums: each event adds its items to <kind>_items, and
+    # each probe one to probes
+    acc = _zero_counters()
+    for kind, items, *_ in trace:
+        acc[kind + "_items"] += items
+        acc["probes"] += kind == "probe"
+    return acc
 
 
 # A squeeze walks every item, in 1.2x to 1.3x the time of a probe's
@@ -288,12 +272,14 @@ def alpha_real(w) -> RealCostResult:
     predicts.  The module docstring gives the rule and its work bound.
     """
     seq = as_weight_seq(w)
-    acc = _zero_counters()
-    # the items (levels, fracs, counts): a kept position not squeezed yet
-    # is its floor, frac and count 1, a folded run or a squeezed item a
-    # fixed level, frac 0.0 and its count; fracs and n are the kept
-    # positions', and the search reads no other
-    t, a, items, fracs = _target(seq, acc)
+    # the fold pass over the floors: the target's bottom entry (t, a) at
+    # offset 1.0, above every frac, and the items (levels, fracs,
+    # counts): a kept position not squeezed yet is its floor, frac and
+    # count 1, a folded run or a squeezed item a fixed level, frac 0.0
+    # and its count; fracs and n are the kept positions', and the search
+    # reads no other
+    t, a, items, fracs = _fold_pass(seq.floors, seq.fracs)
+    trace = [("probe", seq.n, 1.0, (t, a)), ("kept", len(fracs), fracs)]
     n = len(fracs)
     target = t + ceil_log2(a)
     # Q(b) = a_b * 2^(t_b - t) from the pass at b is an integer (t_b,
@@ -315,7 +301,8 @@ def alpha_real(w) -> RealCostResult:
 
     def probe(x) -> bool:
         nonlocal lo, hi, q1, q2, flo, fhi
-        tb, ab = _probe(*items, order[x], acc)
+        tb, ab = _bottom_entry(*items, order[x])
+        trace.append(("probe", len(items[0]), order[x], (tb, ab)))
         q = ab << (tb - t)
         if q > cap:
             lo, q1, flo = bisect_right(order, order[x], x, hi), q, order[x]
@@ -325,7 +312,7 @@ def alpha_real(w) -> RealCostResult:
 
     stride = _SAMPLE_STRIDE if n >= 4096 else 1
     order = sorted(fracs[::stride])
-    acc["sort_items"] += len(order)
+    trace.append(("sort", len(order), order))
     # the largest frac tops the list: Q there is known, so it is never
     # probed
     order.append(max(fracs))
@@ -347,15 +334,17 @@ def alpha_real(w) -> RealCostResult:
             h = next(held)
             rest = sorted([f for f in (fracs if flo < 0 else items[1])
                            if flo < f <= fhi and (f != h or (h := next(held)) and False)])
-            acc["sort_items"] += len(rest)
             # sorted() merges two sorted runs in one pass
             order = sorted(order[lo:bisect_right(order, fhi, lo)] + rest)
+            trace += ("sort", len(rest), rest), ("sort", 0, order)
             lo, hi, stride = 0, bisect_left(order, order[-1]), 1
             continue
         # the sorted fracs' first value also fixes its copies; the
         # sample's cannot, as fracs it did not hold lie below it
         if _SQUEEZE_RUN * stride * span <= len(items[0]):
-            items = _squeeze(*items, flo if stride > 1 else order[lo], fhi, acc)
+            e0, outer = flo if stride > 1 else order[lo], items
+            items = _squeeze_pass(*outer, e0, fhi)
+            trace.append(("squeeze", len(outer[0]), e0, fhi, len(items[0])))
         # a window while the budget covers its squeeze and the bracket
         # holds 48 values or more (windows in smaller ones saved under
         # 0.4% of perfbench's items, and made searches of 16 to 40
@@ -371,18 +360,19 @@ def alpha_real(w) -> RealCostResult:
             if i >= lo:
                 i = bisect_left(order, order[i + 1], lo, i + 1) - 1
             if (k - i - 1).bit_length() + 2 <= (span - 1).bit_length():
-                outer, walked = items, acc["probe_items"] + acc["squeeze_items"]
-                items = _squeeze(*outer, order[i] if i >= lo else flo,
-                                 order[k] if k < hi else fhi, acc)
+                outer, mark = items, len(trace)
+                e0, e1 = order[i] if i >= lo else flo, order[k] if k < hi else fhi
+                items = _squeeze_pass(*outer, e0, e1)
+                trace.append(("squeeze", len(outer[0]), e0, e1, len(items[0])))
                 # an end of the bracket is never probed, its Q being known
                 if not ((k == hi or probe(k)) and (i < lo or not probe(i))):
                     items = outer
-                walked = acc["probe_items"] + acc["squeeze_items"] - walked
+                walked = sum(e[1] for e in trace[mark:])
                 budget = min(_BUDGET, budget + (span - 1).bit_length()
                              - (hi - lo).bit_length() - walked / len(outer[0]))
                 continue
         probe((lo + hi) // 2)
-    return _finish(seq, order[lo], target, "sorted", acc)
+    return _finish(seq, order[lo], target, "sorted", trace)
 
 
 # the benchmark (perfbench/workloads.py) imports the sorted search by
@@ -401,21 +391,20 @@ def alpha_real_new(w) -> RealCostResult:
     ceil(w_i) or ceil(w_i) - 1: at most 2n - 1 partitioned items, at
     most partition_items / 2 + ties * rounds sets, and at most (16 +
     nlevels) * sets + 2 (rounds + 1) finds.
-    Measured with alphatree bench (BENCH_sample8.json: seed 7, 3 trials,
-    best of 5 repeats per row), it is 2.4x to 13.8x slower than
-    alpha_real at every n = 2^8, 2^10, ..., 2^16 and d in {1, 2, 8, 64,
-    ..., n} tried (8.6x at n = 2^8 and 9.8x to 13.8x above it at d = 1,
-    2.4x to 2.7x at d = n), so it serves as the paper's algorithm and a
-    cross-check.
+    Measured with alphatree bench (BENCH_fold.json: seed 7, 3 trials,
+    best of 5 repeats per row), its median time per cell is 4.4x to
+    14.3x alpha_real's at every n = 2^8, 2^10, ..., 2^16 and d in {1,
+    2, 8, 64, ..., n} tried (8.3x at n = 2^8 and 9.8x to 14.3x above it
+    at d = 1, 5.3x to 8.5x at d = n), so it serves as the paper's
+    algorithm and a cross-check.
     """
     seq = as_weight_seq(w)
-    acc = _zero_counters()
     fracs = seq.fracs
     # the target from static_cost, a pass apart from the fold pass that
     # alpha_real takes it from, so that the two strategies' answers also
     # cross-check that pass
-    _count_pass(acc, seq.n)
     target = static_cost(seq.floors)
+    trace = [("probe", seq.n, 1.0, target)]
 
     tree = LevelTree(seq)  # all bits clear: the state at offset 0
     # The loop needs no start case.  The largest frac is feasible and
@@ -425,13 +414,14 @@ def alpha_real_new(w) -> RealCostResult:
     # answer the loop ends there, with every set undone
     items, candidate = list(range(seq.n)), None
     while items:
-        acc["partition_items"] += len(items)
         m = select_kth([fracs[i] for i in items], (len(items) + 1) // 2)
         # the positions whose ceiling drops at offset m: frac in (0, m]
         lowered = [i for i in items if 0.0 < fracs[i] <= m]
         for i in lowered:
             tree.set(i)
-        if tree.cost() == target:
+        feasible = tree.cost() == target
+        trace.append(("partition", len(items), m, len(lowered), feasible))
+        if feasible:
             # m is feasible: remember it, roll the probe back, and keep
             # hunting strictly below
             candidate = m
@@ -442,14 +432,15 @@ def alpha_real_new(w) -> RealCostResult:
             # infeasible: the sets stay (every later probe includes
             # them) and the search moves strictly above m
             items = [i for i in items if fracs[i] > m]
-    acc.update(tree.counters())
-    return _finish(seq, candidate, target, "new", acc)
+    res = _finish(seq, candidate, target, "new", trace)
+    res.instrumentation.update(tree.counters())
+    return res
 
 
-def _finish(seq, b, target, strategy, acc) -> RealCostResult:
+def _finish(seq, b, target, strategy, trace) -> RealCostResult:
     # witness depths come from a static pass at the final offset
-    _count_pass(acc, seq.n)
     cost, depths = static_witness(seq.adjusted(b))
+    trace.append(("probe", seq.n, b, cost))
     if cost != target:
         raise AssertionError("offset %r does not reproduce the integer cost" % (b,))
     # The cost is target + frac(w_j) at the first j whose fractional part
@@ -479,4 +470,4 @@ def _finish(seq, b, target, strategy, acc) -> RealCostResult:
                 % (target, b, alpha)
             )
     # the frac of a weight -0.0 is -0.0: report that offset as 0.0
-    return RealCostResult(alpha, b or 0.0, target, depths, strategy, acc)
+    return RealCostResult(alpha, b or 0.0, target, depths, strategy, _counters(trace), trace)

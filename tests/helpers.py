@@ -10,8 +10,10 @@ non-comment token spans, less the module docstring.  With the argument
 phases (PYTHONPATH=src python tests/helpers.py phases) it prints, on
 perfbench's real-lowd and real-highd inputs (seed 1, ops 0-15) and on
 the near-uniform ones, build_code's weights at 2^12 and 2^14 symbols,
-the best-of-5 time per op of each whole-sequence pass of alpha_real and
-of the whole call, the search being the remainder.
+the time per op of each whole-sequence pass of alpha_real and of the
+whole call, the median over 7 rounds with its min and max, the search
+being the remainder: the median over the rounds of the whole call less
+the passes, each round timing each of them once, in turn.
 """
 
 import ast
@@ -25,6 +27,7 @@ import tokenize
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from itertools import accumulate
+from statistics import median
 from time import perf_counter
 
 from pytest import MonkeyPatch
@@ -36,14 +39,16 @@ from alphatree.core import minimax_cost_by_dp
 from alphatree.leveltree import (
     NIL,
     _TOP,
+    _bottom_entry,
     _ceil_shift,
     _fold_pass,
+    _squeeze_pass,
     as_weight_seq,
     ceil_log2,
     static_cost,
     static_witness,
 )
-from alphatree.realweight import _SQUEEZE_RUN, _finish, _probe, _squeeze, _target, _zero_counters
+from alphatree.realweight import _SQUEEZE_RUN, _finish, _zero_counters
 
 
 @lru_cache(maxsize=None)
@@ -176,25 +181,27 @@ def bisected_sorted(w):
     fold pass, the bisection over the kept positions' sorted fractional
     parts from the whole range, squeezing at the start of each round
     once at most 1/_SQUEEZE_RUN of the items are undecided.  Returns
-    its RealCostResult, counters included."""
+    its RealCostResult, trace and counters included."""
     seq = as_weight_seq(w)
-    acc = _zero_counters()
-    t, a, items, fracs = _target(seq, acc)
+    t, a, items, fracs = _fold_pass(seq.floors, seq.fracs)
+    trace = [("probe", seq.n, 1.0, (t, a)), ("kept", len(fracs), fracs)]
     order = sorted(fracs)
-    acc["sort_items"] += len(order)
+    trace.append(("sort", len(order), order))
     target = t + ceil_log2(a)
     lo, hi = 0, bisect_left(order, order[-1])
     while lo < hi:
         if _SQUEEZE_RUN * (hi - lo + 1) <= len(items[0]):
-            items = _squeeze(*items, order[lo], order[hi], acc)
+            outer, items = items, _squeeze_pass(*items, order[lo], order[hi])
+            trace.append(("squeeze", len(outer[0]), order[lo], order[hi], len(items[0])))
         mid = (lo + hi) // 2
         b = order[mid]
-        t, a = _probe(*items, b, acc)
+        t, a = _bottom_entry(*items, b)
+        trace.append(("probe", len(items[0]), b, (t, a)))
         if t + ceil_log2(a) == target:
             hi = bisect_left(order, b, lo, mid)
         else:
             lo = bisect_right(order, b, mid, hi)
-    return _finish(seq, order[lo], target, "sorted", acc)
+    return _finish(seq, order[lo], target, "sorted", trace)
 
 
 def kept_fracs(w):
@@ -556,13 +563,16 @@ def perfbench_real_inputs():
                 for name in ("real-lowd", "real-highd")}
 
 
-def phase_times(inputs):
+def phase_times(inputs, rounds=7):
     """Seconds per input of each whole-sequence pass of alpha_real over
-    inputs, and of the whole call, each the best of 5 runs over all of
-    them: WeightSeq, its fracs, the fold pass, adjusted at the answer
-    and static_witness there.  Each pass gets what it reads built
-    beforehand, untimed.  Returns (name, seconds) pairs, the search,
-    what alpha_real spends outside those passes, last."""
+    inputs, and of the whole call: WeightSeq, its fracs, the fold pass,
+    adjusted at the answer and static_witness there.  Each round times
+    each of them once over all the inputs, in turn, so that a slow
+    spell of the machine falls on them alike; each pass gets what it
+    reads built beforehand, untimed.  Returns (name, median, min, max)
+    rows over the rounds, the search, what alpha_real spends outside
+    those passes, last: per round the whole call less the passes, which
+    a noisy round can make negative."""
     seqs = [WeightSeq(ws) for ws in inputs]
     # alpha_real leaves each seq's fracs cached
     answers = list(zip(seqs, [alpha_real(seq).b for seq in seqs]))
@@ -575,30 +585,31 @@ def phase_times(inputs):
         ("static_witness", lambda: levels, static_witness),
         ("alpha_real", lambda: inputs, alpha_real),
     ]
-    out = []
-    for name, setup, step in phases:
-        best = math.inf
-        for _ in range(5):
+    times = {name: [] for name, _, _ in phases}
+    for _ in range(rounds):
+        for name, setup, step in phases:
             args = setup()
             start = perf_counter()
             for x in args:
                 step(x)
-            best = min(best, perf_counter() - start)
-        out.append((name, best / len(inputs)))
-    whole = out[-1][1]
-    return out + [("search", whole - sum(s for _, s in out[:-1]))]
+            times[name].append((perf_counter() - start) / len(inputs))
+    passes = list(times.values())[:-1]
+    times["search"] = [whole - sum(ts[r] for ts in passes)
+                       for r, whole in enumerate(times["alpha_real"])]
+    return [(name, median(ts), min(ts), max(ts)) for name, ts in times.items()]
 
 
 if __name__ == "__main__":
     if sys.argv[1:] == ["phases"]:
-        print("workload,phase,ms_per_op,share")
+        print("workload,phase,ms_per_op,share,min_ms,max_ms")
         workloads = perfbench_real_inputs()
         workloads["near-uniform"] = [ws for _, ws in near_uniform_inputs()]
         for workload, inputs in workloads.items():
-            times = phase_times(inputs)
-            whole = dict(times)["alpha_real"]
-            for name, sec in times:
-                print("%s,%s,%.3f,%.3f" % (workload, name, 1e3 * sec, sec / whole))
+            rows = phase_times(inputs)
+            whole = rows[-2][1]
+            for name, sec, lo, hi in rows:
+                print("%s,%s,%.3f,%.3f,%.3f,%.3f"
+                      % (workload, name, 1e3 * sec, sec / whole, 1e3 * lo, 1e3 * hi))
     elif sys.argv[1:] == ["lines"]:
         root = os.path.dirname(alphatree.__file__)
         total = 0

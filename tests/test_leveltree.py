@@ -17,8 +17,14 @@ from hypothesis.stateful import (
 
 from alphatree import LevelTree, LevelTreeError, alpha_int_fast, tree_cost
 from alphatree.core import minimax_cost_by_dp
-from alphatree.leveltree import NIL, _bottom_entry, ceil_log2, static_cost, static_witness
-from alphatree.realweight import _squeeze
+from alphatree.leveltree import (
+    NIL,
+    _bottom_entry,
+    _squeeze_pass,
+    ceil_log2,
+    static_cost,
+    static_witness,
+)
 from helpers import CachedIntOracle, audit, random_real_weights, walk_depth_profile
 
 
@@ -474,8 +480,7 @@ def test_weighted_item_acts_as_its_leaves(items):
 def test_squeeze_keeps_every_enclosing_cost(p, r, s):
     # with every frac 0.0 no item of r is undecided or lowered, so the
     # sorted search's squeeze replaces r as one run
-    acc = {"squeeze_items": 0}
-    out = _squeeze([y for y, _ in r], [0.0] * len(r), [a for _, a in r], 0.5, 0.5, acc)
+    out = _squeeze_pass([y for y, _ in r], [0.0] * len(r), [a for _, a in r], 0.5, 0.5)
     squeezed = list(zip(out[0], out[2]))
     assert out[1] == [0.0] * len(squeezed)
     # emitted bottoms rise and the residual stack falls
@@ -483,7 +488,7 @@ def test_squeeze_keeps_every_enclosing_cost(p, r, s):
     if p or r or s:
         assert _cost(p + squeezed + s) == _cost(p + r + s)
     # a squeeze of a squeeze changes nothing
-    assert _squeeze(*out, 0.5, 0.5, acc) == out
+    assert _squeeze_pass(*out, 0.5, 0.5) == out
 
 
 class SetUndoMachine(RuleBasedStateMachine):

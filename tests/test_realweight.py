@@ -21,13 +21,19 @@ from alphatree import (
 )
 from alphatree.core import minimax_cost_by_dp
 import alphatree.realweight
-from alphatree.leveltree import _bottom_entry, _fold_pass, ceil_log2, static_cost, static_witness
+from alphatree.leveltree import (
+    _bottom_entry,
+    _fold_pass,
+    _squeeze_pass,
+    ceil_log2,
+    static_cost,
+    static_witness,
+)
 from alphatree.realweight import (
     _BUDGET,
     _SAMPLE_STRIDE,
     _SQUEEZE_RUN,
     _WINDOW,
-    _squeeze,
     alpha_real_oracle,
     alpha_real_sorted,
     select_kth,
@@ -41,6 +47,7 @@ from helpers import (
     kept_fracs,
     near_uniform_inputs,
     per_run_squeeze,
+    perfbench_real_inputs,
     random_real_weights,
     reference_fold,
     unsqueezed_sorted,
@@ -168,7 +175,7 @@ def test_certify_rejects_a_later_offset():
         if above:
             b = min(above)
             cost, depths = static_witness(seq.adjusted(b))
-            late = RealCostResult(tree_cost(depths, ws), b, cost, depths, "sorted", {})
+            late = RealCostResult(tree_cost(depths, ws), b, cost, depths, "sorted", {}, [])
             with pytest.raises(AssertionError, match="a smaller offset is feasible"):
                 certify(ws, late)
 
@@ -614,11 +621,9 @@ squeeze_items = st.lists(
 def test_one_pass_squeeze_matches_per_run(items, f1, f2):
     flo, fhi = min(f1, f2), max(f1, f2)
     args = [list(col) for col in zip(*items)] if items else [[], [], []]
-    acc = {"squeeze_items": 0}
-    got = _squeeze(*args, flo, fhi, acc)
+    got = _squeeze_pass(*args, flo, fhi)
     # identical lists, down to the type of each frac
     assert repr(got) == repr(per_run_squeeze(*args, flo, fhi))
-    assert acc["squeeze_items"] == len(items)
 
 
 @pytest.mark.parametrize("d", [1, 2, 8, 64, "n"])
@@ -750,7 +755,7 @@ def test_squeezed_pass_is_exact_in_the_window(items, f1, f2):
     # here a LevelTree over the items at b expanded to unit leaves
     flo, fhi = min(f1, f2), max(f1, f2)
     levels, fracs, counts = [list(col) for col in zip(*items)]
-    sq = _squeeze(levels, fracs, counts, flo, fhi, {"squeeze_items": 0})
+    sq = _squeeze_pass(levels, fracs, counts, flo, fhi)
     for b in [f for f in fracs if flo <= f <= fhi] + [flo, fhi]:
         got = _bottom_entry(*sq, b)
         ref = bottom_entry([y + 1 if f > b else y for y, f in zip(levels, fracs)], counts)
@@ -801,75 +806,48 @@ def _search_input(seed, n, kind):
 
 
 def _replay(ws):
-    # alpha_real's result on ws and its rounds, read off the sorts,
-    # squeezes and probes it makes.  The first sort gives the list,
-    # topped by the largest kept frac: every 8th kept frac from 4096 of
-    # them, else all.  From a sample, the hand-over sorts the bracket's
-    # kept fracs that the sample did not hold, none twice, and a last
-    # sort merges them with the sample's own into the next list.  A
-    # squeeze of the whole bracket prepares a round, a squeeze inside it
-    # is a window's, followed by the probes of its edges that are not
-    # the bracket's ends, and any other probe is a bisection's.  The
-    # replay asserts what the module docstring states of every round:
-    # each probe is a list value strictly inside the bracket and walks
-    # the current items, a window's edges are list values in the bracket
-    # or its ends, and a miss restores the items.  A round is a dict of
-    # its "list" ("sample" or "sorted"), the bracket's "span" of values
-    # in it, the "steps" by which Q falls across it, the windows'
-    # "budget" before it (as the docstring counts it) and, for a window,
-    # its "edges", the "width" of list values it holds, whether an edge
-    # is an end of the bracket ("cut"), whether it squeezed items an
-    # earlier squeeze made ("nested"), where the answer lay ("side":
-    # "holds", or "low" or "high" of it), the items "N" it started from,
-    # the items it "walked" and the halvings "h" it gained ("edges" is
-    # None for a bisection round)
+    # alpha_real's result on ws and its rounds, read off its trace.  The
+    # first sort gives the list, topped by the largest kept frac: every
+    # 8th kept frac from 4096 of them, else all.  From a sample, the
+    # hand-over sorts the bracket's kept fracs that the sample did not
+    # hold, none twice, and a last sort merges them with the sample's
+    # own into the next list.  A squeeze of the whole bracket prepares a
+    # round, a squeeze inside it is a window's, followed by the probes
+    # of its edges that are not the bracket's ends, and any other probe
+    # is a bisection's.  The replay asserts what the module docstring
+    # states of every round: each probe is a list value strictly inside
+    # the bracket and walks the current items, a window's edges are list
+    # values in the bracket or its ends, and a miss restores the items.
+    # A round is a dict of its "list" ("sample" or "sorted"), the
+    # bracket's "span" of values in it, the "steps" by which Q falls
+    # across it, the windows' "budget" before it (as the docstring
+    # counts it) and, for a window, its "edges", the "width" of list
+    # values it holds, whether an edge is an end of the bracket ("cut"),
+    # whether it squeezed items an earlier squeeze made ("nested"),
+    # where the answer lay ("side": "holds", or "low" or "high" of it),
+    # the items "N" it started from, the items it "walked" and the
+    # halvings "h" it gained ("edges" is None for a bisection round)
     seq = WeightSeq(ws)
-    mod, log = alphatree.realweight, []
-    real_target, real_squeeze, real_probe = mod._target, mod._squeeze, mod._probe
-    folded = []
-
-    def target(seq, acc):
-        out = real_target(seq, acc)
-        folded.append(out[2][0])
-        log.append(("target",) + out)
-        return out
-
-    def squeeze(levels, fracs, counts, flo, fhi, acc):
-        out = real_squeeze(levels, fracs, counts, flo, fhi, acc)
-        log.append(("squeeze", (flo, fhi), len(levels), len(out[0]), levels is not folded[0]))
-        return out
-
-    def probe(levels, fracs, counts, b, acc):
-        tb, ab = real_probe(levels, fracs, counts, b, acc)
-        log.append(("probe", b, len(levels), tb, ab))
-        return tb, ab
-
-    def sort(values):
-        # the list itself is logged: the search tops its sample up
-        out = sorted(values)
-        log.append(("sort", out))
-        return out
-
-    mod._target, mod._squeeze, mod._probe, mod.sorted = target, squeeze, probe, sort
-    try:
-        res = alpha_real(seq)
-    finally:
-        mod._target, mod._squeeze, mod._probe = real_target, real_squeeze, real_probe
-        del mod.sorted
-    assert res.instrumentation["squeeze_items"] == sum(e[2] for e in log if e[0] == "squeeze")
+    res = alpha_real(seq)
+    # the witness's pass over the n positions at the answer ends it
+    *log, witness = res.trace
+    assert witness == ("probe", seq.n, res.b, res.int_cost)
     # the first list's top is appended, not sorted, and the merge sorts
     # nothing afresh
-    sorts = [len(e[1]) for e in log if e[0] == "sort"]
+    sorts = [len(e[2]) for e in log if e[0] == "sort"]
     assert res.instrumentation["sort_items"] == sum(sorts[:2]) - 1 and len(sorts) in (1, 3), sorts
     events = iter(log)
-    # the fold pass comes first: the target over the n floors, the
-    # folded items the search starts from, and the kept fracs, whose
-    # sample the first list is from 4096 of them
-    _, t, a, (levels, _, _), kept = next(events)
-    assert (t, a) == bottom_entry(seq.floors)
-    assert res.instrumentation["kept_items"] == len(kept)
+    # the fold pass comes first: the target over the n floors, then the
+    # kept fracs, whose sample the first list is from 4096 of them; the
+    # search starts from the folded items
+    (_, walked, b, (t, a)), (_, k, kept) = next(events), next(events)
+    assert (walked, b, (t, a)) == (seq.n, 1.0, bottom_entry(seq.floors))
+    _, _, (levels, _, _), folded_kept = _fold_pass(seq.floors, seq.fracs)
+    assert kept == folded_kept and res.instrumentation["kept_items"] == k == len(kept)
     cap = 1 << ceil_log2(a)
     flo, fhi, q1, q2, items, kind = -1.0, 1.0, 2 * a, a, len(levels), None
+    # whether the current items are a squeeze's, not the fold pass's
+    squeezed_now = False
     budget, rounds = (_BUDGET if a >= _SQUEEZE_RUN else 0), []
 
     def bracket():
@@ -881,9 +859,9 @@ def _replay(ws):
         # end of the bracket to its offset, and returns whether it lay
         # below the answer
         nonlocal flo, fhi, q1, q2
-        _, got, walked, tb, ab = event
+        kind, walked, got, (tb, ab) = event
         q = ab << (tb - t)
-        assert event[0] == "probe" and walked == items and got == (got if b is None else b)
+        assert kind == "probe" and walked == items and got == (got if b is None else b)
         lo, hi = bracket()
         assert got in values and flo < got < values[hi], (got, flo, fhi)
         if q > cap:
@@ -896,14 +874,14 @@ def _replay(ws):
         if event[0] == "sort":
             if kind is None:
                 stride = _SAMPLE_STRIDE if len(kept) >= 4096 else 1
-                assert event[1] == sorted(kept[::stride]) + [max(kept)]
-                values, kind = event[1], "sample" if stride > 1 else "sorted"
+                assert event[2] == sorted(kept[::stride]) + [max(kept)]
+                values, kind = event[2], "sample" if stride > 1 else "sorted"
                 continue
             # the hand-over: with the sample's own values in the bracket,
             # the fracs it sorts are exactly the bracket's kept ones
             assert kind == "sample"
             own = [f for f in kept[::_SAMPLE_STRIDE] if flo < f <= fhi]
-            rest, (_, merged) = event[1], next(events)
+            rest, (_, _, merged) = event[2], next(events)
             assert sorted(rest + own) == sorted(f for f in kept if flo < f <= fhi), (flo, fhi)
             assert merged == sorted(values[bracket()[0]:bisect_right(values, fhi)] + rest)
             values, kind = merged, "sorted"
@@ -911,10 +889,11 @@ def _replay(ws):
         lo, hi = bracket()
         span = hi - lo + 1
         if event[0] == "squeeze":
-            _, (e0, e1), walked, squeezed, nested = event
+            _, walked, e0, e1, squeezed = event
+            nested = squeezed_now
             assert walked == items, event
             if e1 == fhi and e0 in (flo, values[lo]):
-                items = squeezed
+                items, squeezed_now = squeezed, True
                 continue
         rnd = {"list": kind, "span": span, "steps": q1 - q2, "budget": budget, "edges": None}
         rounds.append(rnd)
@@ -925,7 +904,7 @@ def _replay(ws):
         width = (hi if e1 == fhi else bisect_left(values, e1)) - (
             lo - 1 if e0 == flo else bisect_right(values, e0) - 1)
         cut = e0 == flo or e1 == fhi
-        outer, items, hit = items, squeezed, True
+        outer, items, squeezed_now, hit = items, squeezed, True, True
         if e1 != fhi:
             walked += squeezed
             hit = not decide(next(events), e1)
@@ -933,7 +912,7 @@ def _replay(ws):
             walked += squeezed
             hit = decide(next(events), e0)
         if not hit:
-            items = outer
+            items, squeezed_now = outer, nested
         h = (span - 1).bit_length() - (bracket()[1] - bracket()[0]).bit_length()
         side = "high" if res.b <= e0 else "low" if res.b > e1 else "holds"
         assert hit == (side == "holds")
@@ -1165,26 +1144,17 @@ def _unheld(ws, flo, fhi):
     return inside - sum(1 for f in fracs[::_SAMPLE_STRIDE] if flo < f <= fhi)
 
 
-def _squeezes(monkeypatch, ws):
+def _squeezes(ws):
     # the result, and for each squeeze of the search its (flo, fhi) and
-    # the offsets probed after it, up to the next squeeze (a probe
-    # before the first squeeze is left out)
-    log = []
-    real_squeeze, real_probe = alphatree.realweight._squeeze, alphatree.realweight._probe
-
-    def squeeze(levels, fracs, counts, flo, fhi, acc):
-        log.append(((flo, fhi), []))
-        return real_squeeze(levels, fracs, counts, flo, fhi, acc)
-
-    def probe(levels, fracs, counts, b, acc):
-        if log:
-            log[-1][1].append(b)
-        return real_probe(levels, fracs, counts, b, acc)
-
-    monkeypatch.setattr(alphatree.realweight, "_squeeze", squeeze)
-    monkeypatch.setattr(alphatree.realweight, "_probe", probe)
-    res = alpha_real(ws)
-    monkeypatch.undo()
+    # the offsets probed after it, up to the next squeeze, from its
+    # trace (a probe before the first squeeze, and the witness's pass
+    # that ends the trace, are left out)
+    res, log = alpha_real(ws), []
+    for event in res.trace[:-1]:
+        if event[0] == "squeeze":
+            log.append((event[2:4], []))
+        elif event[0] == "probe" and log:
+            log[-1][1].append(event[2])
     return res, log
 
 
@@ -1206,7 +1176,7 @@ def stride_skewed_weights(rng, n, smallest):
             for i in range(n)]
 
 
-def test_sampled_window_hit_sorts_only_its_fracs(monkeypatch):
+def test_sampled_window_hit_sorts_only_its_fracs():
     # the first window's edges are sample values; when it holds the
     # answer, the search sorts the sample and then only the fracs in
     # (flo, fhi] that the sample did not hold, and merges the two.  At
@@ -1215,7 +1185,7 @@ def test_sampled_window_hit_sorts_only_its_fracs(monkeypatch):
     for seed in (0, 1, 12):
         ws = generate_weights(random.Random(seed), 8192, 2)
         sample, i, k = _sample_window(ws)
-        res, log = _squeezes(monkeypatch, ws)
+        res, log = _squeezes(ws)
         (flo, fhi), probed = log[0]
         assert (flo, fhi) == (_edge(sample, i), _edge(sample, k))
         assert probed == [fhi, flo]
@@ -1227,7 +1197,7 @@ def test_sampled_window_hit_sorts_only_its_fracs(monkeypatch):
 
 
 @pytest.mark.parametrize("d, seed, missed", [(8, 13, "low"), (64, 2, "high")])
-def test_sampled_miss_takes_a_second_sampled_try(monkeypatch, d, seed, missed):
+def test_sampled_miss_takes_a_second_sampled_try(d, seed, missed):
     # a missed first window leaves the bracket beyond its missed edge,
     # and where the miss gained a halving the budget still covers a
     # window, so the next one is read from the sample too, interpolated
@@ -1239,7 +1209,7 @@ def test_sampled_miss_takes_a_second_sampled_try(monkeypatch, d, seed, missed):
     # and 2^15 weights, for a sample of 4096 kept ones or more
     ws = generate_weights(random.Random(seed), 8192 if d == 8 else 2**15, d)
     sample, i, k = _sample_window(ws)
-    res, log = _squeezes(monkeypatch, ws)
+    res, log = _squeezes(ws)
     (flo, fhi), probed = log[0]
     assert (flo, fhi) == (_edge(sample, i), _edge(sample, k))
     # an infeasible fhi decides the window without probing flo
@@ -1256,7 +1226,7 @@ def test_sampled_miss_takes_a_second_sampled_try(monkeypatch, d, seed, missed):
     _same_answer(res, ws)
 
 
-def test_sampled_hit_nests_a_sampled_window(monkeypatch):
+def test_sampled_hit_nests_a_sampled_window():
     # a sampled window that holds the answer still spans 8 sample values
     # or more where Q falls by few steps across it (d = 64 here), so the
     # next window is read from the sample too, inside the first; the sort
@@ -1266,7 +1236,7 @@ def test_sampled_hit_nests_a_sampled_window(monkeypatch):
     # ones at d = 64 it keeps about 7%, too few for a sample
     ws = sorted(generate_weights(random.Random(0), 2**14, 64), key=math.ceil, reverse=True)
     sample = sorted(kept_fracs(ws)[::_SAMPLE_STRIDE])
-    res, log = _squeezes(monkeypatch, ws)
+    res, log = _squeezes(ws)
     (flo, fhi), _ = log[0]
     (flo2, fhi2), _ = log[1]
     assert {flo, fhi, flo2, fhi2} <= set(sample) | {-1.0, 1.0}
@@ -1278,7 +1248,7 @@ def test_sampled_hit_nests_a_sampled_window(monkeypatch):
 
 
 @pytest.mark.parametrize("smallest, missed", [(True, "low"), (False, "high")])
-def test_sampled_window_miss_sorts_the_side_beyond_it(monkeypatch, smallest, missed):
+def test_sampled_window_miss_sorts_the_side_beyond_it(smallest, missed):
     # a sample of the smallest (largest) fracs puts every window read
     # from it below (above) the answer, and every bisection probe of the
     # sample too, at n = 4096 and at 2^14.  So the search sorts the
@@ -1288,7 +1258,7 @@ def test_sampled_window_miss_sorts_the_side_beyond_it(monkeypatch, smallest, mis
         for seed in range(2):
             ws = stride_skewed_weights(random.Random(seed), n, smallest)
             sample = sorted(kept_fracs(ws)[::_SAMPLE_STRIDE])
-            res, log = _squeezes(monkeypatch, ws)
+            res, log = _squeezes(ws)
             (flo, fhi), probed = log[0]
             # an infeasible fhi decides the window without probing flo
             assert probed[:2] == ([fhi] if missed == "low" else [fhi, flo])
@@ -1323,7 +1293,7 @@ def test_sorted_fracs_take_windows_after_two_sampled_misses(smallest):
 
 
 @pytest.mark.parametrize("end", ["top", "bottom"])
-def test_sampled_window_takes_a_sentinel_edge(monkeypatch, end):
+def test_sampled_window_takes_a_sentinel_edge(end):
     # a window reaching past an end of the sample is cut at the
     # bracket's end there, whose Q is known (2a below every frac, a at
     # the largest), and its squeeze takes the sentinel -1.0 or 1.0 for
@@ -1338,7 +1308,7 @@ def test_sampled_window_takes_a_sentinel_edge(monkeypatch, end):
         sample, i, k = _sample_window(ws)
         top = bisect_left(sample, sample[-1])
         assert (k == top, i == -1) == (end == "top", end == "bottom")
-        res, log = _squeezes(monkeypatch, ws)
+        res, log = _squeezes(ws)
         (flo, fhi), probed = log[0]
         if end == "top":
             assert flo == sample[i] and fhi == 1.0 and probed == [flo]
@@ -1373,7 +1343,7 @@ def test_sampled_window_falls_back_to_the_full_sort(case):
 
 
 @pytest.mark.parametrize("label, n", [("fraction10", 6000), ("integral70", 8192)])
-def test_hand_over_sorts_every_copy_of_the_top_once(monkeypatch, label, n):
+def test_hand_over_sorts_every_copy_of_the_top_once(label, n):
     # pooled offsets whose fold keeps 4096 to 6000 positions: the sample
     # brackets the answer below a value with hundreds of copies (the
     # Fraction frac of -1e-20 weights, 201 kept, and 0.0, 3439), so the
@@ -1384,20 +1354,17 @@ def test_hand_over_sorts_every_copy_of_the_top_once(monkeypatch, label, n):
     ws = next(w for lab, w in corpus_inputs() if (lab, len(w)) == (label, n))
     kept = kept_fracs(ws)
     assert 4096 <= len(kept) <= 6000
-    lists = []
-
-    def sort(values):
-        lists.append(list(values))
-        return sorted(values)
-
-    monkeypatch.setattr(alphatree.realweight, "sorted", sort, raising=False)
     res = alpha_real(ws)
-    monkeypatch.undo()
-    sample, rest, merged = lists
-    top = max(merged)
-    flo = max((f for f in kept if f < min(merged)), default=-1.0)
+    # the trace's three sorted lists: the first topped by the largest
+    # kept frac, which it did not sort
+    first, rest, merged = [e[2] for e in res.trace if e[0] == "sort"]
+    sample = first[:-1]
+    # the merge is sorted: its ends are the bracket's lowest kept frac
+    # and its top
+    bottom, top = merged[0], merged[-1]
+    flo = max((f for f in kept if f < bottom), default=-1.0)
     inside = [f for f in kept if flo < f <= top]
-    assert sample == kept[::_SAMPLE_STRIDE] and inside.count(top) >= 200
+    assert first == sorted(kept[::_SAMPLE_STRIDE]) + [max(kept)] and inside.count(top) >= 200
     own = [f for f in sample if flo < f <= top]
     assert own.count(top) >= 10 and sorted(rest + own) == sorted(inside)
     assert sorted(merged) == sorted(inside + [top] * (top == max(kept)))
@@ -1431,7 +1398,7 @@ def test_tied_sampled_window_probes_the_value_once():
     (4, 71, "top", True), (4, 1985, "top", False),
     (5, 142, "bottom", True), (5, 1418, "bottom", False),
 ])
-def test_sample_end_rule_at_its_boundary(monkeypatch, d, seed, edge, touches):
+def test_sample_end_rule_at_its_boundary(d, seed, edge, touches):
     # both sides of the end rule's boundary take a sampled window: an
     # edge past the sample's last (first) value is the sentinel there,
     # one on that value is the value.  Each window holds the answer.
@@ -1440,7 +1407,7 @@ def test_sample_end_rule_at_its_boundary(monkeypatch, d, seed, edge, touches):
     sample, i, k = _sample_window(ws)
     top = bisect_left(sample, sample[-1])
     assert (top - k if edge == "top" else i + 1) == (0 if touches else 1)
-    res, log = _squeezes(monkeypatch, ws)
+    res, log = _squeezes(ws)
     (flo, fhi), _ = log[0]
     assert (flo, fhi) == (_edge(sample, i), _edge(sample, k))
     assert (fhi == 1.0 if edge == "top" else flo == -1.0) == touches
@@ -1514,6 +1481,87 @@ def test_every_window_obeys_the_width_rule(kind):
     quarter, steps = first["span"] // _WINDOW, -(-4 * first["span"] // a)
     assert first["width"] == (quarter if kind == "real-highd" else steps) > min(quarter, steps)
     _same_answer(res, ws)
+
+
+def test_trace_lists_the_calls_made(monkeypatch):
+    # the one test that spies on alpha_real: its fold pass, squeezes,
+    # probes and sorts, each rebound in realweight's namespace, must be
+    # what its trace lists, in order, with the items each walked (the
+    # values each sort took, less the first list's appended top and all
+    # of the merge's) and what each returned; the kept fracs follow the
+    # fold pass and the witness's pass at the answer ends the trace.
+    # The counters, summed from the calls here, are the trace's sums
+    mod, calls = alphatree.realweight, []
+
+    def spy(kind, fn):
+        def call(*args):
+            out = fn(*args)
+            calls.append((kind, args, out))
+            return out
+        return call
+
+    for name, kind in [("_fold_pass", "fold"), ("_squeeze_pass", "squeeze"),
+                       ("_bottom_entry", "probe")]:
+        monkeypatch.setattr(mod, name, spy(kind, getattr(mod, name)))
+    monkeypatch.setattr(mod, "sorted", spy("sort", sorted), raising=False)
+    inputs = [ws for _, ws in corpus_inputs() if len(ws) <= 4097]
+    inputs += [ws for ops in perfbench_real_inputs().values() for ws in ops[:4]]
+    for ws in inputs:
+        calls.clear()
+        res = alpha_real(ws)
+        want, got, sorts = [], dict.fromkeys(res.instrumentation, 0), 0
+        for kind, args, out in calls:
+            if kind == "fold":
+                t, a, _, kept = out
+                want += [("probe", len(ws), 1.0, (t, a)), ("kept", len(kept), kept)]
+                got["kept_items"] = len(kept)
+            elif kind == "squeeze":
+                want.append(("squeeze", len(args[0]), args[3], args[4], len(out[0])))
+                got["squeeze_items"] += len(args[0])
+            elif kind == "probe":
+                want.append(("probe", len(args[0]), args[3], out))
+                got["probes"] += 1
+                got["probe_items"] += len(args[0])
+            else:
+                # the merge, the third sort, sorts nothing afresh
+                sorts += 1
+                values = 0 if sorts == 3 else len(args[0])
+                want.append(("sort", values, out))
+                got["sort_items"] += values
+        want.append(("probe", len(ws), res.b, res.int_cost))
+        got["probes"] += 2
+        got["probe_items"] += 2 * len(ws)
+        assert res.trace == want
+        assert res.instrumentation == got and sorts in (1, 3)
+
+
+def test_partition_trace_of_the_live_tree_search():
+    # alpha_real_new's trace: the target's pass over the floors, one
+    # partition event per round and the witness's pass.  Each round
+    # partitions the items left at the median of their fracs and sets
+    # those with a frac in (0, median]; its feasible flag is the static
+    # cost's verdict there, and it keeps the items below the median if
+    # so, above it if not, which the next round partitions.  The rounds'
+    # items sum to partition_items and their sets to the tree's
+    for label, ws in corpus_inputs():
+        if len(ws) > 4097:
+            continue
+        seq = WeightSeq(ws)
+        res = alpha_real_new(seq)
+        first, *rounds, last = res.trace
+        assert first == ("probe", seq.n, 1.0, res.int_cost)
+        assert last == ("probe", seq.n, res.b, res.int_cost)
+        fracs, items = seq.fracs, list(range(seq.n))
+        for kind, count, m, sets, feasible in rounds:
+            assert kind == "partition" and count == len(items), label
+            assert m == sorted(fracs[i] for i in items)[(count - 1) // 2]
+            assert sets == sum(1 for i in items if 0.0 < fracs[i] <= m)
+            assert feasible == (static_cost(seq.adjusted(m)) == res.int_cost), label
+            items = [i for i in items if (fracs[i] < m if feasible else fracs[i] > m)]
+        assert not items and res.b == [e[2] for e in rounds if e[4]][-1]
+        assert res.instrumentation["partition_items"] == sum(e[1] for e in rounds)
+        assert res.instrumentation["sets"] == sum(e[3] for e in rounds)
+        assert res.instrumentation["probes"] == 2
 
 
 CORPUS_ANSWERS_SHA256 = "fdc433f9fe93461507c130542a5ab7aa113e91997a13162e15575c350ad13432"
