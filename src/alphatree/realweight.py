@@ -127,22 +127,22 @@ class RealCostResult:
 
     trace holds one event per pass, in order: ("probe", items, b, (t, a)
     or cost), a static pass at offset b, the first the target's at 1.0
-    and the last the witness's; ("kept", k, fracs), the fracs of the k
-    positions the fold pass kept; ("squeeze", items, flo, fhi, out), the
+    and the last the witness's; ("kept", k), the k positions the fold
+    pass kept; ("squeeze", items, flo, fhi, out), the
     items for [flo, fhi]; ("sort", values, list), a sorted list, values
     of it sorted afresh; ("partition", items, median, sets, feasible), a
     round of alpha_real_new.  instrumentation sums each kind's items (as
     probe_items, kept_items, ...), counts the probes and adds the live
     tree's sets, undos, finds, unions and deunions."""
 
-    def __init__(self, alpha, b, int_cost, depths, strategy, instrumentation, trace):
+    def __init__(self, alpha, b, int_cost, depths, strategy, trace):
         self.alpha = alpha
         self.b = b
         self.int_cost = int_cost
         self.depths = depths
         self.strategy = strategy
-        self.instrumentation = instrumentation
         self.trace = trace
+        self.instrumentation = _counters(trace)
 
     def __repr__(self):
         return "RealCostResult(alpha=%r, b=%r, strategy=%r)" % (
@@ -279,7 +279,7 @@ def alpha_real(w) -> RealCostResult:
     # and its count; fracs and n are the kept positions', and the search
     # reads no other
     t, a, items, fracs = _fold_pass(seq.floors, seq.fracs)
-    trace = [("probe", seq.n, 1.0, (t, a)), ("kept", len(fracs), fracs)]
+    trace = [("probe", seq.n, 1.0, (t, a)), ("kept", len(fracs))]
     n = len(fracs)
     target = t + ceil_log2(a)
     # Q(b) = a_b * 2^(t_b - t) from the pass at b is an integer (t_b,
@@ -310,12 +310,19 @@ def alpha_real(w) -> RealCostResult:
         hi, q2, fhi = bisect_left(order, order[x], lo, x), q, order[x]
         return True
 
+    def squeeze(e0, e1):
+        # the items for [e0, e1]; returns the items it squeezed
+        nonlocal items
+        outer, items = items, _squeeze_pass(*items, e0, e1)
+        trace.append(("squeeze", len(outer[0]), e0, e1, len(items[0])))
+        return outer
+
     stride = _SAMPLE_STRIDE if n >= 4096 else 1
     order = sorted(fracs[::stride])
-    trace.append(("sort", len(order), order))
-    # the largest frac tops the list: Q there is known, so it is never
-    # probed
+    # the largest frac tops the list, unsorted: Q there is known, so it
+    # is never probed
     order.append(max(fracs))
+    trace.append(("sort", len(order) - 1, order))
     lo, hi = 0, bisect_left(order, order[-1])
     # the passes over the current items by which the windows may trail
     # bisection (see the module docstring)
@@ -342,9 +349,7 @@ def alpha_real(w) -> RealCostResult:
         # the sorted fracs' first value also fixes its copies; the
         # sample's cannot, as fracs it did not hold lie below it
         if _SQUEEZE_RUN * stride * span <= len(items[0]):
-            e0, outer = flo if stride > 1 else order[lo], items
-            items = _squeeze_pass(*outer, e0, fhi)
-            trace.append(("squeeze", len(outer[0]), e0, fhi, len(items[0])))
+            squeeze(flo if stride > 1 else order[lo], fhi)
         # a window while the budget covers its squeeze and the bracket
         # holds 48 values or more (windows in smaller ones saved under
         # 0.4% of perfbench's items, and made searches of 16 to 40
@@ -360,10 +365,8 @@ def alpha_real(w) -> RealCostResult:
             if i >= lo:
                 i = bisect_left(order, order[i + 1], lo, i + 1) - 1
             if (k - i - 1).bit_length() + 2 <= (span - 1).bit_length():
-                outer, mark = items, len(trace)
-                e0, e1 = order[i] if i >= lo else flo, order[k] if k < hi else fhi
-                items = _squeeze_pass(*outer, e0, e1)
-                trace.append(("squeeze", len(outer[0]), e0, e1, len(items[0])))
+                mark = len(trace)
+                outer = squeeze(order[i] if i >= lo else flo, order[k] if k < hi else fhi)
                 # an end of the bracket is never probed, its Q being known
                 if not ((k == hi or probe(k)) and (i < lo or not probe(i))):
                     items = outer
@@ -470,4 +473,4 @@ def _finish(seq, b, target, strategy, trace) -> RealCostResult:
                 % (target, b, alpha)
             )
     # the frac of a weight -0.0 is -0.0: report that offset as 0.0
-    return RealCostResult(alpha, b or 0.0, target, depths, strategy, _counters(trace), trace)
+    return RealCostResult(alpha, b or 0.0, target, depths, strategy, trace)

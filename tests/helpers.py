@@ -184,7 +184,7 @@ def bisected_sorted(w):
     its RealCostResult, trace and counters included."""
     seq = as_weight_seq(w)
     t, a, items, fracs = _fold_pass(seq.floors, seq.fracs)
-    trace = [("probe", seq.n, 1.0, (t, a)), ("kept", len(fracs), fracs)]
+    trace = [("probe", seq.n, 1.0, (t, a)), ("kept", len(fracs))]
     order = sorted(fracs)
     trace.append(("sort", len(order), order))
     target = t + ceil_log2(a)
@@ -563,12 +563,12 @@ def perfbench_real_inputs():
                 for name in ("real-lowd", "real-highd")}
 
 
-def phase_times(inputs, rounds=7):
+def phase_times(inputs):
     """Seconds per input of each whole-sequence pass of alpha_real over
     inputs, and of the whole call: WeightSeq, its fracs, the fold pass,
-    adjusted at the answer and static_witness there.  Each round times
-    each of them once over all the inputs, in turn, so that a slow
-    spell of the machine falls on them alike; each pass gets what it
+    adjusted at the answer and static_witness there.  Each of 7 rounds
+    times each of them once over all the inputs, in turn, so that a
+    slow spell of the machine falls on them alike; each pass gets what it
     reads built beforehand, untimed.  Returns (name, median, min, max)
     rows over the rounds, the search, what alpha_real spends outside
     those passes, last: per round the whole call less the passes, which
@@ -586,7 +586,7 @@ def phase_times(inputs, rounds=7):
         ("alpha_real", lambda: inputs, alpha_real),
     ]
     times = {name: [] for name, _, _ in phases}
-    for _ in range(rounds):
+    for _ in range(7):
         for name, setup, step in phases:
             args = setup()
             start = perf_counter()

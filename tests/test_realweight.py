@@ -175,7 +175,7 @@ def test_certify_rejects_a_later_offset():
         if above:
             b = min(above)
             cost, depths = static_witness(seq.adjusted(b))
-            late = RealCostResult(tree_cost(depths, ws), b, cost, depths, "sorted", {}, [])
+            late = RealCostResult(tree_cost(depths, ws), b, cost, depths, "sorted", [])
             with pytest.raises(AssertionError, match="a smaller offset is feasible"):
                 certify(ws, late)
 
@@ -840,10 +840,10 @@ def _replay(ws):
     # the fold pass comes first: the target over the n floors, then the
     # kept fracs, whose sample the first list is from 4096 of them; the
     # search starts from the folded items
-    (_, walked, b, (t, a)), (_, k, kept) = next(events), next(events)
+    (_, walked, b, (t, a)), (_, k) = next(events), next(events)
     assert (walked, b, (t, a)) == (seq.n, 1.0, bottom_entry(seq.floors))
-    _, _, (levels, _, _), folded_kept = _fold_pass(seq.floors, seq.fracs)
-    assert kept == folded_kept and res.instrumentation["kept_items"] == k == len(kept)
+    _, _, (levels, _, _), kept = _fold_pass(seq.floors, seq.fracs)
+    assert res.instrumentation["kept_items"] == k == len(kept)
     cap = 1 << ceil_log2(a)
     flo, fhi, q1, q2, items, kind = -1.0, 1.0, 2 * a, a, len(levels), None
     # whether the current items are a squeeze's, not the fold pass's
@@ -1488,7 +1488,7 @@ def test_trace_lists_the_calls_made(monkeypatch):
     # probes and sorts, each rebound in realweight's namespace, must be
     # what its trace lists, in order, with the items each walked (the
     # values each sort took, less the first list's appended top and all
-    # of the merge's) and what each returned; the kept fracs follow the
+    # of the merge's) and what each returned; the kept count follows the
     # fold pass and the witness's pass at the answer ends the trace.
     # The counters, summed from the calls here, are the trace's sums
     mod, calls = alphatree.realweight, []
@@ -1513,7 +1513,7 @@ def test_trace_lists_the_calls_made(monkeypatch):
         for kind, args, out in calls:
             if kind == "fold":
                 t, a, _, kept = out
-                want += [("probe", len(ws), 1.0, (t, a)), ("kept", len(kept), kept)]
+                want += [("probe", len(ws), 1.0, (t, a)), ("kept", len(kept))]
                 got["kept_items"] = len(kept)
             elif kind == "squeeze":
                 want.append(("squeeze", len(args[0]), args[3], args[4], len(out[0])))
