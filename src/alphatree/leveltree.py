@@ -5,7 +5,7 @@ Keeps the levels Y = ceil(w_1) - x_1, ..., ceil(w_n) - x_n in its leaves
 ceilings) and maintains their alphabetic minimax cost under three
 operations: set(i) (flip x_i from 0 to 1, allowed only when w_i is not
 an integer), undo() (exact rollback of the last set), and cost() (O(1)
-plus one find).
+plus at most two finds).
 
 The tree has one leaf per weight and one internal node per level
 interval.  Every internal node keeps its children at a single common

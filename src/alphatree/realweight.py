@@ -70,7 +70,8 @@ Two search strategies share that skeleton:
 * alpha_real_new, the paper's algorithm, never sorts.  It keeps one
   level tree alive, walks a median-of-medians partition of the
   fractional parts, and moves between probe offsets by set/undo on the
-  tree, touching each position O(1) times overall.
+  tree, touching O(n) positions in total (alpha_real_new bounds its
+  counters), though one position may be set in several rounds.
 
 Both take the target, the cost at the largest fractional part, from a
 pass over the floors, the pass at 1.0, above every fractional part:

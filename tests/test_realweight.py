@@ -509,20 +509,17 @@ def test_squeezed_search_matches_unsqueezed_long():
         ws = [c - 1 + f if f else float(c)
               for c, f in ((rng.randint(lo, 4), rng.choice(pool)) for _ in range(n))]
         b, target, depths, probes = unsqueezed_sorted(ws)
-        res = alpha_real_sorted(ws)
+        res, _ = _replay(ws)
         assert (res.b, res.int_cost, res.depths) == (b, target, depths), ws
-        assert res.instrumentation["probes"] <= _search_probe_bound(ws), ws
 
 
-def _search_probe_bound(ws):
+def _search_probe_bound(fracs):
     # The target and the witness, plus the search's probes, bounded in
     # realweight's module docstring: at most one per distinct offset but
     # the largest, each probing an offset strictly inside the bracket,
     # and at most 2H + 2, where H = L(m + 1) + L(n), with L = ceil_log2,
     # bounds the halvings in the sample of m values (none below n =
-    # 4096) and in the sorted fracs; the offsets and n are the kept
-    # positions'
-    fracs = kept_fracs(ws)
+    # 4096) and in the sorted fracs; fracs are the kept positions'
     n = len(fracs)
     offsets = len(set(fracs))
     m = -(-n // _SAMPLE_STRIDE) if n >= 4096 else 0
@@ -544,23 +541,6 @@ def _probe_item_bound(n, nlevels):
     return total
 
 
-def _window_items_within_bound(ws):
-    # the item bound of realweight's module docstring, round by round:
-    # the windows walk at most 4N items more than h probes over the N
-    # items each window started from, summed over the windows, where N,
-    # the items the fold pass leaves, is at most twice the kept
-    # positions; returns the result and the rounds
-    res, rounds = _replay(ws)
-    seq = WeightSeq(ws)
-    _, _, (levels, _, _), kept = _fold_pass(seq.floors, seq.fracs)
-    assert len(levels) <= 2 * len(kept)
-    windows = [r for r in rounds if r["edges"]]
-    walked = sum(r["walked"] for r in windows)
-    assert walked <= sum(r["h"] * r["N"] for r in windows) + 4 * len(levels), rounds
-    assert all(r["budget"] >= 1 for r in windows)
-    return res, rounds
-
-
 def test_sorted_probe_item_budget():
     # 14 full passes (target, 12 probes, witness) would walk 14n items;
     # with the squeeze they walked about 7n, with one interpolated window
@@ -569,10 +549,9 @@ def test_sorted_probe_item_budget():
     n = 2**12
     for seed in range(3):
         ws = generate_weights(random.Random(seed), n, 64)
-        res = alpha_real_sorted(ws)
+        res, _ = _replay(ws)
         assert res.instrumentation["probe_items"] <= 8 * n
         assert (res.b, res.int_cost, res.depths) == unsqueezed_sorted(ws)[:3]
-        assert res.instrumentation["probes"] <= _search_probe_bound(ws)
 
 
 @pytest.mark.parametrize("d", [1, 2, 8, 64])
@@ -630,12 +609,9 @@ def test_one_pass_squeeze_matches_per_run(items, f1, f2):
 def test_work_within_derived_bounds(d):
     # Counter bounds that follow from the algorithms, for any instance:
     # - sorted (realweight's module docstring): it sorts each fractional
-    #   part at most once, the sample of every 8th one included; it makes
-    #   at most _search_probe_bound probes; and its windows walk at most
-    #   4n items more than h probes over the N items each window started
-    #   from, h being the halvings of the bracket it gained, checked
-    #   window by window on the replayed search.  Its probes also walk
-    #   within _probe_item_bound, and it makes at most 4 + L(n) probes
+    #   part at most once, the sample of every 8th one included, and
+    #   the replay checks the docstring's probe bound and window item
+    #   bound.  Its probes also walk within _probe_item_bound, and it makes at most 4 + L(n) probes
     #   past the target and the witness, the bounds of the earlier
     #   rules: derived for the bisection alone, with the windows they
     #   are only checked;
@@ -656,12 +632,10 @@ def test_work_within_derived_bounds(d):
         nlevels = len(set(seq.ceils) | {c - 1 for c in seq.ceils})
         rounds = n.bit_length()
         ties = max(Counter(seq.fracs).values())
-        got = alpha_real_sorted(seq).instrumentation
-        assert got["probes"] <= _search_probe_bound(seq.weights), (n, got)
+        got = _replay(seq.weights)[0].instrumentation
         assert got["probe_items"] <= _probe_item_bound(n, nlevels), (n, got)
         assert got["probes"] <= 2 + 4 + ceil_log2(n), (n, got)
         assert got["sort_items"] <= n, (n, got)
-        _window_items_within_bound(seq.weights)
         got = alpha_real_new(seq).instrumentation
         assert got["sort_items"] == got["kept_items"] == 0, (n, got)
         assert (got["probes"], got["probe_items"]) == (2, 2 * n), (n, got)
@@ -782,15 +756,6 @@ def skewed_weights(rng, n, late):
     return ws
 
 
-def _no_window(ws):
-    # the inputs on which the sorted search tries no window: a target
-    # load below _SQUEEZE_RUN, or at most 2 distinct offsets
-    seq = WeightSeq(ws)
-    order = sorted(seq.fracs)
-    a = bottom_entry(seq.adjusted(order[-1]))[1]
-    return a < _SQUEEZE_RUN or len(set(order)) <= 2
-
-
 def _search_input(seed, n, kind):
     rng = random.Random(seed)
     if kind in ("late", "early"):
@@ -806,129 +771,151 @@ def _search_input(seed, n, kind):
 
 
 def _replay(ws):
-    # alpha_real's result on ws and its rounds, read off its trace.  The
-    # first sort gives the list, topped by the largest kept frac: every
-    # 8th kept frac from 4096 of them, else all.  From a sample, the
-    # hand-over sorts the bracket's kept fracs that the sample did not
-    # hold, none twice, and a last sort merges them with the sample's
-    # own into the next list.  A squeeze of the whole bracket prepares a
-    # round, a squeeze inside it is a window's, followed by the probes
-    # of its edges that are not the bracket's ends, and any other probe
-    # is a bisection's.  The replay asserts what the module docstring
-    # states of every round: each probe is a list value strictly inside
-    # the bracket and walks the current items, a window's edges are list
-    # values in the bracket or its ends, and a miss restores the items.
-    # A round is a dict of its "list" ("sample" or "sorted"), the
-    # bracket's "span" of values in it, the "steps" by which Q falls
-    # across it, the windows' "budget" before it (as the docstring
-    # counts it) and, for a window, its "edges", the "width" of list
-    # values it holds, whether an edge is an end of the bracket ("cut"),
-    # whether it squeezed items an earlier squeeze made ("nested"),
-    # where the answer lay ("side": "holds", or "low" or "high" of it),
-    # the items "N" it started from, the items it "walked" and the
-    # halvings "h" it gained ("edges" is None for a bisection round)
+    # alpha_real's result on ws and its rounds, from a model of its loop
+    # run in lockstep with its trace.  From its own list, bracket, Q
+    # values, budget and item count, the model predicts each step the
+    # loop must take and asserts that the trace took it, naming the
+    # rule where it did not.  The rules (realweight's module docstring):
+    # - the fold pass's target over the n floors, then the kept fracs;
+    #   the first list is every stride-th kept frac, sorted, topped by
+    #   the largest, the stride 8 from 4096 kept fracs, else 1;
+    # - the hand-over, exactly when the list is the sample and the
+    #   bracket holds one value or the window width w is under a
+    #   stride: it sorts the bracket's kept fracs that the sample did
+    #   not hold, none twice, and merges them with the sample's own;
+    # - the round squeeze, exactly when 16 * stride * span <= items:
+    #   from flo on the sample, from the bracket's first value on the
+    #   sorted fracs, up to fhi;
+    # - a window, exactly when the budget holds a pass, the bracket 48
+    #   values or more and two offsets below its top, and a hit would
+    #   gain two halvings: its squeeze at the rule's edges (the
+    #   interpolated rank r, the width w, the lower edge stepped down
+    #   past copies, each edge cut at a bracket end it reaches), then
+    #   the probe of its upper edge and, if that was feasible, of its
+    #   lower edge, an edge at a bracket end unprobed; a miss restores
+    #   the items;
+    # - otherwise a bisection probe at the bracket's middle value.
+    # Every probe and squeeze walks the current items, and the witness's
+    # pass at the answer ends the trace.  Then the docstring's bounds
+    # hold: the fold leaves N <= 2n items, the windows walk at most 4N
+    # items more than h passes over the items each window started from
+    # (h the halvings it gained), and the probes are within
+    # _search_probe_bound.  A round is a dict of its "list" ("sample" or
+    # "sorted"), the bracket's "lo" and "hi" in it, the "steps" by which
+    # Q falls across it, the offsets "probed" and, for a window, the
+    # rule's indices "i" and "k", its "edges", whether it squeezed
+    # items an earlier squeeze made ("nested") and where the answer lay
+    # ("side": "holds", or "low" or "high" of it); "edges" is None for a
+    # bisection round
     seq = WeightSeq(ws)
     res = alpha_real(seq)
-    # the witness's pass over the n positions at the answer ends it
-    *log, witness = res.trace
-    assert witness == ("probe", seq.n, res.b, res.int_cost)
-    # the first list's top is appended, not sorted, and the merge sorts
-    # nothing afresh
-    sorts = [len(e[2]) for e in log if e[0] == "sort"]
-    assert res.instrumentation["sort_items"] == sum(sorts[:2]) - 1 and len(sorts) in (1, 3), sorts
-    events = iter(log)
-    # the fold pass comes first: the target over the n floors, then the
-    # kept fracs, whose sample the first list is from 4096 of them; the
-    # search starts from the folded items
-    (_, walked, b, (t, a)), (_, k) = next(events), next(events)
-    assert (walked, b, (t, a)) == (seq.n, 1.0, bottom_entry(seq.floors))
+    trace, pos = res.trace, 0
     _, _, (levels, _, _), kept = _fold_pass(seq.floors, seq.fracs)
-    assert res.instrumentation["kept_items"] == k == len(kept)
-    cap = 1 << ceil_log2(a)
-    flo, fhi, q1, q2, items, kind = -1.0, 1.0, 2 * a, a, len(levels), None
-    # whether the current items are a squeeze's, not the fold pass's
-    squeezed_now = False
-    budget, rounds = (_BUDGET if a >= _SQUEEZE_RUN else 0), []
+    t, a = bottom_entry(seq.floors)
 
-    def bracket():
-        # the first list value in the bracket, and its top's first copy
-        return bisect_right(values, flo), bisect_left(values, min(fhi, values[-1]))
+    def expect(rule, *want):
+        # the next event, whose leading fields must be want
+        nonlocal pos
+        event = trace[pos]
+        assert event[:len(want)] == want, "%s: the trace has %r, the rule %r" % (rule, event, want)
+        pos += 1
+        return event
 
-    def decide(event, b=None):
-        # a probe's event: at b if given, on the current items; moves an
-        # end of the bracket to its offset, and returns whether it lay
-        # below the answer
-        nonlocal flo, fhi, q1, q2
-        kind, walked, got, (tb, ab) = event
+    def probe(x, rule):
+        # as the loop's probe: moves lo past the copies of values[x] or
+        # hi to the first, and returns whether it was feasible
+        nonlocal lo, hi, q1, q2, flo, fhi
+        tb, ab = expect(rule, "probe", items, values[x])[3]
+        rnd["probed"].append(values[x])
         q = ab << (tb - t)
-        assert kind == "probe" and walked == items and got == (got if b is None else b)
-        lo, hi = bracket()
-        assert got in values and flo < got < values[hi], (got, flo, fhi)
         if q > cap:
-            flo, q1 = got, q
-        else:
-            fhi, q2 = got, q
-        return q > cap
+            lo, q1, flo = bisect_right(values, values[x], x, hi), q, values[x]
+            return False
+        hi, q2, fhi = bisect_left(values, values[x], lo, x), q, values[x]
+        return True
 
-    for event in events:
-        if event[0] == "sort":
-            if kind is None:
-                stride = _SAMPLE_STRIDE if len(kept) >= 4096 else 1
-                assert event[2] == sorted(kept[::stride]) + [max(kept)]
-                values, kind = event[2], "sample" if stride > 1 else "sorted"
-                continue
-            # the hand-over: with the sample's own values in the bracket,
-            # the fracs it sorts are exactly the bracket's kept ones
-            assert kind == "sample"
-            own = [f for f in kept[::_SAMPLE_STRIDE] if flo < f <= fhi]
-            rest, (_, _, merged) = event[2], next(events)
-            assert sorted(rest + own) == sorted(f for f in kept if flo < f <= fhi), (flo, fhi)
-            assert merged == sorted(values[bracket()[0]:bisect_right(values, fhi)] + rest)
-            values, kind = merged, "sorted"
-            continue
-        lo, hi = bracket()
+    expect("target", "probe", seq.n, 1.0, (t, a))
+    expect("fold", "kept", len(kept))
+    stride = _SAMPLE_STRIDE if len(kept) >= 4096 else 1
+    values = sorted(kept[::stride]) + [max(kept)]
+    expect("first list", "sort", len(values) - 1, values)
+    sort_items, cap = len(values) - 1, 1 << ceil_log2(a)
+    lo, hi, q1, q2, flo, fhi = 0, bisect_left(values, values[-1]), 2 * a, a, -1.0, 1.0
+    # squeezed: whether the current items are a squeeze's
+    items, squeezed = len(levels), False
+    budget = _BUDGET if a >= _SQUEEZE_RUN else 0
+    rounds, excess = [], 0
+    while lo < hi or stride > 1:
         span = hi - lo + 1
-        if event[0] == "squeeze":
-            _, walked, e0, e1, squeezed = event
-            nested = squeezed_now
-            assert walked == items, event
-            if e1 == fhi and e0 in (flo, values[lo]):
-                items, squeezed_now = squeezed, True
-                continue
-        rnd = {"list": kind, "span": span, "steps": q1 - q2, "budget": budget, "edges": None}
-        rounds.append(rnd)
-        if event[0] == "probe":
-            decide(event)
+        w = min(max(span // _WINDOW, -(-4 * span // (q1 - q2))), span // 4)
+        if stride > 1 and (lo == hi or w < stride):
+            _, count, rest = expect("hand-over", "sort")
+            own = [f for f in kept[::stride] if flo < f <= fhi]
+            inside = sorted(f for f in kept if flo < f <= fhi)
+            assert count == len(rest) and sorted(rest + own) == inside, ("hand-over", flo, fhi)
+            values = sorted(values[lo:bisect_right(values, fhi, lo)] + rest)
+            expect("hand-over", "sort", 0, values)
+            sort_items += count
+            lo, hi, stride = 0, bisect_left(values, values[-1]), 1
             continue
-        assert flo <= e0 < e1 <= fhi and {e0, e1} <= set(values) | {flo, fhi}, (e0, e1)
-        width = (hi if e1 == fhi else bisect_left(values, e1)) - (
-            lo - 1 if e0 == flo else bisect_right(values, e0) - 1)
-        cut = e0 == flo or e1 == fhi
-        outer, items, squeezed_now, hit = items, squeezed, True, True
-        if e1 != fhi:
-            walked += squeezed
-            hit = not decide(next(events), e1)
-        if hit and e0 != flo:
-            walked += squeezed
-            hit = decide(next(events), e0)
+        assert trace[pos][0] != "sort", "hand-over: the trace sorts at span %d, w %d" % (span, w)
+        rnd = {"list": "sample" if stride > 1 else "sorted", "lo": lo, "hi": hi,
+               "steps": q1 - q2, "probed": [], "edges": None}
+        rounds.append(rnd)
+        edges = None
+        if budget >= 1 and span >= 2 * _WINDOW and values[lo] < values[hi - 1]:
+            r = lo - 1 + span * (q1 - cap) // (q1 - q2)
+            i = max(r - w // 2, lo - 1)
+            k = min(i + w, hi)
+            if i >= lo:
+                i = bisect_left(values, values[i + 1], lo, i + 1) - 1
+            if (k - i - 1).bit_length() + 2 <= (span - 1).bit_length():
+                edges = (values[i] if i >= lo else flo, values[k] if k < hi else fhi)
+        whole = ("squeeze", items, flo if stride > 1 else values[lo], fhi)
+        if _SQUEEZE_RUN * stride * span <= items:
+            items, squeezed = expect("round squeeze", *whole)[4], True
+        else:
+            # a window may squeeze between the same two offsets
+            assert trace[pos][:4] != whole or whole[2:] == edges, \
+                "round squeeze: the trace squeezes at span %d, items %d" % (span, items)
+        if edges is None:
+            assert trace[pos][0] != "squeeze", "window: the trace tries one at span %d" % span
+            probe((lo + hi) // 2, "bisection")
+            continue
+        rnd.update(i=i, k=k, edges=edges, nested=squeezed)
+        outer, items, squeezed = items, expect("window", "squeeze", items, *edges)[4], True
+        hit = (k == hi or probe(k, "window")) and (i < lo or not probe(i, "window"))
+        walked = outer + items * len(rnd["probed"])
         if not hit:
-            items, squeezed_now = outer, nested
-        h = (span - 1).bit_length() - (bracket()[1] - bracket()[0]).bit_length()
-        side = "high" if res.b <= e0 else "low" if res.b > e1 else "holds"
-        assert hit == (side == "holds")
-        rnd.update(edges=(e0, e1), width=width, cut=cut, nested=nested,
-                   side=side, N=outer, walked=walked, h=h)
-        budget = min(_BUDGET, budget + h - walked / outer)
-    lo, hi = bracket()
-    assert lo == hi and res.b == values[lo]
+            items, squeezed = outer, rnd["nested"]
+        h = (span - 1).bit_length() - (hi - lo).bit_length()
+        # in the loop's order of operations, so that the float rounds alike
+        budget = min(_BUDGET, budget + (span - 1).bit_length() - (hi - lo).bit_length()
+                     - walked / outer)
+        excess += walked - h * outer
+        rnd["side"] = "high" if res.b <= edges[0] else "low" if res.b > edges[1] else "holds"
+        assert hit == (rnd["side"] == "holds"), rnd
+    assert lo == hi and res.b == values[lo] and pos == len(trace) - 1, (lo, hi, pos)
+    assert trace[pos] == ("probe", seq.n, res.b, res.int_cost)
+    assert (res.instrumentation["kept_items"], res.instrumentation["sort_items"]) == (
+        len(kept), sort_items)
+    assert len(levels) <= 2 * len(kept) and excess <= 4 * len(levels), (excess, rounds)
+    assert res.instrumentation["probes"] <= _search_probe_bound(kept), rounds
     return res, rounds
 
 
-def _windows(ws):
-    # the result, each window's (nested, side) and the number of windows
-    res, rounds = _replay(ws)
-    sides = [(r["nested"], r["side"]) for r in rounds if r["edges"]]
-    return res, sides, len(sides)
+def _first_replays(count, inputs, case):
+    # the first count (ws, result, rounds) of inputs whose replay shows
+    # case, a predicate on the rounds: a scenario test's inputs, taken
+    # from a fixed range by the case it names
+    found = []
+    for ws in inputs:
+        res, rounds = _replay(ws)
+        if case(rounds):
+            found.append((ws, res, rounds))
+            if len(found) == count:
+                return found
+    raise AssertionError("only %d inputs show the case, of %d wanted" % (len(found), count))
 
 
 @settings(max_examples=150, deadline=None)
@@ -936,13 +923,13 @@ def _windows(ws):
        st.sampled_from([1, 2, 8, 64, "n", "late", "early", "zero", "two offsets"]))
 def test_windowed_search_matches_bisection(seed, n, kind):
     # the same answer as the bisection with no window, down to the type
-    # of b; where no window is tried, the same probes and items too
+    # of b; where the replay shows no window, the same probes and items
+    # too
     ws = _search_input(seed, n, kind)
-    res, ref = alpha_real(ws), bisected_sorted(ws)
+    (res, rounds), ref = _replay(ws), bisected_sorted(ws)
     got = (res.alpha, res.b, type(res.b), res.int_cost, res.depths)
     assert got == (ref.alpha, ref.b, type(ref.b), ref.int_cost, ref.depths)
-    assert res.instrumentation["probes"] <= _search_probe_bound(ws)
-    if _no_window(ws):
+    if not any(r["edges"] for r in rounds):
         assert res.instrumentation == ref.instrumentation
 
 
@@ -954,11 +941,11 @@ def test_missed_windows_keep_the_answer(kind, missed):
     # next probe otherwise
     for seed in range(4):
         ws = skewed_weights(random.Random(seed), 512, kind == "late")
-        res, sides, _ = _windows(ws)
-        assert sides[0] == (False, missed), sides
+        res, rounds = _replay(ws)
+        first = next(r for r in rounds if r["edges"])
+        assert (first["nested"], first["side"]) == (False, missed), rounds
         ref = bisected_sorted(ws)
         assert (res.b, res.int_cost, res.depths) == (ref.b, ref.int_cost, ref.depths)
-        assert res.instrumentation["probes"] <= _search_probe_bound(ws)
 
 
 @pytest.mark.parametrize("missed", ["low", "high"])
@@ -971,12 +958,11 @@ def test_missed_nested_windows_keep_the_answer(missed):
     misses = 0
     for seed in range(10):
         ws = _search_input(seed, 2048, 2)
-        res, sides, _ = _windows(ws)
-        misses += sides.count((True, missed))
+        res, rounds = _replay(ws)
+        misses += sum(1 for r in rounds if r["edges"] and (r["nested"], r["side"]) == (True, missed))
         ref = bisected_sorted(ws)
         got = (res.alpha, res.b, type(res.b), res.int_cost, res.depths)
         assert got == (ref.alpha, ref.b, type(ref.b), ref.int_cost, ref.depths)
-        assert res.instrumentation["probes"] <= _search_probe_bound(ws)
     assert misses, missed
 
 
@@ -993,10 +979,10 @@ def test_window_skip_cases(kind):
     # sorts only the fracs between two of its values and the sample
     for n in (2**12, 2**14):
         ws = _search_input(n, n, kind)
-        assert _no_window(ws)
         seq = WeightSeq(ws)
         a = bottom_entry(seq.adjusted(max(seq.fracs)))[1]
-        assert (a < _SQUEEZE_RUN) == (kind == "n"), a
+        offsets = len(set(seq.fracs))
+        assert (a < _SQUEEZE_RUN, offsets <= 2) == (kind == "n", kind == "two offsets"), a
         res, rounds = _replay(ws)
         assert not [r for r in rounds if r["edges"]], rounds
         got, ref = dict(res.instrumentation), dict(bisected_sorted(ws).instrumentation)
@@ -1010,7 +996,6 @@ def test_window_skip_cases(kind):
             assert got == ref
         else:
             assert got["sort_items"] < n / 4, got
-            assert got["probes"] <= _search_probe_bound(ws)
         _same_answer(res, ws)
 
 
@@ -1021,9 +1006,9 @@ def test_integral_weight_keeps_the_windows():
     # weights walked 9445 items, against 27825 for the bisection)
     for n in (2**12, 2**14):
         ws = _search_input(n, n, "zero")
-        assert min(WeightSeq(ws).fracs) == 0.0 and not _no_window(ws)
-        res, _, tried = _windows(ws)
-        assert tried, n
+        assert min(WeightSeq(ws).fracs) == 0.0
+        res, rounds = _replay(ws)
+        assert any(r["edges"] for r in rounds), n
         ref = bisected_sorted(ws)
         assert (res.b, res.int_cost, res.depths) == (ref.b, ref.int_cost, ref.depths)
         assert res.instrumentation["probe_items"] < ref.instrumentation["probe_items"], n
@@ -1044,9 +1029,8 @@ def test_rounding_one_weight_costs_no_probe_work(d):
         ws = [c - 1 + k / 2**40 for c, k in zip(ceils, rng.sample(range(1, 2**40), n))]
         items = alpha_real(ws).instrumentation["probe_items"]
         ws[0] = float(round(ws[0]))
-        res = alpha_real(ws)
+        res, _ = _replay(ws)
         assert res.instrumentation["probe_items"] <= 1.1 * items, (seed, d)
-        assert res.instrumentation["probes"] <= _search_probe_bound(ws)
 
 
 @pytest.mark.parametrize("d", [1, 2, 8, 64])
@@ -1092,9 +1076,8 @@ def test_missed_windows_cost_is_bounded(kind, worst):
             else ["probe_items"])
     got = ref = 0
     for i, ws in enumerate(inputs):
-        if kind == "near-uniform":
-            _window_items_within_bound(ws)
-        g = sum(alpha_real(ws).instrumentation[key] for key in keys)
+        res = _replay(ws)[0] if kind == "near-uniform" else alpha_real(ws)
+        g = sum(res.instrumentation[key] for key in keys)
         r = sum(bisected_sorted(ws).instrumentation[key] for key in keys)
         assert g <= worst * r, (i, g, r)
         got, ref = got + g, ref + r
@@ -1110,52 +1093,12 @@ def _same_answer(res, ws):
         assert got == (ref.alpha, ref.b, type(ref.b), ref.int_cost, ref.depths), ref.strategy
 
 
-def _sample_window(ws):
-    # the sorted sample of every 8th kept fractional part, topped by the
-    # largest, and the indices of the first window's two edges in it: w
-    # values on from r - w/2, where r = s(2a - cap) / a - 1 is the index
-    # interpolated between Q = 2a at the sentinel below every frac
-    # (index -1) and Q = a at the top, the largest frac's first copy
-    # (index s - 1), cut at either, the lower edge then stepped down
-    # past its copies.  Across those s values Q falls a steps, so w is
-    # 1/24 of them but at least four steps, and at most 1/4 of them
-    fracs = kept_fracs(ws)
-    a = bottom_entry(WeightSeq(ws).floors)[1]
-    cap = 1 << ceil_log2(a)
-    sample = sorted(fracs[::_SAMPLE_STRIDE]) + [max(fracs)]
-    s = bisect_left(sample, sample[-1]) + 1
-    w = min(max(s // _WINDOW, -(-4 * s // a)), s // 4)
-    i = max(s * (2 * a - cap) // a - 1 - w // 2, -1)
-    k = min(i + w, s - 1)
-    return sample, bisect_left(sample, sample[i + 1], 0, i + 1) - 1 if i >= 0 else i, k
-
-
-def _edge(sample, x):
-    # the offset at index x of _sample_window's sample, or the bracket's
-    # end at or past an end of it: the sentinel -1.0 or 1.0
-    return -1.0 if x < 0 else 1.0 if x >= bisect_left(sample, sample[-1]) else sample[x]
-
-
 def _unheld(ws, flo, fhi):
     # how many kept fracs in (flo, fhi] the sample of every 8th one did
     # not hold: the search sorts those and merges the sample's in
     fracs = kept_fracs(ws)
     inside = sum(1 for f in fracs if flo < f <= fhi)
     return inside - sum(1 for f in fracs[::_SAMPLE_STRIDE] if flo < f <= fhi)
-
-
-def _squeezes(ws):
-    # the result, and for each squeeze of the search its (flo, fhi) and
-    # the offsets probed after it, up to the next squeeze, from its
-    # trace (a probe before the first squeeze, and the witness's pass
-    # that ends the trace, are left out)
-    res, log = alpha_real(ws), []
-    for event in res.trace[:-1]:
-        if event[0] == "squeeze":
-            log.append((event[2:4], []))
-        elif event[0] == "probe" and log:
-            log[-1][1].append(event[2])
-    return res, log
 
 
 def stride_skewed_weights(rng, n, smallest):
@@ -1181,23 +1124,25 @@ def test_sampled_window_hit_sorts_only_its_fracs():
     # answer, the search sorts the sample and then only the fracs in
     # (flo, fhi] that the sample did not hold, and merges the two.  At
     # 8192 weights: at 4096 the fold pass keeps fewer than 4096
-    # positions on most seeds, and the search takes no sample
-    for seed in (0, 1, 12):
-        ws = generate_weights(random.Random(seed), 8192, 2)
-        sample, i, k = _sample_window(ws)
-        res, log = _squeezes(ws)
-        (flo, fhi), probed = log[0]
-        assert (flo, fhi) == (_edge(sample, i), _edge(sample, k))
-        assert probed == [fhi, flo]
-        assert flo < res.b <= fhi, seed
-        assert res.instrumentation["sort_items"] == len(sample) - 1 + _unheld(ws, flo, fhi)
-        _, sides, tried = _windows(ws)
-        assert sides[0] == (False, "holds") and tried, sides
+    # positions on most seeds, and the search takes no sample.  The
+    # inputs are the first three of seeds 0-23 whose first window is a
+    # sampled hit
+    def case(rounds):
+        first = next(r for r in rounds if r["edges"])
+        return (first["list"], first["side"]) == ("sample", "holds")
+
+    inputs = (generate_weights(random.Random(seed), 8192, 2) for seed in range(24))
+    for ws, res, rounds in _first_replays(3, inputs, case):
+        first = next(r for r in rounds if r["edges"])
+        flo, fhi = first["edges"]
+        assert first["probed"] == [fhi, flo] and not first["nested"], first
+        sample = kept_fracs(ws)[::_SAMPLE_STRIDE]
+        assert res.instrumentation["sort_items"] == len(sample) + _unheld(ws, flo, fhi)
         _same_answer(res, ws)
 
 
-@pytest.mark.parametrize("d, seed, missed", [(8, 13, "low"), (64, 2, "high")])
-def test_sampled_miss_takes_a_second_sampled_try(d, seed, missed):
+@pytest.mark.parametrize("d, missed", [(8, "low"), (64, "high")])
+def test_sampled_miss_takes_a_second_sampled_try(d, missed):
     # a missed first window leaves the bracket beyond its missed edge,
     # and where the miss gained a halving the budget still covers a
     # window, so the next one is read from the sample too, interpolated
@@ -1205,24 +1150,30 @@ def test_sampled_miss_takes_a_second_sampled_try(d, seed, missed):
     # sample values or that edge, which is not probed again, and when
     # it holds the answer the search sorts only its fracs that the
     # sample did not hold.  The fold pass keeps 0.60n of the positions
-    # of the d = 8 input and 0.13n of the d = 64 one, so they hold 8192
-    # and 2^15 weights, for a sample of 4096 kept ones or more
-    ws = generate_weights(random.Random(seed), 8192 if d == 8 else 2**15, d)
-    sample, i, k = _sample_window(ws)
-    res, log = _squeezes(ws)
-    (flo, fhi), probed = log[0]
-    assert (flo, fhi) == (_edge(sample, i), _edge(sample, k))
+    # at d = 8 and 0.13n at d = 64, so the inputs hold 8192 and 2^15
+    # weights, for a sample of 4096 kept ones or more: the first of
+    # seeds 0-63 whose first two windows are sampled, the first missed
+    # on that side
+    def case(rounds):
+        windows = [r for r in rounds if r["edges"]]
+        return (len(windows) >= 2 and windows[0]["list"] == windows[1]["list"] == "sample"
+                and windows[0]["side"] == missed)
+
+    n = 8192 if d == 8 else 2**15
+    inputs = (generate_weights(random.Random(seed), n, d) for seed in range(64))
+    [(ws, res, rounds)] = _first_replays(1, inputs, case)
+    first, second = [r for r in rounds if r["edges"]][:2]
+    (flo, fhi), (flo2, fhi2) = first["edges"], second["edges"]
     # an infeasible fhi decides the window without probing flo
-    assert probed == ([fhi] if missed == "low" else [fhi, flo])
-    assert (res.b > fhi) == (missed == "low") and (res.b <= flo) == (missed == "high")
-    (flo2, fhi2), probed2 = log[1]
+    assert first["probed"] == ([fhi] if missed == "low" else [fhi, flo])
     if missed == "low":
-        assert fhi <= flo2 and fhi not in probed2
+        assert fhi <= flo2 and fhi not in second["probed"]
     else:
-        assert fhi2 <= flo and flo not in probed2
+        assert fhi2 <= flo and flo not in second["probed"]
+    sample = kept_fracs(ws)[::_SAMPLE_STRIDE]
     assert {flo2, fhi2} <= set(sample) | {flo, fhi, -1.0, 1.0}
-    assert flo2 < res.b <= fhi2
-    assert res.instrumentation["sort_items"] == len(sample) - 1 + _unheld(ws, flo2, fhi2)
+    assert second["side"] == "holds"
+    assert res.instrumentation["sort_items"] == len(sample) + _unheld(ws, flo2, fhi2)
     _same_answer(res, ws)
 
 
@@ -1235,10 +1186,11 @@ def test_sampled_hit_nests_a_sampled_window():
     # the fold pass keeps every position: of generate_weights' shuffled
     # ones at d = 64 it keeps about 7%, too few for a sample
     ws = sorted(generate_weights(random.Random(0), 2**14, 64), key=math.ceil, reverse=True)
-    sample = sorted(kept_fracs(ws)[::_SAMPLE_STRIDE])
-    res, log = _squeezes(ws)
-    (flo, fhi), _ = log[0]
-    (flo2, fhi2), _ = log[1]
+    sample = kept_fracs(ws)[::_SAMPLE_STRIDE]
+    res, rounds = _replay(ws)
+    first, second = [r for r in rounds if r["edges"]][:2]
+    assert first["list"] == second["list"] == "sample", rounds
+    (flo, fhi), (flo2, fhi2) = first["edges"], second["edges"]
     assert {flo, fhi, flo2, fhi2} <= set(sample) | {-1.0, 1.0}
     assert flo <= flo2 < res.b <= fhi2 <= fhi
     assert res.instrumentation["sort_items"] == len(sample) + _unheld(ws, flo2, fhi2)
@@ -1257,17 +1209,16 @@ def test_sampled_window_miss_sorts_the_side_beyond_it(smallest, missed):
     for n in (4096, 2**14):
         for seed in range(2):
             ws = stride_skewed_weights(random.Random(seed), n, smallest)
-            sample = sorted(kept_fracs(ws)[::_SAMPLE_STRIDE])
-            res, log = _squeezes(ws)
-            (flo, fhi), probed = log[0]
-            # an infeasible fhi decides the window without probing flo
-            assert probed[:2] == ([fhi] if missed == "low" else [fhi, flo])
+            sample = kept_fracs(ws)[::_SAMPLE_STRIDE]
             res, rounds = _replay(ws)
-            sampled = [r["edges"] for r in rounds if r["list"] == "sample" and r["edges"]]
+            sampled = [r for r in rounds if r["list"] == "sample" and r["edges"]]
             assert sampled, rounds
-            for flo, fhi in sampled:
-                assert {flo, fhi} <= set(sample) | {-1.0, 1.0}
-                assert (res.b > fhi) == (missed == "low") and (res.b <= flo) == (missed == "high")
+            flo, fhi = sampled[0]["edges"]
+            # an infeasible fhi decides the window without probing flo
+            assert sampled[0]["probed"] == ([fhi] if missed == "low" else [fhi, flo])
+            for r in sampled:
+                assert set(r["edges"]) <= set(sample) | {-1.0, 1.0}
+                assert r["side"] == missed, r
             assert res.instrumentation["sort_items"] == n
             _same_answer(res, ws)
 
@@ -1305,17 +1256,14 @@ def test_sampled_window_takes_a_sentinel_edge(end):
     n = 4096 if end == "top" else 4097
     for seed in range(2, 5):
         ws = generate_weights(random.Random(seed), n, 1)
-        sample, i, k = _sample_window(ws)
-        top = bisect_left(sample, sample[-1])
-        assert (k == top, i == -1) == (end == "top", end == "bottom")
-        res, log = _squeezes(ws)
-        (flo, fhi), probed = log[0]
-        if end == "top":
-            assert flo == sample[i] and fhi == 1.0 and probed == [flo]
-        else:
-            assert flo == -1.0 and fhi == sample[k] and probed == [fhi]
-        assert flo < res.b <= fhi
-        assert res.instrumentation["sort_items"] == len(sample) - 1 + _unheld(ws, flo, fhi)
+        res, rounds = _replay(ws)
+        first = rounds[0]
+        flo, fhi = first["edges"]
+        assert (fhi == 1.0, flo == -1.0) == (end == "top", end == "bottom")
+        assert first["list"] == "sample" and first["probed"] == [flo if end == "top" else fhi]
+        assert first["side"] == "holds"
+        sample = kept_fracs(ws)[::_SAMPLE_STRIDE]
+        assert res.instrumentation["sort_items"] == len(sample) + _unheld(ws, flo, fhi)
         _same_answer(res, ws)
 
 
@@ -1354,7 +1302,7 @@ def test_hand_over_sorts_every_copy_of_the_top_once(label, n):
     ws = next(w for lab, w in corpus_inputs() if (lab, len(w)) == (label, n))
     kept = kept_fracs(ws)
     assert 4096 <= len(kept) <= 6000
-    res = alpha_real(ws)
+    res, _ = _replay(ws)
     # the trace's three sorted lists: the first topped by the largest
     # kept frac, which it did not sort
     first, rest, merged = [e[2] for e in res.trace if e[0] == "sort"]
@@ -1369,7 +1317,6 @@ def test_hand_over_sorts_every_copy_of_the_top_once(label, n):
     assert own.count(top) >= 10 and sorted(rest + own) == sorted(inside)
     assert sorted(merged) == sorted(inside + [top] * (top == max(kept)))
     assert res.instrumentation["sort_items"] == len(sample) + len(rest) <= len(kept)
-    _replay(ws)
     _same_answer(res, ws)
 
 
@@ -1384,11 +1331,10 @@ def test_tied_sampled_window_probes_the_value_once():
     # showed this until the fold pass, which keeps 56% of its positions
     # and moves its first window out of the block)
     ws = random_real_weights(random.Random("tied:0"), 20000, -1, 1, 0.3)
-    sample, i, k = _sample_window(ws)
     res, rounds = _replay(ws)
-    assert rounds[0]["edges"] == (_edge(sample, i), _edge(sample, k))
-    assert i < 0 and sample[0] == sample[k] == 0.0, (i, k)
-    assert rounds[0]["side"] == "holds"
+    first = rounds[0]
+    assert first["list"] == "sample" and first["edges"] == (-1.0, 0.0), first
+    assert first["side"] == "holds"
     assert res.instrumentation["sort_items"] < len(ws) / 2, res.instrumentation
     assert res.instrumentation["probes"] == 3
     _same_answer(res, ws)
@@ -1402,17 +1348,20 @@ def test_sample_end_rule_at_its_boundary(d, seed, edge, touches):
     # both sides of the end rule's boundary take a sampled window: an
     # edge past the sample's last (first) value is the sentinel there,
     # one on that value is the value.  Each window holds the answer.
-    # At 8192 weights, of which the fold pass keeps 4096 or more
+    # At 8192 weights, of which the fold pass keeps 4096 or more.  The
+    # boundary is rare, so the inputs are fixed; the rule's indices i
+    # and k place each window at it
     ws = generate_weights(random.Random(seed), 8192, d)
-    sample, i, k = _sample_window(ws)
-    top = bisect_left(sample, sample[-1])
-    assert (top - k if edge == "top" else i + 1) == (0 if touches else 1)
-    res, log = _squeezes(ws)
-    (flo, fhi), _ = log[0]
-    assert (flo, fhi) == (_edge(sample, i), _edge(sample, k))
+    res, rounds = _replay(ws)
+    first = rounds[0]
+    assert first["list"] == "sample" and first["edges"], first
+    gap = first["hi"] - first["k"] if edge == "top" else first["i"] - first["lo"] + 1
+    assert gap == (0 if touches else 1), first
+    flo, fhi = first["edges"]
     assert (fhi == 1.0 if edge == "top" else flo == -1.0) == touches
-    assert flo < res.b <= fhi
-    assert res.instrumentation["sort_items"] == len(sample) - 1 + _unheld(ws, flo, fhi)
+    assert first["side"] == "holds"
+    sample = kept_fracs(ws)[::_SAMPLE_STRIDE]
+    assert res.instrumentation["sort_items"] == len(sample) + _unheld(ws, flo, fhi)
     _same_answer(res, ws)
 
 
@@ -1441,8 +1390,9 @@ def test_sampled_first_window_misses_rarely():
         rng = random.Random("first window:%d" % seed)
         ceils = [3 * rng.randrange(2) for _ in range(n)]
         ws = [c - 1 + k / 2**40 for c, k in zip(ceils, rng.sample(range(1, 2**40), n))]
-        _, sides, _ = _windows(ws)
-        misses += sides[0] != (False, "holds")
+        _, rounds = _replay(ws)
+        first = next(r for r in rounds if r["edges"])
+        misses += (first["nested"], first["side"]) != (False, "holds")
     assert misses <= 30, misses
 
 
@@ -1450,15 +1400,13 @@ def test_sampled_first_window_misses_rarely():
 def test_every_window_obeys_the_width_rule(kind):
     # every window holds the values the rule gives for the bracket it
     # was cut from (1/24 of them, at least four Q steps' worth, at most
-    # 1/4), or fewer where it is cut at an end of the bracket, in the
-    # sample while a window spans a stride of its values, then in the
-    # sorted fracs, and is tried only while the budget covers it; the
-    # windows walk within the docstring's item bound.  On perfbench's
-    # real-highd shape (target load about 530) the 1/24 width sets the
-    # first window; at d = 1024 (load about 40) the four Q steps do.
-    # The fold pass keeps fewer than 4096 positions on both, so the
-    # first list is the kept fracs, sorted.  The fracs are distinct, so
-    # no edge steps down past copies
+    # 1/4), or fewer where it is cut at an end of the bracket, which the
+    # replay checks window by window.  On perfbench's real-highd shape
+    # (target load about 530) the 1/24 width sets the first window; at
+    # d = 1024 (load about 40) the four Q steps do.  The fold pass keeps
+    # fewer than 4096 positions on both, so the first list is the kept
+    # fracs, sorted.  The fracs are distinct, so no edge steps down past
+    # copies
     n = 2**14
     if kind == "real-highd":
         rng = random.Random("width:highd")
@@ -1470,16 +1418,13 @@ def test_every_window_obeys_the_width_rule(kind):
     assert len(set(seq.fracs)) == n
     a = bottom_entry(seq.floors)[1]
     kept = kept_fracs(ws)
-    res, rounds = _window_items_within_bound(ws)
-    windows = [r for r in rounds if r["edges"]]
-    for r in windows:
-        w = min(max(r["span"] // _WINDOW, -(-4 * r["span"] // r["steps"])), r["span"] // 4)
-        assert r["width"] == w or r["cut"] and r["width"] < w, r
-    first = windows[0]
-    assert first is rounds[0] and first["list"] == "sorted" and first["steps"] == a
-    assert first["span"] == len(kept) < 4096
-    quarter, steps = first["span"] // _WINDOW, -(-4 * first["span"] // a)
-    assert first["width"] == (quarter if kind == "real-highd" else steps) > min(quarter, steps)
+    res, rounds = _replay(ws)
+    first = rounds[0]
+    assert first["edges"] and first["list"] == "sorted" and first["steps"] == a
+    span = first["hi"] - first["lo"] + 1
+    assert span == len(kept) < 4096
+    part, steps = span // _WINDOW, -(-4 * span // a)
+    assert first["k"] - first["i"] == (part if kind == "real-highd" else steps) > min(part, steps)
     _same_answer(res, ws)
 
 
