@@ -73,7 +73,10 @@ class Distribution:
     def __init__(self, labels, probs):
         labels = list(labels)
         try:
-            probs = [float(p) for p in probs]
+            # float() parses a str or bytes and takes a bool, none of which
+            # is a probability: each is kept, for the loop below to name
+            probs = [p if isinstance(p, (str, bytes, bytearray, bool)) else float(p)
+                     for p in probs]
         except (TypeError, ValueError, OverflowError):
             raise CodingError("probabilities must be a list of numbers") from None
         if not labels:
@@ -84,6 +87,8 @@ class Distribution:
             )
         _check_increasing(labels)
         for lab, p in zip(labels, probs):
+            if type(p) is not float:
+                raise CodingError("probabilities must be numbers, not %r for %r" % (p, lab))
             if not (p >= 0.0 and math.isfinite(p)):
                 raise CodingError("bad probability %r for %r" % (p, lab))
         total = math.fsum(probs)

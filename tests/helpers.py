@@ -25,15 +25,25 @@ import random
 import sys
 import tokenize
 from bisect import bisect_left, bisect_right
+from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from statistics import median
 from time import perf_counter
 
-from pytest import MonkeyPatch
+from pytest import MonkeyPatch, raises
 
 import alphatree
-from alphatree import CodingError, DecodeError, LevelTree, WeightSeq, alpha_real, tree_cost
+from alphatree import (
+    CodingError,
+    DecodeError,
+    InexactCostError,
+    LevelTree,
+    WeightSeq,
+    alpha_real,
+    alpha_real_new,
+    tree_cost,
+)
 from alphatree.cli import generate_weights
 from alphatree.core import minimax_cost_by_dp
 from alphatree.leveltree import (
@@ -445,6 +455,40 @@ def certify(ws, res):
     assert not below or cost(max(below)) > res.int_cost, ("a smaller offset is feasible", res)
 
 
+def check_answer(ws):
+    """The one exact check of both real-weight strategies' answer on the
+    weights ws: alpha_real and alpha_real_new give identical (alpha, b,
+    type(b), int_cost, depths), or both raise InexactCostError; the
+    answer is certified optimal; and for n <= 12 alpha is the interval
+    DP over the weights as Fractions, rounded once, or, where both
+    rejected the weights, that exact value is no float.  Returns
+    alpha_real's result, or None where it raised.  The answers compare
+    exactly: _finish rounds both strategies' alpha once, alike.
+
+    The windowed-search tests' _same_answer first compares alpha_real
+    with bisected_sorted, the same passes with no window: where the
+    answer is wrong, that tells a fault of the windows from one of the
+    passes, which check_answer alone cannot."""
+    try:
+        res = alpha_real(ws)
+    except InexactCostError:
+        with raises(InexactCostError):
+            alpha_real_new(ws)
+        res = None
+    else:
+        new = alpha_real_new(ws)
+        got = (res.alpha, res.b, type(res.b), res.int_cost, res.depths)
+        assert got == (new.alpha, new.b, type(new.b), new.int_cost, new.depths), ws
+        certify(ws, res)
+    if len(ws) <= 12:
+        exact = minimax_cost_by_dp([Fraction(w) for w in ws])
+        if res is None:
+            assert abs(exact) >= 2**52 and Fraction(float(exact)) != exact, ws
+        else:
+            assert res.alpha == float(exact), ws
+    return res
+
+
 def code_lines(path):
     """Code size of one module: the lines that a non-comment token
     spans, less the module docstring's."""
@@ -501,13 +545,15 @@ def _real_shape(rng, n, d):
     return [c - 1 + k / 2**40 for c, k in zip(ceils, rng.sample(range(1, 2**40), n))]
 
 
+@lru_cache(maxsize=None)
 def corpus_inputs():
     """The answer corpus: (label, weights) pairs at fixed seeds, for
     every size in CORPUS_SIZES, shaped as 30%, 70% and 100% integral
     weights, 1 to 12 distinct offsets, Fraction fractional parts and
     signed zeros, fracs sorted by position (rising, or falling at odd
     sizes), generate_weights at d in {1, 2, 8, 64, 256, 1024, n}, and
-    the benchmark's real weights at d in {2, 64}."""
+    the benchmark's real weights at d in {2, 64}.  Built once: a tuple
+    of pairs whose weights are tuples, which no caller can change."""
     out = []
     for i, n in enumerate(CORPUS_SIZES):
         def rng(family):
@@ -535,7 +581,7 @@ def corpus_inputs():
         for d in (2, 64):
             if d <= n:
                 out.append(("real%d" % d, _real_shape(rng("real%d" % d), n, d)))
-    return out
+    return tuple((label, tuple(ws)) for label, ws in out)
 
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
@@ -620,6 +666,6 @@ if __name__ == "__main__":
         print("total", total)
     else:
         print(",".join(["family", "n"] + list(_zero_counters())))
-        for label, ws in corpus_inputs() + near_uniform_inputs():
+        for label, ws in corpus_inputs() + tuple(near_uniform_inputs()):
             acc = alpha_real(ws).instrumentation
             print(",".join([label, str(len(ws))] + [str(acc[key]) for key in _zero_counters()]))

@@ -23,12 +23,18 @@ from alphatree import (
     build_code,
     evaluate,
     redundancy_bound,
+    tree_cost,
 )
 from alphatree.core import minimax_cost_by_dp
 from alphatree.leveltree import UnionFindDeunion
-from alphatree.realweight import alpha_real_oracle, alpha_real_sorted
 from alphatree.cli import generate_weights
-from helpers import CachedIntOracle, audit, random_real_weights, random_tree_profile
+from helpers import (
+    CachedIntOracle,
+    audit,
+    check_answer,
+    random_real_weights,
+    random_tree_profile,
+)
 
 
 def report(num: int, detail: str):
@@ -36,23 +42,18 @@ def report(num: int, detail: str):
 
 
 def test_criterion_1_fast_matches_oracle():
-    """Integer fast path equals the interval DP: exhaustively for
-    n <= 6 over weights {0,1,2,3}, and on 10^4 random sequences with
-    n <= 12 and weights in [-4, 4].  Zero mismatches allowed."""
-    checked = 0
-    for n in range(1, 7):
-        for ws in itertools.product(range(4), repeat=n):
-            cost, _ = alpha_int_fast(ws)
-            assert cost == minimax_cost_by_dp(ws), ws
-            checked += 1
+    """Integer fast path equals the interval DP, and its depths form a
+    tree of that cost: exhaustively for n <= 6 over weights {0,1,2,3},
+    and on 10^4 random sequences with n <= 12 and weights in [-4, 4].
+    Zero mismatches allowed."""
     rng = random.Random(0xACCE01)
-    for _ in range(10_000):
-        n = rng.randint(1, 12)
-        ws = [rng.randint(-4, 4) for _ in range(n)]
-        cost, _ = alpha_int_fast(ws)
-        assert cost == minimax_cost_by_dp(ws), ws
-        checked += 1
-    report(1, "fast == DP oracle on %d sequences (exhaustive + random)" % checked)
+    exhaustive = [ws for n in range(1, 7) for ws in itertools.product(range(4), repeat=n)]
+    randoms = [[rng.randint(-4, 4) for _ in range(rng.randint(1, 12))] for _ in range(10_000)]
+    for ws in exhaustive + randoms:
+        cost, depths = alpha_int_fast(ws)
+        assert cost == minimax_cost_by_dp(ws) == tree_cost(depths, ws), ws
+    report(1, "fast == DP oracle == its tree's cost on %d sequences (exhaustive + random)"
+           % (len(exhaustive) + len(randoms)))
 
 
 def test_criterion_2_reference_instance():
@@ -70,8 +71,9 @@ def test_criterion_2_reference_instance():
 def test_criterion_3_uniform_half_weight_ladder():
     """2^k + 1 copies of k - 0.5 for k = 2..6: cost 2k+1 at rest and 2k
     after any two sets; two undos restore the cost and the serialized
-    state byte for byte.  Values cross-checked against the DP oracle
-    (derived, then frozen as 2k / 2k+1)."""
+    state byte for byte, and the tree passes audit.  Values
+    cross-checked against the DP oracle (derived, then frozen as 2k /
+    2k+1)."""
     for k in range(2, 7):
         n = 2**k + 1
         tree = LevelTree([k - 0.5] * n)
@@ -87,14 +89,16 @@ def test_criterion_3_uniform_half_weight_ladder():
             tree.undo()
             assert tree.cost() == 2 * k + 1
             assert tree.serialize() == base
-    report(3, "half-weight ladders k=2..6: 2k+1 -> 2k -> restored, both end pairs")
+            audit(tree)
+    report(3, "half-weight ladders k=2..6: 2k+1 -> 2k -> restored and audited, both end pairs")
 
 
 def test_criterion_4_dynamic_against_oracle():
     """10^4 random set/undo operations across random instances with
-    n <= 12: after every single operation the tree cost equals the DP
-    oracle on the current integer sequence, and unwinding each instance
-    restores its serialized state exactly."""
+    n <= 12: on each fresh tree and after every single operation the
+    tree cost equals the DP oracle on the current integer sequence and
+    the tree passes audit, and unwinding each instance restores its
+    serialized state exactly."""
     rng = random.Random(0xACCE04)
     oracle = CachedIntOracle()
     ops = 0
@@ -103,6 +107,7 @@ def test_criterion_4_dynamic_against_oracle():
         ws = random_real_weights(rng, n)
         tree = LevelTree(ws)
         base = tree.serialize()
+        assert tree.cost() == oracle(tree.level[: tree.n])
         for _ in range(rng.randint(1, 30)):
             todo = [
                 i
@@ -121,13 +126,17 @@ def test_criterion_4_dynamic_against_oracle():
         while tree.segments:
             tree.undo()
         assert tree.serialize() == base
-    report(4, "%d set/undo ops match the oracle after every op; rollbacks exact" % ops)
+        audit(tree)
+    report(4, "%d set/undo ops match the oracle and pass audit after every op; rollbacks exact"
+           % ops)
 
 
 def test_criterion_5_strategies_agree():
-    """10^4 instances with d in {1, 2, 4, n} and n up to 10^3: both
-    real-weight strategies give the same offset and alphas within
-    1e-9; for n <= 10 both also match the real-valued DP oracle."""
+    """10^4 instances with d in {1, 2, 4, n} and n up to 10^3, and 10^3
+    of random_real_weights with n <= 12: check_answer holds on each,
+    so both real-weight strategies give identical answers (alpha, b
+    and its type, int_cost, depths), certified optimal, and for n <= 12
+    alpha is the exact DP value rounded once."""
     rng = random.Random(0xACCE05)
     sizes = (
         [rng.randint(1, 16) for _ in range(9000)]
@@ -135,7 +144,7 @@ def test_criterion_5_strategies_agree():
         + [rng.randint(65, 256) for _ in range(120)]
         + [rng.randint(257, 1000) for _ in range(30)]
     )
-    oracle_checked = 0
+    inputs = []
     for idx, n in enumerate(sizes):
         d = min((1, 2, 4, n)[idx % 4], n)
         if idx % 5 == 0:
@@ -154,18 +163,14 @@ def test_criterion_5_strategies_agree():
                     ws.append(c - 1 + f)
         else:
             ws = generate_weights(rng, n, d)
-        a = alpha_real_new(ws)
-        b = alpha_real_sorted(ws)
-        assert abs(a.alpha - b.alpha) <= 1e-9, (n, d, ws[:8])
-        assert a.b == b.b, (n, d, ws[:8])
-        if n <= 10:
-            want = alpha_real_oracle(ws)
-            assert abs(a.alpha - want) <= 1e-9, (n, d, ws)
-            oracle_checked += 1
+        inputs.append(ws)
+    inputs += [random_real_weights(rng, rng.randint(1, 12)) for _ in range(1000)]
+    for ws in inputs:
+        check_answer(ws)
     report(
         5,
-        "both strategies agree on %d instances (1e-9 / exact b); %d oracle-checked"
-        % (len(sizes), oracle_checked),
+        "both strategies give identical, certified answers on %d instances; %d DP-checked"
+        % (len(inputs), sum(len(ws) <= 12 for ws in inputs)),
     )
 
 
@@ -179,7 +184,7 @@ def _random_q(rng, n):
 def test_criterion_6_codes_and_bounds():
     """10^3 random sample distributions with n <= 64: the codebook is
     alphabetical, prefix-free, and Kraft-complete, and
-    max_i(log2 q_i + len_i) equals redundancy_bound within 1e-9.
+    max_i(log2 q_i + len_i) equals redundancy_bound exactly.
     Dyadic distributions read off a random tree give bound exactly 0.0."""
     rng = random.Random(0xACCE06)
     for _ in range(1000):
@@ -192,7 +197,7 @@ def test_criterion_6_codes_and_bounds():
             assert a < b and not b.startswith(a)
         bound = redundancy_bound(q)
         worst = max(l + math.log2(qi) for l, qi in zip(lens, q.probs))
-        assert abs(worst - bound) <= 1e-9
+        assert worst == bound
         assert bound >= -1e-12
     for _ in range(150):
         profile = random_tree_profile(rng, rng.randint(1, 64))
@@ -200,7 +205,7 @@ def test_criterion_6_codes_and_bounds():
         q = Distribution(labels, [2.0 ** -d for d in profile])
         assert redundancy_bound(q) == 0.0
         assert build_code(q).lengths() == profile
-    report(6, "1000 codebooks valid, bound == worst slack (1e-9); 150 dyadic bounds exactly 0.0")
+    report(6, "1000 codebooks valid, bound == worst slack exactly; 150 dyadic bounds exactly 0.0")
 
 
 def test_criterion_7_excess_within_bound():
@@ -271,7 +276,8 @@ def test_criterion_8_scaling_and_budget():
 
 def test_criterion_9_union_find_against_snapshots():
     """10^5 randomized union/find/deunion operations agree exactly with
-    a snapshot-stack partition oracle."""
+    a snapshot-stack partition oracle; every 4000 ops, each component
+    resolves to one root and distinct components to distinct roots."""
     rng = random.Random(0xACCE09)
     size = 256
     uf = UnionFindDeunion()
@@ -300,13 +306,7 @@ def test_criterion_9_union_find_against_snapshots():
             x, y = rng.randrange(size), rng.randrange(size)
             assert (uf.find(x) == uf.find(y)) == (comp[x] == comp[y])
         if step % 4000 == 0:
-            roots = {}
-            ok = True
-            for i in range(size):
-                r = uf.find(i)
-                if comp[i] in roots:
-                    ok = ok and roots[comp[i]] == r
-                else:
-                    roots[comp[i]] = r
-            assert ok and len(roots) == len(set(comp))
-    report(9, "100000 union/find/deunion ops exactly match the snapshot oracle")
+            # one (component, root) pair per component and per root
+            found = [uf.find(i) for i in range(size)]
+            assert len(set(zip(comp, found))) == len(set(comp)) == len(set(found))
+    report(9, "100000 union/find/deunion ops exactly match the snapshot oracle; roots checked")

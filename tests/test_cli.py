@@ -409,9 +409,11 @@ def test_stats_errors(tmp_path, capsys):
     assert rc == 2 and out == "" and "q('b') = 0" in err
     target.write_bytes(b"ab")
 
-    # a non-number or a number past the float range in "q" is bad input
-    # too, and so is JSON nested deeper than the parser recurses
-    for text in (json.dumps(dict(doc, q=["half", 0.5])),
+    # a non-number, a number as a string, a bool or a number past the
+    # float range in "q" is bad input too, and so is JSON nested deeper
+    # than the parser recurses
+    for text in (json.dumps(dict(doc, q=["half", 0.5])), json.dumps(dict(doc, q=["0.5", "0.5"])),
+                 json.dumps(dict(doc, q=[True, False])),
                  json.dumps(doc).replace('"q": [1.0', '"q": [1' + "0" * 400)):
         holed.write_text(text)
         rc, _, err = run(capsys, "stats", str(target), "--code", str(holed))

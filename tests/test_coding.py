@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,6 +48,12 @@ def test_distribution_validation():
         Distribution("", [])
     with pytest.raises(CodingError, match="cannot be compared"):
         Distribution([1, "a"], [0.5, 0.5])
+    # float() parses a str or bytes and takes a bool, yet none of them is
+    # a probability: each is named
+    for bad, probs in (("0.25", ["0.25", b"0.75"]), (b"0.75", [0.25, b"0.75"]),
+                       (bytearray(b"1"), [bytearray(b"1"), 0.0]), (True, [True, False])):
+        with pytest.raises(CodingError, match=re.escape(repr(bad))):
+            Distribution("ab", probs)
 
 
 def test_empirical_plain():

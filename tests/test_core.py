@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 
@@ -15,7 +14,7 @@ from alphatree import (
 )
 from alphatree.core import minimax_cost_by_dp
 from alphatree.leveltree import ceil_log2
-from helpers import CachedIntOracle, minimax_by_enumeration
+from helpers import minimax_by_enumeration
 
 
 def test_oracle_matches_shape_enumeration():
@@ -34,25 +33,6 @@ def test_known_costs():
     assert minimax_cost_by_dp([3, 3, 3, 3]) == 5
     assert minimax_cost_by_dp([1, 1, 2, 2, 2]) == 4
     assert minimax_cost_by_dp([4, 5, 2, 2, 2, 1, 2, 3, 6, 4]) == 8
-
-
-def test_fast_equals_oracle_exhaustive_tiny():
-    for n in range(1, 5):
-        for ws in itertools.product(range(3), repeat=n):
-            cost, depths = alpha_int_fast(ws)
-            assert cost == minimax_cost_by_dp(ws), ws
-            assert tree_cost(depths, ws) == cost
-
-
-def test_fast_equals_oracle_random():
-    rng = random.Random(23)
-    oracle = CachedIntOracle()
-    for _ in range(500):
-        n = rng.randint(1, 12)
-        ws = [rng.randint(-4, 4) for _ in range(n)]
-        cost, depths = alpha_int_fast(ws)
-        assert cost == oracle(ws), ws
-        assert tree_cost(depths, ws) == cost, ws
 
 
 def test_uniform_weights():

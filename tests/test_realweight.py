@@ -19,7 +19,6 @@ from alphatree import (
     alpha_real_new,
     tree_cost,
 )
-from alphatree.core import minimax_cost_by_dp
 import alphatree.realweight
 from alphatree.leveltree import (
     _bottom_entry,
@@ -43,6 +42,7 @@ from helpers import (
     bisected_sorted,
     bottom_entry,
     certify,
+    check_answer,
     corpus_inputs,
     kept_fracs,
     near_uniform_inputs,
@@ -124,14 +124,10 @@ def test_adjusted_boundary_is_inclusive():
 
 
 def test_small_examples_both_strategies():
-    for fn in (alpha_real_new, alpha_real_sorted):
-        assert abs(fn([0.5]).alpha - 0.5) < 1e-9
-        assert abs(fn([1.2, 0.3]).alpha - 2.2) < 1e-9
-        res = fn([0.9, 0.1, 0.9])
-        assert abs(res.alpha - 2.9) < 1e-9
-        assert res.b == 0.9
-        ints = fn([3.0, 1.0, 2.0])
-        assert ints.b == 0.0 and ints.alpha == 4.0
+    for ws, alpha, b in (([0.5], 0.5, 0.5), ([1.2, 0.3], 2.2, 1.2 - 1),
+                         ([0.9, 0.1, 0.9], 2.9, 0.9), ([3.0, 1.0, 2.0], 4.0, 0.0)):
+        res = check_answer(ws)
+        assert (res.alpha, res.b) == (alpha, b), ws
 
 
 def test_alpha_rounds_once_from_the_weight():
@@ -152,14 +148,7 @@ def test_alpha_rounds_once_from_the_weight():
     ([-1e-20], -1e-20),
 ])
 def test_tied_fractions_are_told_apart(ws, alpha):
-    seq = WeightSeq(ws)
-    assert alpha_real_oracle(ws) == alpha
-    for fn in (alpha_real, alpha_real_new):
-        res = fn(seq)
-        assert res.alpha == alpha
-        assert 0 <= res.b < 1 and res.b in seq.fracs
-        assert static_cost(seq.adjusted(res.b)) == res.int_cost
-        assert max(y + d for y, d in zip(seq.adjusted(res.b), res.depths)) == res.int_cost
+    assert check_answer(ws).alpha == alpha
 
 
 def test_certify_rejects_a_later_offset():
@@ -188,10 +177,8 @@ def test_real_oracle_examples():
 
 def test_zero_offset_with_mixed_integrals():
     # an integral weight makes 0 a legal offset, and here the best one
-    for fn in (alpha_real_new, alpha_real_sorted):
-        res = fn([0.5, 10.0])
-        assert res.b == 0.0
-        assert res.alpha == 11.0
+    res = check_answer([0.5, 10.0])
+    assert (res.alpha, res.b) == (11.0, 0.0)
     # alpha_real_new reaches 0.0 as a median of its search, with no case
     # of its own: for all-integral weights in one round that sets no bit,
     # and otherwise after feasible probes whose sets are all undone
@@ -206,8 +193,8 @@ def test_zero_offset_with_mixed_integrals():
         [-0.0, 1.0],
         [0.0, -0.0, 0.5],
     ):
-        res, new = alpha_real_sorted(ws), alpha_real_new(ws)
-        assert (new.alpha, new.b, new.depths) == (res.alpha, res.b, res.depths), ws
+        check_answer(ws)
+        new = alpha_real_new(ws)
         assert repr(new.b) == "0.0", ws
         acc = new.instrumentation
         if all(w == int(w) for w in ws):
@@ -215,28 +202,6 @@ def test_zero_offset_with_mixed_integrals():
         else:
             assert acc["sets"] == acc["undos"], ws
     assert alpha_real_new([3.0, 0.1, 0.2, 0.3, 0.4]).instrumentation["sets"] == 2
-
-
-def test_strategies_agree_and_match_oracle():
-    rng = random.Random(15)
-    for _ in range(800):
-        n = rng.randint(1, 12)
-        ws = random_real_weights(rng, n)
-        seq = WeightSeq(ws)
-        a = alpha_real_new(seq)
-        b = alpha_real_sorted(seq)
-        assert abs(a.alpha - b.alpha) <= 1e-9, ws
-        assert a.b == b.b, ws
-        if n <= 9:
-            assert a.alpha == alpha_real_oracle(seq), ws
-
-
-def test_offset_comes_from_the_fracs():
-    rng = random.Random(16)
-    for _ in range(100):
-        seq = WeightSeq(random_real_weights(rng, rng.randint(1, 10)))
-        res = alpha_real(seq)
-        assert res.b == 0.0 or res.b in seq.fracs
 
 
 def test_cost_monotone_in_offset():
@@ -248,16 +213,6 @@ def test_cost_monotone_in_offset():
         seq = WeightSeq(random_real_weights(rng, rng.randint(1, 10)))
         costs = [LevelTree(seq.adjusted(b)).cost() for b in sorted(seq.fracs)]
         assert all(x >= y for x, y in zip(costs, costs[1:]))
-
-
-def test_witness_attains_alpha():
-    rng = random.Random(18)
-    for _ in range(200):
-        seq = WeightSeq(random_real_weights(rng, rng.randint(1, 12)))
-        res = alpha_real(seq)
-        realized = max(w + d for w, d in zip(seq.weights, res.depths))
-        assert abs(realized - res.alpha) <= 1e-9
-        assert max(y + d for y, d in zip(seq.adjusted(res.b), res.depths)) == res.int_cost
 
 
 def test_operation_budgets():
@@ -318,8 +273,7 @@ def test_repeated_fractions_match_new():
         lo = -rng.choice([1, 2, 8])
         ws = [c - 1 + f if f else float(c)
               for c, f in ((rng.randint(lo, 4), rng.choice(pool)) for _ in range(n))]
-        res, new = alpha_real(ws), alpha_real_new(ws)
-        assert (res.alpha, res.b, res.depths) == (new.alpha, new.b, new.depths), ws
+        res = check_answer(ws)
         # each search probe halves the range and drops at least one of
         # the distinct offsets below the largest
         offsets = len(set(WeightSeq(ws).fracs))
@@ -373,7 +327,7 @@ weight_lists = st.one_of(
 @given(weight_lists)
 def test_squeezed_search_matches_unsqueezed(ws):
     b, target, depths, _ = unsqueezed_sorted(ws)
-    res = alpha_real_sorted(ws)
+    res = check_answer(ws)
     assert (res.b, res.int_cost, res.depths) == (b, target, depths)
     assert res.alpha == target + b
     # the same bisection over the kept fracs finds the same answer and
@@ -381,12 +335,6 @@ def test_squeezed_search_matches_unsqueezed(ws):
     *kept, probes = unsqueezed_sorted(ws, kept_fracs(ws))
     assert kept == [b, target, depths]
     assert res.instrumentation["probes"] == probes
-    other = alpha_real_new(ws)
-    assert (other.alpha, other.b, other.depths) == (res.alpha, b, depths)
-    if len(ws) <= 12:
-        assert res.alpha == alpha_real_oracle(ws)
-    certify(ws, res)
-    certify(ws, other)
 
 
 @settings(max_examples=300, deadline=None)
@@ -460,7 +408,6 @@ def test_fold_pass_is_exact_on_long_wide_inputs():
         res = alpha_real(ws)
         assert res.b in kept_fracs(ws)
         _same_answer(res, ws)
-        certify(ws, res)
     assert folded > 0
 
 
@@ -485,16 +432,9 @@ def test_fold_pass_is_exact_on_long_wide_inputs():
 def test_fold_keeps_the_answer_among_kept_fracs(ws):
     # the lemma of realweight's module docstring: the answer is a kept
     # position's frac, so the search over the kept fracs alone finds
-    # the optimal offset, certified by static_witness; the two
-    # strategies agree, and the fold is exact
+    # the optimal offset, checked by check_answer, and the fold is exact
     _check_fold(ws)
-    res = alpha_real(ws)
-    assert res.b in kept_fracs(ws)
-    certify(ws, res)
-    new = alpha_real_new(ws)
-    assert (res.alpha, res.b, type(res.b), res.depths) == (new.alpha, new.b, type(new.b), new.depths)
-    if len(ws) <= 12:
-        assert res.alpha == alpha_real_oracle(ws)
+    assert check_answer(ws).b in kept_fracs(ws)
 
 
 def test_squeezed_search_matches_unsqueezed_long():
@@ -679,24 +619,7 @@ def test_wide_weights_match_new_and_the_rational_dp(ws):
     # both strategies give the same answer or both reject it; for small
     # n that answer is the exact DP value rounded once (a float DP would
     # round at every +1)
-    try:
-        res = alpha_real(ws)
-    except InexactCostError:
-        with pytest.raises(InexactCostError):
-            alpha_real_new(ws)
-        res = None
-    else:
-        new = alpha_real_new(ws)
-        assert (res.alpha, res.b, res.depths) == (new.alpha, new.b, new.depths)
-        assert 0 <= res.b < 1
-        certify(ws, res)
-        certify(ws, new)
-    if len(ws) <= 12:
-        exact = minimax_cost_by_dp([Fraction(w) for w in ws])
-        if res is None:
-            assert abs(exact) >= 2**52 and Fraction(float(exact)) != exact
-        else:
-            assert res.alpha == float(exact)
+    check_answer(ws)
 
 
 @settings(max_examples=600, deadline=None)
@@ -806,7 +729,9 @@ def _replay(ws):
     # rule's indices "i" and "k", its "edges", whether it squeezed
     # items an earlier squeeze made ("nested") and where the answer lay
     # ("side": "holds", or "low" or "high" of it); "edges" is None for a
-    # bisection round
+    # bisection round.  The hand-over is {"list": "hand-over", "edges":
+    # None} with the "bracket" (flo, fhi): it sorted the kept fracs in
+    # (flo, fhi] that the sample did not hold
     seq = WeightSeq(ws)
     res = alpha_real(seq)
     trace, pos = res.trace, 0
@@ -855,6 +780,7 @@ def _replay(ws):
             assert count == len(rest) and sorted(rest + own) == inside, ("hand-over", flo, fhi)
             values = sorted(values[lo:bisect_right(values, fhi, lo)] + rest)
             expect("hand-over", "sort", 0, values)
+            rounds.append({"list": "hand-over", "bracket": (flo, fhi), "edges": None})
             sort_items += count
             lo, hi, stride = 0, bisect_left(values, values[-1]), 1
             continue
@@ -989,9 +915,11 @@ def test_window_skip_cases(kind):
         if kind == "two offsets":
             below = max((f for f in set(seq.fracs) if f < res.b), default=-1.0)
             kept = kept_fracs(ws)
-            sorts = (len(kept) if len(kept) < 4096 else
-                     len(kept[::_SAMPLE_STRIDE]) + _unheld(ws, below, res.b))
-            assert got.pop("sort_items") == sorts <= len(kept) < n
+            # the answer is the larger offset, so the hand-over's bracket,
+            # from the lower one up, holds the answer's copies alone
+            handed = [r["bracket"] for r in rounds if r["list"] == "hand-over"]
+            assert res.b == max(kept) and handed == ([] if len(kept) < 4096 else [(below, 1.0)])
+            assert got.pop("sort_items") <= len(kept) < n
             ref.pop("sort_items")
             assert got == ref
         else:
@@ -1086,19 +1014,12 @@ def test_missed_windows_cost_is_bounded(kind, worst):
 
 
 def _same_answer(res, ws):
-    # alpha, b and its type, int_cost and depths, against the bisection
-    # with no window and against the live tree's search
+    # alpha_real's answer res on ws: alpha, b and its type, int_cost and
+    # depths, against the bisection with no window, then check_answer
+    ref = bisected_sorted(ws)
     got = (res.alpha, res.b, type(res.b), res.int_cost, res.depths)
-    for ref in (bisected_sorted(ws), alpha_real_new(ws)):
-        assert got == (ref.alpha, ref.b, type(ref.b), ref.int_cost, ref.depths), ref.strategy
-
-
-def _unheld(ws, flo, fhi):
-    # how many kept fracs in (flo, fhi] the sample of every 8th one did
-    # not hold: the search sorts those and merges the sample's in
-    fracs = kept_fracs(ws)
-    inside = sum(1 for f in fracs if flo < f <= fhi)
-    return inside - sum(1 for f in fracs[::_SAMPLE_STRIDE] if flo < f <= fhi)
+    assert got == (ref.alpha, ref.b, type(ref.b), ref.int_cost, ref.depths)
+    check_answer(ws)
 
 
 def stride_skewed_weights(rng, n, smallest):
@@ -1136,8 +1057,7 @@ def test_sampled_window_hit_sorts_only_its_fracs():
         first = next(r for r in rounds if r["edges"])
         flo, fhi = first["edges"]
         assert first["probed"] == [fhi, flo] and not first["nested"], first
-        sample = kept_fracs(ws)[::_SAMPLE_STRIDE]
-        assert res.instrumentation["sort_items"] == len(sample) + _unheld(ws, flo, fhi)
+        assert [r["bracket"] for r in rounds if r["list"] == "hand-over"] == [(flo, fhi)]
         _same_answer(res, ws)
 
 
@@ -1173,7 +1093,7 @@ def test_sampled_miss_takes_a_second_sampled_try(d, missed):
     sample = kept_fracs(ws)[::_SAMPLE_STRIDE]
     assert {flo2, fhi2} <= set(sample) | {flo, fhi, -1.0, 1.0}
     assert second["side"] == "holds"
-    assert res.instrumentation["sort_items"] == len(sample) + _unheld(ws, flo2, fhi2)
+    assert [r["bracket"] for r in rounds if r["list"] == "hand-over"] == [(flo2, fhi2)]
     _same_answer(res, ws)
 
 
@@ -1193,7 +1113,7 @@ def test_sampled_hit_nests_a_sampled_window():
     (flo, fhi), (flo2, fhi2) = first["edges"], second["edges"]
     assert {flo, fhi, flo2, fhi2} <= set(sample) | {-1.0, 1.0}
     assert flo <= flo2 < res.b <= fhi2 <= fhi
-    assert res.instrumentation["sort_items"] == len(sample) + _unheld(ws, flo2, fhi2)
+    assert [r["bracket"] for r in rounds if r["list"] == "hand-over"] == [(flo2, fhi2)]
     ref = bisected_sorted(ws)
     got = (res.alpha, res.b, type(res.b), res.int_cost, res.depths)
     assert got == (ref.alpha, ref.b, type(ref.b), ref.int_cost, ref.depths)
@@ -1262,8 +1182,7 @@ def test_sampled_window_takes_a_sentinel_edge(end):
         assert (fhi == 1.0, flo == -1.0) == (end == "top", end == "bottom")
         assert first["list"] == "sample" and first["probed"] == [flo if end == "top" else fhi]
         assert first["side"] == "holds"
-        sample = kept_fracs(ws)[::_SAMPLE_STRIDE]
-        assert res.instrumentation["sort_items"] == len(sample) + _unheld(ws, flo, fhi)
+        assert [r["bracket"] for r in rounds if r["list"] == "hand-over"] == [(flo, fhi)]
         _same_answer(res, ws)
 
 
@@ -1360,8 +1279,7 @@ def test_sample_end_rule_at_its_boundary(d, seed, edge, touches):
     flo, fhi = first["edges"]
     assert (fhi == 1.0 if edge == "top" else flo == -1.0) == touches
     assert first["side"] == "holds"
-    sample = kept_fracs(ws)[::_SAMPLE_STRIDE]
-    assert res.instrumentation["sort_items"] == len(sample) + _unheld(ws, flo, fhi)
+    assert [r["bracket"] for r in rounds if r["list"] == "hand-over"] == [(flo, fhi)]
     _same_answer(res, ws)
 
 
@@ -1525,16 +1443,14 @@ def test_answer_corpus_is_pinned():
     # sorted
     answers, counters = hashlib.sha256(), hashlib.sha256()
     for label, ws in corpus_inputs():
-        res = alpha_real(ws)
-        certify(ws, res)
+        if len(ws) <= 4097:
+            res = check_answer(ws)
+        else:
+            res = alpha_real(ws)
+            certify(ws, res)
         assert res.instrumentation["sort_items"] <= len(ws), label
         got = (res.alpha, res.b, type(res.b).__name__, res.int_cost, res.depths)
         answers.update(repr(got).encode())
         counters.update(json.dumps(res.instrumentation, sort_keys=True).encode())
-        if len(ws) <= 4097:
-            new = alpha_real_new(ws)
-            assert (new.alpha, new.b, type(new.b).__name__, new.int_cost, new.depths) == got
-        if len(ws) <= 12:
-            assert res.alpha == float(minimax_cost_by_dp([Fraction(w) for w in ws])), label
     assert answers.hexdigest() == CORPUS_ANSWERS_SHA256
     assert counters.hexdigest() == CORPUS_COUNTERS_SHA256

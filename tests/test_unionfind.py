@@ -91,42 +91,3 @@ def test_counters():
     assert uf.finds == 3
     assert uf.unions == 1
     assert uf.deunions == 1
-
-
-def test_randomized_against_snapshot_oracle():
-    # oracle: partition kept as an explicit component map with a
-    # snapshot stack, rolled back on deunion
-    rng = random.Random(404)
-    size = 64
-    uf = UnionFindDeunion()
-    for _ in range(size):
-        uf.add()
-    comp = list(range(size))
-    snaps = []
-    for step in range(20_000):
-        op = rng.random()
-        if op < 0.45:
-            x, y = rng.randrange(size), rng.randrange(size)
-            if comp[x] == comp[y]:
-                with pytest.raises(LevelTreeError):
-                    uf.union(x, y)
-            else:
-                snaps.append(list(comp))
-                uf.union(x, y)
-                old, new = comp[y], comp[x]
-                for i in range(size):
-                    if comp[i] == old:
-                        comp[i] = new
-        elif op < 0.75 and snaps:
-            uf.deunion()
-            comp = snaps.pop()
-        else:
-            x, y = rng.randrange(size), rng.randrange(size)
-            assert (uf.find(x) == uf.find(y)) == (comp[x] == comp[y])
-        if step % 2500 == 0:
-            reps = {}
-            for i in range(size):
-                reps.setdefault(comp[i], set()).add(uf.find(i))
-            assert all(len(s) == 1 for s in reps.values())
-            found = [uf.find(i) for i in range(size)]
-            assert len(set(found)) == len(set(comp))
